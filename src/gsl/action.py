@@ -11,8 +11,8 @@ evaluated at points.
 from .errors import (BadParams, NotFractionalLinear, NotInvertible,
                      VerifyError)
 from .gf import Field
-from .hopf import hopf_ideal_closure
-from .talg import invert_unit
+from .hopf import _swap_images, hopf_ideal_closure
+from .talg import apply_map, invert_unit
 from .zoo import D, alpha, mu, semidirect
 
 
@@ -122,16 +122,6 @@ def laurent_invert(H, r):
 
 # -- the axioms -------------------------------------------------------------
 
-def _swap2(t2, f):
-    """Exchange the two tensor legs of an element of a tensor square."""
-    A = t2.factors[0]
-    out = t2.zero()
-    for m, c in f.d.items():
-        m1, m2 = t2.split_mono(m)
-        out = out + t2.elem(A.poly({m2: 1}), A.poly({m1: 1})) * t2.scalar(c)
-    return out
-
-
 def coaction_verify(c):
     """Counit and coassociativity of a line coaction, checked degreewise.
 
@@ -168,7 +158,9 @@ def coaction_verify(c):
             term = t2.embed(g, 0) * t2.embed(f, 1)
             s = lhs.get(j)
             lhs[j] = term if s is None else s + term
-    rhs = {i: _swap2(t2, H.delta_map(f)) for i, f in c.rho.items()}
+    swap = _swap_images(H)
+    rhs = {i: apply_map(H.delta_map(f), swap, t2)
+           for i, f in c.rho.items()}
     for j in sorted(set(lhs) | set(rhs)):
         l = lhs.get(j, t2.zero())
         r = rhs.get(j, t2.zero())

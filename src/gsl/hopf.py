@@ -18,9 +18,10 @@ as a convolution inverse.
 """
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
-from .linalg import Subspace, SpanSolver, subspace_from
-from .talg import (Algebra, QuotientAlgebra, apply_map, quotient_algebra,
-                   quotient_by_subspace, subalgebra_generated)
+from .linalg import Subspace, SpanSolver, _pack, subspace_from
+from .talg import (Algebra, QuotientAlgebra, _shift_ticks, apply_map,
+                   quotient_algebra, quotient_by_subspace,
+                   subalgebra_generated)
 
 POINTS_DIM_LIMIT = 64
 POINTS_CANDIDATE_LIMIT = 1 << 20
@@ -280,12 +281,6 @@ def _relation_polys(A):
     return gens
 
 
-def _shift_ticks(f, target, k):
-    """Re-embed a tensor element, adding k ticks to every variable name."""
-    images = {nm: target.var(nm + "'" * k) for nm in f.alg.vars}
-    return apply_map(f, images, target)
-
-
 def _coassoc_sides(H, dx):
     """(delta ox id) and (id ox delta) applied to a two-leg element."""
     t3 = H.t3()
@@ -366,10 +361,17 @@ def hopf_verify(H):
     return report
 
 
-def is_cocommutative(H):
+def _swap_images(H):
+    """Images exchanging the two legs of H ox H, for apply_map."""
     t2 = H.t2()
     swap = {nm: t2.var(nm + "'") for nm in H.carrier.vars}
     swap.update({nm + "'": t2.var(nm) for nm in H.carrier.vars})
+    return swap
+
+
+def is_cocommutative(H):
+    t2 = H.t2()
+    swap = _swap_images(H)
     for nm in H.carrier.vars:
         dx = H.delta[nm]
         if apply_map(dx, swap, t2) != dx:
@@ -757,7 +759,7 @@ class HopfIdeal(object):
                     rep["ideal"] = False
             if not V.contains(coords(H.antipode_map(f), A)):
                 rep["antipode_stable"] = False
-            if not _coideal_member(H, V, f):
+            if _escaping_legs(H, V, f):
                 rep["coideal"] = False
         rep["ok"] = all(rep[k] for k in
                         ("ideal", "coideal", "antipode_stable", "augmented"))
@@ -782,28 +784,6 @@ def _delta_matrix(H, f):
             rows[i] = row
         row[pos[m2]] = c
     return rows
-
-
-def _coideal_member(H, V, f):
-    """Whether delta(f) lies in V ox A + A ox V (residues on both legs)."""
-    A = H.carrier
-    rows = _delta_matrix(H, f)
-    reduced = {}
-    for i, row in rows.items():
-        r = V.residue(row)
-        if any(r):
-            reduced[i] = r
-    if not reduced:
-        return True
-    cols = {}
-    for i, row in reduced.items():
-        for j, c in enumerate(row):
-            if c:
-                cols.setdefault(j, [0] * A.dim)[i] = c
-    for col in cols.values():
-        if any(V.residue(col)):
-            return False
-    return True
 
 
 def _escaping_legs(H, V, f):
@@ -1213,18 +1193,19 @@ def enumerate_subgroups(H):
     mul_mats = []
     for nm in A.vars:
         x = A.var(nm)
-        mul_mats.append([_mask(coords(x * A.poly({mono: 1}), A))
+        mul_mats.append([_pack(coords(x * A.poly({mono: 1}), A))
                          for mono in A.basis_monomials()])
-    s_mat = [_mask(coords(H.antipode_map(A.poly({mono: 1})), A))
+    s_mat = [_pack(coords(H.antipode_map(A.poly({mono: 1})), A))
              for mono in A.basis_monomials()]
     tab = H.delta_table()
 
+    spread = [_spread(r, aug_positions) for r in range(1 << m)]
     out = []
     for rows in _all_echelon_bases(m):
-        masks = [_spread(r, aug_positions) for r in rows]
-        V = _MaskSpace(masks)
+        masks = [spread[r] for r in rows]
+        V = subspace_from(F, n, masks)
         ok = True
-        for v in V.rows:
+        for v in masks:
             for mat in mul_mats:
                 if not V.contains(_apply_mask_matrix(mat, v)):
                     ok = False
@@ -1238,23 +1219,8 @@ def enumerate_subgroups(H):
                 ok = False
                 break
         if ok:
-            sub = Subspace(F, n)
-            for v in V.rows:
-                sub.insert(_unmask(v, n))
-            out.append(HopfIdeal(H, sub))
+            out.append(HopfIdeal(H, V))
     return out
-
-
-def _mask(vec):
-    m = 0
-    for i, c in enumerate(vec):
-        if c:
-            m |= 1 << i
-    return m
-
-
-def _unmask(m, n):
-    return [(m >> i) & 1 for i in range(n)]
 
 
 def _spread(mask, positions):
@@ -1263,31 +1229,6 @@ def _spread(mask, positions):
         if (mask >> k) & 1:
             out |= 1 << p
     return out
-
-
-class _MaskSpace(object):
-    def __init__(self, masks):
-        self.rows = []
-        self._ech = {}
-        for m in masks:
-            self.insert(m)
-
-    def insert(self, m):
-        r = self._reduce(m)
-        if r:
-            self._ech[r.bit_length() - 1] = r
-            self.rows.append(m)
-
-    def contains(self, m):
-        return self._reduce(m) == 0
-
-    def _reduce(self, m):
-        while m:
-            row = self._ech.get(m.bit_length() - 1)
-            if row is None:
-                return m
-            m ^= row
-        return 0
 
 
 def _apply_mask_matrix(mat, vmask):
@@ -1314,7 +1255,7 @@ def _mask_coideal(tab, V, vmask):
         i += 1
     reduced = {}
     for a, row in rows.items():
-        r = V._reduce(row)
+        r = V.residue(row)
         if r:
             reduced[a] = r
     if not reduced:
@@ -1328,7 +1269,7 @@ def _mask_coideal(tab, V, vmask):
             row >>= 1
             j += 1
     for col in cols.values():
-        if V._reduce(col):
+        if not V.contains(col):
             return False
     return True
 

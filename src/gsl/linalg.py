@@ -83,25 +83,27 @@ class Subspace(object):
 
     def contains(self, vec):
         if self._binary:
+            # stop at the first leading bit that no row can clear
             mask = vec if isinstance(vec, int) else _pack(vec)
-            return self._reduce_mask(mask) == 0
+            rows = self._rows
+            while mask:
+                row = rows.get(mask.bit_length() - 1)
+                if row is None:
+                    return False
+                mask ^= row
+            return True
         return not any(self._reduce_list(vec))
 
     def insert(self, vec):
         """Add a vector to the span.  Returns True if the dimension grew."""
         if self._binary:
-            mask = vec if isinstance(vec, int) else _pack(vec)
-            return self._insert_mask(mask)
+            mask = self._reduce_mask(vec if isinstance(vec, int) else _pack(vec))
+            if mask == 0:
+                return False
+            self._rows[mask.bit_length() - 1] = mask
+            self._dirty = True
+            return True
         return self._insert_list(vec)
-
-    def _insert_mask(self, mask):
-        mask = self._reduce_mask(mask)
-        if mask == 0:
-            return False
-        l = mask.bit_length() - 1
-        self._rows[l] = mask
-        self._dirty = True
-        return True
 
     def _inter_reduce(self):
         """Clear stale pivot bits out of the stored rows (binary only).

@@ -721,6 +721,12 @@ def apply_map(f, images, target, coeff_map=None, allow_missing=()):
     return out
 
 
+def _shift_ticks(f, target, k):
+    """Re-embed a tensor element, adding k ticks to every variable name."""
+    images = {nm: target.var(nm + "'" * k) for nm in f.alg.vars}
+    return apply_map(f, images, target)
+
+
 def invert_unit(f):
     """Inverse of a unit, found by geometric series against the local part.
 

@@ -1,9 +1,13 @@
 """Catalogue of small commutative Hopf algebras and the checks that
 relate them.
 
-Every constructor returns a fully verified HopfAlgebra on a pinned
-presentation, so tests elsewhere can compare against these by literal
-structure-map equality rather than up to isomorphism.  The second half
+Every constructor returns a HopfAlgebra on a pinned presentation, so
+tests elsewhere can compare against these by literal structure-map
+equality rather than up to isomorphism.  Only the constructors that
+derive a group from another one (kerFV, H_unip, semidirect) verify the
+Hopf axioms before returning; alpha, mu, D, H, witt2, cocycle_ext,
+SL2_kerF and pullback write the structure maps down without checking
+them, and hopf_verify checks them on demand.  The second half
 of the module holds the computations that are run against the
 catalogue: presentation changes, scalar rescaling maps, coactions of
 the multiplicative kernels on the additive ones, exhaustive morphism
@@ -20,12 +24,12 @@ from math import comb
 
 from .errors import BadParams, IdentityFailed, NotAnAction, SizeGuard, VerifyError
 from .gf import Field
-from .talg import (Algebra, apply_map, invert_unit, quotient_algebra,
-                   weight_decomposition)
-from .hopf import (HopfAlgebra, Morphism, closed_subgroup, enumerate_morphisms,
-                   hopf_product, hopf_verify, kernel_subgroup, morphism_check,
-                   presentations_equal, primitive_elements,
-                   subgroup_from_elements)
+from .talg import (Algebra, _shift_ticks, apply_map, invert_unit,
+                   quotient_algebra, weight_decomposition)
+from .hopf import (HopfAlgebra, Morphism, _relation_polys, closed_subgroup,
+                   enumerate_morphisms, hopf_product, hopf_verify,
+                   kernel_subgroup, morphism_check, presentations_equal,
+                   primitive_elements, subgroup_from_elements)
 
 ENUM_COACTION_LIMIT = 1 << 24
 
@@ -423,35 +427,38 @@ def zoo_parse(text, field=None):
         head, body = text.split("(", 1)
         head = head.strip()
         parts = _split_args(body[:-1])
-    if head == "alpha":
-        return alpha(int(parts[0]), F)
-    if head == "mu":
-        return mu(int(parts[0]), F)
+    try:
+        build, args = _catalogue_call(head, parts, F)
+    except (IndexError, KeyError, ValueError) as exc:
+        raise BadParams("malformed catalogue id %r: %r" % (text, exc)) from None
+    return build(*args)
+
+
+def _catalogue_call(head, parts, F):
+    """Constructor and its arguments for a catalogue id split into parts."""
+    if head in ("alpha", "mu", "E_trunc", "SL2_kerF"):
+        return _BY_HEIGHT[head], (int(parts[0]), F)
     if head == "D":
         pres = parts[1] if len(parts) > 1 else "A"
-        return D(int(parts[0]), pres, F)
-    if head == "E_trunc":
-        return E_trunc(int(parts[0]), F)
+        return D, (int(parts[0]), pres, F)
     if head == "H":
         if parts and "=" not in parts[0]:
-            return H(_scalar_token(parts[0], F), int(parts[1]), F)
+            return H, (_scalar_token(parts[0], F), int(parts[1]), F)
         kw = _kwargs(parts, F)
-        return H(kw["a"], kw["n"], F)
+        return H, (kw["a"], kw["n"], F)
     if head == "witt2":
-        return witt2(F)
+        return witt2, (F,)
     if head == "kerFV":
-        return kerFV(F)
+        return kerFV, (F,)
     if head == "cocycle_ext":
         kw = _kwargs(parts, F)
-        return cocycle_ext(kw["a"], kw["n"], F)
-    if head == "SL2_kerF":
-        return SL2_kerF(int(parts[0]), F)
+        return cocycle_ext, (kw["a"], kw["n"], F)
     if head in ("Hunip", "H_unip"):
         kw = _kwargs(parts, F)
-        return H_unip(kw["s1"], kw["s2"], kw["n"], F)
+        return H_unip, (kw["s1"], kw["s2"], kw["n"], F)
     if head == "pullback":
         s1, s2, n = (int(x) for x in parts)
-        return pullback(s1, s2, n, F)
+        return pullback, (s1, s2, n, F)
     if head == "semidirect":
         if len(parts) != 3 or not parts[2].startswith("w="):
             raise BadParams("semidirect takes (unipotent, mu, w=[...])")
@@ -461,11 +468,14 @@ def zoo_parse(text, field=None):
         uvars = Hu.carrier.vars
         if len(wlist) != len(uvars):
             raise BadParams("need one weight per generator of %s" % Hu.name)
-        return semidirect(Hu, Hm, dict(zip(uvars, wlist)))
-    raise BadParams("unknown catalogue id %r" % text)
+        return semidirect, (Hu, Hm, dict(zip(uvars, wlist)))
+    raise BadParams("unknown catalogue id %r" % head)
 
 
 construct = zoo_parse
+
+_BY_HEIGHT = {"alpha": alpha, "mu": mu, "E_trunc": E_trunc,
+              "SL2_kerF": SL2_kerF}
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +542,12 @@ def group_coaction_verify(G, M, images):
     collapses it to the unit; coassociativity against delta_M; and
     compatibility with delta_G (the coaction is a group homomorphism
     M -> Aut(G), expressed on coordinates).
+
+    Legs are told apart by ticks: in A(G) x A(M) the A(G) names are bare
+    and the A(M) names carry one tick, and every axiom is one apply_map
+    over renamed variables.
     """
     AG, AM = G.carrier, M.carrier
-    F = G.field
     t2 = AG.tensor(AM)
     images = {nm: apply_map(v, {}, t2) for nm, v in images.items()}
     failures = []
@@ -552,172 +565,44 @@ def group_coaction_verify(G, M, images):
             record("well_defined", nm, img ** k)
         else:
             record("well_defined", nm, img ** k - t2.one())
-    for g in _relations(AG):
+    for g in _relation_polys(AG):
         record("well_defined", "relation", apply_map(g, images, t2))
 
-    # counit of M recovers the identity map
-    for nm in AG.vars:
-        folded = _fold_right(images[nm], t2, AG, AM, M.counit)
-        record("counit_M", nm, folded - AG.var(nm))
-
-    # counit of G collapses to the unit of the coefficients
-    for nm in AG.vars:
-        folded = _fold_left(images[nm], t2, AG, AM, G.counit)
-        record("counit_G", nm, folded - AM.scalar(G.counit[nm]))
-
-    # coassociativity: (delta_rho x id) rho = (id x delta_M) rho
+    # counit_M: u' -> eps_M(u);  counit_G: x -> eps_G(x), u' -> u
+    eps_m = {u + "'": AG.scalar(M.counit[u]) for u in AM.vars}
+    eps_g = {x: AM.scalar(G.counit[x]) for x in AG.vars}
+    eps_g.update({u + "'": AM.var(u) for u in AM.vars})
+    # coassoc: x -> rho(x), u' -> u''  against  u' -> delta_M(u) on legs 1, 2
     t3 = AG.tensor(AM, AM)
-    for nm in AG.vars:
-        lhs = _coact_then_coact(images, nm, t2, t3, AG, AM)
-        rhs = _coact_then_delta(images[nm], M, t2, t3, AG, AM)
-        record("coassoc", nm, lhs - rhs)
-
-    # compatibility with delta_G
+    coact = {x: apply_map(images[x], {}, t3) for x in AG.vars}
+    coact.update({u + "'": t3.var(u + "''") for u in AM.vars})
+    delta_m = {u + "'": _shift_ticks(M.delta[u], t3, 1) for u in AM.vars}
+    # delta_G: rho on each A(G) leg with its A(M) output on leg 2, against
+    # x -> delta_G(x), u' -> u''
     t3g = AG.tensor(AG, AM)
+    left = {u + "'": t3g.var(u + "''") for u in AM.vars}
+    right = dict(left)
+    right.update({x: t3g.var(x + "'") for x in AG.vars})
+    coact_g = {}
+    for x in AG.vars:
+        coact_g[x] = apply_map(images[x], left, t3g)
+        coact_g[x + "'"] = apply_map(images[x], right, t3g)
+    delta_g = dict(left)
+    delta_g.update({x: apply_map(G.delta[x], {}, t3g) for x in AG.vars})
+
     for nm in AG.vars:
-        lhs = _delta_then_coact(G, images, nm, t3g, AG, AM)
-        rhs = _coact_then_deltaG(images[nm], G, t2, t3g, AG, AM)
-        record("delta_G", nm, lhs - rhs)
+        record("counit_M", nm, apply_map(images[nm], eps_m, AG) - AG.var(nm))
+    for nm in AG.vars:
+        record("counit_G", nm, apply_map(images[nm], eps_g, AM)
+               - AM.scalar(G.counit[nm]))
+    for nm in AG.vars:
+        record("coassoc", nm, apply_map(images[nm], coact, t3)
+               - apply_map(images[nm], delta_m, t3))
+    for nm in AG.vars:
+        record("delta_G", nm, apply_map(G.delta[nm], coact_g, t3g)
+               - apply_map(images[nm], delta_g, t3g))
 
     return {"ok": not failures, "failures": failures}
-
-
-def _relations(A):
-    return list(getattr(A, "ideal_gens", []) or [])
-
-
-def _fold_right(f, t2, AG, AM, counit_m):
-    """Apply id x eps_M to an element of A(G) x A(M)."""
-    out = AG.zero()
-    for m, c in f.d.items():
-        m1, m2 = t2.split_mono(m)
-        scal = c
-        for i, e in enumerate(m2):
-            if e:
-                base = counit_m[AM.vars[i]]
-                scal = AG.field.mul(scal, AG.field.pow(base, e)) if base else 0
-        if scal:
-            out = out + AG.poly({m1: scal})
-    return out
-
-
-def _fold_left(f, t2, AG, AM, counit_g):
-    out = AM.zero()
-    for m, c in f.d.items():
-        m1, m2 = t2.split_mono(m)
-        scal = c
-        for i, e in enumerate(m1):
-            if e:
-                base = counit_g[AG.vars[i]]
-                scal = AM.field.mul(scal, AM.field.pow(base, e)) if base else 0
-        if scal:
-            out = out + AM.poly({m2: scal})
-    return out
-
-
-def _coact_then_coact(images, nm, t2, t3, AG, AM):
-    """rho applied to the A(G) leg of rho(x), landing in A(G) x A(M) x A(M).
-
-    The fresh pass writes into legs (0, 1); the A(M) part that rode
-    along from the first pass moves out to leg 2.
-    """
-    out = t3.zero()
-    for m, c in images[nm].d.items():
-        m1, m2 = t2.split_mono(m)
-        # rho of the A(G) monomial m1
-        acc = t3.one() * t3.scalar(c)
-        for i, e in enumerate(m1):
-            if e:
-                img = images[AG.vars[i]]
-                lifted = _lift_12(img, t2, t3, AG, AM)
-                acc = acc * lifted ** e
-        acc = acc * t3.embed(AM.poly({m2: 1}), 2)
-        out = out + acc
-    return out
-
-
-def _lift_12(f, t2, t3, AG, AM):
-    """A(G) x A(M) into legs (0, 1) of A(G) x A(M) x A(M)."""
-    out = t3.zero()
-    for m, c in f.d.items():
-        m1, m2 = t2.split_mono(m)
-        out = out + t3.embed(AG.poly({m1: 1}), 0) \
-            * t3.embed(AM.poly({m2: c}), 1)
-    return out
-
-
-def _coact_then_delta(f, M, t2, t3, AG, AM):
-    """id x delta_M applied to rho(x)."""
-    tm = M.t2()
-    out = t3.zero()
-    for m, c in f.d.items():
-        m1, m2 = t2.split_mono(m)
-        acc = t3.embed(AG.poly({m1: c}), 0)
-        for i, e in enumerate(m2):
-            if e:
-                dv = _retarget_mm(M.delta[AM.vars[i]], tm, t3, AM)
-                acc = acc * dv ** e
-        out = out + acc
-    return out
-
-
-def _retarget_mm(f, tm, t3, AM):
-    out = t3.zero()
-    for m, c in f.d.items():
-        m1, m2 = tm.split_mono(m)
-        out = out + t3.embed(AM.poly({m1: c}), 1) * t3.embed(AM.poly({m2: 1}), 2)
-    return out
-
-
-def _delta_then_coact(G, images, nm, t3g, AG, AM):
-    """(rho x rho) delta_G(x) with the two A(M) outputs multiplied."""
-    tg = G.t2()
-    out = t3g.zero()
-    for m, c in G.delta[nm].d.items():
-        m1, m2 = tg.split_mono(m)
-        acc = t3g.one() * t3g.scalar(c)
-        for i, e in enumerate(m1):
-            if e:
-                acc = acc * _mix(images[AG.vars[i]], 0, t3g, AG, AM) ** e
-        for i, e in enumerate(m2):
-            if e:
-                acc = acc * _mix(images[AG.vars[i]], 1, t3g, AG, AM) ** e
-        out = out + acc
-    return out
-
-
-def _mix(f, leg, t3g, AG, AM):
-    """A(G) x A(M) into (leg, 2) of A(G) x A(G) x A(M)."""
-    out = t3g.zero()
-    for m, c in f.d.items():
-        n1 = len(AG.vars)
-        m1, m2 = m[:n1], m[n1:]
-        out = out + t3g.embed(AG.poly({m1: 1}), leg) \
-            * t3g.embed(AM.poly({m2: c}), 2)
-    return out
-
-
-def _coact_then_deltaG(f, G, t2, t3g, AG, AM):
-    """(delta_G x id) rho(x)."""
-    tg = G.t2()
-    out = t3g.zero()
-    for m, c in f.d.items():
-        m1, m2 = t2.split_mono(m)
-        acc = t3g.embed(AM.poly({m2: c}), 2)
-        for i, e in enumerate(m1):
-            if e:
-                dv = _retarget_gg(G.delta[AG.vars[i]], tg, t3g, AG)
-                acc = acc * dv ** e
-        out = out + acc
-    return out
-
-
-def _retarget_gg(f, tg, t3g, AG):
-    out = t3g.zero()
-    for m, c in f.d.items():
-        m1, m2 = tg.split_mono(m)
-        out = out + t3g.embed(AG.poly({m1: c}), 0) * t3g.embed(AG.poly({m2: 1}), 1)
-    return out
 
 
 def mu_action_normalize(i, coeffs, n, field=None):
@@ -782,7 +667,7 @@ def enumerate_coactions(G, M):
             cells.append(t2.embed(fg, 0) * t2.embed(fm, 1))
     total = F.q ** len(cells)
     if total > ENUM_COACTION_LIMIT:
-        raise SizeGuard("coaction search space %d too large" % total)
+        raise SizeGuard("coaction search space", total, ENUM_COACTION_LIMIT)
     scalars = list(F.elements())
     found = []
     idx = [0] * len(cells)

@@ -10,7 +10,7 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, coords, dual_hopf,
                       is_cocommutative, is_normal, kernel_subgroup,
                       morphism_check, points_group, presentations_equal,
                       primitives, quotient_group, subgroup_from_elements)
-from gsl.linalg import subspace_intersect, subspace_sum
+from gsl.linalg import subspace_from, subspace_intersect, subspace_sum
 from gsl.talg import Algebra
 
 F2 = Field(2)
@@ -302,6 +302,18 @@ def test_ideal_intersection_need_not_be_coideal():
     assert I.contains(S * T ** 2) and I.contains(S * T ** 3)
     rep = I.verify()
     assert rep["ideal"] and not rep["coideal"]
+
+
+def test_ideal_spans_that_are_not_coideals():
+    for H, gen in ((d2(), lambda A: A.var("S") * A.var("T")),
+                   (alpha(3), lambda A: A.var("T") ** 3)):
+        A = H.carrier
+        f = gen(A)
+        span = subspace_from(H.field, A.dim, [coords(f * A.poly({m: 1}), A)
+                                              for m in A.basis_monomials()])
+        rep = HopfIdeal(H, span).verify()
+        assert rep["ideal"] and rep["augmented"]
+        assert rep["coideal"] is False and rep["ok"] is False
 
 
 def test_closure_grows_to_hopf_ideal():

@@ -182,6 +182,14 @@ def test_zoo_parse_round_trips():
         zoo_parse("nosuch(1)")
 
 
+@pytest.mark.parametrize("cid", ["alpha()", "alpha(x)", "H(a=1)",
+                                 "H(g^x,2)", "pullback(1,0)", "D()",
+                                 "semidirect(D(2),mu(1),w=[a,1])"])
+def test_zoo_parse_malformed_ids_raise_bad_params(cid):
+    with pytest.raises(BadParams, match="malformed catalogue id"):
+        zoo_parse(cid)
+
+
 # -- presentation changes and small isomorphisms -------------------------
 
 def test_d_presentation_iso_is_the_pinned_involution():
@@ -349,6 +357,68 @@ def test_coaction_verify_rejects_non_coaction():
     assert {f["axiom"] for f in bad["failures"]} == {"coassoc", "counit_M"}
 
 
+# (field, image of T) -> sorted (axiom, generator, residual) triples of the
+# broken coactions of mu(1) on alpha(2); x = T, u = U on the second leg
+COACTION_FAILURES = {
+    ("F2", "x + x^2"): [("coassoc", "T", "T^2"), ("counit_M", "T", "T^2")],
+    ("F2", "1 + x"): [("coassoc", "T", "1"), ("counit_G", "T", "1"),
+                      ("counit_M", "T", "1"), ("delta_G", "T", "1"),
+                      ("well_defined", "T", "1")],
+    ("F2", "x + x^3 u"): [("coassoc", "T", "T^3*U'*U''"),
+                          ("delta_G", "T", "T*T'^2*U'' + T^2*T'*U''")],
+    ("F2", "u"): [("coassoc", "T", "U' + U'*U''"), ("counit_G", "T", "U"),
+                  ("counit_M", "T", "T"), ("delta_G", "T", "U''")],
+    ("F4", "x + x^2"): [("coassoc", "T", "T^2"), ("counit_M", "T", "T^2")],
+    ("F4", "x + x^3 u"): [("coassoc", "T", "T^3*U'*U''"),
+                          ("delta_G", "T", "T*T'^2*U'' + T^2*T'*U''")],
+    ("F4", "g x"): [("coassoc", "T", "T"), ("counit_M", "T", "(g+1)*T")],
+    ("F4", "x + g x u"): [("coassoc", "T", "T*U'*U''")],
+    ("F4", "x + g x^2 u"): [("coassoc", "T", "g*T^2*U'*U''")],
+}
+
+
+def _broken_image(F, name):
+    G, M = alpha(2, F), mu(1, F)
+    t2 = G.carrier.tensor(M.carrier)
+    x = t2.embed(G.carrier.var("T"), 0)
+    u = t2.embed(M.carrier.var("U"), 1)
+    g = t2.scalar(F.gen)
+    image = {"x + x^2": x + x ** 2, "1 + x": t2.one() + x,
+             "x + x^3 u": x + x ** 3 * u, "u": u, "g x": x * g,
+             "x + g x u": x + x * u * g, "x + g x^2 u": x + x ** 2 * u * g}
+    return G, M, image[name]
+
+
+@pytest.mark.parametrize("case", sorted(COACTION_FAILURES))
+def test_coaction_failures_pinned(case):
+    F = {"F2": F2, "F4": F4}[case[0]]
+    G, M, rho = _broken_image(F, case[1])
+    rep = group_coaction_verify(G, M, {"T": rho})
+    got = sorted((f["axiom"], f["generator"], str(f["residual"]))
+                 for f in rep["failures"])
+    assert got == COACTION_FAILURES[case]
+    assert not rep["ok"]
+
+
+def test_coaction_pins_cover_every_axiom():
+    seen = {t[0] for trips in COACTION_FAILURES.values() for t in trips}
+    assert seen == {"well_defined", "counit_M", "counit_G", "coassoc",
+                    "delta_G"}
+
+
+def test_coaction_checks_relations_of_subspace_carriers():
+    # the invariants carrier is presented by a subspace: no ideal_gens,
+    # yet Y1 -> Y1 + Y2 breaks four of its relations
+    K = mu2_invariants_D(1, 1, 1)["group"]
+    y1, y2 = K.carrier.var("Y1"), K.carrier.var("Y2")
+    assert not K.carrier.ideal_gens
+    rep = group_coaction_verify(K, mu(1), {"Y1": y1 + y2, "Y2": y2})
+    broken = [f for f in rep["failures"]
+              if (f["axiom"], f["generator"]) == ("well_defined", "relation")]
+    assert len(broken) == 4
+    assert group_coaction_verify(K, mu(1), {"Y1": y1, "Y2": y2})["ok"]
+
+
 def test_mu_action_normalize_three_vectors():
     for coeffs in [(1, 0), (0, 1), (1, 1)]:
         rep = mu_action_normalize(1, coeffs, 3)
@@ -376,6 +446,11 @@ def test_enumerate_coactions_counts():
     assert len(enumerate_coactions(alpha(2, F4), mu(1, F4))) == 5
     assert len(enumerate_coactions(H(1, 2), mu(1))) == 1
     assert len(enumerate_coactions(H(1, 2, F4), mu(1, F4))) == 1
+
+
+def test_enumerate_coactions_size_guard():
+    with pytest.raises(SizeGuard):
+        enumerate_coactions(alpha(3), mu(3))
 
 
 # -- maps out of the frobenius kernels of SL2 ------------------------------
