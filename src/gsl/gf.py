@@ -5,12 +5,18 @@ base-p encoding of its coefficient vector with respect to the power basis
 1, g, g^2, ... of the residue class g of x.  Code 0 is zero, code 1 is one,
 and for m >= 2 code p is the generator g itself.
 
-All arithmetic is exact.  For q <= 256 the multiplication and inversion
-tables are precomputed at construction time; larger fields fall back to
-polynomial arithmetic per operation.
+All arithmetic is exact.  Fields with q <= TABLE_LIMIT (256) are tabled at
+construction time: multiplication and inversion tables are read off the
+exp/log tables of the smallest primitive element (g itself need not be
+primitive: in GF(2^8) it has order 51), and for odd p digit-wise addition
+and negation tables sit next to them.  Addition in characteristic 2 is
+xor.  The larger fields, GF(3^6), GF(3^7), GF(3^8) and GF(5^4) to GF(5^8),
+are untabled and fall back to polynomial and digit arithmetic per
+operation.  `Field.axpy` is the one row kernel the echelon code uses.
 
-Polynomials over the prime field appear only internally (moduli and the
-irreducibility test) and are stored as little-endian coefficient tuples.
+Polynomials over the prime field appear only internally (moduli, the
+irreducibility test and the powers of the primitive element) and are
+stored as little-endian coefficient tuples.
 """
 
 from .errors import DivideByZero, ParseError, ReducibleModulus, UnsupportedSize
@@ -130,28 +136,56 @@ class Field(object):
         self.gen = _encode(_poly_rem((0, 1), modulus, p), p)
         self._mul_table = None
         self._inv_table = None
+        self._add_table = None
+        self._neg_table = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
-    def _build_tables(self):
-        q, p, m = self.q, self.p, self.m
-        vecs = [_digits(a, p, m) for a in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                c = _encode(_poly_rem(_poly_mul(vecs[a], vecs[b], p),
-                                      self.modulus, p), p)
-                mul[a][b] = c
-                mul[b][a] = c
-        inv = [0] * q
+    def _primitive_powers(self):
+        """Powers 1, a, ..., a^(q-2) of the smallest primitive element a."""
+        p, m, q = self.p, self.m, self.q
         for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
+            va = _digits(a, p, m)
+            powers, x = [], 1
+            while True:
+                powers.append(x)
+                x = _encode(_poly_rem(_poly_mul(_digits(x, p, m), va, p),
+                                      self.modulus, p), p)
+                if x == 1:
                     break
+            if len(powers) == q - 1:
+                return powers
+        raise AssertionError("no primitive element")  # unreachable
+
+    def _build_tables(self):
+        q, p = self.q, self.p
+        n = q - 1
+        exp = self._primitive_powers()
+        log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        mul = [[0] * q]
+        for a in range(1, q):
+            # rot[j] = a * exp[j], so row b reads rot at log b
+            rot = exp2[log[a]:log[a] + n]
+            mul.append([0] + [rot[j] for j in logs])
         self._mul_table = mul
-        self._inv_table = inv
+        self._inv_table = [0] + [exp[-log[a] % n] for a in range(1, q)]
+        if p != 2:
+            # digit-wise: the low digit adds mod p, the rest is the sum of
+            # the codes divided by p, which an earlier row already holds
+            add = [list(range(q))]
+            for a in range(1, q):
+                a0, up = a % p, add[a // p]
+                add.append([(a0 + b % p) % p + p * up[b // p]
+                            for b in range(q)])
+            neg = [0] * q
+            for a in range(1, q):
+                neg[a] = -a % p + p * neg[a // p]
+            self._add_table = add
+            self._neg_table = neg
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -159,6 +193,8 @@ class Field(object):
         p = self.p
         if p == 2:
             return a ^ b
+        if self._add_table is not None:
+            return self._add_table[a][b]
         code, shift = 0, 1
         while a or b:
             code += ((a + b) % p) * shift
@@ -171,6 +207,8 @@ class Field(object):
         p = self.p
         if p == 2:
             return a
+        if self._neg_table is not None:
+            return self._neg_table[a]
         code, shift = 0, 1
         while a:
             code += (-a % p) * shift
@@ -194,6 +232,26 @@ class Field(object):
         if self._inv_table is not None:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
+
+    def axpy(self, dst, c, src, support):
+        """dst[i] += c * src[i] for every i in support, in place.
+
+        support must cover the nonzero entries of src that should be
+        read; entries outside it are left alone.
+        """
+        mul = self._mul_table
+        if mul is None:
+            for i in support:
+                dst[i] = self.add(dst[i], self.mul(c, src[i]))
+            return
+        row = mul[c]
+        add = self._add_table
+        if add is None:  # characteristic 2
+            for i in support:
+                dst[i] ^= row[src[i]]
+        else:
+            for i in support:
+                dst[i] = add[dst[i]][row[src[i]]]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

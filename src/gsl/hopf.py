@@ -664,15 +664,15 @@ def _twist_carrier(carrier, r):
         def tw(g):
             return apply_map(g, {}, amb, coeff_map=lambda c: F.frob(c, r))
 
+        # the carrier's variables are already final: re-eliminating would
+        # drop any that a twisted relation pins to the others
         if carrier.ideal_gens:
-            out = quotient_algebra(amb, [tw(g) for g in carrier.ideal_gens])
+            gens = carrier.ideal_gens
         else:
             # carriers presented straight from a subspace keep no generator
-            # list; twist an ideal basis and skip re-elimination so the
-            # variables stay put
-            rows = [amb.from_vector(v) for v in carrier.ideal.basis()]
-            out = quotient_algebra(amb, [tw(g) for g in rows],
-                                   eliminate=False)
+            # list; twist an ideal basis instead
+            gens = [amb.from_vector(v) for v in carrier.ideal.basis()]
+        out = quotient_algebra(amb, [tw(g) for g in gens], eliminate=False)
         if out.vars != carrier.vars:
             raise VerifyError("frobenius", "twist changed the presentation shape")
         return out

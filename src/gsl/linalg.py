@@ -8,9 +8,13 @@ monomials and quotient bases come out as the familiar staircase of low
 monomials.
 
 Over GF(2) rows are stored as int bitmasks and reduction is pure xor;
-over larger fields rows are lists of scalar codes with the leading
-coefficient normalised to 1.
+over larger fields rows are dense lists of scalar codes with the leading
+coefficient normalised to 1, each kept with the list of its nonzero
+indices (its support), and every row operation is one `Field.axpy` over
+a support.
 """
+
+from itertools import compress
 
 
 class Subspace(object):
@@ -19,6 +23,7 @@ class Subspace(object):
         self.field = field
         self.n = n
         self._rows = {}  # leading index -> row (int mask if q == 2, else list)
+        self._supp = {}  # leading index -> nonzero indices of a list row
         self._binary = field.q == 2
         # binary rows may be left unreduced against later pivots until a
         # reduced basis is actually read; residues stay canonical either way
@@ -35,6 +40,7 @@ class Subspace(object):
             other._dirty = self._dirty
         else:
             other._rows = {l: list(r) for l, r in self._rows.items()}
+            other._supp = dict(self._supp)
         return other
 
     # -- reduction ---------------------------------------------------------
@@ -54,20 +60,18 @@ class Subspace(object):
         return out
 
     def _reduce_list(self, vec):
+        """vec reduced modulo the rows, and its ascending support."""
+        # the rows are fully reduced: clearing one pivot touches no other
+        # pivot column, so the pivots to clear are read off the input and
+        # cleared in any order
         F = self.field
-        rows = self._rows
+        rows, supp = self._rows, self._supp
         vec = list(vec)
-        for l in range(self.n - 1, -1, -1):
-            c = vec[l]
-            if c == 0:
-                continue
-            row = rows.get(l)
-            if row is None:
-                continue
-            for i in range(l + 1):
-                if row[i]:
-                    vec[i] = F.sub(vec[i], F.mul(c, row[i]))
-        return vec
+        support = set(compress(range(len(vec)), vec))
+        for l in rows.keys() & support:
+            F.axpy(vec, F.neg(vec[l]), rows[l], supp[l])
+            support.update(supp[l])
+        return vec, sorted(i for i in support if vec[i])
 
     def residue(self, vec):
         """Canonical representative of vec modulo this subspace.
@@ -79,7 +83,7 @@ class Subspace(object):
             if isinstance(vec, int):
                 return self._reduce_mask(vec)
             return _unpack(self._reduce_mask(_pack(vec)), self.n)
-        return self._reduce_list(vec)
+        return self._reduce_list(vec)[0]
 
     def contains(self, vec):
         if self._binary:
@@ -92,7 +96,7 @@ class Subspace(object):
                     return False
                 mask ^= row
             return True
-        return not any(self._reduce_list(vec))
+        return not self._reduce_list(vec)[1]
 
     def insert(self, vec):
         """Add a vector to the span.  Returns True if the dimension grew."""
@@ -129,18 +133,18 @@ class Subspace(object):
 
     def _insert_list(self, vec):
         F = self.field
-        vec = self._reduce_list(vec)
-        l = _leading(vec)
-        if l is None:
+        vec, support = self._reduce_list(vec)
+        if not support:
             return False
-        c = F.inv(vec[l])
-        if c != 1:
-            vec = [F.mul(c, x) for x in vec]
-        for k, row in self._rows.items():
-            d = row[l]
-            if d:
-                self._rows[k] = [F.sub(x, F.mul(d, y)) for x, y in zip(row, vec)]
-        self._rows[l] = vec
+        vec = _normalised(F, vec, support)
+        l = support[-1]
+        rows, supp = self._rows, self._supp
+        for k in [k for k, row in rows.items() if row[l]]:
+            row = rows[k]
+            F.axpy(row, F.neg(row[l]), vec, support)
+            supp[k] = [i for i in set(supp[k]).union(support) if row[i]]
+        rows[l] = vec
+        supp[l] = support
         return True
 
     # -- structure ----------------------------------------------------------
@@ -241,6 +245,17 @@ def _leading(vec):
     return None
 
 
+def _normalised(F, vec, support):
+    """vec scaled to leading coefficient 1, given its nonempty ascending
+    support."""
+    c = F.inv(vec[support[-1]])
+    if c == 1:
+        return vec
+    out = [0] * len(vec)
+    F.axpy(out, c, vec, support)
+    return out
+
+
 class SpanSolver(object):
     """Echelon basis that remembers how each pivot row was built, so that
     membership tests also return the coefficients over the inserted vectors.
@@ -269,13 +284,15 @@ class SpanSolver(object):
         if self._binary:
             rrec = dict(recipe)
             rrec[idx] = 1
+            support = None
         else:
             # res = vec - sum(recipe[k] * gen_k); rescale to lead coeff 1.
             inv = F.inv(res[lead])
-            res = [F.mul(inv, c) for c in res]
+            support = list(compress(range(len(res)), res))
+            res = _normalised(F, res, support)
             rrec = {k: F.neg(F.mul(inv, c)) for k, c in recipe.items()}
             rrec[idx] = inv
-        self._rows[lead] = (res, rrec)
+        self._rows[lead] = (res, support, rrec)
         return idx
 
     def add_all(self, vectors):
@@ -305,7 +322,7 @@ class SpanSolver(object):
                 hit = self._rows.get(lead)
                 if hit is None:
                     break
-                row, rrec = hit
+                row, _, rrec = hit
                 cur ^= row
                 for k, c in rrec.items():
                     if k in recipe:
@@ -319,11 +336,9 @@ class SpanSolver(object):
             lead = _leading(cur)
             if lead is None or lead not in self._rows:
                 break
-            row, rrec = self._rows[lead]
+            row, support, rrec = self._rows[lead]
             coeff = cur[lead]
-            for i, c in enumerate(row):
-                if c:
-                    cur[i] = F.sub(cur[i], F.mul(coeff, c))
+            F.axpy(cur, F.neg(coeff), row, support)
             for k, c in rrec.items():
                 prev = recipe.get(k, 0)
                 val = F.add(prev, F.mul(coeff, c))

@@ -397,7 +397,7 @@ def _scalar_token(tok, F):
     return code
 
 
-def _kwargs(parts, F):
+def _kwargs(parts, F, names):
     out = {}
     for part in parts:
         if "=" not in part:
@@ -406,7 +406,14 @@ def _kwargs(parts, F):
         key = key.strip()
         # heights are plain integers; everything else is a field scalar
         out[key] = int(val) if key in ("n", "l") else _scalar_token(val, F)
-    return out
+    if sorted(out) != sorted(names) or len(parts) != len(names):
+        raise ValueError("takes the arguments %s" % ", ".join(names))
+    return [out[nm] for nm in names]
+
+
+def _arity(parts, lo, hi=None):
+    if not lo <= len(parts) <= (lo if hi is None else hi):
+        raise ValueError("wrong number of arguments: %d" % len(parts))
 
 
 def zoo_parse(text, field=None):
@@ -437,25 +444,27 @@ def zoo_parse(text, field=None):
 def _catalogue_call(head, parts, F):
     """Constructor and its arguments for a catalogue id split into parts."""
     if head in ("alpha", "mu", "E_trunc", "SL2_kerF"):
+        _arity(parts, 1)
         return _BY_HEIGHT[head], (int(parts[0]), F)
     if head == "D":
+        _arity(parts, 1, 2)
         pres = parts[1] if len(parts) > 1 else "A"
         return D, (int(parts[0]), pres, F)
     if head == "H":
         if parts and "=" not in parts[0]:
+            _arity(parts, 2)
             return H, (_scalar_token(parts[0], F), int(parts[1]), F)
-        kw = _kwargs(parts, F)
-        return H, (kw["a"], kw["n"], F)
+        return H, (*_kwargs(parts, F, ("a", "n")), F)
     if head == "witt2":
+        _arity(parts, 0)
         return witt2, (F,)
     if head == "kerFV":
+        _arity(parts, 0)
         return kerFV, (F,)
     if head == "cocycle_ext":
-        kw = _kwargs(parts, F)
-        return cocycle_ext, (kw["a"], kw["n"], F)
+        return cocycle_ext, (*_kwargs(parts, F, ("a", "n")), F)
     if head in ("Hunip", "H_unip"):
-        kw = _kwargs(parts, F)
-        return H_unip, (kw["s1"], kw["s2"], kw["n"], F)
+        return H_unip, (*_kwargs(parts, F, ("s1", "s2", "n")), F)
     if head == "pullback":
         s1, s2, n = (int(x) for x in parts)
         return pullback, (s1, s2, n, F)

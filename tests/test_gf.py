@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gsl import DivideByZero, Field, ParseError, ReducibleModulus, UnsupportedSize, field_from_name
-from gsl.gf import DEFAULT_MODULI, _poly_irreducible_factor, _search_modulus
+from gsl.gf import (DEFAULT_MODULI, TABLE_LIMIT, _digits, _encode,
+                    _poly_irreducible_factor, _poly_mul, _poly_rem,
+                    _search_modulus)
 
 
 SMALL_FIELDS = [Field(2, 1), Field(2, 2), Field(2, 3), Field(2, 4),
@@ -49,6 +51,46 @@ def test_untabled_field_matches_axioms(a, b):
     assert F.sub(F.add(a, b), b) == a
     if a != 0:
         assert F.div(F.mul(a, b), a) == b
+
+
+TABLED = [(p, m) for p, top in ((2, 8), (3, 5), (5, 3)) for m in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("pm", TABLED, ids=lambda pm: "GF(%d^%d)" % pm)
+def test_tables_equal_polynomial_arithmetic(pm):
+    # the exp/log-built tables against one polynomial product per pair
+    p, m = pm
+    F = Field(p, m)
+    assert F.q <= TABLE_LIMIT and F._mul_table is not None
+    vecs = [_digits(a, p, m) for a in range(F.q)]
+    for a in range(F.q):
+        va = vecs[a]
+        assert F.neg(a) == _encode([-x % p for x in va], p)
+        for b in range(F.q):
+            vb = vecs[b]
+            assert F.mul(a, b) == _encode(
+                _poly_rem(_poly_mul(va, vb, p), F.modulus, p), p)
+            assert F.add(a, b) == _encode(
+                [(x + y) % p for x, y in zip(va, vb)], p)
+        if a:
+            assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("F", [Field(2, 2), Field(3), Field(3, 2), Field(5),
+                               F625], ids=lambda F: F.name)
+@given(data=st.data())
+def test_axpy_matches_scalar_arithmetic(F, data):
+    n = 6
+    els = st.integers(0, F.q - 1)
+    dst = data.draw(st.lists(els, min_size=n, max_size=n))
+    src = data.draw(st.lists(els, min_size=n, max_size=n))
+    c = data.draw(els)
+    support = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    want = list(dst)
+    for i in support:
+        want[i] = F.add(want[i], F.mul(c, src[i]))
+    F.axpy(dst, c, src, support)
+    assert dst == want
 
 
 def test_generator_and_modulus_gf16():

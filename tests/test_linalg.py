@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import Field
-from gsl.linalg import (Subspace, subspace_from, subspace_intersect,
-                        subspace_sum)
+from gsl.linalg import (SpanSolver, Subspace, subspace_from,
+                        subspace_intersect, subspace_sum)
 
 F2 = Field(2)
+F3 = Field(3)
 F4 = Field(2, 2)
 F5 = Field(5)
+F9 = Field(3, 2)
+F625 = Field(5, 4)  # untabled
 
 
 def vectors(field, n):
@@ -15,7 +18,8 @@ def vectors(field, n):
                     min_size=0, max_size=6)
 
 
-@pytest.mark.parametrize("F", [F2, F4, F5], ids=lambda F: F.name)
+@pytest.mark.parametrize("F", [F2, F3, F4, F5, F9, F625],
+                         ids=lambda F: F.name)
 def test_insert_and_membership(F):
     S = Subspace(F, 4)
     assert S.insert([1, 0, 0, 1])
@@ -62,7 +66,7 @@ def test_rref_rows_are_fully_reduced():
 
 
 @settings(max_examples=60)
-@given(data=st.data(), F=st.sampled_from([F2, F4, F5]))
+@given(data=st.data(), F=st.sampled_from([F2, F3, F4, F5, F9, F625]))
 def test_sum_and_intersection_dimension_formula(data, F):
     n = 5
     A = subspace_from(F, n, data.draw(vectors(F, n)))
@@ -98,7 +102,7 @@ def test_right_kernel():
 
 
 @settings(max_examples=40)
-@given(data=st.data(), F=st.sampled_from([F2, F4]))
+@given(data=st.data(), F=st.sampled_from([F2, F3, F4, F9, F625]))
 def test_right_kernel_dimension(data, F):
     n = 5
     S = subspace_from(F, n, data.draw(vectors(F, n)))
@@ -113,3 +117,94 @@ def test_copy_is_independent():
     T = S.copy()
     T.insert([0, 0, 1])
     assert S.dim == 1 and T.dim == 2
+
+
+class RefEchelon(object):
+    """Largest-pivot Gauss-Jordan with one Field call per entry: the
+    reference the table-driven list path must agree with exactly."""
+
+    def __init__(self, F, n):
+        self.F, self.n, self.rows = F, n, {}
+
+    def residue(self, vec):
+        F, vec = self.F, list(vec)
+        for l in range(self.n - 1, -1, -1):
+            c = vec[l]
+            if c and l in self.rows:
+                row = self.rows[l]
+                for i in range(l + 1):
+                    if row[i]:
+                        vec[i] = F.sub(vec[i], F.mul(c, row[i]))
+        return vec
+
+    def insert(self, vec):
+        F = self.F
+        vec = self.residue(vec)
+        lead = [i for i, x in enumerate(vec) if x]
+        if not lead:
+            return False
+        l = lead[-1]
+        c = F.inv(vec[l])
+        vec = [F.mul(c, x) for x in vec]
+        for k, row in self.rows.items():
+            d = row[l]
+            if d:
+                self.rows[k] = [F.sub(x, F.mul(d, y)) for x, y in zip(row, vec)]
+        self.rows[l] = vec
+        return True
+
+
+@settings(max_examples=80)
+@given(data=st.data(), F=st.sampled_from([F2, F3, F4, F5, F9, F625]))
+def test_subspace_matches_reference_gauss_jordan(data, F):
+    n = data.draw(st.integers(1, 7))
+    vecs = data.draw(vectors(F, n))
+    probes = data.draw(vectors(F, n))
+    S, R = Subspace(F, n), RefEchelon(F, n)
+    solver = SpanSolver(F, n)
+    kept = []
+    for v in vecs:
+        assert S.insert(v) == R.insert(v)
+        if solver.add(v) is not None:
+            kept.append(v)
+    assert S.pivots() == sorted(R.rows)
+    assert S.basis() == [R.rows[l] for l in sorted(R.rows)]
+    assert solver.dim() == S.dim
+    for v in vecs + probes:
+        assert S.residue(v) == R.residue(v)
+        recipe = solver.express(v)
+        assert (recipe is not None) == S.contains(v)
+        if recipe is not None:
+            acc = [0] * n
+            for k, c in recipe.items():
+                acc = [F.add(a, F.mul(c, x)) for a, x in zip(acc, kept[k])]
+            assert acc == list(v)
+
+
+@pytest.mark.parametrize("F", [F3, F5, F9, F625], ids=lambda F: F.name)
+def test_list_copy_survives_back_substitution(F):
+    # the new pivot 0 back-substitutes into the stored row [1, 1, 0],
+    # first in the copy and then in the original
+    S = subspace_from(F, 3, [[1, 1, 0]])
+    T = S.copy()
+    assert T.insert([1, 0, 0])
+    assert T.basis() == [[1, 0, 0], [0, 1, 0]]
+    assert S.basis() == [[1, 1, 0]]
+    assert S.residue([1, 0, 0]) == [1, 0, 0]
+    U = S.copy()
+    assert S.insert([1, 0, 0])
+    assert U.basis() == [[1, 1, 0]]
+
+
+@pytest.mark.parametrize("F", [F3, F5, F9, F625], ids=lambda F: F.name)
+def test_list_path_leaves_caller_vectors_alone(F):
+    S = subspace_from(F, 3, [[1, 1, 0]])
+    v = [2, 1, 1]
+    S.insert(v)
+    w = [1, 2, 0]
+    S.residue(w)
+    S.contains(w)
+    solver = SpanSolver(F, 3)
+    solver.add(v)
+    solver.express(w)
+    assert v == [2, 1, 1] and w == [1, 2, 0]

@@ -1,11 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import (BadParams, Field, NotAnAction, SizeGuard, VerifyError,
                  Morphism)
 from gsl.hopf import (closed_subgroup, dual_hopf, enumerate_morphisms,
-                      enumerate_subgroups, find_isomorphism, frobenius_kernel,
-                      hopf_ideal_closure, hopf_product, hopf_verify,
+                      enumerate_subgroups, find_isomorphism, frobenius_image,
+                      frobenius_kernel, hopf_ideal_closure, hopf_product, hopf_verify,
                       is_central, is_cocommutative, kernel_subgroup,
                       morphism_check, presentations_equal, primitives,
                       quotient_group)
@@ -188,6 +190,31 @@ def test_zoo_parse_round_trips():
 def test_zoo_parse_malformed_ids_raise_bad_params(cid):
     with pytest.raises(BadParams, match="malformed catalogue id"):
         zoo_parse(cid)
+
+
+@pytest.mark.parametrize("cid", ["alpha(2,7)", "mu(1,2)", "witt2(5)",
+                                 "kerFV(1)", "D(1,A,zz)", "H(1,2,3)",
+                                 "H(a=1,n=2,n=3)", "SL2_kerF(1,1)",
+                                 "cocycle_ext(a=1,n=1,a=1)",
+                                 "Hunip(s1=1,s2=0,n=2,n=2)"])
+def test_zoo_parse_rejects_surplus_arguments(cid):
+    with pytest.raises(BadParams, match=re.escape(repr(cid))):
+        zoo_parse(cid)
+
+
+@pytest.mark.parametrize("F,cid,kdim,idim", [
+    (F2, "SL2_kerF(1)", 8, 1), (F2, "SL2_kerF(2)", 8, 8),
+    (F2, "pullback(1,0,1)", 8, 2), (F2, "pullback(1,1,2)", 8, 4),
+    (F4, "SL2_kerF(1)", 8, 1), (F4, "SL2_kerF(2)", 8, 8),
+    (F4, "pullback(1,0,1)", 8, 2), (F3, "SL2_kerF(1)", 27, 1)],
+    ids=lambda x: x.name if isinstance(x, Field) else str(x))
+def test_frobenius_splits_the_sl2_family(F, cid, kdim, idim):
+    # dim A(G) = dim A(ker F) * dim A(im F); the twist of a carrier built
+    # without elimination used to lose a variable and raise VerifyError
+    G = zoo_parse(cid, F)
+    K, I = frobenius_kernel(G), frobenius_image(G)
+    assert (K.dim, I.dim) == (kdim, idim)
+    assert G.dim == K.dim * I.dim
 
 
 # -- presentation changes and small isomorphisms -------------------------
