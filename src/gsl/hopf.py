@@ -672,7 +672,12 @@ def _twist_carrier(carrier, r):
             # carriers presented straight from a subspace keep no generator
             # list; twist an ideal basis instead
             gens = [amb.from_vector(v) for v in carrier.ideal.basis()]
-        out = quotient_algebra(amb, [tw(g) for g in gens], eliminate=False)
+        twisted = [tw(g) for g in gens]
+        if twisted == gens:
+            # a twist fixing every generator (always so over GF(p)) fixes
+            # the ideal too
+            return carrier
+        out = quotient_algebra(amb, twisted, eliminate=False)
         if out.vars != carrier.vars:
             raise VerifyError("frobenius", "twist changed the presentation shape")
         return out

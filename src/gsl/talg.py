@@ -12,7 +12,7 @@ field in which every variable carries one of three exponent rules:
 
 Elements (Poly) are sparse dicts mapping exponent tuples to nonzero
 scalar codes of the coefficient field.  A QuotientAlgebra divides a
-finite Algebra by an ideal, kept as an echelon subspace of the ambient
+free finite Algebra by an ideal, kept as an echelon subspace of the ambient
 coordinate space; residues of single monomials are memoised, so reduced
 arithmetic costs little more than free arithmetic.  A TensorAlgebra
 glues several algebras side by side and reduces factor by factor, which
@@ -23,7 +23,7 @@ layer up.
 """
 
 from .errors import BadParams, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
-from .linalg import Subspace
+from .linalg import Subspace, _pack
 
 DIM_LIMIT = 1 << 20
 
@@ -621,35 +621,101 @@ class TensorAlgebra(Algebra):
 # -- ideals and quotients --------------------------------------------------
 
 
-def ideal_span(alg, gens):
-    """Echelon basis of the ideal generated by ``gens``, as a Subspace.
+def _variable_shifts(alg):
+    """Multiplication by each variable of a free finite algebra, as maps
+    on coordinate vectors, in the order of ``alg.vars``.
 
-    Closes the span of the generators under multiplication by each
-    variable; that reaches every monomial multiple.
+    Multiplying by x_i moves a monomial with e_i < d - 1 up by the stride
+    of x_i; one with e_i = d - 1 dies if x_i is nil and wraps to e_i = 0
+    if x_i is a unit.  No two monomials land on one, so coefficients just
+    move.  Over GF(2) a map acts on an int mask with two masks and two
+    shifts; over larger fields it acts on a sparse {index: coefficient}
+    dict through an index table (-1 where the term dies).  In a quotient
+    or a tensor with a quotient factor a shift is not the product, so
+    those raise BadParams.
     """
     if alg.dim is None:
         raise BadParams("ideals need a finite algebra")
-    S = Subspace(alg.field, alg.ambient_dim())
-    pack = alg.to_mask if alg.field.q == 2 else alg.to_vector
-    xs = alg.gens()
+    if not (type(alg) is Algebra
+            or (isinstance(alg, TensorAlgebra) and alg._plain)):
+        raise BadParams(f"ideal closure needs a free algebra, not {alg!r}")
+    n = alg.ambient_dim()
+    full = (1 << n) - 1 if alg.field.q == 2 else None
+    out = []
+    for s, d, kind in zip(alg.strides(), alg.orders, alg.kinds):
+        period, back = s * d, s * (d - 1)
+        if alg.field.q == 2:
+            # the e_i = d - 1 blocks, repeated by doubling over the shell
+            top, width = ((1 << s) - 1) << back, period
+            while width < n:
+                top |= top << width
+                width *= 2
+            top &= full
+            wrap = top if kind == "unit" else 0
+
+            def shift(v, keep=full ^ top, s=s, wrap=wrap, back=back):
+                return ((v & keep) << s) | ((v & wrap) >> back)
+        else:
+            block = list(range(s, period))
+            block += list(range(s)) if kind == "unit" else [-1] * s
+            img = [j + off if j >= 0 else -1
+                   for off in range(0, n, period) for j in block]
+
+            def shift(v, img=img):
+                return {img[i]: c for i, c in v.items() if img[i] >= 0}
+        out.append(shift)
+    return out
+
+
+def _dense(v, n):
+    """The Subspace input for a shifted vector: masks pass, dicts fill a list."""
+    if isinstance(v, int):
+        return v
+    vec = [0] * n
+    for i, c in v.items():
+        vec[i] = c
+    return vec
+
+
+def ideal_span(alg, gens):
+    """Echelon basis of the ideal generated by ``gens``, as a Subspace.
+
+    ``alg`` must be free: an Algebra, or a TensorAlgebra of Algebras.
+    Closes the span of the generators under multiplication by each
+    variable, which reaches every monomial multiple; each product is a
+    coordinate shift (see ``_variable_shifts``), not a Poly product.
+    """
+    shifts = _variable_shifts(alg)
+    n = alg.ambient_dim()
+    S = Subspace(alg.field, n)
     queue = []
     for g in gens:
-        if g.d and S.insert(pack(g)):
-            queue.append(g)
+        if alg.field.q == 2:
+            v = alg.to_mask(g)
+        else:
+            v = {alg.mono_index(m): c for m, c in g.d.items()}
+        if v and S.insert(_dense(v, n)):
+            queue.append(v)
     while queue:
-        f = queue.pop()
-        for x in xs:
-            w = f * x
-            if w.d and S.insert(pack(w)):
+        v = queue.pop()
+        for shift in shifts:
+            w = shift(v)
+            if w and S.insert(_dense(w, n)):
                 queue.append(w)
     return S
 
 
 def is_ideal(alg, S):
+    """Whether the subspace S of a free algebra is closed under
+    multiplication by every variable (the shifts of ``ideal_span``)."""
+    shifts = _variable_shifts(alg)
     for row in S.basis():
-        f = alg.from_vector(row)
-        for x in alg.gens():
-            if not S.contains(alg.to_vector(f * x)):
+        if alg.field.q == 2:
+            v = _pack(row)
+        else:
+            v = {i: c for i, c in enumerate(row) if c}
+        for shift in shifts:
+            if not S.contains(_dense(shift(v), S.n)):
                 return False
     return True
 

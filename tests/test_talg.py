@@ -6,6 +6,7 @@ from gsl.talg import (Algebra, Poly, TensorAlgebra, apply_map,
                       eliminate_linear, ideal_span, invert_unit, is_ideal,
                       quotient_algebra, quotient_by_subspace,
                       subalgebra_generated, weight_decomposition)
+from gsl.linalg import Subspace, subspace_from
 
 F2 = Field(2)
 F3 = Field(3)
@@ -175,6 +176,116 @@ def test_quotient_by_subspace_requires_ideal():
     bad = subspace_from(F2, 8, [A.to_vector(T)])  # span{T} alone
     with pytest.raises(NotAnIdeal):
         quotient_by_subspace(A, bad)
+
+
+def test_ideal_closure_needs_a_free_algebra():
+    # in Q = A/(T^2 - S) a coordinate shift is not the product, so closing
+    # (T^3) there used to give dim 3 with T*T*T = T^3 != 0 and T*T != S
+    A = ring_ST()
+    S, T = A.gens()
+    Q = quotient_algebra(A, [T * T - S], eliminate=False)
+    with pytest.raises(BadParams, match="free algebra"):
+        quotient_algebra(Q, [Q.var("T") ** 3], eliminate=False)
+    with pytest.raises(BadParams, match="free algebra"):
+        ideal_span(Q, [Q.var("T")])
+    with pytest.raises(BadParams, match="free algebra"):
+        is_ideal(Q, Subspace(F2, Q.ambient_dim()))
+    AQ = A.tensor(Q)
+    with pytest.raises(BadParams, match="free algebra"):
+        ideal_span(AQ, [AQ.var("T")])
+    AA = A.tensor(A)
+    assert ideal_span(AA, [AA.var("T"), AA.var("S'")]).dim == 64 - 4 * 2
+
+
+def _reference_span(A, gens):
+    """The closure through Poly products: f * x for each queued f and x."""
+    pack = A.to_mask if A.field.q == 2 else A.to_vector
+    S = Subspace(A.field, A.ambient_dim())
+    queue = []
+    for g in gens:
+        if g.d and S.insert(pack(g)):
+            queue.append(g)
+    while queue:
+        f = queue.pop()
+        for x in A.gens():
+            w = f * x
+            if w.d and S.insert(pack(w)):
+                queue.append(w)
+    return S
+
+
+def _reference_is_ideal(A, S):
+    for row in S.basis():
+        f = A.from_vector(row)
+        for x in A.gens():
+            if not S.contains(A.to_vector(f * x)):
+                return False
+    return True
+
+
+def free_algebra(draw, F, names, shell_cap=32):
+    """A free algebra on random nil and unit variables (unit orders p^k)."""
+    orders, kinds, size = [], [], 1
+    for _ in names:
+        kind = draw(st.sampled_from(["nil", "unit"]))
+        if kind == "unit":
+            d = F.p ** draw(st.integers(1, 2))
+        else:
+            d = draw(st.integers(2, 4))
+        if size * d > shell_cap:
+            break
+        orders.append(d)
+        kinds.append(kind)
+        size *= d
+    return Algebra(F, names[:len(orders)], orders, kinds)
+
+
+def random_vector(draw, F, n):
+    return [draw(st.integers(0, F.q - 1)) for _ in range(n)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(),
+       F=st.sampled_from([F2, F3, F4, Field(3, 2), Field(5, 4)]))
+def test_ideal_span_matches_poly_product_closure(data, F):
+    draw = data.draw
+    A = free_algebra(draw, F, ["x", "y", "z"])
+    if draw(st.booleans()):
+        A = A.tensor(free_algebra(draw, F, ["w"], shell_cap=5))
+    gens = [random_poly(draw, A, max_terms=3)
+            for _ in range(draw(st.integers(0, 3)))]
+    got, want = ideal_span(A, gens), _reference_span(A, gens)
+    assert got.dim == want.dim
+    assert got.pivots() == want.pivots()
+    assert got.basis() == want.basis()
+    n = A.ambient_dim()
+    for _ in range(3):
+        v = random_vector(draw, F, n)
+        assert got.residue(v) == want.residue(v)
+    for X in (got, subspace_from(F, n, got.basis() + [random_vector(draw, F, n)]),
+              subspace_from(F, n, [random_vector(draw, F, n)
+                                   for _ in range(draw(st.integers(0, 3)))])):
+        assert is_ideal(A, X) == _reference_is_ideal(A, X)
+
+
+def test_ideal_span_makes_no_poly_products(monkeypatch):
+    calls = []
+    mul_dicts = Algebra.mul_dicts
+
+    def counted(self, d1, d2):
+        calls.append(self)
+        return mul_dicts(self, d1, d2)
+
+    for F in (F2, F3):
+        A = Algebra(F, ["u11", "u12", "u21", "u22"], [4] * 4)
+        u11, u12, u21, u22 = A.gens()
+        det = u11 + u22 + u11 * u22 - u12 * u21
+        want = _reference_span(A, [det])
+        monkeypatch.setattr(Algebra, "mul_dicts", counted)
+        S = ideal_span(A, [det])
+        assert S.pivots() == want.pivots() and is_ideal(A, S)
+        monkeypatch.setattr(Algebra, "mul_dicts", mul_dicts)
+    assert calls == []
 
 
 def test_unit_ideal_gives_zero_ring():

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from gsl import (BadParams, Field, NotAnAction, SizeGuard, VerifyError,
                  Morphism)
 from gsl.hopf import (closed_subgroup, dual_hopf, enumerate_morphisms,
-                      enumerate_subgroups, find_isomorphism, frobenius_image,
-                      frobenius_kernel, hopf_ideal_closure, hopf_product, hopf_verify,
+                      enumerate_subgroups, find_isomorphism, frobenius,
+                      frobenius_image, frobenius_kernel, hopf_ideal_closure,
+                      hopf_product, hopf_verify,
                       is_central, is_cocommutative, kernel_subgroup,
                       morphism_check, presentations_equal, primitives,
                       quotient_group)
@@ -206,7 +208,8 @@ def test_zoo_parse_rejects_surplus_arguments(cid):
     (F2, "SL2_kerF(1)", 8, 1), (F2, "SL2_kerF(2)", 8, 8),
     (F2, "pullback(1,0,1)", 8, 2), (F2, "pullback(1,1,2)", 8, 4),
     (F4, "SL2_kerF(1)", 8, 1), (F4, "SL2_kerF(2)", 8, 8),
-    (F4, "pullback(1,0,1)", 8, 2), (F3, "SL2_kerF(1)", 27, 1)],
+    (F4, "pullback(1,0,1)", 8, 2), (F4, "pullback(1,1,2)", 8, 4),
+    (F3, "SL2_kerF(1)", 27, 1)],
     ids=lambda x: x.name if isinstance(x, Field) else str(x))
 def test_frobenius_splits_the_sl2_family(F, cid, kdim, idim):
     # dim A(G) = dim A(ker F) * dim A(im F); the twist of a carrier built
@@ -215,6 +218,46 @@ def test_frobenius_splits_the_sl2_family(F, cid, kdim, idim):
     K, I = frobenius_kernel(G), frobenius_image(G)
     assert (K.dim, I.dim) == (kdim, idim)
     assert G.dim == K.dim * I.dim
+
+
+@pytest.mark.parametrize("F,cid,fixed", [
+    (F3, "SL2_kerF(1)", True), (F4, "pullback(1,1,1)", True),
+    (F4, "pullback(2,1,1)", False)],
+    ids=lambda x: x.name if isinstance(x, Field) else str(x))
+def test_frobenius_twists_the_carrier_only_when_a_relation_moves(F, cid, fixed):
+    # the twist fixes every relation over GF(p) and on GF(2)-rational
+    # lines, and then keeps the carrier instead of closing its ideal again
+    G = zoo_parse(cid, F)
+    fr = frobenius(G)
+    assert (fr.source.carrier is G.carrier) == fixed
+    assert morphism_check(fr)["ok"]
+
+
+def _box(bounds):
+    """Monomials with e_i < bounds[i], in index order (first variable fastest)."""
+    return [tuple(reversed(m))
+            for m in itertools.product(*[range(b) for b in reversed(bounds)])]
+
+
+@pytest.mark.parametrize("cid,box,top_var,all_vars", [
+    ("pullback(1,0,2)", (2, 8, 2, 1), "X11 + X11*X12*X21", "X12*X21"),
+    ("pullback(0,1,2)", (2, 2, 8, 1), "X11 + X11*X12*X21", "X12*X21"),
+    ("pullback(1,1,2)", (8, 2, 2, 1), "X11^7 + X11^7*X12*X21",
+     "1 + X12*X21 + X11^4"),
+    ("SL2_kerF(3)", (8, 8, 8, 1),
+     "u11 + u12*u21 + u11^2 + u11*u12*u21 + u11^3 + u11^2*u12*u21 + u11^4"
+     " + u11^3*u12*u21 + u11^5 + u11^4*u12*u21 + u11^6 + u11^5*u12*u21"
+     " + u11^7 + u11^6*u12*u21 + u11^7*u12*u21",
+     "u11^2*u12*u21 + u11*u12^2*u21^2 + u11^3*u12*u21 + u11^2*u12^2*u21^2"
+     " + u11^4*u12*u21 + u11^3*u12^2*u21^2 + u11^5*u12*u21"
+     " + u11^4*u12^2*u21^2 + u11^6*u12*u21 + u11^5*u12^2*u21^2"
+     " + u11^7*u12*u21 + u11^6*u12^2*u21^2 + u11^7*u12^2*u21^2")])
+def test_catalogue_quotients_are_pinned(cid, box, top_var, all_vars):
+    # staircases and residues of GF(2) carriers closed through ideal_span
+    A = zoo_parse(cid, F2).carrier
+    assert A.basis_monomials() == _box(box)
+    assert str(A.var(A.vars[3])) == top_var
+    assert str(A.monomial({nm: 1 for nm in A.vars})) == all_vars
 
 
 # -- presentation changes and small isomorphisms -------------------------
