@@ -19,8 +19,8 @@ as a convolution inverse.
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, SpanSolver, _pack, subspace_from
-from .talg import (Algebra, QuotientAlgebra, _shift_ticks, apply_map,
-                   quotient_algebra, quotient_by_subspace,
+from .talg import (Algebra, Poly, QuotientAlgebra, _shift_ticks, apply_map,
+                   ideal_span, quotient_algebra, quotient_by_subspace,
                    subalgebra_generated)
 
 POINTS_DIM_LIMIT = 64
@@ -85,20 +85,18 @@ def _unit_order(f):
 
 
 def _ideal_span_coords(A, polys):
-    """Ideal spanned by the given elements, in basis coordinates."""
-    S = Subspace(A.field, A.dim)
-    queue = []
-    for g in polys:
-        if g.d and S.insert(coords(g, A)):
-            queue.append(g)
-    xs = [A.var(nm) for nm in A.vars]
-    while queue:
-        f = queue.pop()
-        for x in xs:
-            w = f * x
-            if w.d and S.insert(coords(w, A)):
-                queue.append(w)
-    return S
+    """Ideal of A generated by the given elements, in basis coordinates.
+
+    Closed with A's relations in the ambient shell; there the rows at
+    the basis monomials of A are supported on basis monomials, and read
+    at their positions (a monotone map) they are the echelon form.
+    """
+    amb = A.ambient
+    J = QuotientAlgebra(amb, ideal_span(
+        amb, _relation_polys(A) + [Poly(amb, g.d) for g in polys]))
+    rows = [coords(Poly(A, {m: 1}) - Poly(A, J.reduce_term(m)), A)
+            for m in A.basis_monomials() if J.reduce_term(m) is not None]
+    return subspace_from(A.field, A.dim, rows)
 
 
 class HopfAlgebra(object):
@@ -471,7 +469,7 @@ def _requotient(carrier, extra):
     """Quotient a carrier by additional elements, re-eliminating linears."""
     if isinstance(carrier, QuotientAlgebra):
         amb = carrier.ambient
-        gens = list(carrier.ideal_gens) + [carrier.lift(g) for g in extra]
+        gens = _relation_polys(carrier) + [carrier.lift(g) for g in extra]
         return quotient_algebra(amb, gens)
     return quotient_algebra(carrier, list(extra))
 
@@ -666,12 +664,7 @@ def _twist_carrier(carrier, r):
 
         # the carrier's variables are already final: re-eliminating would
         # drop any that a twisted relation pins to the others
-        if carrier.ideal_gens:
-            gens = carrier.ideal_gens
-        else:
-            # carriers presented straight from a subspace keep no generator
-            # list; twist an ideal basis instead
-            gens = [amb.from_vector(v) for v in carrier.ideal.basis()]
+        gens = _relation_polys(carrier)
         twisted = [tw(g) for g in gens]
         if twisted == gens:
             # a twist fixing every generator (always so over GF(p)) fixes

@@ -7,14 +7,17 @@ canonical residue of a vector modulo an ideal is supported on the small
 monomials and quotient bases come out as the familiar staircase of low
 monomials.
 
-Over GF(2) rows are stored as int bitmasks and reduction is pure xor;
-over larger fields rows are dense lists of scalar codes with the leading
-coefficient normalised to 1, each kept with the list of its nonzero
-indices (its support), and every row operation is one `Field.axpy` over
-a support.
+Over GF(2) a row is stored as an int bitmask of its tail, the row less
+its pivot bit, so the rows of an ideal with a small quotient stay small,
+and reduction is pure xor; over larger fields rows are dense lists of
+scalar codes with the leading coefficient normalised to 1, each kept with
+the list of its nonzero indices (its support), and every row operation is
+one `Field.axpy` over a support.
 """
 
 from itertools import compress
+
+from .errors import BadParams
 
 
 class Subspace(object):
@@ -22,12 +25,38 @@ class Subspace(object):
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self._rows = {}  # leading index -> row (int mask if q == 2, else list)
+        self._rows = {}  # leading index -> row tail mask if q == 2, else row list
         self._supp = {}  # leading index -> nonzero indices of a list row
         self._binary = field.q == 2
         # binary rows may be left unreduced against later pivots until a
         # reduced basis is actually read; residues stay canonical either way
         self._dirty = False
+
+    @classmethod
+    def from_rref(cls, field, n, tails):
+        """The span of rows already in reduced row echelon form.
+
+        ``tails`` maps each pivot to the tail of its row, the entries below
+        the pivot, whose own coefficient is 1: an int mask over GF(2), a
+        dict of nonzero {index: coefficient} otherwise.  The zeros of the
+        tails at the other pivots are the caller's to guarantee and are
+        not checked.
+        """
+        S = cls(field, n)
+        for l, tail in tails.items():
+            top = tail.bit_length() - 1 if S._binary else max(tail, default=-1)
+            if not top < l < n:
+                raise BadParams(f"tail of the row at pivot {l} reaches {top}")
+            if S._binary:
+                S._rows[l] = tail
+            else:
+                vec = [0] * n
+                for i, c in tail.items():
+                    vec[i] = c
+                vec[l] = 1
+                S._rows[l] = vec
+                S._supp[l] = list(tail) + [l]
+        return S
 
     @property
     def dim(self):
@@ -50,13 +79,13 @@ class Subspace(object):
         out = 0
         while mask:
             l = mask.bit_length() - 1
-            row = rows.get(l)
-            if row is None:
-                bit = 1 << l
-                mask ^= bit
+            bit = 1 << l
+            mask ^= bit
+            tail = rows.get(l)
+            if tail is None:
                 out |= bit
             else:
-                mask ^= row
+                mask ^= tail
         return out
 
     def _reduce_list(self, vec):
@@ -91,10 +120,12 @@ class Subspace(object):
             mask = vec if isinstance(vec, int) else _pack(vec)
             rows = self._rows
             while mask:
-                row = rows.get(mask.bit_length() - 1)
-                if row is None:
+                l = mask.bit_length() - 1
+                tail = rows.get(l)
+                if tail is None:
                     return False
-                mask ^= row
+                mask ^= 1 << l
+                mask ^= tail
             return True
         return not self._reduce_list(vec)[1]
 
@@ -104,7 +135,8 @@ class Subspace(object):
             mask = self._reduce_mask(vec if isinstance(vec, int) else _pack(vec))
             if mask == 0:
                 return False
-            self._rows[mask.bit_length() - 1] = mask
+            l = mask.bit_length() - 1
+            self._rows[l] = mask ^ (1 << l)
             self._dirty = True
             return True
         return self._insert_list(vec)
@@ -122,13 +154,14 @@ class Subspace(object):
         for l in rows:
             pmask |= 1 << l
         for l in sorted(rows):
-            row = rows[l]
-            t = row & pmask & ((1 << l) - 1)
+            tail = rows[l]
+            t = tail & pmask
+            tail ^= t
             while t:
                 b = t.bit_length() - 1
-                row ^= rows[b]
+                tail ^= rows[b]
                 t ^= 1 << b
-            rows[l] = row
+            rows[l] = tail
         self._dirty = False
 
     def _insert_list(self, vec):
@@ -163,7 +196,8 @@ class Subspace(object):
         out = []
         for l in sorted(self._rows):
             row = self._rows[l]
-            out.append(_unpack(row, self.n) if self._binary else list(row))
+            out.append(_unpack(row | 1 << l, self.n) if self._binary
+                       else list(row))
         return out
 
     def right_kernel_basis(self):
@@ -221,8 +255,7 @@ def subspace_intersect(A, B):
     for l in big.pivots():
         if l < n:
             row = big._rows[l]
-            row = _unpack(row, n) if big._binary else row[:n]
-            out.insert(row[:n])
+            out.insert(_unpack(row | 1 << l, n) if big._binary else row[:n])
     return out
 
 

@@ -13,7 +13,8 @@ field in which every variable carries one of three exponent rules:
 Elements (Poly) are sparse dicts mapping exponent tuples to nonzero
 scalar codes of the coefficient field.  A QuotientAlgebra divides a
 free finite Algebra by an ideal, kept as an echelon subspace of the ambient
-coordinate space; residues of single monomials are memoised, so reduced
+coordinate space that is written from a reduced Groebner basis of the
+generators; residues of single monomials are memoised, so reduced
 arithmetic costs little more than free arithmetic.  A TensorAlgebra
 glues several algebras side by side and reduces factor by factor, which
 never materialises the big tensor ideal.
@@ -21,6 +22,8 @@ never materialises the big tensor ideal.
 Nothing here knows about comultiplications; Hopf structure lives one
 layer up.
 """
+
+import heapq
 
 from .errors import BadParams, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
 from .linalg import Subspace, _pack
@@ -677,32 +680,175 @@ def _dense(v, n):
     return vec
 
 
+def _groebner(alg, gens):
+    """A minimal Groebner basis of the ideal of ``gens`` and the
+    truncation relations, as {lead index: (lead exponents, {index: c})}.
+
+    Buchberger's algorithm (Cox, Little & O'Shea, ch. 2) on monic shell
+    polynomials keyed by shell index, whose own arithmetic reduces by x^d
+    (nil) and x^d - 1 (unit).  The S-pair of g with the relation of x_v,
+    when x_v^e divides LT(g), e > 0, is the shell product x_v^(d-e) * g.
+    Pairs go smallest lcm first; a pair is skipped when its leading
+    monomials are coprime, or when a third element's leading monomial
+    divides its lcm and that element's pairs with both are done
+    (Buchberger's second criterion).
+    """
+    F, mono, index = alg.field, alg.index_mono, alg.mono_index
+    basis, pairs, pending = [], [], set()
+
+    def add_times(f, c, u, g):
+        # f += c * x^u * g in place
+        for k, cg in g.items():
+            m = alg.mono_mul(mono(k), u)
+            if m is not None:
+                s = index(m)
+                val = F.add(f.get(s, 0), F.mul(c, cg))
+                if val:
+                    f[s] = val
+                else:
+                    del f[s]
+        return f
+
+    def divides(t, m):
+        return all(a <= b for a, b in zip(t, m))
+
+    def over(m, t):
+        return tuple(a - b for a, b in zip(m, t))
+
+    def reduce(f):
+        while f:
+            lt = max(f)
+            m = mono(lt)
+            for t, g in basis:
+                if divides(t, m):
+                    add_times(f, F.neg(f[lt]), over(m, t), g)
+                    break
+            else:
+                c = F.inv(f[lt])
+                return {k: F.mul(c, x) for k, x in f.items()}
+        return None
+
+    def add(h):
+        # a pair is (index of its lcm, lcm, i, j); j = ~v stands for the
+        # relation of x_v, and that lcm carries x_v^d
+        i, t = len(basis), mono(max(h))
+        for j, (u, _) in enumerate(basis):
+            if any(a and b for a, b in zip(t, u)):
+                l = tuple(map(max, t, u))
+                heapq.heappush(pairs, (index(l), l, j, i))
+                pending.add((j, i))
+        for v, (e, d) in enumerate(zip(t, alg.orders)):
+            if e:
+                l = t[:v] + (d,) + t[v + 1:]
+                heapq.heappush(pairs, (index(l), l, i, ~v))
+                pending.add((i, ~v))
+        basis.append((t, h))
+
+    def done(k, j):
+        return ((k, j) if j < 0 else (min(k, j), max(k, j))) not in pending
+
+    for g in gens:
+        h = reduce({index(m): c for m, c in g.d.items()})
+        if h:
+            add(h)
+    while pairs:
+        _, l, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        if any(k != i and k != j and divides(t, l) and done(k, i)
+               and done(k, j) for k, (t, _) in enumerate(basis)):
+            continue
+        t, g = basis[i]
+        s = add_times({}, 1, over(l, t), g)
+        if j >= 0:
+            t, g = basis[j]
+            add_times(s, F.neg(1), over(l, t), g)
+        h = reduce(s)
+        if h:
+            add(h)
+    return {index(t): (t, g) for t, g in basis
+            if not any(u != t and divides(u, t) for u, _ in basis)}
+
+
+_OFF, _LEAD = 255, 254
+_BITS = bytes(48 if b == _OFF else 49 for b in range(256))
+
+
+def _pivot_steps(alg, leads):
+    """Per shell index: _OFF off the pivots, _LEAD at a leading monomial,
+    else a variable v for which m / x_v is a pivot too."""
+    strides, orders = alg.strides(), alg.orders
+    d0 = orders[0] if orders else 1
+    via = bytearray([_OFF]) * alg.ambient_dim()
+    for exps, _ in leads.values():
+        # the multiples of a leading monomial, row by row along x_0; a row
+        # steps down the lowest variable whose exponent passes the lead's
+        rows = [(0, _LEAD)]
+        for v in range(1, len(exps)):
+            rows = [(b + e * strides[v], w if w != _LEAD or e == exps[v] else v)
+                    for b, w in rows for e in range(exps[v], orders[v])]
+        e0 = exps[0] if exps else 0
+        for b, w in rows:
+            via[b + e0] = w
+            via[b + e0 + 1:b + d0] = bytes(d0 - e0 - 1)
+    return via
+
+
 def ideal_span(alg, gens):
     """Echelon basis of the ideal generated by ``gens``, as a Subspace.
 
     ``alg`` must be free: an Algebra, or a TensorAlgebra of Algebras.
-    Closes the span of the generators under multiplication by each
-    variable, which reaches every monomial multiple; each product is a
-    coordinate shift (see ``_variable_shifts``), not a Poly product.
+    Under the lex order of ``mono_index`` (last variable most significant)
+    the pivots of the largest-pivot echelon form are the shell multiples
+    of the leading monomials of a Groebner basis of the generators with
+    x^d (nil) and x^d - 1 (unit), which ``_groebner`` meets through one
+    truncation pair x_v^(d-e) * g per element g and x_v^e, e > 0, in
+    LT(g).  The rows are then written in one sweep up the shell, with no
+    elimination: a leading monomial's residue is minus its tail; any
+    other pivot m is x_v * m' with m' a pivot, and res(m) is x_v * res(m')
+    (a ``_variable_shifts`` map) with each pivot term, all below m,
+    replaced by its residue.  The rows at the leading monomials are the
+    reduced Groebner basis.
     """
     shifts = _variable_shifts(alg)
-    n = alg.ambient_dim()
-    S = Subspace(alg.field, n)
-    queue = []
-    for g in gens:
-        if alg.field.q == 2:
-            v = alg.to_mask(g)
-        else:
-            v = {alg.mono_index(m): c for m, c in g.d.items()}
-        if v and S.insert(_dense(v, n)):
-            queue.append(v)
-    while queue:
-        v = queue.pop()
-        for shift in shifts:
-            w = shift(v)
-            if w and S.insert(_dense(w, n)):
-                queue.append(w)
-    return S
+    F, n, strides = alg.field, alg.ambient_dim(), alg.strides()
+    leads = _groebner(alg, gens)
+    via = _pivot_steps(alg, leads)
+    pivots = [m for m, w in enumerate(via) if w != _OFF]
+    # rows are kept as their tails, row(m) = m + tail(m), tail(m) = -res(m)
+    rows = {}
+    if F.q == 2:
+        pivmask = int(via.translate(_BITS)[::-1], 2)
+        for m in pivots:
+            w = via[m]
+            if w == _LEAD:
+                r = sum(1 << j for j in leads[m][1] if j != m)
+            else:
+                r = shifts[w](rows[m - strides[w]])
+            t = r & pivmask
+            r ^= t
+            while t:
+                b = t.bit_length() - 1
+                t ^= 1 << b
+                r ^= rows[b]
+            rows[m] = r
+    else:
+        for m in pivots:
+            w = via[m]
+            if w == _LEAD:
+                r = {j: c for j, c in leads[m][1].items() if j != m}
+            else:
+                r = shifts[w](rows[m - strides[w]])
+            # less c times row(i) for each pivot term c*i, all below m
+            for i in [i for i in r if via[i] != _OFF]:
+                c = F.neg(r.pop(i))
+                for j, cj in rows[i].items():
+                    s = F.add(r.get(j, 0), F.mul(c, cj))
+                    if s:
+                        r[j] = s
+                    else:
+                        del r[j]
+            rows[m] = r
+    return Subspace.from_rref(F, n, rows)
 
 
 def is_ideal(alg, S):

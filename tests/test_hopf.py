@@ -1,8 +1,11 @@
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
-from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, coords, dual_hopf,
+from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _ideal_span_coords,
+                      closed_subgroup, coords, dual_hopf,
                       enumerate_morphisms, enumerate_subgroups,
                       find_isomorphism, from_coords, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
@@ -10,8 +13,9 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, coords, dual_hopf,
                       is_cocommutative, is_normal, kernel_subgroup,
                       morphism_check, points_group, presentations_equal,
                       primitives, quotient_group, subgroup_from_elements)
-from gsl.linalg import subspace_from, subspace_intersect, subspace_sum
-from gsl.talg import Algebra
+from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
+from gsl.talg import Algebra, quotient_algebra
+from gsl.zoo import SL2_kerF
 
 F2 = Field(2)
 F3 = Field(3)
@@ -325,6 +329,64 @@ def test_closure_grows_to_hopf_ideal():
     I = hopf_ideal_closure(H, [S * T])
     assert I.dim == 7 and I.is_augmentation()
     assert I.verify()["ok"]
+
+
+def _reference_ideal_coords(A, polys):
+    """The ideal of A the elements generate, closed through Poly products
+    in basis coordinates."""
+    S = Subspace(A.field, A.dim)
+    queue = []
+    for g in polys:
+        if g.d and S.insert(coords(g, A)):
+            queue.append(g)
+    while queue:
+        f = queue.pop()
+        for x in A.gens():
+            w = f * x
+            if w.d and S.insert(coords(w, A)):
+                queue.append(w)
+    return S
+
+
+@functools.lru_cache(maxsize=None)
+def _carrier(k):
+    if k == 0:
+        G = alpha(3)
+        T = G.carrier.var("T")
+        return subgroup_from_elements(G, [("U", T ** 2), ("V", T ** 4)])[0].carrier
+    if k >= 6:
+        # a relation x*y = x^3 that a seed y interacts with
+        B = Algebra((F2, F3)[k - 6], ["x", "y"], [4, 3])
+        x, y = B.gens()
+        return quotient_algebra(B, [x * y - x ** 3], eliminate=False)
+    return (d2, lambda: alpha(2, F4), lambda: SL2_kerF(1),
+            lambda: SL2_kerF(1, F3), lambda: SL2_kerF(1, F4))[k - 1]().carrier
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(0, 7))
+def test_ideal_coords_match_the_poly_product_closure(data, k):
+    # free carriers, quotients with generators and one presented by a
+    # subspace, over GF(2), GF(3) and GF(4)
+    A = _carrier(k)
+    # sparse seeds without constant term: a unit would give the whole ring
+    polys = [f - A.scalar(f.constant_term())
+             for f in (random_poly(data.draw, A, max_terms=3)
+                       for _ in range(data.draw(st.integers(0, 2))))]
+    got, want = _ideal_span_coords(A, polys), _reference_ideal_coords(A, polys)
+    assert got.pivots() == want.pivots()
+    assert got.basis() == want.basis()
+
+
+def test_closed_subgroup_keeps_the_ideal_of_a_subspace_carrier():
+    # K = k[U, V]/(U^4, V^2, V - U^2) is presented by a subspace, with no
+    # generator list; cutting out V must keep V = U^2 and leave k[U]/(U^2)
+    G = alpha(3)
+    T = G.carrier.var("T")
+    K, _ = subgroup_from_elements(G, [("U", T ** 2), ("V", T ** 4)])
+    assert not K.carrier.ideal_gens and K.carrier.ideal.dim == 4
+    S = closed_subgroup(K, [K.carrier.var("V")])
+    assert S.dim == 2 and hopf_verify(S)["ok"]
 
 
 def test_enumeration_guards():

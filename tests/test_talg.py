@@ -268,6 +268,48 @@ def test_ideal_span_matches_poly_product_closure(data, F):
         assert is_ideal(A, X) == _reference_is_ideal(A, X)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), F=st.sampled_from([F2, F3, F4, Field(5)]))
+def test_ideal_span_matches_closure_on_larger_shells(data, F):
+    # shells up to 256 on three or four variables, and tensors of free
+    # algebras: enough room for S-pairs between generators and for unit
+    # exponents to wrap
+    draw = data.draw
+    tensor = draw(st.booleans())
+    A = free_algebra(draw, F, ["x", "y", "z", "t"],
+                     shell_cap=64 if tensor else 256)
+    if tensor:
+        A = A.tensor(free_algebra(draw, F, ["u", "w"], shell_cap=4))
+    gens = [random_poly(draw, A, max_terms=4)
+            for _ in range(draw(st.integers(1, 4)))]
+    got, want = ideal_span(A, gens), _reference_span(A, gens)
+    assert got.pivots() == want.pivots()
+    assert got.basis() == want.basis()
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=lambda F: F.name)
+def test_ideal_span_degenerate_inputs(F):
+    A = Algebra(F, ["x", "y", "z"], [4, F.p, 3], ["nil", "unit", "nil"])
+    x, y, z = A.gens()
+    n = A.ambient_dim()
+    assert ideal_span(A, []).dim == 0
+    assert ideal_span(A, [A.zero()]).dim == 0
+    # a unit generates the whole shell: 1 + x, and y with y^p = 1
+    for unit in (A.one() + x, y):
+        S = ideal_span(A, [unit])
+        assert S.pivots() == list(range(n))
+        assert S.basis() == [[int(i == j) for i in range(n)] for j in range(n)]
+    # a monomial generates its multiples, each row a single monomial
+    S = ideal_span(A, [x * z ** 2])
+    assert S.pivots() == [A.mono_index(m) for m in A.monomials()
+                          if m[0] >= 1 and m[2] == 2]
+    assert all(sum(1 for c in row if c) == 1 for row in S.basis())
+    # no variables at all: the shell is the constants
+    A0 = Algebra(F, [], [])
+    assert ideal_span(A0, []).dim == 0
+    assert ideal_span(A0, [A0.scalar(F.q - 1)]).basis() == [[1]]
+
+
 def test_ideal_span_makes_no_poly_products(monkeypatch):
     calls = []
     mul_dicts = Algebra.mul_dicts

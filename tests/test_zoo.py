@@ -251,13 +251,34 @@ def _box(bounds):
      "u11^2*u12*u21 + u11*u12^2*u21^2 + u11^3*u12*u21 + u11^2*u12^2*u21^2"
      " + u11^4*u12*u21 + u11^3*u12^2*u21^2 + u11^5*u12*u21"
      " + u11^4*u12^2*u21^2 + u11^6*u12*u21 + u11^5*u12^2*u21^2"
-     " + u11^7*u12*u21 + u11^6*u12^2*u21^2 + u11^7*u12^2*u21^2")])
+     " + u11^7*u12*u21 + u11^6*u12^2*u21^2 + u11^7*u12^2*u21^2"),
+    ("pullback(1,0,3)", (2, 16, 2, 1), "X11 + X11*X12*X21", "X12*X21"),
+    ("pullback(0,1,3)", (2, 2, 16, 1), "X11 + X11*X12*X21", "X12*X21"),
+    ("pullback(1,1,3)", (16, 2, 2, 1), "X11^15 + X11^15*X12*X21",
+     "1 + X12*X21 + X11^4")])
 def test_catalogue_quotients_are_pinned(cid, box, top_var, all_vars):
     # staircases and residues of GF(2) carriers closed through ideal_span
     A = zoo_parse(cid, F2).carrier
     assert A.basis_monomials() == _box(box)
     assert str(A.var(A.vars[3])) == top_var
     assert str(A.monomial({nm: 1 for nm in A.vars})) == all_vars
+
+
+def test_sl2_kernel_over_gf3_is_pinned():
+    # the 729-dim carrier in a 6561-dim shell, closed on the list path
+    A = zoo_parse("SL2_kerF(2)", F3).carrier
+    assert A.basis_monomials() == _box((9, 9, 9, 1))
+    assert str(A.var("u22")) == (
+        "2*u11 + u12*u21 + u11^2 + 2*u11*u12*u21 + 2*u11^3 + u11^2*u12*u21"
+        " + u11^4 + 2*u11^3*u12*u21 + 2*u11^5 + u11^4*u12*u21 + u11^6"
+        " + 2*u11^5*u12*u21 + 2*u11^7 + u11^6*u12*u21 + u11^8"
+        " + 2*u11^7*u12*u21 + u11^8*u12*u21")
+    assert str(A.monomial({nm: 1 for nm in A.vars})) == (
+        "2*u11^2*u12*u21 + u11*u12^2*u21^2 + u11^3*u12*u21"
+        " + 2*u11^2*u12^2*u21^2 + 2*u11^4*u12*u21 + u11^3*u12^2*u21^2"
+        " + u11^5*u12*u21 + 2*u11^4*u12^2*u21^2 + 2*u11^6*u12*u21"
+        " + u11^5*u12^2*u21^2 + u11^7*u12*u21 + 2*u11^6*u12^2*u21^2"
+        " + 2*u11^8*u12*u21 + u11^7*u12^2*u21^2 + 2*u11^8*u12^2*u21^2")
 
 
 # -- presentation changes and small isomorphisms -------------------------
