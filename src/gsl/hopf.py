@@ -19,8 +19,8 @@ as a convolution inverse.
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, SpanSolver, _pack, subspace_from
-from .talg import (Algebra, Poly, QuotientAlgebra, _shift_ticks, apply_map,
-                   ideal_span, quotient_algebra, quotient_by_subspace,
+from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, apply_map,
+                   ideal_span, map_leg, quotient_algebra, quotient_by_subspace,
                    subalgebra_generated)
 
 POINTS_DIM_LIMIT = 64
@@ -29,6 +29,12 @@ TABLE_LIMIT = 256
 ASSOC_FULL_LIMIT = 64
 ENUM_SUBGROUP_DIM_LIMIT = 8
 ENUM_MORPHISM_LIMIT = 1 << 24
+
+
+def _pair_guard(what, A):
+    """Refuse an operation that lays out A.dim^2 coordinates."""
+    if A.dim * A.dim > DIM_LIMIT:
+        raise SizeGuard(what, A.dim * A.dim, DIM_LIMIT)
 
 
 def _basis_pos(alg):
@@ -106,6 +112,10 @@ class HopfAlgebra(object):
     maps them to scalar codes, antipode to carrier elements.  Pass
     antipode=None to have it solved from the other two maps (the convolution
     inverse of the identity, which exists because the carrier is local).
+
+    The coproduct of each reduced basis monomial is memoised on demand by
+    ``delta_mono``, as a plain dict over A ox A; ``delta_table`` and the
+    coassociativity check read that memo.
     """
 
     def __init__(self, carrier, delta, counit, antipode=None, name=None):
@@ -118,6 +128,7 @@ class HopfAlgebra(object):
             raise BadParams("counit must be given on exactly the carrier generators")
         self._t2 = None
         self._t3 = None
+        self._delta_monos = {}
         # re-anchor the given elements on this instance's own tensor square,
         # so that values built against a caller-side tensor still compare
         self.delta = {k: apply_map(v, {}, self.t2()) for k, v in delta.items()}
@@ -144,15 +155,20 @@ class HopfAlgebra(object):
 
     def t3(self):
         if self._t3 is None:
-            cached = getattr(self.carrier, "_gsl_t3", None)
-            if cached is None:
-                cached = self.carrier.tensor(self.carrier, self.carrier)
-                self.carrier._gsl_t3 = cached
-            self._t3 = cached
+            self._t3 = self.carrier.tensor(self.carrier, self.carrier)
         return self._t3
 
     def delta_map(self, f):
         return apply_map(f, self.delta, self.t2())
+
+    def delta_mono(self, m):
+        """Coproduct of the reduced basis monomial m, as a dict over the
+        reduced monomials of A ox A; memoised, never to be mutated."""
+        hit = self._delta_monos.get(m)
+        if hit is None:
+            hit = self.delta_map(Poly(self.carrier, {m: 1})).d
+            self._delta_monos[m] = hit
+        return hit
 
     def counit_map(self, f):
         A = self.carrier
@@ -194,22 +210,19 @@ class HopfAlgebra(object):
         return cache
 
     def delta_table(self):
-        """Per-basis-element coproduct as {(i, j): coefficient} dictionaries."""
-        cache = getattr(self, "_delta_tab", None)
-        if cache is None:
-            A = self.carrier
-            t2 = self.t2()
-            pos = _basis_pos(A)
-            cache = []
-            for m in A.basis_monomials():
-                img = self.delta_map(A.poly({m: 1}))
-                entry = {}
-                for mono, c in img.d.items():
-                    m1, m2 = t2.split_mono(mono)
-                    entry[(pos[m1], pos[m2])] = c
-                cache.append(entry)
-            self._delta_tab = cache
-        return cache
+        """Per-basis-element coproduct as {(i, j): coefficient} dictionaries,
+        read from the ``delta_mono`` memo."""
+        A = self.carrier
+        _pair_guard("delta_table pairs", A)
+        split, pos = self.t2().split_mono, _basis_pos(A)
+        out = []
+        for m in A.basis_monomials():
+            entry = {}
+            for mono, c in self.delta_mono(m).items():
+                m1, m2 = split(mono)
+                entry[(pos[m1], pos[m2])] = c
+            out.append(entry)
+        return out
 
     def _solve_antipode(self):
         """Antipode as the convolution inverse of the identity map.
@@ -280,15 +293,14 @@ def _relation_polys(A):
 
 
 def _coassoc_sides(H, dx):
-    """(delta ox id) and (id ox delta) applied to a two-leg element."""
+    """(delta ox id) and (id ox delta) applied to a two-leg element.
+
+    With dx = sum c m1 ox m2 over reduced monomials, the sides are
+    sum c delta(m1) ox m2 and sum c m1 ox delta(m2): one ``map_leg`` each,
+    with no product or reduction in A ox A ox A.
+    """
     t3 = H.t3()
-    names = H.carrier.vars
-    left_imgs = {nm: _shift_ticks(H.delta[nm], t3, 0) for nm in names}
-    left_imgs.update({nm + "'": t3.var(nm + "''") for nm in names})
-    right_imgs = {nm: t3.var(nm) for nm in names}
-    right_imgs.update({nm + "'": _shift_ticks(H.delta[nm], t3, 1)
-                       for nm in names})
-    return apply_map(dx, left_imgs, t3), apply_map(dx, right_imgs, t3)
+    return map_leg(dx, 0, H.delta_mono, t3), map_leg(dx, 1, H.delta_mono, t3)
 
 
 def hopf_verify(H):
@@ -296,6 +308,11 @@ def hopf_verify(H):
 
     report keys: well_defined, coassociative, counital, antipode_ok, ok,
     witnesses (list of (axiom, location, residual-string)).
+
+    Every check is sparse and works on generators: the relations are
+    evaluated in A and A ox A, and coassociativity compares both full
+    sides in A ox A ox A leg by leg (``_coassoc_sides``).  No basis of a
+    tensor power is listed, so no SizeGuard applies, whatever dim A is.
     """
     A = H.carrier
     t2 = H.t2()
@@ -536,6 +553,7 @@ def subgroup_from_elements(G, named_elems, name=None):
         else:
             kinds.append("nil")
             orders.append(_nil_order(el))
+    _pair_guard("subgroup_from_elements pair vectors", A)
     shell = Algebra(F, tuple(names), tuple(orders), tuple(kinds))
     ev = []
     for m in shell.basis_monomials():
@@ -639,6 +657,7 @@ def primitive_elements(H):
     inside the augmentation ideal by linear conditions."""
     A = H.carrier
     F = H.field
+    _pair_guard("primitive_elements pair rows", A)
     t2 = H.t2()
     n = A.dim
     seen = {}
@@ -770,6 +789,7 @@ class HopfIdeal(object):
 def _delta_matrix(H, f):
     """Coproduct of f as a dict first-leg index -> second-leg coordinate row."""
     A = H.carrier
+    _pair_guard("coproduct matrix", A)
     t2 = H.t2()
     pos = _basis_pos(A)
     rows = {}
@@ -897,6 +917,8 @@ def quotient_group(H, ideal, name=None):
     posA = _basis_pos(A)
     posQ = _basis_pos(Q)
     tdim = A.dim * Q.dim
+    if tdim > DIM_LIMIT:
+        raise SizeGuard("quotient_group coinvariant equations", tdim, DIM_LIMIT)
     proj = {n: T.embed(A.var(n), 0) for n in A.vars}
     proj.update({n + "'": T.embed(_push(A.var(n), Q), 1) for n in A.vars})
     columns = []
@@ -1351,6 +1373,7 @@ class DualHopf(object):
     so this stays a structure-constant object rather than a carrier."""
 
     def __init__(self, hopf):
+        _pair_guard("DualHopf products", hopf.carrier)
         self.hopf = hopf
         self.field = hopf.field
         self.dim = hopf.dim

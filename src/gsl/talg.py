@@ -17,7 +17,14 @@ coordinate space that is written from a reduced Groebner basis of the
 generators; residues of single monomials are memoised, so reduced
 arithmetic costs little more than free arithmetic.  A TensorAlgebra
 glues several algebras side by side and reduces factor by factor, which
-never materialises the big tensor ideal.
+never materialises the big tensor ideal; ``map_leg`` substitutes into one
+leg of a tensor element with no product or reduction at all.
+
+Size guards (SizeGuard, against DIM_LIMIT) sit where something dense is
+materialised: the monomial shell of a free algebra or a quotient, the
+shell that ``ideal_span`` writes, and a tensor's reduced basis
+(``basis_monomials``, hence ``reduced_index`` and coordinates).  Building
+a tensor product materialises nothing and is never refused.
 
 Nothing here knows about comultiplications; Hopf structure lives one
 layer up.
@@ -506,7 +513,13 @@ class TensorAlgebra(Algebra):
     Variables of factor k are renamed by appending k apostrophes, so
     A (x) A has variables T and T'.  Reduction applies each factor's
     monomial residue map in turn; for ideals I, J this is exactly
-    reduction modulo I (x) B + A (x) J.
+    reduction modulo I (x) B + A (x) J.  So a monomial is reduced exactly
+    when each of its legs is, and its key is the legs' keys concatenated.
+
+    All arithmetic is sparse, so any number of factors of any dimension
+    may be glued; ``dim`` is only the product of the factor dimensions.
+    Only ``basis_monomials`` (and ``reduced_index`` and coordinates, which
+    go through it) lists the basis, and refuses past DIM_LIMIT.
     """
 
     def __init__(self, factors):
@@ -529,9 +542,7 @@ class TensorAlgebra(Algebra):
                 names.append(nm + tick)
                 orders.append(d)
                 kinds.append(kd)
-        # the exponent-tuple shell may be far larger than what is ever
-        # materialized; the real size constraint is the product of the
-        # reduced factor dimensions, checked below
+        # neither the shell nor the reduced basis is materialised here
         Algebra.__init__(self, field, names, orders, kinds, allow_ticks=True,
                          dim_guard=False)
         self.factors = factors
@@ -544,8 +555,6 @@ class TensorAlgebra(Algebra):
             dim = 1
             for fac in factors:
                 dim *= fac.dim
-            if dim > DIM_LIMIT:
-                raise SizeGuard("tensor algebra dimension", dim, DIM_LIMIT)
             self.dim = dim
         else:
             self.dim = None
@@ -607,6 +616,8 @@ class TensorAlgebra(Algebra):
     def basis_monomials(self):
         if self.dim is None:
             raise BadParams("no finite monomial basis with laurent variables")
+        if self.dim > DIM_LIMIT:
+            raise SizeGuard("tensor basis_monomials", self.dim, DIM_LIMIT)
         if self._basis is None:
             parts = [fac.basis_monomials() for fac in self.factors]
             out = [()]
@@ -643,6 +654,8 @@ def _variable_shifts(alg):
             or (isinstance(alg, TensorAlgebra) and alg._plain)):
         raise BadParams(f"ideal closure needs a free algebra, not {alg!r}")
     n = alg.ambient_dim()
+    if n > DIM_LIMIT:
+        raise SizeGuard("ideal shell", n, DIM_LIMIT)
     full = (1 << n) - 1 if alg.field.q == 2 else None
     out = []
     for s, d, kind in zip(alg.strides(), alg.orders, alg.kinds):
@@ -933,10 +946,35 @@ def apply_map(f, images, target, coeff_map=None, allow_missing=()):
     return out
 
 
-def _shift_ticks(f, target, k):
-    """Re-embed a tensor element, adding k ticks to every variable name."""
-    images = {nm: target.var(nm + "'" * k) for nm in f.alg.vars}
-    return apply_map(f, images, target)
+def map_leg(f, slot, fn, target):
+    """Substitute into one leg of a tensor element: each term c * m of f
+    becomes c * (legs before) fn(leg ``slot`` of m) (legs after).
+
+    ``fn`` maps a reduced monomial of factor ``slot`` to a dict over
+    reduced monomials of the factors that replace that leg in ``target``;
+    usually a memoised algebra map, such as ``HopfAlgebra.delta_mono``.
+    A tensor reduces factor by factor, so every concatenated key is
+    already reduced in ``target``: nothing is multiplied or reduced here.
+    """
+    a, b = f.alg._spans[slot]
+    F = target.field
+    groups = {}
+    for m, c in f.d.items():
+        groups.setdefault((m[:a], m[b:]), []).append((m[a:b], c))
+    out = {}
+    for (head, tail), legs in groups.items():
+        # terms with other outer legs never meet: sum each group on its own
+        acc = {}
+        for leg, c in legs:
+            for sub, c2 in fn(leg).items():
+                s = F.add(acc.get(sub, 0), F.mul(c, c2))
+                if s:
+                    acc[sub] = s
+                else:
+                    del acc[sub]
+        for sub, c in acc.items():
+            out[head + sub + tail] = c
+    return Poly(target, out)
 
 
 def invert_unit(f):

@@ -24,7 +24,7 @@ from math import comb
 
 from .errors import BadParams, IdentityFailed, NotAnAction, SizeGuard, VerifyError
 from .gf import Field
-from .talg import (Algebra, _shift_ticks, apply_map, invert_unit,
+from .talg import (Algebra, Poly, apply_map, invert_unit, map_leg,
                    quotient_algebra, weight_decomposition)
 from .hopf import (HopfAlgebra, Morphism, _relation_polys, closed_subgroup,
                    enumerate_morphisms, hopf_product, hopf_verify,
@@ -553,8 +553,9 @@ def group_coaction_verify(G, M, images):
     M -> Aut(G), expressed on coordinates).
 
     Legs are told apart by ticks: in A(G) x A(M) the A(G) names are bare
-    and the A(M) names carry one tick, and every axiom is one apply_map
-    over renamed variables.
+    and the A(M) names carry one tick, and every axiom but coassociativity
+    is one apply_map over renamed variables.  Coassociativity substitutes
+    rho, and delta_M, into one leg of rho(x) with ``map_leg``.
     """
     AG, AM = G.carrier, M.carrier
     t2 = AG.tensor(AM)
@@ -581,11 +582,16 @@ def group_coaction_verify(G, M, images):
     eps_m = {u + "'": AG.scalar(M.counit[u]) for u in AM.vars}
     eps_g = {x: AM.scalar(G.counit[x]) for x in AG.vars}
     eps_g.update({u + "'": AM.var(u) for u in AM.vars})
-    # coassoc: x -> rho(x), u' -> u''  against  u' -> delta_M(u) on legs 1, 2
+    # coassoc: rho on the A(G) leg of rho(x) against delta_M on its A(M) leg
     t3 = AG.tensor(AM, AM)
-    coact = {x: apply_map(images[x], {}, t3) for x in AG.vars}
-    coact.update({u + "'": t3.var(u + "''") for u in AM.vars})
-    delta_m = {u + "'": _shift_ticks(M.delta[u], t3, 1) for u in AM.vars}
+    rho_monos = {}
+
+    def rho_mono(m):
+        hit = rho_monos.get(m)
+        if hit is None:
+            hit = rho_monos[m] = apply_map(Poly(AG, {m: 1}), images, t2).d
+        return hit
+
     # delta_G: rho on each A(G) leg with its A(M) output on leg 2, against
     # x -> delta_G(x), u' -> u''
     t3g = AG.tensor(AG, AM)
@@ -605,8 +611,8 @@ def group_coaction_verify(G, M, images):
         record("counit_G", nm, apply_map(images[nm], eps_g, AM)
                - AM.scalar(G.counit[nm]))
     for nm in AG.vars:
-        record("coassoc", nm, apply_map(images[nm], coact, t3)
-               - apply_map(images[nm], delta_m, t3))
+        record("coassoc", nm, map_leg(images[nm], 0, rho_mono, t3)
+               - map_leg(images[nm], 1, M.delta_mono, t3))
     for nm in AG.vars:
         record("delta_G", nm, apply_map(G.delta[nm], coact_g, t3g)
                - apply_map(images[nm], delta_g, t3g))

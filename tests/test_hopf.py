@@ -4,22 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
-from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _ideal_span_coords,
-                      closed_subgroup, coords, dual_hopf,
+from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
+                      _ideal_span_coords, closed_subgroup, coords, dual_hopf,
                       enumerate_morphisms, enumerate_subgroups,
                       find_isomorphism, from_coords, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
                       hopf_product, hopf_verify, image_subgroup, is_central,
                       is_cocommutative, is_normal, kernel_subgroup,
                       morphism_check, points_group, presentations_equal,
-                      primitives, quotient_group, subgroup_from_elements)
+                      primitive_elements, primitives, quotient_group,
+                      subgroup_from_elements)
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
-from gsl.talg import Algebra, quotient_algebra
-from gsl.zoo import SL2_kerF
+from gsl.talg import DIM_LIMIT, Algebra, apply_map, quotient_algebra
+from gsl.zoo import SL2_kerF, zoo_parse
 
 F2 = Field(2)
 F3 = Field(3)
 F4 = Field(2, 2)
+F5 = Field(5)
 
 
 def additive(F, name, order, hname):
@@ -129,6 +131,102 @@ def test_verify_catches_bad_relation():
     rep = hopf_verify(H)
     assert not rep["ok"] and not rep["well_defined"]
     assert any(w[0] == "well_defined" for w in rep["witnesses"])
+
+
+def _noncoassociative():
+    """k[T]/(T^4) over GF(2) with delta(T) = T ox 1 + 1 ox T + T ox T^2:
+    well defined (delta(T)^4 = 0) and counital, not coassociative."""
+    A = Algebra(F2, ["T"], [4])
+    t2 = A.tensor(A)
+    T, T_ = t2.var("T"), t2.var("T'")
+    return HopfAlgebra(A, {"T": T + T_ + T * T_ ** 2}, {"T": 0},
+                       antipode={"T": A.var("T")})
+
+
+def test_verify_catches_noncoassociative_delta():
+    rep = hopf_verify(_noncoassociative())
+    assert rep["well_defined"] and rep["counital"]
+    assert not rep["ok"] and not rep["coassociative"]
+    assert [w for w in rep["witnesses"] if w[0] == "coassociative"] == [
+        ("coassociative", "T", "T*T'^2*T''^2")]
+
+
+def _coassoc_sides_by_products(H, dx):
+    """Both sides as apply_map into A ox A ox A, a product per term and leg:
+    the route that ``_coassoc_sides`` replaced, kept as an oracle."""
+    t3 = H.t3()
+    names = H.carrier.vars
+
+    def on_legs(f, k):
+        return apply_map(f, {nm: t3.var(nm + "'" * k) for nm in f.alg.vars}, t3)
+
+    left = {nm: on_legs(H.delta[nm], 0) for nm in names}
+    left.update({nm + "'": t3.var(nm + "''") for nm in names})
+    right = {nm: t3.var(nm) for nm in names}
+    right.update({nm + "'": on_legs(H.delta[nm], 1) for nm in names})
+    return apply_map(dx, left, t3), apply_map(dx, right, t3)
+
+
+_CATALOGUE = ["alpha(2)", "mu(2)", "D(2,A)", "D(2,B)", "H(a=1,n=2)",
+              "E_trunc(2)", "semidirect(D(1),mu(1),w=[-1,1])"]
+# over GF(5) these cost too much for tier-1: the builds of witt2, kerFV
+# and cocycle_ext take 4-14 s, the product route on SL2_kerF(1) about 5 s,
+# and the build of Hunip(s1=1,s2=1,n=2) runs out of memory
+_CATALOGUE_P_BELOW_5 = ["witt2", "kerFV", "cocycle_ext(a=1,n=2)",
+                        "SL2_kerF(1)", "Hunip(s1=1,s2=1,n=2)"]
+
+
+@pytest.mark.parametrize("F,cid", (
+    [(F, cid) for F in (F2, F4, F3)
+     for cid in _CATALOGUE + _CATALOGUE_P_BELOW_5]
+    + [(F, "pullback(1,0,1)") for F in (F2, F4)]
+    + [(F5, cid) for cid in _CATALOGUE]),
+    ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_coassoc_sides_match_the_product_route(F, cid):
+    H = zoo_parse(cid, F)
+    for nm in H.carrier.vars:
+        dx = H.delta[nm]
+        assert _coassoc_sides(H, dx) == _coassoc_sides_by_products(H, dx)
+
+
+def test_coassoc_sides_match_the_product_route_off_coassociativity():
+    H = _noncoassociative()
+    left, right = _coassoc_sides(H, H.delta["T"])
+    assert left != right
+    assert (left, right) == _coassoc_sides_by_products(H, H.delta["T"])
+
+
+@pytest.mark.parametrize("F,cid", [
+    (F2, "alpha(8)"), (F5, "SL2_kerF(1)"), (F2, "SL2_kerF(3)"),
+    (F3, "SL2_kerF(2)")], ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_verify_passes_where_the_tensor_cube_is_past_the_dim_limit(F, cid):
+    # dim A ox A ox A is 1.7e7, 2.0e6, 1.3e8 and 3.9e8: once refused whole
+    H = zoo_parse(cid, F)
+    assert H.t3().dim > DIM_LIMIT
+    rep = hopf_verify(H)
+    assert rep["ok"], rep["witnesses"]
+
+
+def test_guards_name_what_a_large_carrier_would_materialise():
+    # GF(2) SL2_kerF(4) (dim 4096) builds; the dense operations refuse it
+    G = SL2_kerF(4)
+    assert G.dim == 4096
+    checks = [
+        ("tensor basis_monomials", lambda: coords(G.delta["u11"], G.t2())),
+        ("delta_table pairs", G.delta_table),
+        ("DualHopf products", lambda: dual_hopf(G)),
+        ("primitive_elements pair rows", lambda: primitive_elements(G)),
+        ("subgroup_from_elements pair vectors",
+         lambda: subgroup_from_elements(G, [("U", G.carrier.var("u12"))])),
+        ("coproduct matrix",
+         lambda: HopfIdeal(G, subspace_from(F2, G.dim, [1 << 5])).verify()),
+        ("quotient_group coinvariant equations",
+         lambda: quotient_group(G, HopfIdeal(G, Subspace(F2, G.dim)))),
+    ]
+    for what, call in checks:
+        with pytest.raises(SizeGuard) as exc:
+            call()
+        assert exc.value.what == what
 
 
 def test_verify_catches_bad_counit():
@@ -565,3 +663,14 @@ def test_dual_unit_counit():
     ei[0] = 1
     assert dual.conv(dual.unit(), ei) == ei
     assert dual.conv(ei, dual.unit()) == ei
+
+
+def test_delta_table_keeps_the_legs_in_order():
+    # delta(T) = T ox 1 + 1 ox T + S ox T^2 in D2 is not cocommutative, so
+    # swapped legs would show; the table is read from the delta_mono memo
+    H = d2()
+    A = H.carrier
+    pos = {m: i for i, m in enumerate(A.basis_monomials())}
+    one, S, T, T2 = (pos[next(iter(f.d))] for f in
+                     (A.one(), A.var("S"), A.var("T"), A.var("T") ** 2))
+    assert H.delta_table()[T] == {(T, one): 1, (one, T): 1, (S, T2): 1}

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
-from gsl.talg import (Algebra, Poly, TensorAlgebra, apply_map,
+from gsl.talg import (DIM_LIMIT, Algebra, Poly, TensorAlgebra, apply_map,
                       eliminate_linear, ideal_span, invert_unit, is_ideal,
-                      quotient_algebra, quotient_by_subspace,
+                      map_leg, quotient_algebra, quotient_by_subspace,
                       subalgebra_generated, weight_decomposition)
 from gsl.linalg import Subspace, subspace_from
 
@@ -359,6 +359,46 @@ def test_tensor_factorwise_reduction():
     assert (t0 * t1) * (t0 * t1) == TT.elem(Q.var("S"), Q.var("S"))
     assert TT.dim == 16
     assert len(TT.basis_monomials()) == 16
+
+
+def test_tensor_past_the_dim_limit_is_sparse_and_guards_its_basis():
+    # building a tensor lists nothing; only its reduced basis is refused
+    A = Algebra(F2, ["x", "y"], [64, 32])
+    T3 = TensorAlgebra((A, A, A))
+    assert T3.dim == 2048 ** 3 > DIM_LIMIT
+    x, y = T3.var("x"), T3.var("y''")
+    assert (x + y) ** 2 == x ** 2 + y ** 2 and y ** 32 == T3.zero()
+    for call in (T3.basis_monomials, lambda: T3.reduced_index(T3._zero_mono)):
+        with pytest.raises(SizeGuard) as exc:
+            call()
+        assert exc.value.what == "tensor basis_monomials"
+    with pytest.raises(SizeGuard) as exc:
+        ideal_span(T3, [x])
+    assert exc.value.what == "ideal shell"
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=lambda F: F.name)
+def test_map_leg_is_the_leg_substitution(F):
+    # u -> u ox 1 + 1 ox u - u ox u on the second leg of Q ox B, against
+    # apply_map on renamed variables; Q is a quotient, so the first leg is
+    # a reduced basis monomial that the concatenated keys must keep
+    A = ring_ST(F)
+    S, T = A.gens()
+    Q = quotient_algebra(A, [T * T - S * T], eliminate=False)
+    B = Algebra(F, ["u"], [F.p ** 2])
+    BB, QB, QBB = B.tensor(B), Q.tensor(B), Q.tensor(B, B)
+    g = BB.var("u") + BB.var("u'") - BB.var("u") * BB.var("u'")
+    sQ, tQ, u = Q.var("S"), Q.var("T"), B.var("u")
+    f = (QB.elem(tQ, u ** 2) * QB.scalar(F.q - 1) + QB.elem(sQ + tQ, u)
+         + QB.elem(Q.one(), u ** 3) + QB.elem(sQ * tQ, u ** 2))
+    images = {"u'": QBB.var("u'") + QBB.var("u''")
+              - QBB.var("u'") * QBB.var("u''")}
+
+    def fn(m):
+        return apply_map(Poly(B, {m: 1}), {"u": g}, BB).d
+
+    assert map_leg(f, 1, fn, QBB) == apply_map(f, images, QBB)
+    assert map_leg(QB.zero(), 1, fn, QBB) == QBB.zero()
 
 
 def test_tensor_embed_guards():
