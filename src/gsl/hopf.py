@@ -4,8 +4,8 @@ A HopfAlgebra bundles a carrier algebra (free truncated or quotient) with the
 three structure maps given on generators.  Everything downstream is exact
 linear algebra over the coefficient field: verification of the axioms,
 morphism checks, kernels and images, Hopf ideals and quotients, point groups
-over small test algebras, exhaustive enumeration of subgroups and morphisms,
-and the dual algebra with its primitive (Lie) part.
+over small test algebras, complete searches for subgroups and morphisms that
+prune by equation, and the dual algebra with its primitive (Lie) part.
 
 Group morphisms are stored in the algebra direction throughout: a Morphism
 with source H and target G is the algebra map A(H) -> A(G) and represents the
@@ -17,8 +17,10 @@ exactly when its counit is nonzero, and the antipode can always be recovered
 as a convolution inverse.
 """
 
+from itertools import product
+
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
-from .linalg import Subspace, SpanSolver, _pack, subspace_from
+from .linalg import Subspace, SpanSolver, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, apply_map,
                    ideal_span, map_leg, quotient_algebra, quotient_by_subspace,
                    subalgebra_generated)
@@ -37,11 +39,20 @@ def _pair_guard(what, A):
         raise SizeGuard(what, A.dim * A.dim, DIM_LIMIT)
 
 
+def _basis(alg):
+    """The reduced basis monomials, listed once and cached on the algebra."""
+    cache = getattr(alg, "_gsl_basis", None)
+    if cache is None:
+        cache = alg.basis_monomials()
+        alg._gsl_basis = cache
+    return cache
+
+
 def _basis_pos(alg):
     """Monomial -> position map for the reduced basis, cached on the algebra."""
     cache = getattr(alg, "_gsl_basis_pos", None)
     if cache is None:
-        cache = {m: i for i, m in enumerate(alg.basis_monomials())}
+        cache = {m: i for i, m in enumerate(_basis(alg))}
         alg._gsl_basis_pos = cache
     return cache
 
@@ -57,7 +68,7 @@ def coords(f, alg=None):
 
 
 def from_coords(alg, vec):
-    basis = alg.basis_monomials()
+    basis = _basis(alg)
     return alg.poly({basis[i]: c for i, c in enumerate(vec) if c})
 
 
@@ -787,20 +798,20 @@ class HopfIdeal(object):
 
 
 def _delta_matrix(H, f):
-    """Coproduct of f as a dict first-leg index -> second-leg coordinate row."""
+    """Coproduct of f as a dict first-leg index -> second-leg coordinate
+    row, summed from the ``delta_mono`` memo."""
     A = H.carrier
     _pair_guard("coproduct matrix", A)
-    t2 = H.t2()
+    F = H.field
+    split = H.t2().split_mono
     pos = _basis_pos(A)
     rows = {}
-    for mono, c in H.delta_map(f).d.items():
-        m1, m2 = t2.split_mono(mono)
-        i = pos[m1]
-        row = rows.get(i)
-        if row is None:
-            row = [0] * A.dim
-            rows[i] = row
-        row[pos[m2]] = c
+    for m, c in f.d.items():
+        for mono, c2 in H.delta_mono(m).items():
+            m1, m2 = split(mono)
+            row = rows.setdefault(pos[m1], [0] * A.dim)
+            j = pos[m2]
+            row[j] = F.add(row[j], F.mul(c, c2))
     return rows
 
 
@@ -834,6 +845,16 @@ def _escaping_legs(H, V, f):
     return out
 
 
+def _escapes(H, V, f):
+    """What keeps the ideal V from being a Hopf ideal at f: the escaping
+    legs of delta(f), then S(f) if it lies outside V."""
+    out = _escaping_legs(H, V, f)
+    sf = H.antipode_map(f)
+    if not V.contains(coords(sf, H.carrier)):
+        out.append(sf)
+    return out
+
+
 def hopf_ideal_closure(H, seeds, max_rounds=None):
     """Hopf ideal containing the seeds, grown by forced leg adjunction.
 
@@ -852,11 +873,7 @@ def hopf_ideal_closure(H, seeds, max_rounds=None):
     for _ in range(rounds):
         add = []
         for vec in V.basis():
-            f = from_coords(A, vec)
-            add.extend(_escaping_legs(H, V, f))
-            sf = H.antipode_map(f)
-            if not V.contains(coords(sf, A)):
-                add.append(sf)
+            add.extend(_escapes(H, V, from_coords(A, vec)))
         if not add:
             break
         old = V.dim
@@ -1195,8 +1212,19 @@ def _all_elements(R):
 
 
 def enumerate_subgroups(H):
-    """All Hopf ideals of the carrier: exhaustive over the subspaces of the
-    augmentation ideal.  GF(2), nil generators, dimension at most 8."""
+    """All Hopf ideals of the carrier, one per closed subgroup.
+
+    A walk up the lattice of ideals inside the augmentation ideal m.
+    The carrier is local, so every ideal J above an ideal I contains a
+    cover I + k.v with v outside I and m.v inside I.  From each ideal
+    met, one linear solve on the coordinates off its pivots gives every
+    such v, and each line of solutions is one step up; only the ideals
+    met are tested for antipode stability and the coideal property.
+    The result is ordered by pivot set, then by free entries.
+
+    GF(2) and nil generators only.  Carriers of dimension above
+    ENUM_SUBGROUP_DIM_LIMIT are refused (SizeGuard) before any search.
+    """
     A = H.carrier
     F = H.field
     if F.q != 2:
@@ -1206,117 +1234,133 @@ def enumerate_subgroups(H):
                         ENUM_SUBGROUP_DIM_LIMIT)
     if any(k != "nil" for k in A.ambient.kinds):
         raise BadParams("enumerate_subgroups expects nil generators")
-    n = A.dim
     one_pos = _basis_pos(A)[next(iter(A.one().d))]
-    aug_positions = [i for i in range(n) if i != one_pos]
-    m = len(aug_positions)
-    mul_mats = []
-    for nm in A.vars:
-        x = A.var(nm)
-        mul_mats.append([_pack(coords(x * A.poly({mono: 1}), A))
-                         for mono in A.basis_monomials()])
-    s_mat = [_pack(coords(H.antipode_map(A.poly({mono: 1})), A))
-             for mono in A.basis_monomials()]
-    tab = H.delta_table()
+    muls = [[coords(x * A.poly({m: 1}), A) for m in A.basis_monomials()]
+            for x in H.gens()]
+    zero = Subspace(F, A.dim)
+    ideals = {(): zero}
+    level = [zero]
+    while level:
+        up = []
+        for I in level:
+            for J in _ideal_covers(I, muls, one_pos):
+                key = tuple(map(tuple, J.basis()))
+                if key not in ideals:
+                    ideals[key] = J
+                    up.append(J)
+        level = up
+    aug = [i for i in range(A.dim) if i != one_pos]
+    hopf = [V for V in ideals.values()
+            if not any(_escapes(H, V, from_coords(A, v)) for v in V.basis())]
+    hopf.sort(key=lambda V: _echelon_order(V, aug))
+    return [HopfIdeal(H, V) for V in hopf]
 
-    spread = [_spread(r, aug_positions) for r in range(1 << m)]
-    out = []
-    for rows in _all_echelon_bases(m):
-        masks = [spread[r] for r in rows]
-        V = subspace_from(F, n, masks)
-        ok = True
-        for v in masks:
-            for mat in mul_mats:
-                if not V.contains(_apply_mask_matrix(mat, v)):
-                    ok = False
-                    break
-            if not ok:
-                break
-            if not V.contains(_apply_mask_matrix(s_mat, v)):
-                ok = False
-                break
-            if not _mask_coideal(tab, V, v):
-                ok = False
-                break
-        if ok:
-            out.append(HopfIdeal(H, V))
+
+def _ideal_covers(I, muls, one_pos):
+    """The ideals I + k.v covering the ideal I inside the augmentation
+    ideal: v runs over the lines of vectors off the pivots of I with
+    x.v in I for every generator x (``muls[x][c]`` holds the coordinates
+    of x times basis monomial c)."""
+    F, n = I.field, I.n
+    free = [c for c in I.complement_indices() if c != one_pos]
+    k = len(free)
+    # rows (e_c | x.e_c mod I, for each x); the echelon rows that pivot in
+    # the first k coordinates are the combinations every x sends into I
+    S = Subspace(F, k + len(muls) * n)
+    for t, c in enumerate(free):
+        row = [0] * k
+        row[t] = 1
+        for mul in muls:
+            row.extend(I.residue(mul[c]))
+        S.insert(row)
+    sols = [row[:k] for row in S.basis() if not any(row[k:])]
+    for coeffs in product(range(F.q), repeat=len(sols)):
+        # one vector per line: the last nonzero coefficient is 1
+        if next((a for a in reversed(coeffs) if a), 0) != 1:
+            continue
+        v = [0] * n
+        for a, sol in zip(coeffs, sols):
+            for t, s in enumerate(sol):
+                if a and s:
+                    v[free[t]] = F.add(v[free[t]], F.mul(a, s))
+        J = I.copy()
+        J.insert(v)
+        yield J
+
+
+def _echelon_order(V, positions):
+    """Sort key of a subspace over the given coordinate positions: its
+    pivot set read as a binary number, then its free entries, the last
+    free entry of the last row first."""
+    piv = V.pivots()
+    pset = set(piv)
+    pmask = sum(1 << t for t, p in enumerate(positions) if p in pset)
+    free = [row[j] for row, l in zip(V.basis(), piv)
+            for j in positions if j < l and j not in pset]
+    return pmask, free[::-1]
+
+
+def _names_in(f, names):
+    """The names whose variables occur in f; over a tensor power the
+    legs' variables cycle through ``names``."""
+    n = len(names)
+    return {names[i % n] for m in f.d for i, e in enumerate(m) if e}
+
+
+def _morphism_equations(H1, H2):
+    """The equations that ``morphism_check`` tests, one at a time, each
+    with the source generators it reads.
+
+    Each is a pair (names, holds).  ``holds(imgs, legs, deltas)``
+    evaluates the equation on the images bound so far: ``imgs`` maps a
+    generator x to its image f(x) in A(H2), ``legs`` maps x and x' to
+    f(x) in the two legs of A(H2) ox A(H2), and ``deltas`` maps x to
+    delta(f(x)).  Once every name it reads is bound, it is true exactly
+    when the matching check of ``morphism_check`` passes.  Equations on
+    one generator come first, cheapest first.
+    """
+    A = H1.carrier
+    B = H2.carrier
+    names = A.vars
+    tG = H2.t2()
+    tnames = H1.t2().vars
+
+    def counit(nm):
+        c = H1.counit[nm]
+        return {nm}, lambda imgs, legs, deltas: H2.counit_map(imgs[nm]) == c
+
+    def power(nm, d, kind):
+        tgt = B.one() if kind == "unit" else B.zero()
+        return {nm}, lambda imgs, legs, deltas: imgs[nm] ** d == tgt
+
+    def antipode(nm):
+        s = H1.antipode[nm]
+        return (_names_in(s, names) | {nm}, lambda imgs, legs, deltas:
+                apply_map(s, imgs, B, allow_missing=names)
+                == H2.antipode_map(imgs[nm]))
+
+    def relation(g):
+        return (_names_in(g, names), lambda imgs, legs, deltas:
+                apply_map(g, imgs, B, allow_missing=names) == 0)
+
+    def delta(nm):
+        dx = H1.delta[nm]
+        return (_names_in(dx, names) | {nm}, lambda imgs, legs, deltas:
+                apply_map(dx, legs, tG, allow_missing=tnames) == deltas[nm])
+
+    shell = A.ambient
+    out = [counit(nm) for nm in names]
+    out += [power(nm, d, kind)
+            for nm, d, kind in zip(shell.vars, shell.orders, shell.kinds)]
+    out += [relation(g) for g in _relation_polys(A)]
+    out += [delta(nm) for nm in names]
+    out += [antipode(nm) for nm in names]
     return out
 
 
-def _spread(mask, positions):
-    out = 0
-    for k, p in enumerate(positions):
-        if (mask >> k) & 1:
-            out |= 1 << p
-    return out
-
-
-def _apply_mask_matrix(mat, vmask):
-    out = 0
-    i = 0
-    while vmask:
-        if vmask & 1:
-            out ^= mat[i]
-        vmask >>= 1
-        i += 1
-    return out
-
-
-def _mask_coideal(tab, V, vmask):
-    rows = {}
-    i = 0
-    v = vmask
-    while v:
-        if v & 1:
-            for (a, b), c in tab[i].items():
-                if c:
-                    rows[a] = rows.get(a, 0) ^ (1 << b)
-        v >>= 1
-        i += 1
-    reduced = {}
-    for a, row in rows.items():
-        r = V.residue(row)
-        if r:
-            reduced[a] = r
-    if not reduced:
-        return True
-    cols = {}
-    for a, row in reduced.items():
-        j = 0
-        while row:
-            if row & 1:
-                cols[j] = cols.get(j, 0) ^ (1 << a)
-            row >>= 1
-            j += 1
-    for col in cols.values():
-        if not V.contains(col):
-            return False
-    return True
-
-
-def _all_echelon_bases(m):
-    """All reduced echelon bases over GF(2) on m coordinates, one per
-    subspace (largest-index pivots, free entries below the pivot)."""
-    for pivots in range(1 << m):
-        plist = [i for i in range(m) if (pivots >> i) & 1]
-        free_slots = []
-        for l in plist:
-            for j in range(l):
-                if not (pivots >> j) & 1:
-                    free_slots.append((l, j))
-        for assign in range(1 << len(free_slots)):
-            rows = {l: 1 << l for l in plist}
-            for t, (l, j) in enumerate(free_slots):
-                if (assign >> t) & 1:
-                    rows[l] |= 1 << j
-            yield [rows[l] for l in plist]
-
-
-def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
-    """All Hopf algebra maps A(H1) -> A(H2) whose generator images are
-    counit(x).1 plus linear combinations of the given shape elements
-    (name -> list); the default shape is a basis of the augmentation ideal
-    of H2."""
+def _morphisms(H1, H2, shape, iso_only):
+    """The search behind enumerate_morphisms and find_isomorphism, as a
+    generator; the candidate count is guarded before it is made."""
     A1, A2 = H1.carrier, H2.carrier
     F = H1.field
     if shape is None:
@@ -1329,7 +1373,15 @@ def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
         raise SizeGuard("enumerate_morphisms candidates", count,
                         ENUM_MORPHISM_LIMIT)
     names = list(A1.vars)
-    out = []
+    tG = H2.t2()
+    # each equation waits for the last generator it reads; one that reads
+    # that generator alone filters its candidates once, up front
+    depth = {nm: k for k, nm in enumerate(names)}
+    alone = [[] for _ in names]
+    joint = [[] for _ in names]
+    for support, holds in _morphism_equations(H1, H2) if names else ():
+        k = max((depth[nm] for nm in support), default=0)
+        (alone if support <= {names[k]} else joint)[k].append(holds)
 
     def combos(basis):
         if not basis:
@@ -1341,27 +1393,58 @@ def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
             for c in range(1, F.q):
                 yield rest + head * A2.scalar(c)
 
-    def rec(k, images):
-        if k == len(names):
-            f = Morphism(H1, H2, dict(images))
-            if morphism_check(f)["ok"]:
-                if not iso_only or f.is_bijective():
-                    out.append(f)
-            return
-        base = A2.scalar(H1.counit[names[k]])
-        for el in combos(shape[names[k]]):
-            images[names[k]] = base + el
-            rec(k + 1, images)
-        images.pop(names[k], None)
+    cands = []
+    for k, nm in enumerate(names):
+        base = A2.scalar(H1.counit[nm])
+        keep = []
+        for el in combos(shape[nm]):
+            img = base + el
+            leg = {nm: tG.embed(img, 0), nm + "'": tG.embed(img, 1)}
+            dimg = H2.delta_map(img)
+            if all(holds({nm: img}, leg, {nm: dimg}) for holds in alone[k]):
+                keep.append((img, leg, dimg))
+        cands.append(keep)
 
-    rec(0, {})
-    return out
+    imgs, legs, deltas = {}, {}, {}
+
+    def rec(k):
+        if k == len(names):
+            f = Morphism(H1, H2, dict(imgs))
+            if morphism_check(f)["ok"] and (not iso_only or f.is_bijective()):
+                yield f
+            return
+        nm = names[k]
+        for img, leg, dimg in cands[k]:
+            imgs[nm], deltas[nm] = img, dimg
+            legs.update(leg)
+            if all(holds(imgs, legs, deltas) for holds in joint[k]):
+                yield from rec(k + 1)
+        for bound in (imgs, legs, deltas):
+            bound.pop(nm, None)
+        legs.pop(nm + "'", None)
+
+    return rec(0)
+
+
+def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
+    """All Hopf algebra maps A(H1) -> A(H2) whose generator images are
+    counit(x).1 plus linear combinations of the given shape elements
+    (name -> list); the default shape is a basis of the augmentation ideal
+    of H2.
+
+    A depth-first search binds the generators' images in order.  Each
+    equation of ``morphism_check`` is tested as soon as every generator
+    it reads is bound, and a failure cuts the branch; ``morphism_check``
+    still certifies every map returned.  More than ENUM_MORPHISM_LIMIT
+    candidate assignments are refused (SizeGuard) before any search.
+    """
+    return list(_morphisms(H1, H2, shape, iso_only))
 
 
 def find_isomorphism(H1, H2, shape=None):
-    for f in enumerate_morphisms(H1, H2, shape=shape, iso_only=True):
-        return f
-    return None
+    """The first bijective map that ``enumerate_morphisms`` would list,
+    or None; the search stops there.  Same guard."""
+    return next(_morphisms(H1, H2, shape, True), None)
 
 
 class DualHopf(object):
