@@ -1250,10 +1250,10 @@ def enumerate_subgroups(H):
                     up.append(J)
         level = up
     aug = [i for i in range(A.dim) if i != one_pos]
-    hopf = [V for V in ideals.values()
-            if not any(_escapes(H, V, from_coords(A, v)) for v in V.basis())]
-    hopf.sort(key=lambda V: _echelon_order(V, aug))
-    return [HopfIdeal(H, V) for V in hopf]
+    found = [V for V in ideals.values()
+             if not any(_escapes(H, V, from_coords(A, v)) for v in V.basis())]
+    found.sort(key=lambda V: _echelon_order(V, aug))
+    return [HopfIdeal(H, V) for V in found]
 
 
 def _ideal_covers(I, muls, one_pos):
@@ -1281,7 +1281,7 @@ def _ideal_covers(I, muls, one_pos):
         v = [0] * n
         for a, sol in zip(coeffs, sols):
             for t, s in enumerate(sol):
-                if a and s:
+                if s:
                     v[free[t]] = F.add(v[free[t]], F.mul(a, s))
         J = I.copy()
         J.insert(v)
