@@ -21,8 +21,9 @@ from itertools import product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, SpanSolver, subspace_from
-from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, apply_map,
-                   ideal_span, map_leg, quotient_algebra, quotient_by_subspace,
+from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, _mono_images,
+                   _sum_images, apply_map, ideal_span, map_leg,
+                   quotient_algebra, quotient_by_subspace,
                    subalgebra_generated)
 
 POINTS_DIM_LIMIT = 64
@@ -124,9 +125,10 @@ class HopfAlgebra(object):
     antipode=None to have it solved from the other two maps (the convolution
     inverse of the identity, which exists because the carrier is local).
 
-    The coproduct of each reduced basis monomial is memoised on demand by
-    ``delta_mono``, as a plain dict over A ox A; ``delta_table`` and the
-    coassociativity check read that memo.
+    ``delta_mono`` is the coproduct on monomials, a ``talg._mono_images``
+    memo filled on demand (a plain dict over A ox A per monomial);
+    ``delta_map``, ``delta_table`` and the coassociativity check read it.
+    The counit of a monomial is a scalar, read off its exponents.
     """
 
     def __init__(self, carrier, delta, counit, antipode=None, name=None):
@@ -139,11 +141,13 @@ class HopfAlgebra(object):
             raise BadParams("counit must be given on exactly the carrier generators")
         self._t2 = None
         self._t3 = None
-        self._delta_monos = {}
+        self._eps_vec = None
         # re-anchor the given elements on this instance's own tensor square,
         # so that values built against a caller-side tensor still compare
         self.delta = {k: apply_map(v, {}, self.t2()) for k, v in delta.items()}
+        self.delta_mono = _mono_images(carrier, self.delta, self.t2())
         self.counit = {k: int(v) for k, v in counit.items()}
+        self._eps_codes = [self.counit[nm] for nm in carrier.vars]
         if antipode is None:
             antipode = self._solve_antipode()
         if set(antipode) != set(carrier.vars):
@@ -170,21 +174,32 @@ class HopfAlgebra(object):
         return self._t3
 
     def delta_map(self, f):
-        return apply_map(f, self.delta, self.t2())
+        if f.alg.vars != self.carrier.vars:
+            return apply_map(f, self.delta, self.t2())
+        return _sum_images(f, self.delta_mono, self.t2())
 
-    def delta_mono(self, m):
-        """Coproduct of the reduced basis monomial m, as a dict over the
-        reduced monomials of A ox A; memoised, never to be mutated."""
-        hit = self._delta_monos.get(m)
-        if hit is None:
-            hit = self.delta_map(Poly(self.carrier, {m: 1})).d
-            self._delta_monos[m] = hit
-        return hit
+    def _eps_mono(self, m):
+        """Counit of the monomial m over the carrier's variables: a scalar."""
+        F = self.field
+        out = 1
+        for c, e in zip(self._eps_codes, m):
+            if e:
+                out = F.mul(out, F.pow(c, e))
+        return out
+
+    def _eps_leg(self, m):
+        """The counit of m as a ``map_leg`` image: {(): eps(m)}, or {}."""
+        c = self._eps_mono(m)
+        return {(): c} if c else {}
 
     def counit_map(self, f):
-        A = self.carrier
-        images = {nm: A.scalar(c) for nm, c in self.counit.items()}
-        return apply_map(f, images, A).constant_term()
+        if f.alg.vars != self.carrier.vars:
+            f = _push(f, self.carrier)
+        F = self.field
+        out = 0
+        for m, c in f.d.items():
+            out = F.add(out, F.mul(c, self._eps_mono(m)))
+        return out
 
     def antipode_map(self, f):
         return apply_map(f, self.antipode, self.carrier)
@@ -213,12 +228,9 @@ class HopfAlgebra(object):
         return S
 
     def _eps_vector(self):
-        cache = getattr(self, "_eps_vec", None)
-        if cache is None:
-            A = self.carrier
-            cache = [self.counit_map(A.poly({m: 1})) for m in A.basis_monomials()]
-            self._eps_vec = cache
-        return cache
+        if self._eps_vec is None:
+            self._eps_vec = [self._eps_mono(m) for m in _basis(self.carrier)]
+        return self._eps_vec
 
     def delta_table(self):
         """Per-basis-element coproduct as {(i, j): coefficient} dictionaries,
@@ -314,6 +326,14 @@ def _coassoc_sides(H, dx):
     return map_leg(dx, 0, H.delta_mono, t3), map_leg(dx, 1, H.delta_mono, t3)
 
 
+def _counit_sides(H, dx):
+    """(eps ox id) and (id ox eps) applied to a two-leg element: one
+    ``map_leg`` each into A, with eps of a monomial a scalar, so no
+    product is made."""
+    A = H.carrier
+    return map_leg(dx, 0, H._eps_leg, A), map_leg(dx, 1, H._eps_leg, A)
+
+
 def hopf_verify(H):
     """Check the Hopf axioms; returns a report, never raises.
 
@@ -321,8 +341,9 @@ def hopf_verify(H):
     witnesses (list of (axiom, location, residual-string)).
 
     Every check is sparse and works on generators: the relations are
-    evaluated in A and A ox A, and coassociativity compares both full
-    sides in A ox A ox A leg by leg (``_coassoc_sides``).  No basis of a
+    evaluated in A and A ox A, coassociativity compares both full sides
+    in A ox A ox A leg by leg (``_coassoc_sides``), and the counit sides
+    read eps off one leg of delta(x) (``_counit_sides``).  No basis of a
     tensor power is listed, so no SizeGuard applies, whatever dim A is.
     """
     A = H.carrier
@@ -346,11 +367,9 @@ def hopf_verify(H):
             if val != tgt:
                 fail("well_defined", "%s(%s)^%d" % (tag, nm, d), val - tgt)
     for g in _relation_polys(A):
-        for tag, images, tgt in (
-                ("delta", H.delta, t2),
-                ("counit", {nm: A.scalar(c) for nm, c in H.counit.items()}, A),
-                ("antipode", H.antipode, A)):
-            val = apply_map(g, images, tgt)
+        for tag, val in (("delta", H.delta_map(g)),
+                         ("counit", A.scalar(H.counit_map(g))),
+                         ("antipode", apply_map(g, H.antipode, A))):
             if val != 0:
                 fail("well_defined", "%s(ideal gen %s)" % (tag, g), val)
 
@@ -360,12 +379,7 @@ def hopf_verify(H):
         if left != right:
             fail("coassociative", nm, left - right)
         x = A.var(nm)
-        eps_l = {n: A.scalar(H.counit[n]) for n in A.vars}
-        eps_l.update({n + "'": A.var(n) for n in A.vars})
-        eps_r = {n: A.var(n) for n in A.vars}
-        eps_r.update({n + "'": A.scalar(H.counit[n]) for n in A.vars})
-        lc = apply_map(dx, eps_l, A)
-        rc = apply_map(dx, eps_r, A)
+        lc, rc = _counit_sides(H, dx)
         if lc != x:
             fail("counital", nm, lc - x)
         if rc != x:
@@ -425,7 +439,8 @@ class Morphism(object):
         if self._mat is None:
             A = self.source.carrier
             B = self.target.carrier
-            self._mat = [coords(self.map(A.poly({m: 1})), B)
+            image = _mono_images(A, self.images, B)
+            self._mat = [coords(Poly(B, image(m)), B)
                          for m in A.basis_monomials()]
         return self._mat
 
@@ -478,7 +493,7 @@ def morphism_check(f):
     ff.update({nm + "'": tG.embed(f.images[nm], 1) for nm in A.vars})
     for nm in A.vars:
         lhs = apply_map(H.delta[nm], ff, tG)
-        rhs = apply_map(f.images[nm], G.delta, tG)
+        rhs = G.delta_map(f.images[nm])
         if lhs != rhs:
             fail("delta_compatible", nm, lhs - rhs)
         ec = G.counit_map(f.images[nm])

@@ -259,16 +259,20 @@ def subspace_intersect(A, B):
     return out
 
 
+# byte tables between 0/1 entries and the digits of a binary string
+_TO_DIGIT = bytes(48 if b == 0 else 49 for b in range(256))
+_FROM_DIGIT = bytes(b - 48 if b in (48, 49) else 0 for b in range(256))
+
+
 def _pack(vec):
-    mask = 0
-    for i, c in enumerate(vec):
-        if c:
-            mask |= 1 << i
-    return mask
+    """The mask with bit i set where vec[i] is nonzero (entries < 256)."""
+    return int(bytes(vec).translate(_TO_DIGIT)[::-1] or b"0", 2)
 
 
 def _unpack(mask, n):
-    return [(mask >> i) & 1 for i in range(n)]
+    """The low n bits of mask as a 0/1 list, bit i at position i."""
+    return list(format(mask, "0%db" % n).encode()[::-1][:n]
+                .translate(_FROM_DIGIT))
 
 
 def _leading(vec):

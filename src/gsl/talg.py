@@ -17,8 +17,10 @@ coordinate space that is written from a reduced Groebner basis of the
 generators; residues of single monomials are memoised, so reduced
 arithmetic costs little more than free arithmetic.  A TensorAlgebra
 glues several algebras side by side and reduces factor by factor, which
-never materialises the big tensor ideal; ``map_leg`` substitutes into one
-leg of a tensor element with no product or reduction at all.
+never materialises the big tensor ideal.  ``apply_map`` substitutes
+through memoised monomial images, one product per new monomial, and
+``map_leg`` substitutes into one leg of a tensor element with no product
+or reduction at all.
 
 Size guards (SizeGuard, against DIM_LIMIT) sit where something dense is
 materialised: the monomial shell of a free algebra or a quotient, the
@@ -904,25 +906,66 @@ def quotient_by_subspace(ambient, S):
     return QuotientAlgebra(ambient, S)
 
 
-def _substitute_into(f, target):
-    """Move a poly to an algebra with the same-named variables (a subset)."""
-    images = {nm: target.var(nm) for nm in f.alg.vars if nm in target.vars}
-    missing = [nm for nm in f.alg.vars if nm not in target.vars]
-    for nm in missing:
-        i = f.alg.vars.index(nm)
-        if any(m[i] for m in f.d):
-            raise BadParams(f"element still involves dropped variable {nm}")
-    return apply_map(f, images, target, allow_missing=missing)
-
-
 def apply_map(f, images, target, coeff_map=None, allow_missing=()):
     """Apply the algebra map determined by ``images`` (a dict by name).
 
     Variables absent from ``images`` are sent to the same-named variable
-    of the target.  ``coeff_map`` twists coefficients (a code -> code
-    callable) before they are re-interpreted in the target's field.
+    of the target; a variable named in ``allow_missing`` is dropped, and
+    BadParams is raised only if f has a nonzero exponent on it.
+    ``coeff_map`` twists coefficients (a code -> code callable) before
+    they are re-interpreted in the target's field.
+
+    Each monomial goes through ``_mono_images``, one memo per call.  With
+    no images and a source on the target's variables, orders and kinds,
+    the image of a monomial is its residue in the target: the keys are
+    reduced (or, over the same factors, copied) with no product.
     """
     src = f.alg
+    if (not images and not allow_missing and src.vars == target.vars
+            and src.orders == target.orders and src.kinds == target.kinds):
+        d = dict(_codes(f, target, coeff_map))
+        if not _reduced_alike(src, target):
+            d = target.reduce_dict(d)
+        return Poly(target, d)
+    return _sum_images(f, _mono_images(src, images, target, allow_missing),
+                       target, coeff_map)
+
+
+def _reduced_alike(src, target):
+    """Whether every reduced monomial of src is reduced in target."""
+    if src is target or type(target) is Algebra:
+        return True
+    if isinstance(target, TensorAlgebra):
+        return target._plain or (
+            isinstance(src, TensorAlgebra)
+            and len(src.factors) == len(target.factors)
+            and all(a is b for a, b in zip(src.factors, target.factors)))
+    return False
+
+
+def _codes(f, target, coeff_map):
+    """The terms of f with nonzero codes of target's field, twisted by
+    ``coeff_map``; a code outside that field raises BadParams."""
+    q = target.field.q
+    for m, c in f.d.items():
+        if coeff_map is not None:
+            c = coeff_map(c)
+        if not 0 <= c < q:
+            raise BadParams(f"scalar code {c} outside field {target.field.name}")
+        if c:
+            yield m, c
+
+
+def _mono_images(src, images, target, allow_missing=()):
+    """The algebra map of ``apply_map`` on monomials, memoised: a function
+    sending an exponent tuple over ``src.vars`` to its image in target, as
+    a dict over reduced monomials that must never be mutated.
+
+    The image of m is the image of m with its last nonzero exponent e
+    cleared, times img_k ** e; each such power is computed once (and
+    reduced), so a new monomial costs at most one product and none is
+    repeated.
+    """
     imgs = []
     for nm in src.vars:
         if nm in images:
@@ -931,19 +974,47 @@ def apply_map(f, images, target, coeff_map=None, allow_missing=()):
             imgs.append(None)
         else:
             imgs.append(target.var(nm))
-    out = target.zero()
-    for m, c in f.d.items():
-        if coeff_map is not None:
-            c = coeff_map(c)
-        term = target.scalar(c)
-        for img, e in zip(imgs, m):
-            if e == 0:
-                continue
-            if img is None:
-                raise BadParams("nonzero exponent on a dropped variable")
-            term = term * img ** e
-        out = out + term
-    return out
+    one = {target._zero_mono: 1}
+    memo = {(0,) * len(imgs): one}
+    powers = {}
+
+    def image(m):
+        hit = memo.get(m)
+        if hit is None:
+            k = len(m) - 1
+            while not m[k]:
+                k -= 1
+            e = m[k]
+            pw = powers.get((k, e))
+            if pw is None:
+                img = imgs[k]
+                if img is None:
+                    raise BadParams("nonzero exponent on a dropped variable")
+                if img.alg is not target:
+                    raise BadParams("operands live in different algebras")
+                # a power e > 1 comes out of products, hence reduced
+                pw = powers[k, e] = (target.reduce_dict(img.d) if e == 1
+                                     else (img ** e).d)
+            head = image(m[:k] + (0,) * (len(m) - k))
+            hit = memo[m] = pw if head is one else target.mul_dicts(head, pw)
+        return hit
+
+    return image
+
+
+def _sum_images(f, image, target, coeff_map=None):
+    """Sum c * image(m) over the terms c * m of f, in one dict."""
+    F = target.field
+    add, mul = F.add, F.mul
+    out = {}
+    for m, c in _codes(f, target, coeff_map):
+        for m2, c2 in image(m).items():
+            s = add(out.get(m2, 0), c2 if c == 1 else mul(c, c2))
+            if s:
+                out[m2] = s
+            else:
+                del out[m2]
+    return Poly(target, out)
 
 
 def map_leg(f, slot, fn, target):
@@ -1050,12 +1121,9 @@ def eliminate_linear(ambient, gens):
                         [ambient.orders[i] for i in keep],
                         [ambient.kinds[i] for i in keep],
                         allow_ticks=True)
-        sub_small = _drop_var(sub, xi, small)
-        new_gens = []
-        for j, g in enumerate(gens):
-            if j == gi:
-                continue
-            new_gens.append(_subst_var(g, xi, sub_small, small))
+        sub_small = apply_map(sub, {}, small, allow_missing=[name])
+        new_gens = [apply_map(g, {name: sub_small}, small)
+                    for j, g in enumerate(gens) if j != gi]
         d, kind = ambient.orders[xi], ambient.kinds[xi]
         resid = sub_small ** d
         if kind == "unit":
@@ -1063,7 +1131,7 @@ def eliminate_linear(ambient, gens):
         if resid:
             new_gens.append(resid)
         for nm, expr in aliases.items():
-            aliases[nm] = _subst_named(expr, name, sub_small, small)
+            aliases[nm] = apply_map(expr, {name: sub_small}, small)
         aliases[name] = sub_small
         ambient, gens = small, [g for g in new_gens if g]
 
@@ -1097,34 +1165,6 @@ def _find_linear(ambient, gens):
                 continue
             return gi, name, -(B * inv)
     return None
-
-
-def _drop_var(f, xi, small):
-    d = {}
-    for m, c in f.d.items():
-        if m[xi]:
-            raise BadParams("substitute still involves the eliminated variable")
-        d[m[:xi] + m[xi + 1:]] = c
-    return Poly(small, small.reduce_dict(d))
-
-
-def _subst_var(g, xi, sub_small, small):
-    out = small.zero()
-    for m, c in g.d.items():
-        e = m[xi]
-        rest = m[:xi] + m[xi + 1:]
-        term = Poly(small, small.reduce_dict({rest: c}))
-        if e:
-            term = term * sub_small ** e
-        out = out + term
-    return out
-
-
-def _subst_named(expr, name, sub_small, small):
-    if name not in expr.alg.vars:
-        return _substitute_into(expr, small)
-    xi = expr.alg.vars.index(name)
-    return _subst_var(expr, xi, sub_small, small)
 
 
 # -- subalgebras and gradings ------------------------------------------------

@@ -24,7 +24,7 @@ from math import comb
 
 from .errors import BadParams, IdentityFailed, NotAnAction, SizeGuard, VerifyError
 from .gf import Field
-from .talg import (Algebra, Poly, apply_map, invert_unit, map_leg,
+from .talg import (Algebra, _mono_images, apply_map, invert_unit, map_leg,
                    quotient_algebra, weight_decomposition)
 from .hopf import (HopfAlgebra, Morphism, _relation_polys, closed_subgroup,
                    enumerate_morphisms, hopf_product, hopf_verify,
@@ -553,9 +553,10 @@ def group_coaction_verify(G, M, images):
     M -> Aut(G), expressed on coordinates).
 
     Legs are told apart by ticks: in A(G) x A(M) the A(G) names are bare
-    and the A(M) names carry one tick, and every axiom but coassociativity
-    is one apply_map over renamed variables.  Coassociativity substitutes
-    rho, and delta_M, into one leg of rho(x) with ``map_leg``.
+    and the A(M) names carry one tick.  The counit axioms read eps_M, and
+    eps_G, off one leg of rho(x) with ``map_leg``; coassociativity
+    substitutes rho, and delta_M, into one leg the same way; the other
+    axioms are one apply_map each over renamed variables.
     """
     AG, AM = G.carrier, M.carrier
     t2 = AG.tensor(AM)
@@ -578,19 +579,9 @@ def group_coaction_verify(G, M, images):
     for g in _relation_polys(AG):
         record("well_defined", "relation", apply_map(g, images, t2))
 
-    # counit_M: u' -> eps_M(u);  counit_G: x -> eps_G(x), u' -> u
-    eps_m = {u + "'": AG.scalar(M.counit[u]) for u in AM.vars}
-    eps_g = {x: AM.scalar(G.counit[x]) for x in AG.vars}
-    eps_g.update({u + "'": AM.var(u) for u in AM.vars})
     # coassoc: rho on the A(G) leg of rho(x) against delta_M on its A(M) leg
     t3 = AG.tensor(AM, AM)
-    rho_monos = {}
-
-    def rho_mono(m):
-        hit = rho_monos.get(m)
-        if hit is None:
-            hit = rho_monos[m] = apply_map(Poly(AG, {m: 1}), images, t2).d
-        return hit
+    rho_mono = _mono_images(AG, images, t2)
 
     # delta_G: rho on each A(G) leg with its A(M) output on leg 2, against
     # x -> delta_G(x), u' -> u''
@@ -606,9 +597,10 @@ def group_coaction_verify(G, M, images):
     delta_g.update({x: apply_map(G.delta[x], {}, t3g) for x in AG.vars})
 
     for nm in AG.vars:
-        record("counit_M", nm, apply_map(images[nm], eps_m, AG) - AG.var(nm))
+        record("counit_M", nm, map_leg(images[nm], 1, M._eps_leg, AG)
+               - AG.var(nm))
     for nm in AG.vars:
-        record("counit_G", nm, apply_map(images[nm], eps_g, AM)
+        record("counit_G", nm, map_leg(images[nm], 0, G._eps_leg, AM)
                - AM.scalar(G.counit[nm]))
     for nm in AG.vars:
         record("coassoc", nm, map_leg(images[nm], 0, rho_mono, t3)

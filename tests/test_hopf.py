@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
 from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
+                      _counit_sides,
                       _ideal_span_coords, closed_subgroup, coords, dual_hopf,
                       enumerate_morphisms, enumerate_subgroups,
                       find_isomorphism, from_coords, frobenius,
@@ -15,8 +16,9 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       primitive_elements, primitives, quotient_group,
                       subgroup_from_elements)
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
-from gsl.talg import DIM_LIMIT, Algebra, apply_map, quotient_algebra
+from gsl.talg import DIM_LIMIT, Algebra, Poly, apply_map, quotient_algebra
 from gsl.zoo import SL2_kerF, zoo_parse
+from test_talg import naive_apply_map
 
 F2 = Field(2)
 F3 = Field(3)
@@ -152,19 +154,21 @@ def test_verify_catches_noncoassociative_delta():
 
 
 def _coassoc_sides_by_products(H, dx):
-    """Both sides as apply_map into A ox A ox A, a product per term and leg:
-    the route that ``_coassoc_sides`` replaced, kept as an oracle."""
+    """Both sides substituted into A ox A ox A term by term, a product per
+    term and leg (``naive_apply_map``, not the kernel under test): the
+    route that ``_coassoc_sides`` replaced, kept as an oracle."""
     t3 = H.t3()
     names = H.carrier.vars
 
     def on_legs(f, k):
-        return apply_map(f, {nm: t3.var(nm + "'" * k) for nm in f.alg.vars}, t3)
+        return naive_apply_map(
+            f, {nm: t3.var(nm + "'" * k) for nm in f.alg.vars}, t3)
 
     left = {nm: on_legs(H.delta[nm], 0) for nm in names}
     left.update({nm + "'": t3.var(nm + "''") for nm in names})
     right = {nm: t3.var(nm) for nm in names}
     right.update({nm + "'": on_legs(H.delta[nm], 1) for nm in names})
-    return apply_map(dx, left, t3), apply_map(dx, right, t3)
+    return naive_apply_map(dx, left, t3), naive_apply_map(dx, right, t3)
 
 
 _CATALOGUE = ["alpha(2)", "mu(2)", "D(2,A)", "D(2,B)", "H(a=1,n=2)",
@@ -194,6 +198,97 @@ def test_coassoc_sides_match_the_product_route_off_coassociativity():
     left, right = _coassoc_sides(H, H.delta["T"])
     assert left != right
     assert (left, right) == _coassoc_sides_by_products(H, H.delta["T"])
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The algebra of every ``Algebra.mul_dicts`` call from here on."""
+    calls = []
+    mul_dicts = Algebra.mul_dicts
+
+    def counted(self, d1, d2):
+        calls.append(self)
+        return mul_dicts(self, d1, d2)
+
+    monkeypatch.setattr(Algebra, "mul_dicts", counted)
+    return calls
+
+
+def test_reanchoring_delta_makes_no_product(products):
+    H = SL2_kerF(1, F3)
+    A = H.carrier
+    t2 = A.tensor(A)  # a caller-side tensor over the same factors
+    given = {nm: Poly(t2, dict(v.d)) for nm, v in H.delta.items()}
+    del products[:]
+    K = HopfAlgebra(A, given, H.counit, H.antipode)
+    assert products == []
+    assert K.delta == H.delta and K.antipode == H.antipode
+
+
+@pytest.mark.parametrize("F,cid", [(F2, "SL2_kerF(2)"), (F3, "SL2_kerF(1)"),
+                                   (F4, "D(2,B)"), (F5, "mu(1)")],
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_counit_sides_make_no_product(products, F, cid):
+    H = zoo_parse(cid, F)
+    A = H.carrier
+    eps_l = {nm: A.scalar(H.counit[nm]) for nm in A.vars}
+    eps_l.update({nm + "'": A.var(nm) for nm in A.vars})
+    eps_r = {nm: A.var(nm) for nm in A.vars}
+    eps_r.update({nm + "'": A.scalar(H.counit[nm]) for nm in A.vars})
+    for nm in A.vars:
+        dx = H.delta[nm]
+        del products[:]
+        sides = _counit_sides(H, dx)
+        assert products == []
+        assert sides == (A.var(nm), A.var(nm))
+        assert sides == (naive_apply_map(dx, eps_l, A),
+                         naive_apply_map(dx, eps_r, A))
+
+
+def test_counit_sides_tell_the_legs_apart():
+    # delta(T) = T ox 1 is counital on the right only
+    A = Algebra(F2, ["T"], [4])
+    t2 = A.tensor(A)
+    H = HopfAlgebra(A, {"T": t2.var("T")}, {"T": 0},
+                    antipode={"T": A.var("T")})
+    assert _counit_sides(H, H.delta["T"]) == (A.zero(), A.var("T"))
+    rep = hopf_verify(H)
+    assert [w for w in rep["witnesses"] if w[0] == "counital"] == [
+        ("counital", "T", "T")]
+
+
+def test_counit_and_delta_of_elements_on_other_names():
+    # Hunip(1,1,2) eliminates u11, u12 and u21 to multiples of u22
+    H = zoo_parse("Hunip(s1=1,s2=1,n=2)", F3)
+    A = H.carrier
+    B = Algebra(F3, ["u22", "u11"], [9, 9])
+    u22, u11 = B.gens()
+    f = 1 + u11 + 2 * u11 * u22 + u22 ** 2
+    pushed = apply_map(f, {}, A)
+    assert H.counit_map(f) == H.counit_map(pushed) == 1
+    C = Algebra(F3, ["u22"], [9])  # the carrier's names, but not the carrier
+    g = C.var("u22") ** 2 + 2
+    assert H.delta_map(g) == H.delta_map(apply_map(g, {}, A))
+    K = SL2_kerF(1, F3)
+    D = Algebra(F3, ["u12", "u11"], [3, 3])  # a subset of the names
+    h = D.var("u11") * D.var("u12") + D.var("u12") ** 2
+    assert K.delta_map(h) == K.delta_map(apply_map(h, {}, K.carrier))
+
+
+def test_delta_mono_costs_a_product_per_monomial_and_power(products):
+    H = SL2_kerF(2, F2)
+    A = H.carrier
+    K = HopfAlgebra(A, H.delta, H.counit, H.antipode)  # an empty memo
+    basis = A.basis_monomials()
+    powers = {(k, e) for m in basis for k, e in enumerate(m) if e}
+    del products[:]
+    table = [K.delta_mono(m) for m in basis]
+    assert 0 < len(products) <= len(basis) + len(powers)
+    del products[:]
+    assert [K.delta_mono(m) for m in basis] == table and products == []
+    t2 = K.t2()
+    for m, d in zip(basis, table):
+        assert d == naive_apply_map(Poly(A, {m: 1}), K.delta, t2).d
 
 
 @pytest.mark.parametrize("F,cid", [

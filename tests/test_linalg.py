@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field
-from gsl.linalg import (SpanSolver, Subspace, _pack, subspace_from,
+from gsl.linalg import (SpanSolver, Subspace, _pack, _unpack, subspace_from,
                         subspace_intersect, subspace_sum)
 
 F2 = Field(2)
@@ -236,3 +236,25 @@ def test_from_rref_refuses_a_tail_that_reaches_its_pivot():
                      (F3, {2: {0: 1, 2: 2}}), (F3, {1: {3: 1}}), (F3, {4: {}})):
         with pytest.raises(BadParams):
             Subspace.from_rref(F, 4, tails)
+
+
+def _bits(min_size, max_size):
+    return st.binary(min_size=min_size, max_size=max_size).map(
+        lambda b: [x & 1 for x in b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(vec=st.one_of(_bits(0, 80), _bits(1000, 1100)))
+def test_pack_is_the_bitwise_mask_and_unpack_inverts_it(vec):
+    mask = _pack(vec)
+    assert mask == sum(1 << i for i, c in enumerate(vec) if c)
+    assert _unpack(mask, len(vec)) == vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.one_of(st.integers(0, 80), st.integers(1000, 1100)))
+def test_unpack_reads_the_low_bits_and_pack_inverts_it(data, n):
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    vec = _unpack(mask, n)
+    assert vec == [(mask >> i) & 1 for i in range(n)]
+    assert _pack(vec) == mask

@@ -11,6 +11,7 @@ from gsl.linalg import Subspace, subspace_from
 F2 = Field(2)
 F3 = Field(3)
 F4 = Field(2, 2)
+F5 = Field(5)
 
 
 def ring_ST(F=F2):
@@ -474,6 +475,115 @@ def test_apply_map_coeff_twist():
     f = A.scalar(g) * A.var("T")
     img = apply_map(f, {}, B, coeff_map=lambda c: F4.frob(c))
     assert img == B.scalar(F4.mul(g, g)) * B.var("T")
+
+
+def naive_apply_map(f, images, target, coeff_map=None, allow_missing=()):
+    """``apply_map`` term by term: a scalar Poly per term, a product per
+    variable power, and the accumulator copied for each term added.  The
+    route the memoised kernel replaced, kept as an oracle."""
+    src = f.alg
+    imgs = []
+    for nm in src.vars:
+        if nm in images:
+            imgs.append(images[nm])
+        elif nm in allow_missing:
+            imgs.append(None)
+        else:
+            imgs.append(target.var(nm))
+    out = target.zero()
+    for m, c in f.d.items():
+        if coeff_map is not None:
+            c = coeff_map(c)
+        term = target.scalar(c)
+        for img, e in zip(imgs, m):
+            if e == 0:
+                continue
+            if img is None:
+                raise BadParams("nonzero exponent on a dropped variable")
+            term = term * img ** e
+        out = out + term
+    return out
+
+
+def _map_targets(F):
+    """A free target B, a quotient Q of k[a,b,c] with c eliminated to the
+    alias a*b, and the tensor Q ox B (names a, b, u', v')."""
+    amb = Algebra(F, ["a", "b", "c"], [4, 4, 4])
+    a, b, c = amb.gens()
+    Q = quotient_algebra(amb, [c - a * b, b ** 3 - a ** 2])
+    assert Q.vars == ("a", "b") and "c" in Q.aliases and Q.ideal.dim
+    B = Algebra(F, ["u", "v"], [4, F.p], ["nil", "unit"])
+    return B, Q, TensorAlgebra((Q, B))
+
+
+def _map_cases(F):
+    """(source, target, names given images, allow_missing) per target
+    kind; the other source names go to same-named variables or aliases."""
+    B, Q, T = _map_targets(F)
+    return {
+        "free": (Algebra(F, ["x", "y", "v"], [4, 3, F.p], ["nil", "nil", "unit"]),
+                 B, ["x", "y"], ()),
+        "quotient": (Algebra(F, ["a", "c", "w"], [4, 4, 3]), Q, ["w"], ()),
+        "tensor": (Algebra(F, ["a", "x", "u'"], [4, 3, 4], allow_ticks=True),
+                   T, ["x"], ()),
+        "missing": (Algebra(F, ["x", "z", "u"], [4, 3, 4]), B, ["x"], ["z"]),
+    }
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except BadParams:
+        return BadParams
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F5], ids=lambda F: F.name)
+@pytest.mark.parametrize("case", ["free", "quotient", "tensor", "missing"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_apply_map_matches_the_term_by_term_oracle(F, case, data):
+    src, target, imaged, missing = _map_cases(F)[case]
+    f = random_poly(data.draw, src, max_terms=6)
+    images = {nm: random_poly(data.draw, target) for nm in imaged}
+    twist = data.draw(st.booleans())
+    kw = {"allow_missing": missing}
+    if twist:
+        kw["coeff_map"] = lambda c: F.frob(c)
+    got = _outcome(apply_map, f, images, target, **kw)
+    assert got == _outcome(naive_apply_map, f, images, target, **kw)
+    if missing:
+        # raised exactly when f has a nonzero exponent on the dropped name
+        z = src.vars.index(missing[0])
+        assert (got is BadParams) == any(m[z] for m in f.d)
+    else:
+        assert got is not BadParams and got.alg is target
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F5], ids=lambda F: F.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_apply_map_identity_path_matches_the_oracle(F, data):
+    # no images onto the same variables, orders and kinds: keys copied
+    # (the target itself, or a tensor over the same factor objects) or
+    # reduced (the quotient's free shell, or a tensor over that shell)
+    B, Q, T = _map_targets(F)
+    sources = [Q, Q.ambient, TensorAlgebra((Q, B)),
+               TensorAlgebra((Q.ambient, B)), B]
+    for src, target in zip(sources, [Q, Q, T, T, B]):
+        f = random_poly(data.draw, src, max_terms=6)
+        for kw in ({}, {"coeff_map": lambda c: F.frob(c)}):
+            got = apply_map(f, {}, target, **kw)
+            assert got.alg is target
+            assert got == naive_apply_map(f, {}, target, **kw)
+
+
+def test_apply_map_refuses_codes_outside_the_target_field():
+    f = Algebra(F4, ["T"], [2]).scalar(F4.gen)
+    for target in (Algebra(F2, ["T"], [2]), Algebra(F2, ["S"], [2])):
+        with pytest.raises(BadParams):
+            apply_map(f, {}, target, allow_missing=["T"])
+        with pytest.raises(BadParams):
+            naive_apply_map(f, {}, target, allow_missing=["T"])
 
 
 # -- subalgebras and gradings ------------------------------------------------------
