@@ -20,7 +20,7 @@ as a convolution inverse.
 from itertools import product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
-from .linalg import Subspace, SpanSolver, subspace_from
+from .linalg import Subspace, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, _mono_images,
                    _sum_images, apply_map, ideal_span, map_leg,
                    quotient_algebra, quotient_by_subspace,
@@ -445,10 +445,8 @@ class Morphism(object):
         return self._mat
 
     def rank(self):
-        S = SpanSolver(self.source.field, self.target.dim)
-        for col in self.matrix():
-            S.add(col)
-        return S.dim()
+        return subspace_from(self.source.field, self.target.dim,
+                             self.matrix()).dim
 
     def is_bijective(self):
         return (self.source.dim == self.target.dim
@@ -552,13 +550,40 @@ def kernel_subgroup(f, name=None):
     return _induced_hopf(G, Q, name or ("ker " + f.name))
 
 
+def _column_kernel(F, columns, n):
+    """Echelonise the rows e_j | columns[j], each column of length n.
+
+    Returns that augmented Subspace, of width k + n for k columns, and the
+    kernel of the columns, {c : sum c_j columns[j] = 0}, in k unknowns:
+    the rows of the augmented basis whose high block is zero.
+    """
+    k = len(columns)
+    aug = Subspace(F, k + n)
+    for j, col in enumerate(columns):
+        unit = [0] * k
+        unit[j] = 1
+        aug.insert(unit + col)
+    kernel = subspace_from(F, k, [row[:k] for row in aug.basis()
+                                  if not any(row[k:])])
+    return aug, kernel
+
+
 def subgroup_from_elements(G, named_elems, name=None):
     """Sub-Hopf algebra generated by named carrier elements, re-presented.
 
-    named_elems is a list of (generator name, element) pairs.  The span of
-    the monomials in the elements is computed, checked to be stable under
-    delta and antipode, and returned as a fresh HopfAlgebra on those
-    generators together with the inclusion Morphism into G.
+    named_elems is a list of (generator name, element) pairs.  The shell
+    is the free truncated algebra on the names, and ev sends its monomial
+    m_j to the matching product of elements.  One Subspace echelonises the
+    rows e_j | coords(ev(m_j)): the rows whose high block is zero span the
+    kernel of ev, which presents the quotient Q of the shell, and the
+    residue of 0 | v is -c | 0 exactly when v = sum c_j ev(m_j) over the
+    staircase of Q (a nonzero high block means v escapes the span).
+    Delta of each element is expressed leg by leg: its left slices, one
+    per right-leg monomial, then the right slices this leaves, so no
+    vector of A.dim^2 coordinates is built and no SizeGuard applies.
+    The antipode is expressed directly.  The result is a fresh
+    HopfAlgebra on those generators, certified by hopf_verify, together
+    with the inclusion Morphism into G.
     """
     A = G.carrier
     F = G.field
@@ -579,72 +604,65 @@ def subgroup_from_elements(G, named_elems, name=None):
         else:
             kinds.append("nil")
             orders.append(_nil_order(el))
-    _pair_guard("subgroup_from_elements pair vectors", A)
     shell = Algebra(F, tuple(names), tuple(orders), tuple(kinds))
-    ev = []
-    for m in shell.basis_monomials():
-        acc = A.one()
-        for k, e in enumerate(m):
-            if e:
-                acc = acc * elems[k][1] ** e
-        ev.append(coords(acc, A))
-    eqs = Subspace(F, shell.dim)
-    for row_idx in range(A.dim):
-        eqs.insert([ev[j][row_idx] for j in range(shell.dim)])
-    K_sub = subspace_from(F, shell.dim, eqs.right_kernel_basis())
-    Q = quotient_by_subspace(shell, K_sub)
-    qmonos = Q.basis_monomials()
-    shell_pos = {m: i for i, m in enumerate(shell.basis_monomials())}
-    solver = SpanSolver(F, A.dim)
-    for m in qmonos:
-        solver.add(ev[shell_pos[m]])
+    smonos = shell.basis_monomials()
+    k = len(smonos)
+    image = _mono_images(shell, dict(elems), A)
+    aug, kernel = _column_kernel(
+        F, [coords(Poly(A, image(m)), A) for m in smonos], A.dim)
+    Q = quotient_by_subspace(shell, kernel)
+    pos = _basis_pos(A)
 
-    def express(element):
-        got = solver.express(coords(element, A))
-        if got is None:
+    def express(terms):
+        """The {j: c} with sum c_j ev(m_j) equal to the element of A with
+        coordinates terms = {i: t}, or None if it escapes the span."""
+        vec = [0] * (k + A.dim)
+        for i, t in terms.items():
+            vec[k + i] = t
+        res = aug.residue(vec)
+        if any(res[k:]):
             return None
-        return Q.poly({qmonos[i]: c for i, c in got.items()})
+        return {j: F.neg(c) for j, c in enumerate(res[:k]) if c}
 
     tQ = Q.tensor(Q)
     t2 = G.t2()
-    pair_solver = SpanSolver(F, A.dim * A.dim)
-    pair_monos = []
-    for m1 in qmonos:
-        v1 = ev[shell_pos[m1]]
-        for m2 in qmonos:
-            v2 = ev[shell_pos[m2]]
-            outer = [0] * (A.dim * A.dim)
-            for i, a in enumerate(v1):
-                if a:
-                    base = i * A.dim
-                    for j, b in enumerate(v2):
-                        if b:
-                            outer[base + j] = F.mul(a, b)
-            pair_solver.add(outer)
-            pair_monos.append(m1 + m2)
-    pos = _basis_pos(A)
 
-    def express_pair(element2):
-        vec = [0] * (A.dim * A.dim)
-        for mono, c in element2.d.items():
+    def express_slices(slices):
+        """express() of each {key: terms} of slices, gathered as
+        {j: {key: c}}, or None if a slice escapes."""
+        out = {}
+        for key, terms in slices.items():
+            got = express(terms)
+            if got is None:
+                return None
+            for j, c in got.items():
+                out.setdefault(j, {})[key] = c
+        return out
+
+    def express_delta(d):
+        lefts = {}
+        for mono, c in d.items():
             m1, m2 = t2.split_mono(mono)
-            vec[pos[m1] * A.dim + pos[m2]] = c
-        got = pair_solver.express(vec)
-        if got is None:
+            lefts.setdefault(pos[m2], {})[pos[m1]] = c
+        rights = express_slices(lefts)
+        pairs = None if rights is None else express_slices(rights)
+        if pairs is None:
             return None
-        return tQ.poly({pair_monos[i]: c for i, c in got.items()})
+        return tQ.poly({smonos[j1] + smonos[j2]: c
+                        for j2, row in pairs.items() for j1, c in row.items()})
 
     delta, counit, anti = {}, {}, {}
     for nm, el in elems:
-        dq = express_pair(G.delta_map(el))
+        dq = express_delta(G.delta_map(el).d)
         if dq is None:
             raise VerifyError("subalgebra stability",
                               "delta(%s) escapes the span" % nm)
-        sq = express(G.antipode_map(el))
+        sq = express({pos[m]: c for m, c in G.antipode_map(el).d.items()})
         if sq is None:
             raise VerifyError("subalgebra stability",
                               "antipode(%s) escapes the span" % nm)
-        delta[nm], anti[nm] = dq, sq
+        delta[nm] = dq
+        anti[nm] = Q.poly({smonos[j]: c for j, c in sq.items()})
         counit[nm] = G.counit_map(el)
     K = HopfAlgebra(Q, delta, counit, anti, name=name or "sub")
     rep = hopf_verify(K)
@@ -962,12 +980,7 @@ def quotient_group(H, ideal, name=None):
             m1, m2 = T.split_mono(mono)
             vec[posA[m1] * Q.dim + posQ[m2]] = c
         columns.append(vec)
-    eqs = Subspace(F, A.dim)
-    for row_idx in range(tdim):
-        row = [columns[j][row_idx] for j in range(A.dim)]
-        if any(row):
-            eqs.insert(row)
-    span = subspace_from(F, A.dim, eqs.right_kernel_basis())
+    _, span = _column_kernel(F, columns, tdim)
     chosen = []
     sub = subalgebra_generated(A, [])
     idx = 0

@@ -1,5 +1,11 @@
 """Echelon-form subspaces of k^n over a small finite field.
 
+Subspace is the one echelon engine of the library.  Relations among
+vectors v_j and coordinates over them are read off one Subspace of the
+augmented rows e_j | v_j: its basis rows with a zero high block span the
+relations, and the residue of 0 | v is -c | 0 exactly when
+v = sum c_j v_j (a nonzero high block means v is not in their span).
+
 A Subspace keeps a reduced row echelon basis, pivoting on the *largest*
 nonzero coordinate of each row.  That convention matches the monomial
 enumeration used by the ring layer (index 0 is the monomial 1), so the
@@ -275,13 +281,6 @@ def _unpack(mask, n):
                 .translate(_FROM_DIGIT))
 
 
-def _leading(vec):
-    for i in range(len(vec) - 1, -1, -1):
-        if vec[i]:
-            return i
-    return None
-
-
 def _normalised(F, vec, support):
     """vec scaled to leading coefficient 1, given its nonempty ascending
     support."""
@@ -291,102 +290,3 @@ def _normalised(F, vec, support):
     out = [0] * len(vec)
     F.axpy(out, c, vec, support)
     return out
-
-
-class SpanSolver(object):
-    """Echelon basis that remembers how each pivot row was built, so that
-    membership tests also return the coefficients over the inserted vectors.
-
-    Vectors that are dependent on earlier ones are silently dropped by add();
-    express() then answers in terms of the independent generators actually
-    kept, indexed by insertion order.
-    """
-
-    def __init__(self, field, n):
-        self.field = field
-        self.n = n
-        self._binary = field.q == 2
-        self._rows = {}
-        self.count = 0
-
-    def add(self, vec):
-        """Insert a vector; returns its generator index, or None if dependent."""
-        res, recipe = self._reduce(vec)
-        if self._is_zero(res):
-            return None
-        idx = self.count
-        self.count += 1
-        lead = self._lead(res)
-        F = self.field
-        if self._binary:
-            rrec = dict(recipe)
-            rrec[idx] = 1
-            support = None
-        else:
-            # res = vec - sum(recipe[k] * gen_k); rescale to lead coeff 1.
-            inv = F.inv(res[lead])
-            support = list(compress(range(len(res)), res))
-            res = _normalised(F, res, support)
-            rrec = {k: F.neg(F.mul(inv, c)) for k, c in recipe.items()}
-            rrec[idx] = inv
-        self._rows[lead] = (res, support, rrec)
-        return idx
-
-    def add_all(self, vectors):
-        return [self.add(v) for v in vectors]
-
-    def express(self, vec):
-        """Return {generator index: coefficient} with vec = sum, or None."""
-        res, recipe = self._reduce(vec)
-        if not self._is_zero(res):
-            return None
-        return recipe
-
-    def dim(self):
-        return len(self._rows)
-
-    def contains(self, vec):
-        res, _ = self._reduce(vec)
-        return self._is_zero(res)
-
-    def _reduce(self, vec):
-        F = self.field
-        if self._binary:
-            cur = _pack(vec) if not isinstance(vec, int) else vec
-            recipe = {}
-            while cur:
-                lead = cur.bit_length() - 1
-                hit = self._rows.get(lead)
-                if hit is None:
-                    break
-                row, _, rrec = hit
-                cur ^= row
-                for k, c in rrec.items():
-                    if k in recipe:
-                        del recipe[k]
-                    else:
-                        recipe[k] = 1
-            return cur, recipe
-        cur = list(vec)
-        recipe = {}
-        while True:
-            lead = _leading(cur)
-            if lead is None or lead not in self._rows:
-                break
-            row, support, rrec = self._rows[lead]
-            coeff = cur[lead]
-            F.axpy(cur, F.neg(coeff), row, support)
-            for k, c in rrec.items():
-                prev = recipe.get(k, 0)
-                val = F.add(prev, F.mul(coeff, c))
-                if val:
-                    recipe[k] = val
-                elif k in recipe:
-                    del recipe[k]
-        return cur, recipe
-
-    def _is_zero(self, res):
-        return res == 0 if self._binary else _leading(res) is None
-
-    def _lead(self, res):
-        return res.bit_length() - 1 if self._binary else _leading(res)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,8 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       subgroup_from_elements)
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
 from gsl.talg import DIM_LIMIT, Algebra, Poly, apply_map, quotient_algebra
-from gsl.zoo import SL2_kerF, zoo_parse
+from gsl.zoo import (D, SL2_kerF, kerFV, mu2_invariants_D, pullback, witt2,
+                     zoo_parse)
 from test_talg import naive_apply_map
 
 F2 = Field(2)
@@ -311,8 +313,6 @@ def test_guards_name_what_a_large_carrier_would_materialise():
         ("delta_table pairs", G.delta_table),
         ("DualHopf products", lambda: dual_hopf(G)),
         ("primitive_elements pair rows", lambda: primitive_elements(G)),
-        ("subgroup_from_elements pair vectors",
-         lambda: subgroup_from_elements(G, [("U", G.carrier.var("u12"))])),
         ("coproduct matrix",
          lambda: HopfIdeal(G, subspace_from(F2, G.dim, [1 << 5])).verify()),
         ("quotient_group coinvariant equations",
@@ -322,6 +322,10 @@ def test_guards_name_what_a_large_carrier_would_materialise():
         with pytest.raises(SizeGuard) as exc:
             call()
         assert exc.value.what == what
+    # subgroup_from_elements lays out nothing of size dim^2; u12 alone is
+    # not coproduct stable
+    with pytest.raises(VerifyError, match=r"delta\(U\) escapes the span"):
+        subgroup_from_elements(G, [("U", G.carrier.var("u12"))])
 
 
 def test_verify_catches_bad_counit():
@@ -407,6 +411,222 @@ def test_subalgebra_must_be_coproduct_stable():
     H = d2()
     with pytest.raises(VerifyError):
         subgroup_from_elements(H, [("U", H.carrier.var("T"))])
+
+
+@pytest.mark.parametrize("pres", ["A", "B"], ids=["left", "right"])
+def test_coproduct_escapes_on_either_leg_over_gf3(pres):
+    # delta(T) = T ox 1 + 1 ox T + tail in D(2) over GF(3); the tail
+    # S ox T^3 escapes span(T^i) in its left slice, T^3 ox S only in the
+    # right slice that the left slices leave
+    H = D(2, pres, F3)
+    with pytest.raises(VerifyError, match=r"delta\(U\) escapes the span"):
+        subgroup_from_elements(H, [("U", H.carrier.var("T"))])
+
+
+def _presentation_text(K):
+    """Generators, structure maps and the ideal of a carrier as text: its
+    dimension and a digest of its echelon rows (print_presentation refuses
+    a carrier presented by a subspace)."""
+    A = K.carrier
+    amb = A.ambient
+    lines = ["field %s" % K.field.name]
+    for nm, d, kind in zip(A.vars, amb.orders, amb.kinds):
+        lines.append("%s ^%d %s" % (nm, d, kind))
+    rows = [] if amb is A else [str(from_coords(amb, row))
+                                 for row in A.ideal.basis()]
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()[:16]
+    lines.append("ideal %d %s" % (len(rows), digest))
+    for nm in A.vars:
+        lines.append("delta %s = %s" % (nm, K.delta[nm]))
+        lines.append("counit %s = %s" % (nm, K.counit[nm]))
+        lines.append("antipode %s = %s" % (nm, K.antipode[nm]))
+    return "\n".join(lines)
+
+
+def _kerfv(F):
+    # the construction of zoo.kerFV, keeping the inclusion
+    W = witt2(F)
+    A = W.carrier
+    f = Morphism(W, W, {"T0": A.var("T0") ** F.p,
+                        "T1": A.var("T1") ** F.p + A.var("T0")})
+    K = kernel_subgroup(f)
+    sub, incl = subgroup_from_elements(K, [("T", K.carrier.var("T1"))],
+                                       name="kerFV")
+    return sub, incl, kerFV(F)
+
+
+def _mu2_invariants(s1, s2):
+    # the subgroup step of zoo.mu2_invariants_D at n = 1, over GF(2)
+    P = pullback(s1, s2, 1, F2)
+    X = P.carrier.var
+    K, incl = subgroup_from_elements(
+        P, [("Y1", X("X11") * X("X12")), ("Y2", X("X21") * X("X22"))])
+    return K, incl, mu2_invariants_D(s1, s2, 1, F2)["group"]
+
+
+def _frobenius_image(F, cid):
+    # image_subgroup of the Frobenius, keeping the inclusion
+    G = zoo_parse(cid, F)
+    fr = frobenius(G)
+    K, incl = subgroup_from_elements(
+        fr.target, [(nm, fr.images[nm]) for nm in fr.source.carrier.vars])
+    return K, incl, frobenius_image(G)
+
+
+# _presentation_text of the groups subgroup_from_elements and
+# quotient_group return
+SUBGROUP_PINS = {
+    "kerFV GF(2)": """\
+field GF(2)
+T ^4 nil
+ideal 0 e3b0c44298fc1c14
+delta T = T' + T + T^2*T'^2
+counit T = 0
+antipode T = T""",
+    "kerFV GF(3)": """\
+field GF(3)
+T ^9 nil
+ideal 0 e3b0c44298fc1c14
+delta T = T' + T + T^3*T'^6 + T^6*T'^3
+counit T = 0
+antipode T = 2*T""",
+    "mu2 (1,0)": """\
+field GF(2)
+Y1 ^4 nil
+Y2 ^2 nil
+ideal 0 e3b0c44298fc1c14
+delta Y1 = Y1' + Y1 + Y1^2*Y2'
+counit Y1 = 0
+antipode Y1 = Y1 + Y1^2*Y2
+delta Y2 = Y2' + Y2
+counit Y2 = 0
+antipode Y2 = Y2""",
+    "mu2 (0,1)": """\
+field GF(2)
+Y1 ^2 nil
+Y2 ^4 nil
+ideal 0 e3b0c44298fc1c14
+delta Y1 = Y1' + Y1
+counit Y1 = 0
+antipode Y1 = Y1
+delta Y2 = Y2' + Y2 + Y2^2*Y1'
+counit Y2 = 0
+antipode Y2 = Y2 + Y1*Y2^2""",
+    "mu2 (1,1)": """\
+field GF(2)
+Y1 ^4 nil
+Y2 ^4 nil
+ideal 8 e49703681139a853
+delta Y1 = Y1' + Y1 + Y1^2*Y2' + Y1^2*Y1'
+counit Y1 = 0
+antipode Y1 = Y1 + Y1^2*Y2 + Y1^3
+delta Y2 = Y2' + Y2 + Y1^2*Y2' + Y1^2*Y1'
+counit Y2 = 0
+antipode Y2 = Y2 + Y1^2*Y2 + Y1^3""",
+    "im F GF(4) pullback(1,1,2)": """\
+field GF(2^2)
+X11 ^4 unit
+X12 ^4 nil
+X21 ^4 nil
+X22 ^4 unit
+ideal 252 d35f6fbc97b63f01
+delta X11 = 1 + X11' + X11
+counit X11 = 1
+antipode X11 = X11
+delta X12 = X11' + X11
+counit X12 = 0
+antipode X12 = 1 + X11
+delta X21 = X11' + X11
+counit X21 = 0
+antipode X21 = 1 + X11
+delta X22 = 1 + X11' + X11
+counit X22 = 1
+antipode X22 = X11""",
+    "im F GF(4) pullback(2,1,1)": """\
+field GF(2^2)
+X11 ^2 unit
+X12 ^2 nil
+X21 ^2 nil
+X22 ^2 unit
+ideal 14 ecb0b0ea7a26bd28
+delta X11 = 1 + X11' + X11
+counit X11 = 1
+antipode X11 = X11
+delta X12 = g*X11' + g*X11
+counit X12 = 0
+antipode X12 = g + g*X11
+delta X21 = (g+1)*X11' + (g+1)*X11
+counit X21 = 0
+antipode X21 = g+1 + (g+1)*X11
+delta X22 = 1 + X11' + X11
+counit X22 = 1
+antipode X22 = X11""",
+    "im F GF(2) SL2_kerF(2)": """\
+field GF(2)
+u11 ^2 nil
+u12 ^2 nil
+u21 ^2 nil
+u22 ^2 nil
+ideal 8 71a07ad0a37d01b6
+delta u11 = u11' + u11 + u12*u21' + u11*u11'
+counit u11 = 0
+antipode u11 = u11 + u12*u21 + u11*u12*u21
+delta u12 = u12' + u12 + u12*u11' + u11*u12' + u12*u12'*u21' + u12*u11'*u12'*u21'
+counit u12 = 0
+antipode u12 = u12
+delta u21 = u21' + u21 + u21*u11' + u11*u21' + u12*u21*u21' + u11*u12*u21*u21'
+counit u21 = 0
+antipode u21 = u21
+delta u22 = u11' + u11 + u12'*u21' + u21*u12' + u12*u21 + u11*u11' + u11'*u12'*u21' + u12*u21*u11' + u11*u12'*u21' + u11*u12*u21 + u12*u21*u12'*u21' + u11*u11'*u12'*u21' + u11*u12*u21*u11' + u12*u21*u11'*u12'*u21' + u11*u12*u21*u12'*u21' + u11*u12*u21*u11'*u12'*u21'
+counit u22 = 0
+antipode u22 = u11""",
+    "D2/<S>": """\
+field GF(2)
+Z1 ^2 nil
+ideal 0 e3b0c44298fc1c14
+delta Z1 = Z1' + Z1
+counit Z1 = 0
+antipode Z1 = Z1""",
+    "D2/<S,T^2>": """\
+field GF(2)
+Z1 ^2 nil
+Z2 ^2 nil
+ideal 0 e3b0c44298fc1c14
+delta Z1 = Z1' + Z1
+counit Z1 = 0
+antipode Z1 = Z1
+delta Z2 = Z2' + Z2
+counit Z2 = 0
+antipode Z2 = Z2""",
+}
+
+
+@pytest.mark.parametrize("case,build", [
+    ("kerFV GF(2)", lambda: _kerfv(F2)),
+    ("kerFV GF(3)", lambda: _kerfv(F3)),
+    ("mu2 (1,0)", lambda: _mu2_invariants(1, 0)),
+    ("mu2 (0,1)", lambda: _mu2_invariants(0, 1)),
+    ("mu2 (1,1)", lambda: _mu2_invariants(1, 1)),
+    ("im F GF(4) pullback(1,1,2)", lambda: _frobenius_image(F4, "pullback(1,1,2)")),
+    ("im F GF(4) pullback(2,1,1)", lambda: _frobenius_image(F4, "pullback(2,1,1)")),
+    ("im F GF(2) SL2_kerF(2)", lambda: _frobenius_image(F2, "SL2_kerF(2)"))],
+    ids=lambda x: x if isinstance(x, str) else "")
+def test_subgroup_presentations_are_pinned(case, build):
+    K, incl, public = build()
+    assert _presentation_text(K) == SUBGROUP_PINS[case]
+    assert _presentation_text(public) == SUBGROUP_PINS[case]
+    assert morphism_check(incl)["ok"]
+
+
+@pytest.mark.parametrize("case", ["D2/<S>", "D2/<S,T^2>"])
+def test_quotient_presentations_are_pinned(case):
+    # quotient_group keeps no inclusion; hopf_verify certifies the result
+    H = d2()
+    S, T = H.carrier.gens()
+    gens = {"D2/<S>": [S], "D2/<S,T^2>": [S, T ** 2]}[case]
+    Q = quotient_group(H, hopf_ideal_closure(H, gens))
+    assert _presentation_text(Q) == SUBGROUP_PINS[case]
+    assert hopf_verify(Q)["ok"]
 
 
 def test_endomorphisms_of_alpha4():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field
-from gsl.linalg import (SpanSolver, Subspace, _pack, _unpack, subspace_from,
+from gsl.linalg import (Subspace, _pack, _unpack, subspace_from,
                         subspace_intersect, subspace_sum)
 
 F2 = Field(2)
@@ -161,24 +161,13 @@ def test_subspace_matches_reference_gauss_jordan(data, F):
     vecs = data.draw(vectors(F, n))
     probes = data.draw(vectors(F, n))
     S, R = Subspace(F, n), RefEchelon(F, n)
-    solver = SpanSolver(F, n)
-    kept = []
     for v in vecs:
         assert S.insert(v) == R.insert(v)
-        if solver.add(v) is not None:
-            kept.append(v)
     assert S.pivots() == sorted(R.rows)
     assert S.basis() == [R.rows[l] for l in sorted(R.rows)]
-    assert solver.dim() == S.dim
     for v in vecs + probes:
         assert S.residue(v) == R.residue(v)
-        recipe = solver.express(v)
-        assert (recipe is not None) == S.contains(v)
-        if recipe is not None:
-            acc = [0] * n
-            for k, c in recipe.items():
-                acc = [F.add(a, F.mul(c, x)) for a, x in zip(acc, kept[k])]
-            assert acc == list(v)
+        assert S.contains(v) == (not any(R.residue(v)))
 
 
 @pytest.mark.parametrize("F", [F3, F5, F9, F625], ids=lambda F: F.name)
@@ -204,9 +193,6 @@ def test_list_path_leaves_caller_vectors_alone(F):
     w = [1, 2, 0]
     S.residue(w)
     S.contains(w)
-    solver = SpanSolver(F, 3)
-    solver.add(v)
-    solver.express(w)
     assert v == [2, 1, 1] and w == [1, 2, 0]
 
 

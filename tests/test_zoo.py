@@ -209,7 +209,8 @@ def test_zoo_parse_rejects_surplus_arguments(cid):
     (F2, "pullback(1,0,1)", 8, 2), (F2, "pullback(1,1,2)", 8, 4),
     (F4, "SL2_kerF(1)", 8, 1), (F4, "SL2_kerF(2)", 8, 8),
     (F4, "pullback(1,0,1)", 8, 2), (F4, "pullback(1,1,2)", 8, 4),
-    (F3, "SL2_kerF(1)", 27, 1)],
+    (F3, "SL2_kerF(1)", 27, 1), (F2, "SL2_kerF(3)", 8, 64),
+    (F3, "SL2_kerF(2)", 27, 27)],
     ids=lambda x: x.name if isinstance(x, Field) else str(x))
 def test_frobenius_splits_the_sl2_family(F, cid, kdim, idim):
     # dim A(G) = dim A(ker F) * dim A(im F); the twist of a carrier built
