@@ -22,7 +22,7 @@ from itertools import product
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, _mono_images,
-                   _sum_images, apply_map, ideal_span, map_leg,
+                   _sum_images, apply_map, map_leg,
                    quotient_algebra, quotient_by_subspace,
                    subalgebra_generated)
 
@@ -105,13 +105,16 @@ def _unit_order(f):
 def _ideal_span_coords(A, polys):
     """Ideal of A generated by the given elements, in basis coordinates.
 
-    Closed with A's relations in the ambient shell; there the rows at
-    the basis monomials of A are supported on basis monomials, and read
-    at their positions (a monotone map) they are the echelon form.
+    Divided out with A's relations from the ambient shell, the ideal J
+    they generate there has its staircase inside A's; the m - nf(m) over
+    the basis monomials m of A off J's staircase are supported on basis
+    monomials, and read at their positions (a monotone map) they are the
+    echelon form.
     """
     amb = A.ambient
-    J = QuotientAlgebra(amb, ideal_span(
-        amb, _relation_polys(A) + [Poly(amb, g.d) for g in polys]))
+    J = quotient_algebra(
+        amb, _relation_polys(A) + [Poly(amb, g.d) for g in polys],
+        eliminate=False)
     rows = [coords(Poly(A, {m: 1}) - Poly(A, J.reduce_term(m)), A)
             for m in A.basis_monomials() if J.reduce_term(m) is not None]
     return subspace_from(A.field, A.dim, rows)
@@ -308,10 +311,11 @@ class HopfAlgebra(object):
 
 
 def _relation_polys(A):
-    """Generators of the carrier's ideal, falling back to an ideal basis."""
+    """Generators of the carrier's ideal, falling back to its Groebner
+    basis."""
     gens = list(getattr(A, "ideal_gens", []))
-    if not gens and isinstance(A, QuotientAlgebra) and A.ideal.dim:
-        gens = [A.ambient.from_vector(v) for v in A.ideal.basis()]
+    if not gens and isinstance(A, QuotientAlgebra):
+        gens = list(A.groebner)
     return gens
 
 

@@ -23,8 +23,6 @@ one `Field.axpy` over a support.
 
 from itertools import compress
 
-from .errors import BadParams
-
 
 class Subspace(object):
 
@@ -37,32 +35,6 @@ class Subspace(object):
         # binary rows may be left unreduced against later pivots until a
         # reduced basis is actually read; residues stay canonical either way
         self._dirty = False
-
-    @classmethod
-    def from_rref(cls, field, n, tails):
-        """The span of rows already in reduced row echelon form.
-
-        ``tails`` maps each pivot to the tail of its row, the entries below
-        the pivot, whose own coefficient is 1: an int mask over GF(2), a
-        dict of nonzero {index: coefficient} otherwise.  The zeros of the
-        tails at the other pivots are the caller's to guarantee and are
-        not checked.
-        """
-        S = cls(field, n)
-        for l, tail in tails.items():
-            top = tail.bit_length() - 1 if S._binary else max(tail, default=-1)
-            if not top < l < n:
-                raise BadParams(f"tail of the row at pivot {l} reaches {top}")
-            if S._binary:
-                S._rows[l] = tail
-            else:
-                vec = [0] * n
-                for i, c in tail.items():
-                    vec[i] = c
-                vec[l] = 1
-                S._rows[l] = vec
-                S._supp[l] = list(tail) + [l]
-        return S
 
     @property
     def dim(self):

@@ -12,21 +12,25 @@ field in which every variable carries one of three exponent rules:
 
 Elements (Poly) are sparse dicts mapping exponent tuples to nonzero
 scalar codes of the coefficient field.  A QuotientAlgebra divides a
-free finite Algebra by an ideal, kept as an echelon subspace of the ambient
-coordinate space that is written from a reduced Groebner basis of the
-generators; residues of single monomials are memoised, so reduced
-arithmetic costs little more than free arithmetic.  A TensorAlgebra
-glues several algebras side by side and reduces factor by factor, which
-never materialises the big tensor ideal.  ``apply_map`` substitutes
-through memoised monomial images, one product per new monomial, and
-``map_leg`` substitutes into one leg of a tensor element with no product
-or reduction at all.
+free finite Algebra by an ideal held as its Groebner basis: the reduced
+basis is the staircase of monomials that no leading monomial divides,
+listed from the leading exponents alone, and the residue of a monomial
+is its normal form by division, memoised, so reduced arithmetic costs
+little more than free arithmetic and nothing as wide as the monomial
+shell is laid out.  A TensorAlgebra glues several algebras side by side
+and reduces factor by factor, which never materialises the big tensor
+ideal.  ``apply_map`` substitutes through memoised monomial images, one
+product per new monomial, and ``map_leg`` substitutes into one leg of a
+tensor element with no product or reduction at all.
 
 Size guards (SizeGuard, against DIM_LIMIT) sit where something dense is
-materialised: the monomial shell of a free algebra or a quotient, the
-shell that ``ideal_span`` writes, and a tensor's reduced basis
-(``basis_monomials``, hence ``reduced_index`` and coordinates).  Building
-a tensor product materialises nothing and is never refused.
+materialised: the monomial shell of a free algebra, the reduced basis
+of a quotient (its staircase is counted before it is listed), the
+subspaces ``is_ideal`` tests, and a tensor's reduced basis
+(``basis_monomials``, hence ``reduced_index`` and coordinates).  A
+quotient's shell is never listed, so it may pass DIM_LIMIT when built
+with ``dim_guard=False``; building a tensor product materialises
+nothing and is never refused.
 
 Nothing here knows about comultiplications; Hopf structure lives one
 layer up.
@@ -38,6 +42,8 @@ from .errors import BadParams, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
 from .linalg import Subspace, _pack
 
 DIM_LIMIT = 1 << 20
+
+_UNSEEN = object()
 
 _KINDS = ("nil", "unit", "laurent")
 
@@ -442,25 +448,45 @@ class Algebra(object):
 
 
 class QuotientAlgebra(Algebra):
-    """A finite Algebra modulo an ideal subspace of its ambient ring.
+    """A finite Algebra modulo an ideal, held as its Groebner basis.
 
-    The reduced basis is the set of ambient monomials away from the
-    ideal's pivots; every Poly is stored reduced, supported on that
-    basis.  ``aliases`` maps names of variables that were eliminated
-    during presentation to their expressions here.
+    ``groebner`` lists monic Polys of the free ambient ring that, with the
+    ambient's truncation relations, form a Groebner basis of the ideal
+    under the lex order of ``mono_index`` (last variable most
+    significant); ``quotient_algebra`` and ``quotient_by_subspace`` supply
+    a minimal one (Cox, Little & O'Shea, ch. 2 sec. 6 and ch. 5 sec. 3).
+    The reduced basis is the staircase, the monomials that no leading
+    monomial divides, counted at construction (SizeGuard "quotient basis"
+    past DIM_LIMIT) and listed on demand.  ``reduce_term`` is the normal
+    form by division, memoised per monomial; it is the residue modulo
+    the largest-pivot echelon form of the ideal.  Every Poly is stored
+    reduced, supported on the staircase.  ``aliases`` maps names of
+    variables that were eliminated during presentation to their
+    expressions here.
     """
 
-    def __init__(self, ambient, ideal, gens=None, aliases=None):
+    def __init__(self, ambient, groebner, gens=None, aliases=None):
         if ambient.dim is None:
             raise BadParams("cannot divide a ring with laurent variables")
+        # the shell is only divided, never listed
         Algebra.__init__(self, ambient.field, ambient.vars, ambient.orders,
-                         ambient.kinds, allow_ticks=True)
+                         ambient.kinds, allow_ticks=True, dim_guard=False)
         self._ambient = ambient
-        self.ideal = ideal
         self.ideal_gens = [] if gens is None else list(gens)
-        self._pivots = set(ideal.pivots())
-        self._basis_idx = [j for j in range(ambient.dim) if j not in self._pivots]
-        self.dim = len(self._basis_idx)
+        F = self.field
+        self.groebner, self._leads = [], []
+        for g in groebner:
+            t = max(g.d, key=ambient.mono_index)
+            c = F.inv(g.d[t])
+            self.groebner.append(Poly(ambient, {m: F.mul(c, x)
+                                                for m, x in g.d.items()}))
+            # division by g: t -> sum of (-c * x) * s over its tail
+            self._leads.append((t, [(m, F.neg(F.mul(c, x)))
+                                    for m, x in g.d.items() if m != t]))
+        self.dim = _stair_count(self.orders, [t for t, _ in self._leads])
+        if self.dim > DIM_LIMIT:
+            raise SizeGuard("quotient basis", self.dim, DIM_LIMIT)
+        self._basis = None
         self._memo = {}
         self.aliases = {}
         if aliases:
@@ -472,29 +498,69 @@ class QuotientAlgebra(Algebra):
         return self._ambient
 
     def basis_monomials(self):
-        return [self.index_mono(j) for j in self._basis_idx]
+        if self._basis is None:
+            self._basis = _stair_list(self.orders,
+                                      [t for t, _ in self._leads])
+        return self._basis
 
     def reduce_term(self, m):
-        i = self.mono_index(m)
-        if i not in self._pivots:
-            # a non-pivot unit vector is its own canonical residue
-            return None
-        hit = self._memo.get(m)
-        if hit is None:
-            if self.field.q == 2:
-                res = self.ideal.residue(1 << i)
-                hit = {}
-                while res:
-                    j = res.bit_length() - 1
-                    res ^= 1 << j
-                    hit[self.index_mono(j)] = 1
-            else:
-                vec = [0] * self.ambient_dim()
-                vec[i] = 1
-                res = self.ideal.residue(vec)
-                hit = {self.index_mono(j): c for j, c in enumerate(res) if c}
-            self._memo[m] = hit
+        hit = self._memo.get(m, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = self._normal_form(m)
         return hit
+
+    def _division_step(self, m):
+        """m less a multiple of the first basis element whose leading
+        monomial divides it, as {monomial: c}; None on the staircase."""
+        for t, tail in self._leads:
+            if _divides(t, m):
+                u = tuple(b - a for a, b in zip(t, m))
+                # x^u is injective on the shell: no two terms meet
+                out = {}
+                for s, c in tail:
+                    su = self.mono_mul(s, u)
+                    if su is not None:
+                        out[su] = c
+                return out
+        return None
+
+    def _normal_form(self, m):
+        """Fill the memo for m by division, depth first on an explicit
+        stack: a division chain may be as long as the shell is wide."""
+        F, memo = self.field, self._memo
+        steps = {}
+        stack = [m]
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            step = steps.get(top)
+            if step is None:
+                step = self._division_step(top)
+                if step is None:
+                    # a staircase monomial is its own residue
+                    memo[top] = None
+                    stack.pop()
+                    continue
+                steps[top] = step
+            todo = [s for s in step if s not in memo]
+            if todo:
+                # every term is smaller than top, so this ends
+                stack.extend(todo)
+                continue
+            stack.pop()
+            out = {}
+            for s, c in step.items():
+                nf = memo[s]
+                for s2, c2 in ({s: 1} if nf is None else nf).items():
+                    v = F.add(out.get(s2, 0), F.mul(c, c2))
+                    if v:
+                        out[s2] = v
+                    else:
+                        del out[s2]
+            memo[top] = out
+        return memo[m]
 
     def lift(self, f):
         """The canonical representative of f in the ambient free ring."""
@@ -506,7 +572,47 @@ class QuotientAlgebra(Algebra):
 
     def describe(self):
         base = Algebra.describe(self)
-        return f"{base} / ideal(dim {self.ideal.dim})"
+        return f"{base} / ideal(dim {self.ambient_dim() - self.dim})"
+
+
+def _divides(t, m):
+    """Whether the monomial t divides m (in the free ring)."""
+    return all(a <= b for a, b in zip(t, m))
+
+
+def _slices(orders, tops):
+    """The box of ``orders`` cut along its last variable wherever the set
+    of leading monomials that can divide changes: (lo, hi, those leading
+    monomials less their last exponent, minimal under division)."""
+    cuts = sorted({t[-1] for t in tops} | {0}) + [orders[-1]]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sub = {t[:-1] for t in tops if t[-1] <= lo}
+        yield lo, hi, [t for t in sub
+                       if not any(u != t and _divides(u, t) for u in sub)]
+
+
+def _stair_count(orders, tops):
+    """How many monomials of the box no leading monomial divides."""
+    if any(not any(t) for t in tops):
+        return 0
+    if not orders:
+        return 1
+    return sum((hi - lo) * _stair_count(orders[:-1], sub)
+               for lo, hi, sub in _slices(orders, tops))
+
+
+def _stair_list(orders, tops):
+    """Those monomials in index order, last variable most significant."""
+    if any(not any(t) for t in tops):
+        return []
+    if not orders:
+        return [()]
+    out = []
+    for lo, hi, sub in _slices(orders, tops):
+        low = _stair_list(orders[:-1], sub)
+        for e in range(lo, hi):
+            out += [s + (e,) for s in low]
+    return out
 
 
 class TensorAlgebra(Algebra):
@@ -637,6 +743,17 @@ class TensorAlgebra(Algebra):
 # -- ideals and quotients --------------------------------------------------
 
 
+def _require_free(alg):
+    """Refuse what is not a free finite algebra: an Algebra, or a
+    TensorAlgebra of Algebras.  In a quotient, or a tensor with a
+    quotient factor, shell arithmetic is not the product."""
+    if alg.dim is None:
+        raise BadParams("ideals need a finite algebra")
+    if not (type(alg) is Algebra
+            or (isinstance(alg, TensorAlgebra) and alg._plain)):
+        raise BadParams(f"ideal closure needs a free algebra, not {alg!r}")
+
+
 def _variable_shifts(alg):
     """Multiplication by each variable of a free finite algebra, as maps
     on coordinate vectors, in the order of ``alg.vars``.
@@ -646,15 +763,9 @@ def _variable_shifts(alg):
     if x_i is a unit.  No two monomials land on one, so coefficients just
     move.  Over GF(2) a map acts on an int mask with two masks and two
     shifts; over larger fields it acts on a sparse {index: coefficient}
-    dict through an index table (-1 where the term dies).  In a quotient
-    or a tensor with a quotient factor a shift is not the product, so
-    those raise BadParams.
+    dict through an index table (-1 where the term dies).
     """
-    if alg.dim is None:
-        raise BadParams("ideals need a finite algebra")
-    if not (type(alg) is Algebra
-            or (isinstance(alg, TensorAlgebra) and alg._plain)):
-        raise BadParams(f"ideal closure needs a free algebra, not {alg!r}")
+    _require_free(alg)
     n = alg.ambient_dim()
     if n > DIM_LIMIT:
         raise SizeGuard("ideal shell", n, DIM_LIMIT)
@@ -697,7 +808,8 @@ def _dense(v, n):
 
 def _groebner(alg, gens):
     """A minimal Groebner basis of the ideal of ``gens`` and the
-    truncation relations, as {lead index: (lead exponents, {index: c})}.
+    truncation relations, less those relations: monic Polys of the free
+    algebra ``alg``, in the order of their leading monomials.
 
     Buchberger's algorithm (Cox, Little & O'Shea, ch. 2) on monic shell
     polynomials keyed by shell index, whose own arithmetic reduces by x^d
@@ -708,11 +820,12 @@ def _groebner(alg, gens):
     divides its lcm and that element's pairs with both are done
     (Buchberger's second criterion).
     """
+    _require_free(alg)
     F, mono, index = alg.field, alg.index_mono, alg.mono_index
     basis, pairs, pending = [], [], set()
 
-    def add_times(f, c, u, g):
-        # f += c * x^u * g in place
+    def add_times(f, c, u, g, todo=None):
+        # f += c * x^u * g in place, pushing each index touched onto todo
         for k, cg in g.items():
             m = alg.mono_mul(mono(k), u)
             if m is not None:
@@ -722,21 +835,26 @@ def _groebner(alg, gens):
                     f[s] = val
                 else:
                     del f[s]
+                if todo is not None:
+                    heapq.heappush(todo, -s)
         return f
-
-    def divides(t, m):
-        return all(a <= b for a, b in zip(t, m))
 
     def over(m, t):
         return tuple(a - b for a, b in zip(m, t))
 
     def reduce(f):
-        while f:
-            lt = max(f)
+        # leading terms come off a heap of the indices f has held: a
+        # division step only adds terms below the one it cancels
+        todo = [-k for k in f]
+        heapq.heapify(todo)
+        while todo:
+            lt = -heapq.heappop(todo)
+            if lt not in f:
+                continue
             m = mono(lt)
             for t, g in basis:
-                if divides(t, m):
-                    add_times(f, F.neg(f[lt]), over(m, t), g)
+                if _divides(t, m):
+                    add_times(f, F.neg(f[lt]), over(m, t), g, todo)
                     break
             else:
                 c = F.inv(f[lt])
@@ -769,7 +887,7 @@ def _groebner(alg, gens):
     while pairs:
         _, l, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        if any(k != i and k != j and divides(t, l) and done(k, i)
+        if any(k != i and k != j and _divides(t, l) and done(k, i)
                and done(k, j) for k, (t, _) in enumerate(basis)):
             continue
         t, g = basis[i]
@@ -780,95 +898,14 @@ def _groebner(alg, gens):
         h = reduce(s)
         if h:
             add(h)
-    return {index(t): (t, g) for t, g in basis
-            if not any(u != t and divides(u, t) for u, _ in basis)}
-
-
-_OFF, _LEAD = 255, 254
-_BITS = bytes(48 if b == _OFF else 49 for b in range(256))
-
-
-def _pivot_steps(alg, leads):
-    """Per shell index: _OFF off the pivots, _LEAD at a leading monomial,
-    else a variable v for which m / x_v is a pivot too."""
-    strides, orders = alg.strides(), alg.orders
-    d0 = orders[0] if orders else 1
-    via = bytearray([_OFF]) * alg.ambient_dim()
-    for exps, _ in leads.values():
-        # the multiples of a leading monomial, row by row along x_0; a row
-        # steps down the lowest variable whose exponent passes the lead's
-        rows = [(0, _LEAD)]
-        for v in range(1, len(exps)):
-            rows = [(b + e * strides[v], w if w != _LEAD or e == exps[v] else v)
-                    for b, w in rows for e in range(exps[v], orders[v])]
-        e0 = exps[0] if exps else 0
-        for b, w in rows:
-            via[b + e0] = w
-            via[b + e0 + 1:b + d0] = bytes(d0 - e0 - 1)
-    return via
-
-
-def ideal_span(alg, gens):
-    """Echelon basis of the ideal generated by ``gens``, as a Subspace.
-
-    ``alg`` must be free: an Algebra, or a TensorAlgebra of Algebras.
-    Under the lex order of ``mono_index`` (last variable most significant)
-    the pivots of the largest-pivot echelon form are the shell multiples
-    of the leading monomials of a Groebner basis of the generators with
-    x^d (nil) and x^d - 1 (unit), which ``_groebner`` meets through one
-    truncation pair x_v^(d-e) * g per element g and x_v^e, e > 0, in
-    LT(g).  The rows are then written in one sweep up the shell, with no
-    elimination: a leading monomial's residue is minus its tail; any
-    other pivot m is x_v * m' with m' a pivot, and res(m) is x_v * res(m')
-    (a ``_variable_shifts`` map) with each pivot term, all below m,
-    replaced by its residue.  The rows at the leading monomials are the
-    reduced Groebner basis.
-    """
-    shifts = _variable_shifts(alg)
-    F, n, strides = alg.field, alg.ambient_dim(), alg.strides()
-    leads = _groebner(alg, gens)
-    via = _pivot_steps(alg, leads)
-    pivots = [m for m, w in enumerate(via) if w != _OFF]
-    # rows are kept as their tails, row(m) = m + tail(m), tail(m) = -res(m)
-    rows = {}
-    if F.q == 2:
-        pivmask = int(via.translate(_BITS)[::-1], 2)
-        for m in pivots:
-            w = via[m]
-            if w == _LEAD:
-                r = sum(1 << j for j in leads[m][1] if j != m)
-            else:
-                r = shifts[w](rows[m - strides[w]])
-            t = r & pivmask
-            r ^= t
-            while t:
-                b = t.bit_length() - 1
-                t ^= 1 << b
-                r ^= rows[b]
-            rows[m] = r
-    else:
-        for m in pivots:
-            w = via[m]
-            if w == _LEAD:
-                r = {j: c for j, c in leads[m][1].items() if j != m}
-            else:
-                r = shifts[w](rows[m - strides[w]])
-            # less c times row(i) for each pivot term c*i, all below m
-            for i in [i for i in r if via[i] != _OFF]:
-                c = F.neg(r.pop(i))
-                for j, cj in rows[i].items():
-                    s = F.add(r.get(j, 0), F.mul(c, cj))
-                    if s:
-                        r[j] = s
-                    else:
-                        del r[j]
-            rows[m] = r
-    return Subspace.from_rref(F, n, rows)
+    return [Poly(alg, {mono(k): c for k, c in g.items()})
+            for t, g in sorted(basis, key=lambda tg: index(tg[0]))
+            if not any(u != t and _divides(u, t) for u, _ in basis)]
 
 
 def is_ideal(alg, S):
     """Whether the subspace S of a free algebra is closed under
-    multiplication by every variable (the shifts of ``ideal_span``)."""
+    multiplication by every variable (``_variable_shifts``)."""
     shifts = _variable_shifts(alg)
     for row in S.basis():
         if alg.field.q == 2:
@@ -896,14 +933,29 @@ def quotient_algebra(ambient, gens, eliminate=True, aliases=None):
         for nm, f in alias_acc.items():
             alias_acc[nm] = apply_map(f, dict(found), ambient)
         alias_acc.update(found)
-    span = ideal_span(ambient, gens)
-    return QuotientAlgebra(ambient, span, gens, alias_acc)
+    return QuotientAlgebra(ambient, _groebner(ambient, gens), gens, alias_acc)
 
 
 def quotient_by_subspace(ambient, S):
+    """Divide a free finite algebra by an ideal given as a Subspace of
+    its shell.  The pivots of S are the leading monomials of the ideal,
+    so its rows m - residue(m) at the minimal pivots, those m with no
+    pivot m / x_v, are the reduced Groebner basis."""
     if not is_ideal(ambient, S):
         raise NotAnIdeal("subspace is not closed under multiplication")
-    return QuotientAlgebra(ambient, S)
+    F, mono, strides = ambient.field, ambient.index_mono, ambient.strides()
+    pivots = set(S.pivots())
+    basis = []
+    for l in sorted(pivots):
+        m = mono(l)
+        if any(e and l - st in pivots for e, st in zip(m, strides)):
+            continue
+        vec = [0] * S.n
+        vec[l] = 1
+        row = {mono(j): F.neg(c) for j, c in enumerate(S.residue(vec)) if c}
+        row[m] = 1
+        basis.append(Poly(ambient, row))
+    return QuotientAlgebra(ambient, basis)
 
 
 def apply_map(f, images, target, coeff_map=None, allow_missing=()):
@@ -1195,6 +1247,9 @@ def weight_decomposition(alg, weights, modulus):
     weight of a monomial is the weighted exponent sum mod ``modulus``.
     For a quotient algebra the ideal must be homogeneous, otherwise the
     classes of monomials are not graded and NotHomogeneous is raised.
+    The check is on the reduced Groebner basis, the t - nf(t) over the
+    leading monomials t: a graded ideal has a homogeneous one, and one
+    that is homogeneous generates a graded ideal.
     """
     if alg.dim is None:
         raise BadParams("weight decomposition needs a finite algebra")
@@ -1211,25 +1266,14 @@ def weight_decomposition(alg, weights, modulus):
         return sum(e * w for e, w in zip(m, wts)) % modulus
 
     if isinstance(alg, QuotientAlgebra):
-        ideal = alg.ideal
-        gens = alg.ideal_gens
-        # an ideal spanned by monomial multiples of homogeneous generators
-        # is graded for free; fall back to the row check otherwise
-        graded = bool(gens) and all(len({wt(m) for m in g.d}) <= 1
-                                    for g in gens)
-        if not graded:
-            for row in ideal.basis():
-                parts = {}
-                f = alg.ambient.from_vector(row)
-                for m, c in f.d.items():
-                    parts.setdefault(wt(m), {})[m] = c
-                if len(parts) > 1:
-                    for w, dd in parts.items():
-                        vec = alg.ambient.to_vector(Poly(alg.ambient, dd))
-                        if not ideal.contains(vec):
-                            raise NotHomogeneous(
-                                f"ideal element {alg.ambient.poly_str(f)} has "
-                                f"an inhomogeneous part of weight {w}")
+        for t, _ in alg._leads:
+            nf = alg.reduce_term(t)
+            for m in nf:
+                if wt(m) != wt(t):
+                    f = Poly(alg.ambient, {t: 1}) - Poly(alg.ambient, nf)
+                    raise NotHomogeneous(
+                        f"ideal element {f} has an inhomogeneous part of "
+                        f"weight {wt(m)}")
     out = {}
     for m in alg.basis_monomials():
         out.setdefault(wt(m), []).append(m)

@@ -208,7 +208,8 @@ def SL2_kerF(n, field=None):
         raise BadParams("SL2_kerF needs n >= 1")
     p = F.p
     names = ("u11", "u12", "u21", "u22")
-    shell = Algebra(F, names, (p ** n,) * 4)
+    # the shell is only divided: DIM_LIMIT bounds the quotient instead
+    shell = Algebra(F, names, (p ** n,) * 4, dim_guard=False)
     u11, u12, u21, u22 = (shell.var(nm) for nm in names)
     det = u11 + u22 + u11 * u22 - u12 * u21
     A = quotient_algebra(shell, [det], eliminate=False)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsl import BadParams, Field
+from gsl import Field
 from gsl.linalg import (Subspace, _pack, _unpack, subspace_from,
                         subspace_intersect, subspace_sum)
 
@@ -194,34 +194,6 @@ def test_list_path_leaves_caller_vectors_alone(F):
     S.residue(w)
     S.contains(w)
     assert v == [2, 1, 1] and w == [1, 2, 0]
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), F=st.sampled_from([F2, F3, F4, F5, F9, F625]))
-def test_from_rref_matches_inserting_its_rows(data, F):
-    n = data.draw(st.integers(1, 10))
-    S = subspace_from(F, n, data.draw(vectors(F, n)))
-    tails = {}
-    for row in S.basis():
-        *below, l = [i for i, c in enumerate(row) if c]
-        tails[l] = (_pack(row) ^ (1 << l) if F.q == 2
-                    else {i: row[i] for i in reversed(below)})
-    T = Subspace.from_rref(F, n, tails)
-    assert T.pivots() == S.pivots() and T.basis() == S.basis()
-    for v in data.draw(vectors(F, n)):
-        assert T.residue(v) == S.residue(v)
-        assert T.contains(v) == S.contains(v)
-    for v in data.draw(vectors(F, n)):
-        assert T.insert(v) == S.insert(v)
-    assert T.basis() == S.basis()
-    assert T.right_kernel_basis() == S.right_kernel_basis()
-
-
-def test_from_rref_refuses_a_tail_that_reaches_its_pivot():
-    for F, tails in ((F2, {1: 0b10}), (F2, {1: 0b101}), (F2, {4: 0}),
-                     (F3, {2: {0: 1, 2: 2}}), (F3, {1: {3: 1}}), (F3, {4: {}})):
-        with pytest.raises(BadParams):
-            Subspace.from_rref(F, 4, tails)
 
 
 def _bits(min_size, max_size):

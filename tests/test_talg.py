@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
 from gsl.talg import (DIM_LIMIT, Algebra, Poly, TensorAlgebra, apply_map,
-                      eliminate_linear, ideal_span, invert_unit, is_ideal,
+                      _groebner, eliminate_linear, invert_unit, is_ideal,
                       map_leg, quotient_algebra, quotient_by_subspace,
                       subalgebra_generated, weight_decomposition)
 from gsl.linalg import Subspace, subspace_from
@@ -112,14 +112,19 @@ def test_mixed_algebra_arithmetic_errors():
 
 # -- ideals and quotients -----------------------------------------------------
 
+def ideal_dim(A, gens):
+    """Dimension of the ideal of a free algebra that gens generate."""
+    return A.ambient_dim() - quotient_algebra(A, gens, eliminate=False).dim
+
+
 def test_ideal_span_dimensions():
     # in GF(2)[S,T]/(S^2, T^4): (S) = S*{1,T,T^2,T^3}, (T) = {T,T^2,T^3}x{1,S}
     A = ring_ST()
     S, T = A.gens()
-    assert ideal_span(A, [S]).dim == 4
-    assert ideal_span(A, [T]).dim == 6
-    assert ideal_span(A, [S, T]).dim == 7  # the augmentation ideal
-    assert ideal_span(A, [A.one()]).dim == 8
+    assert ideal_dim(A, [S]) == 4
+    assert ideal_dim(A, [T]) == 6
+    assert ideal_dim(A, [S, T]) == 7  # the augmentation ideal
+    assert ideal_dim(A, [A.one()]) == 8
 
 
 def test_quotient_without_elimination():
@@ -139,7 +144,7 @@ def test_quotient_with_elimination_becomes_free():
     S, T = A.gens()
     Q = quotient_algebra(A, [S - T * T])
     assert Q.vars == ("T",)
-    assert Q.ideal.dim == 0
+    assert Q.groebner == [] and Q.ambient_dim() == Q.dim
     assert Q.dim == 4
     assert Q.var("S") == Q.var("T") ** 2  # alias for the eliminated variable
 
@@ -169,11 +174,11 @@ def test_elimination_truncation_residual():
 def test_quotient_by_subspace_requires_ideal():
     A = ring_ST()
     S, T = A.gens()
-    good = ideal_span(A, [S])
+    good = _reference_span(A, [S])
     assert is_ideal(A, good)
     Q = quotient_by_subspace(A, good)
     assert Q.dim == 4
-    from gsl.linalg import subspace_from
+    assert [str(g) for g in Q.groebner] == ["S"]
     bad = subspace_from(F2, 8, [A.to_vector(T)])  # span{T} alone
     with pytest.raises(NotAnIdeal):
         quotient_by_subspace(A, bad)
@@ -188,14 +193,12 @@ def test_ideal_closure_needs_a_free_algebra():
     with pytest.raises(BadParams, match="free algebra"):
         quotient_algebra(Q, [Q.var("T") ** 3], eliminate=False)
     with pytest.raises(BadParams, match="free algebra"):
-        ideal_span(Q, [Q.var("T")])
-    with pytest.raises(BadParams, match="free algebra"):
         is_ideal(Q, Subspace(F2, Q.ambient_dim()))
     AQ = A.tensor(Q)
     with pytest.raises(BadParams, match="free algebra"):
-        ideal_span(AQ, [AQ.var("T")])
+        quotient_algebra(AQ, [AQ.var("T")], eliminate=False)
     AA = A.tensor(A)
-    assert ideal_span(AA, [AA.var("T"), AA.var("S'")]).dim == 64 - 4 * 2
+    assert ideal_dim(AA, [AA.var("T"), AA.var("S'")]) == 64 - 4 * 2
 
 
 def _reference_span(A, gens):
@@ -222,6 +225,85 @@ def _reference_is_ideal(A, S):
             if not S.contains(A.to_vector(f * x)):
                 return False
     return True
+
+
+def ideal_span(A, gens):
+    """The shell sweep, as an oracle: the largest-pivot RREF of the ideal
+    of a free algebra, as {pivot index: tail}, row = pivot + tail.
+
+    Its pivots are the shell multiples of the leading monomials of a
+    Groebner basis.  The rows are written in one sweep up the shell: a
+    leading monomial's residue is minus its tail; any other pivot m is
+    x_v * m' with m' a pivot, and res(m) is x_v * res(m') with each
+    pivot term, all below m, replaced by its residue.
+    """
+    F, index, mono = A.field, A.mono_index, A.index_mono
+    leads = {}
+    for g in _groebner(A, gens):
+        t = max(g.d, key=index)
+        leads[t] = {index(m): c for m, c in g.d.items() if m != t}
+
+    def divides(t, m):
+        return all(a <= b for a, b in zip(t, m))
+
+    def is_pivot(m):
+        return any(divides(t, m) for t in leads)
+
+    rows = {}
+    for i in range(A.ambient_dim()):
+        m = mono(i)
+        if not is_pivot(m):
+            continue
+        if m in leads:
+            r = dict(leads[m])
+        else:
+            below = [(v, m[:v] + (e - 1,) + m[v + 1:])
+                     for v, e in enumerate(m) if e]
+            v, prev = next((v, b) for v, b in below if is_pivot(b))
+            x = tuple(int(k == v) for k in range(len(m)))
+            r = {}
+            for j, c in rows[index(prev)].items():
+                jx = A.mono_mul(mono(j), x)
+                if jx is not None:
+                    r[index(jx)] = c
+        for j in [j for j in r if is_pivot(mono(j))]:
+            c = F.neg(r.pop(j))
+            for k, ck in rows[j].items():
+                s = F.add(r.get(k, 0), F.mul(c, ck))
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+        rows[i] = r
+    return rows
+
+
+def _sweep_subspace(A, rows):
+    n = A.ambient_dim()
+    vecs = []
+    for i, tail in rows.items():
+        vec = [0] * n
+        vec[i] = 1
+        for j, c in tail.items():
+            vec[j] = c
+        vecs.append(vec)
+    return subspace_from(A.field, n, vecs)
+
+
+def assert_quotient_matches_sweep(A, gens):
+    """The staircase and the residue of every shell monomial of the
+    quotient equal those the sweep writes."""
+    rows = ideal_span(A, gens)
+    Q = quotient_algebra(A, gens, eliminate=False)
+    F, mono = A.field, A.index_mono
+    assert Q.basis_monomials() == [mono(i) for i in range(A.ambient_dim())
+                                   if i not in rows]
+    assert Q.dim == A.ambient_dim() - len(rows)
+    for i in range(A.ambient_dim()):
+        want = None if i not in rows else {
+            mono(j): F.neg(c) for j, c in rows[i].items()}
+        assert Q.reduce_term(mono(i)) == want
+    return rows, Q
 
 
 def free_algebra(draw, F, names, shell_cap=32):
@@ -255,26 +337,28 @@ def test_ideal_span_matches_poly_product_closure(data, F):
         A = A.tensor(free_algebra(draw, F, ["w"], shell_cap=5))
     gens = [random_poly(draw, A, max_terms=3)
             for _ in range(draw(st.integers(0, 3)))]
-    got, want = ideal_span(A, gens), _reference_span(A, gens)
-    assert got.dim == want.dim
+    rows, Q = assert_quotient_matches_sweep(A, gens)
+    got, want = _sweep_subspace(A, rows), _reference_span(A, gens)
     assert got.pivots() == want.pivots()
     assert got.basis() == want.basis()
     n = A.ambient_dim()
-    for _ in range(3):
-        v = random_vector(draw, F, n)
-        assert got.residue(v) == want.residue(v)
     for X in (got, subspace_from(F, n, got.basis() + [random_vector(draw, F, n)]),
               subspace_from(F, n, [random_vector(draw, F, n)
                                    for _ in range(draw(st.integers(0, 3)))])):
         assert is_ideal(A, X) == _reference_is_ideal(A, X)
+    # the same quotient, read off the subspace
+    S = quotient_by_subspace(A, want)
+    assert S.basis_monomials() == Q.basis_monomials()
+    assert all(S.reduce_term(m) == Q.reduce_term(m) for m in A.monomials())
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), F=st.sampled_from([F2, F3, F4, Field(5)]))
+@given(data=st.data(),
+       F=st.sampled_from([F2, F3, Field(5), F4, Field(3, 2), Field(5, 2)]))
 def test_ideal_span_matches_closure_on_larger_shells(data, F):
-    # shells up to 256 on three or four variables, and tensors of free
-    # algebras: enough room for S-pairs between generators and for unit
-    # exponents to wrap
+    # shells up to 256 on three or four nil and unit variables, and
+    # tensors of free algebras: enough room for S-pairs between
+    # generators, for unit exponents to wrap and for long division chains
     draw = data.draw
     tensor = draw(st.booleans())
     A = free_algebra(draw, F, ["x", "y", "z", "t"],
@@ -283,7 +367,8 @@ def test_ideal_span_matches_closure_on_larger_shells(data, F):
         A = A.tensor(free_algebra(draw, F, ["u", "w"], shell_cap=4))
     gens = [random_poly(draw, A, max_terms=4)
             for _ in range(draw(st.integers(1, 4)))]
-    got, want = ideal_span(A, gens), _reference_span(A, gens)
+    rows, _ = assert_quotient_matches_sweep(A, gens)
+    got, want = _sweep_subspace(A, rows), _reference_span(A, gens)
     assert got.pivots() == want.pivots()
     assert got.basis() == want.basis()
 
@@ -292,23 +377,25 @@ def test_ideal_span_matches_closure_on_larger_shells(data, F):
 def test_ideal_span_degenerate_inputs(F):
     A = Algebra(F, ["x", "y", "z"], [4, F.p, 3], ["nil", "unit", "nil"])
     x, y, z = A.gens()
-    n = A.ambient_dim()
-    assert ideal_span(A, []).dim == 0
-    assert ideal_span(A, [A.zero()]).dim == 0
+    assert quotient_algebra(A, [], eliminate=False).dim == A.dim
+    assert quotient_algebra(A, [A.zero()], eliminate=False).dim == A.dim
     # a unit generates the whole shell: 1 + x, and y with y^p = 1
     for unit in (A.one() + x, y):
-        S = ideal_span(A, [unit])
-        assert S.pivots() == list(range(n))
-        assert S.basis() == [[int(i == j) for i in range(n)] for j in range(n)]
-    # a monomial generates its multiples, each row a single monomial
-    S = ideal_span(A, [x * z ** 2])
-    assert S.pivots() == [A.mono_index(m) for m in A.monomials()
-                          if m[0] >= 1 and m[2] == 2]
-    assert all(sum(1 for c in row if c) == 1 for row in S.basis())
+        Q = quotient_algebra(A, [unit], eliminate=False)
+        assert Q.dim == 0 and Q.basis_monomials() == []
+        assert [g.d for g in Q.groebner] == [{A._zero_mono: 1}]
+        assert all(Q.reduce_term(m) == {} for m in A.monomials())
+    # a monomial generates its multiples, each residue zero
+    Q = quotient_algebra(A, [x * z ** 2], eliminate=False)
+    assert Q.basis_monomials() == [m for m in A.monomials()
+                                   if not (m[0] >= 1 and m[2] == 2)]
+    assert all(Q.reduce_term(m) == {} for m in A.monomials()
+               if m[0] >= 1 and m[2] == 2)
     # no variables at all: the shell is the constants
     A0 = Algebra(F, [], [])
-    assert ideal_span(A0, []).dim == 0
-    assert ideal_span(A0, [A0.scalar(F.q - 1)]).basis() == [[1]]
+    assert quotient_algebra(A0, [], eliminate=False).basis_monomials() == [()]
+    Q0 = quotient_algebra(A0, [A0.scalar(F.q - 1)], eliminate=False)
+    assert Q0.dim == 0 and Q0.reduce_term(()) == {}
 
 
 def test_ideal_span_makes_no_poly_products(monkeypatch):
@@ -325,10 +412,35 @@ def test_ideal_span_makes_no_poly_products(monkeypatch):
         det = u11 + u22 + u11 * u22 - u12 * u21
         want = _reference_span(A, [det])
         monkeypatch.setattr(Algebra, "mul_dicts", counted)
-        S = ideal_span(A, [det])
-        assert S.pivots() == want.pivots() and is_ideal(A, S)
+        Q = quotient_algebra(A, [det], eliminate=False)
+        assert Q.basis_monomials() == [A.index_mono(j)
+                                       for j in want.complement_indices()]
         monkeypatch.setattr(Algebra, "mul_dicts", mul_dicts)
     assert calls == []
+
+
+def test_normal_forms_of_a_long_division_chain():
+    # y^2 = y*x moves y^1023 down one step at a time to x^1022*y; the
+    # chain is a thousand divisions long, each memoised, with no recursion
+    A = Algebra(F2, ["x", "y"], [1024, 1024])
+    x, y = A.gens()
+    Q = quotient_algebra(A, [y * y + y * x], eliminate=False)
+    assert Q.reduce_term((0, 1023)) == {(1022, 1): 1}
+    assert Q.reduce_term((1022, 1)) is None
+    assert Q.reduce_term((1, 1023)) == {}  # x^1023 * y: x^1024 = 0
+    assert Q.dim == 1024 + 1023
+
+
+def test_quotient_basis_guard_counts_the_staircase():
+    # the shell of 2^24 is never listed; the staircase of 2^18 is
+    A = Algebra(F2, ["a", "b", "c", "d"], [64] * 4, dim_guard=False)
+    a, b, c, d = A.gens()
+    Q = quotient_algebra(A, [d - a * b * c - a], eliminate=False)
+    assert Q.dim == 64 ** 3
+    assert len(Q.basis_monomials()) == Q.dim
+    with pytest.raises(SizeGuard) as exc:
+        quotient_algebra(A, [d ** 8], eliminate=False)  # 2^21 monomials
+    assert exc.value.what == "quotient basis"
 
 
 def test_unit_ideal_gives_zero_ring():
@@ -374,8 +486,8 @@ def test_tensor_past_the_dim_limit_is_sparse_and_guards_its_basis():
             call()
         assert exc.value.what == "tensor basis_monomials"
     with pytest.raises(SizeGuard) as exc:
-        ideal_span(T3, [x])
-    assert exc.value.what == "ideal shell"
+        quotient_algebra(T3, [x], eliminate=False)
+    assert exc.value.what == "quotient basis"
 
 
 @pytest.mark.parametrize("F", [F2, F3, F4], ids=lambda F: F.name)
@@ -511,7 +623,7 @@ def _map_targets(F):
     amb = Algebra(F, ["a", "b", "c"], [4, 4, 4])
     a, b, c = amb.gens()
     Q = quotient_algebra(amb, [c - a * b, b ** 3 - a ** 2])
-    assert Q.vars == ("a", "b") and "c" in Q.aliases and Q.ideal.dim
+    assert Q.vars == ("a", "b") and "c" in Q.aliases and Q.groebner
     B = Algebra(F, ["u", "v"], [4, F.p], ["nil", "unit"])
     return B, Q, TensorAlgebra((Q, B))
 

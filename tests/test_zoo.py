@@ -13,7 +13,8 @@ from gsl.hopf import (closed_subgroup, dual_hopf, enumerate_morphisms,
                       is_central, is_cocommutative, kernel_subgroup,
                       morphism_check, presentations_equal, primitives,
                       quotient_group)
-from gsl.talg import invert_unit
+from gsl.linalg import Subspace
+from gsl.talg import DIM_LIMIT, invert_unit
 from gsl.zoo import (D, E_trunc, H, H_unip, SL2_kerF, alpha, cocycle_check,
                      cocycle_ext, construct, d_presentation_iso,
                      enumerate_coactions, group_coaction_verify, h_iso_map,
@@ -282,6 +283,39 @@ def test_sl2_kernel_over_gf3_is_pinned():
         " + 2*u11^8*u12*u21 + u11^7*u12^2*u21^2 + 2*u11^8*u12^2*u21^2")
 
 
+@pytest.mark.parametrize("F,n,dim", [(Field(5), 2, 15625), (F3, 3, 19683),
+                                     (F2, 5, 32768), (F2, 6, 262144)],
+                         ids=["GF(5) n=2", "GF(3) n=3", "GF(2) n=5",
+                              "GF(2) n=6"])
+def test_sl2_kernels_on_shells_past_the_limit_build(F, n, dim):
+    # shells of 390 625 to 2^24 monomials are only divided, never laid
+    # out; the carrier is the staircase of one leading monomial, u22
+    A = SL2_kerF(n, F).carrier
+    assert A.dim == dim <= DIM_LIMIT
+    assert [max(g.d, key=A.mono_index) for g in A.groebner] == [(0, 0, 0, 1)]
+
+
+def test_sl2_kernel_past_the_quotient_limit_is_refused():
+    with pytest.raises(SizeGuard) as exc:
+        SL2_kerF(3, Field(5))
+    assert exc.value.what == "quotient basis"
+    assert exc.value.size == 5 ** 9
+
+
+def test_building_a_quotient_lays_out_no_shell(monkeypatch):
+    widths = []
+    init = Subspace.__init__
+
+    def counted(self, field, n):
+        widths.append(n)
+        init(self, field, n)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    G = pullback(1, 1, 3)
+    assert G.dim == 64 and G.carrier.ambient_dim() == 16 ** 4
+    assert max(widths, default=0) < G.carrier.ambient_dim()
+
+
 # -- presentation changes and small isomorphisms -------------------------
 
 def test_d_presentation_iso_is_the_pinned_involution():
@@ -500,14 +534,17 @@ def test_coaction_pins_cover_every_axiom():
 
 def test_coaction_checks_relations_of_subspace_carriers():
     # the invariants carrier is presented by a subspace: no ideal_gens,
-    # yet Y1 -> Y1 + Y2 breaks four of its relations
+    # and its one Groebner basis relation Y2^2 + Y1^2, which Y1 -> Y1 + Y2
+    # breaks; a map that respects the generators respects the ideal
     K = mu2_invariants_D(1, 1, 1)["group"]
     y1, y2 = K.carrier.var("Y1"), K.carrier.var("Y2")
     assert not K.carrier.ideal_gens
+    assert [str(g) for g in K.carrier.groebner] == ["Y2^2 + Y1^2"]
     rep = group_coaction_verify(K, mu(1), {"Y1": y1 + y2, "Y2": y2})
     broken = [f for f in rep["failures"]
               if (f["axiom"], f["generator"]) == ("well_defined", "relation")]
-    assert len(broken) == 4
+    assert len(broken) == 1
+    assert str(broken[0]["residual"]) == "Y1^2"
     assert group_coaction_verify(K, mu(1), {"Y1": y1, "Y2": y2})["ok"]
 
 
