@@ -5,14 +5,14 @@ base-p encoding of its coefficient vector with respect to the power basis
 1, g, g^2, ... of the residue class g of x.  Code 0 is zero, code 1 is one,
 and for m >= 2 code p is the generator g itself.
 
-All arithmetic is exact.  Fields with q <= TABLE_LIMIT (256) are tabled at
-construction time: multiplication and inversion tables are read off the
-exp/log tables of the smallest primitive element (g itself need not be
-primitive: in GF(2^8) it has order 51), and for odd p digit-wise addition
-and negation tables sit next to them.  Addition in characteristic 2 is
-xor.  The larger fields, GF(3^6), GF(3^7), GF(3^8) and GF(5^4) to GF(5^8),
-are untabled and fall back to polynomial and digit arithmetic per
-operation.  `Field.axpy` is the one row kernel the echelon code uses.
+All arithmetic is exact.  Fields with q <= TABLE_LIMIT (3^8), all but
+GF(5^6) to GF(5^8), are tabled at construction time by the exp/log
+tables of the smallest primitive element (g need not be primitive: in
+GF(2^8) it has order 51): a product is a sum of logs, an odd-p sum a Zech
+logarithm log(1 + a^i), and negation has a table.  Addition in
+characteristic 2 is xor.  The untabled fields fall back to polynomial and
+digit arithmetic per operation.  `Field.axpy`, the one row kernel the
+echelon code uses, reads the same tables.
 
 Polynomials over the prime field appear only internally (moduli, the
 irreducibility test and the powers of the primitive element) and are
@@ -23,7 +23,7 @@ from .errors import DivideByZero, ParseError, ReducibleModulus, UnsupportedSize
 
 SUPPORTED_PRIMES = (2, 3, 5)
 MAX_DEGREE = 8
-TABLE_LIMIT = 256
+TABLE_LIMIT = 3 ** 8
 
 # Conventional moduli, pinned so that scalar codes stay stable across
 # versions.  Everything else is found by the deterministic search below,
@@ -134,58 +134,53 @@ class Field(object):
             raise ReducibleModulus(modulus, factor)
         self.modulus = modulus
         self.gen = _encode(_poly_rem((0, 1), modulus, p), p)
-        self._mul_table = None
-        self._inv_table = None
-        self._add_table = None
+        self._log = None
         self._neg_table = None
         if self.q <= TABLE_LIMIT:
             self._build_tables()
 
     def _primitive_powers(self):
-        """Powers 1, a, ..., a^(q-2) of the smallest primitive element a."""
-        p, m, q = self.p, self.m, self.q
-        for a in range(1, q):
-            va = _digits(a, p, m)
-            powers, x = [], 1
-            while True:
-                powers.append(x)
-                x = _encode(_poly_rem(_poly_mul(_digits(x, p, m), va, p),
-                                      self.modulus, p), p)
-                if x == 1:
-                    break
-            if len(powers) == q - 1:
-                return powers
-        raise AssertionError("no primitive element")  # unreachable
+        """Powers 1, a, ..., a^(q-2) of the smallest primitive element a.
+
+        a is the first code with a^(n/r) != 1 for each prime r | n = q - 1.
+        Its powers are stepped on digit vectors by the matrix of
+        multiplication by a: row i holds c * g^i * a for each digit c, one
+        byte per digit, so a step sums m rows with no carry (no byte
+        reaches m * (p - 1) < 256) and makes no polynomial product.
+        """
+        p, m, n = self.p, self.m, self.q - 1
+        primes = [r for r in range(2, n + 1)
+                  if n % r == 0 and all(r % s for s in range(2, r))]
+        a = next(a for a in range(1, self.q)
+                 if all(self.pow(a, n // r) != 1 for r in primes))
+        shifts = range(0, 8 * m, 8)
+        rows = [[sum((c * d % p) << s for d, s in zip(
+                     _digits(self.mul(p ** i, a), p, m), shifts))
+                 for c in range(p)] for i in range(m)]
+        powers, x = [], (1,) + (0,) * (m - 1)
+        for _ in range(n):
+            powers.append(_encode(x, p))
+            acc = 0
+            for row, xi in zip(rows, x):
+                acc += row[xi]
+            x = [(acc >> s & 255) % p for s in shifts]
+        return powers
 
     def _build_tables(self):
-        q, p = self.q, self.p
-        n = q - 1
+        p, q, n = self.p, self.q, self.q - 1
         exp = self._primitive_powers()
-        log = [0] * q
+        # log 0 is 2n: every sum of two logs that involves it lands in
+        # the zero tail of exp, so mul needs no test for zero
+        log = [2 * n] * q
         for i, x in enumerate(exp):
             log[x] = i
-        exp2 = exp + exp
-        logs = log[1:]
-        mul = [[0] * q]
-        for a in range(1, q):
-            # rot[j] = a * exp[j], so row b reads rot at log b
-            rot = exp2[log[a]:log[a] + n]
-            mul.append([0] + [rot[j] for j in logs])
-        self._mul_table = mul
-        self._inv_table = [0] + [exp[-log[a] % n] for a in range(1, q)]
+        self._log = log
+        self._exp = exp + exp + [0] * (2 * n + 1)
         if p != 2:
-            # digit-wise: the low digit adds mod p, the rest is the sum of
-            # the codes divided by p, which an earlier row already holds
-            add = [list(range(q))]
-            for a in range(1, q):
-                a0, up = a % p, add[a // p]
-                add.append([(a0 + b % p) % p + p * up[b // p]
-                            for b in range(q)])
-            neg = [0] * q
-            for a in range(1, q):
-                neg[a] = -a % p + p * neg[a // p]
-            self._add_table = add
-            self._neg_table = neg
+            # 1 + a^i = a^zech[i] (adding 1 changes the low digit only),
+            # and -1 = a^(n/2)
+            self._zech = [log[x - x % p + (x + 1) % p] for x in exp]
+            self._neg_table = [self._exp[log[x] + n // 2] for x in range(q)]
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -193,8 +188,15 @@ class Field(object):
         p = self.p
         if p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
+        log = self._log
+        if log is not None:
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            # a + b = a(1 + b/a); a negative index wraps mod q - 1
+            return self._exp[la + self._zech[log[b] - la]]
         code, shift = 0, 1
         while a or b:
             code += ((a + b) % p) * shift
@@ -220,8 +222,9 @@ class Field(object):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
+        log = self._log
+        if log is not None:
+            return self._exp[log[a] + log[b]]
         p, m = self.p, self.m
         prod = _poly_mul(_digits(a, p, m), _digits(b, p, m), p)
         return _encode(_poly_rem(prod, self.modulus, p), p)
@@ -229,8 +232,8 @@ class Field(object):
     def inv(self, a):
         if a == 0:
             raise DivideByZero("inverse of zero")
-        if self._inv_table is not None:
-            return self._inv_table[a]
+        if self._log is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
     def axpy(self, dst, c, src, support):
@@ -239,19 +242,19 @@ class Field(object):
         support must cover the nonzero entries of src that should be
         read; entries outside it are left alone.
         """
-        mul = self._mul_table
-        if mul is None:
+        log = self._log
+        if log is None:
             for i in support:
                 dst[i] = self.add(dst[i], self.mul(c, src[i]))
             return
-        row = mul[c]
-        add = self._add_table
-        if add is None:  # characteristic 2
+        exp, lc = self._exp, log[c]
+        if self.p == 2:
             for i in support:
-                dst[i] ^= row[src[i]]
-        else:
-            for i in support:
-                dst[i] = add[dst[i]][row[src[i]]]
+                dst[i] ^= exp[lc + log[src[i]]]
+            return
+        add = self.add
+        for i in support:
+            dst[i] = add(dst[i], exp[lc + log[src[i]]])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -23,9 +23,9 @@ A presentation file is line oriented:
 followed by an optional action block with a single `rho = ...` line.
 Primed names are the second tensor leg, `^` takes (possibly negative)
 integer exponents, and `#` starts a comment.  The antipode block may be
-omitted, in which case it is solved by convolution.  Parsing verifies
-the result; a broken file raises ParseError with line and column, or
-VerifyError with the failing axiom.
+omitted, in which case it is solved on the generators by fixed-point
+iteration.  Parsing verifies the result; a broken file raises ParseError
+with line and column, or VerifyError with the failing axiom.
 """
 
 from .action import (Coaction, coaction_verify, laurent_invert, _ladd,

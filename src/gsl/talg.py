@@ -1080,7 +1080,7 @@ def map_leg(f, slot, fn, target):
     already reduced in ``target``: nothing is multiplied or reduced here.
     """
     a, b = f.alg._spans[slot]
-    F = target.field
+    add, mul = target.field.add, target.field.mul
     groups = {}
     for m, c in f.d.items():
         groups.setdefault((m[:a], m[b:]), []).append((m[a:b], c))
@@ -1090,7 +1090,7 @@ def map_leg(f, slot, fn, target):
         acc = {}
         for leg, c in legs:
             for sub, c2 in fn(leg).items():
-                s = F.add(acc.get(sub, 0), F.mul(c, c2))
+                s = add(acc.get(sub, 0), c2 if c == 1 else mul(c, c2))
                 if s:
                     acc[sub] = s
                 else:

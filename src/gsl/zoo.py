@@ -116,8 +116,8 @@ def H(a, n, field=None):
     T, T_ = t2.embed(A.var("T"), 0), t2.embed(A.var("T"), 1)
     tail = (T ** (p ** (n - 1)) * T_ ** p) * t2.scalar(a)
     # the plain sign flip is an antipode only while the tail power
-    # T^(p^(n-1)+p) dies in the truncation; otherwise solve by
-    # convolution
+    # T^(p^(n-1)+p) dies in the truncation; otherwise HopfAlgebra
+    # solves it
     if a == 0 or p ** (n - 1) + p >= p ** n:
         anti = {"T": -A.var("T")}
     else:

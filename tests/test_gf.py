@@ -11,6 +11,8 @@ SMALL_FIELDS = [Field(2, 1), Field(2, 2), Field(2, 3), Field(2, 4),
                 Field(3, 1), Field(3, 2), Field(5, 1)]
 F256 = Field(2, 8)
 F625 = Field(5, 4)
+F729 = Field(3, 6)
+F15625 = Field(5, 6)
 
 
 @pytest.mark.parametrize("F", SMALL_FIELDS, ids=lambda F: F.name)
@@ -41,16 +43,27 @@ def test_field_axioms_sampled_gf256(a, b, c):
         assert F.mul(a, F.inv(a)) == 1
 
 
-@given(a=st.integers(0, 5 ** 4 - 1), b=st.integers(0, 5 ** 4 - 1))
+@given(a=st.integers(0, 5 ** 6 - 1), b=st.integers(0, 5 ** 6 - 1))
 def test_untabled_field_matches_axioms(a, b):
-    # 5^4 = 625 is above the table limit, so this exercises the
+    # 5^6 = 15625 is above the table limit, so this exercises the
     # polynomial fallback path.
-    F = F625
-    assert F._mul_table is None
+    F = F15625
+    assert F._log is None
     assert F.mul(a, b) == F.mul(b, a)
     assert F.sub(F.add(a, b), b) == a
     if a != 0:
         assert F.div(F.mul(a, b), a) == b
+
+
+def _assert_tables_match_polynomials(F, a, b):
+    p, m = F.p, F.m
+    va, vb = _digits(a, p, m), _digits(b, p, m)
+    assert F.neg(a) == _encode([-x % p for x in va], p)
+    assert F.mul(a, b) == _encode(
+        _poly_rem(_poly_mul(va, vb, p), F.modulus, p), p)
+    assert F.add(a, b) == _encode([(x + y) % p for x, y in zip(va, vb)], p)
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
 
 
 TABLED = [(p, m) for p, top in ((2, 8), (3, 5), (5, 3)) for m in range(1, top + 1)]
@@ -59,25 +72,34 @@ TABLED = [(p, m) for p, top in ((2, 8), (3, 5), (5, 3)) for m in range(1, top + 
 @pytest.mark.parametrize("pm", TABLED, ids=lambda pm: "GF(%d^%d)" % pm)
 def test_tables_equal_polynomial_arithmetic(pm):
     # the exp/log-built tables against one polynomial product per pair
-    p, m = pm
-    F = Field(p, m)
-    assert F.q <= TABLE_LIMIT and F._mul_table is not None
-    vecs = [_digits(a, p, m) for a in range(F.q)]
+    F = Field(*pm)
+    assert F.q <= TABLE_LIMIT and F._log is not None
     for a in range(F.q):
-        va = vecs[a]
-        assert F.neg(a) == _encode([-x % p for x in va], p)
         for b in range(F.q):
-            vb = vecs[b]
-            assert F.mul(a, b) == _encode(
-                _poly_rem(_poly_mul(va, vb, p), F.modulus, p), p)
-            assert F.add(a, b) == _encode(
-                [(x + y) % p for x, y in zip(va, vb)], p)
-        if a:
+            _assert_tables_match_polynomials(F, a, b)
+
+
+@pytest.mark.parametrize("F", [F729, F625], ids=lambda F: F.name)
+@given(data=st.data())
+def test_tables_equal_polynomial_arithmetic_sampled(F, data):
+    assert F.q <= TABLE_LIMIT and F._log is not None
+    els = st.integers(0, F.q - 1)
+    _assert_tables_match_polynomials(F, data.draw(els), data.draw(els))
+
+
+def test_largest_tabled_fields():
+    # the table limit is 3^8; GF(5^5) lies below it, GF(5^6) above
+    for F in (Field(3, 8), Field(5, 5)):
+        assert F._log is not None
+        for a in (1, F.p, F.q - 1, F.q // 2):
             assert F.mul(a, F.inv(a)) == 1
+            assert F.add(a, F.neg(a)) == 0
+            assert F.pow(a, F.q - 1) == 1
+    assert F15625._log is None
 
 
 @pytest.mark.parametrize("F", [Field(2, 2), Field(3), Field(3, 2), Field(5),
-                               F625], ids=lambda F: F.name)
+                               F625, F15625], ids=lambda F: F.name)
 @given(data=st.data())
 def test_axpy_matches_scalar_arithmetic(F, data):
     n = 6

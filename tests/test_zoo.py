@@ -75,7 +75,7 @@ def test_H_dims_axioms_and_antipode():
             assert Hh.carrier.dim == 2 ** n
             assert hopf_verify(Hh)["ok"]
     # truncation keeps the tail alive for n >= 3, so the naive antipode
-    # is wrong there and the convolution solver has to find the real one
+    # is wrong there and the antipode solver has to find the real one
     H13 = H(1, 3)
     A = H13.carrier
     assert H13.antipode["T"] == A.var("T") + A.var("T") ** 6
