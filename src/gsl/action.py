@@ -11,8 +11,8 @@ evaluated at points.
 from .errors import (BadParams, NotFractionalLinear, NotInvertible,
                      VerifyError)
 from .gf import Field
-from .hopf import _swap_images, hopf_ideal_closure
-from .talg import apply_map, invert_unit
+from .hopf import _swap_legs, hopf_ideal_closure
+from .talg import invert_unit
 from .zoo import D, alpha, mu, semidirect
 
 
@@ -155,12 +155,10 @@ def coaction_verify(c):
     lhs = {}
     for i, f in c.rho.items():
         for j, g in _lpow(A, c.rho, i, rinv).items():
-            term = t2.embed(g, 0) * t2.embed(f, 1)
+            term = t2.elem(g, f)
             s = lhs.get(j)
             lhs[j] = term if s is None else s + term
-    swap = _swap_images(H)
-    rhs = {i: apply_map(H.delta_map(f), swap, t2)
-           for i, f in c.rho.items()}
+    rhs = {i: _swap_legs(H.delta_map(f)) for i, f in c.rho.items()}
     for j in sorted(set(lhs) | set(rhs)):
         l = lhs.get(j, t2.zero())
         r = rhs.get(j, t2.zero())

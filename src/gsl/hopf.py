@@ -138,10 +138,8 @@ class HopfAlgebra(object):
         self.carrier = carrier
         self.field = carrier.field
         self.name = name or "H"
-        if set(delta) != set(carrier.vars):
-            raise BadParams("delta must be given on exactly the carrier generators")
-        if set(counit) != set(carrier.vars):
-            raise BadParams("counit must be given on exactly the carrier generators")
+        _require_on_gens("delta", delta, carrier.vars)
+        _require_on_gens("counit", counit, carrier.vars)
         self._t2 = None
         self._t3 = None
         self._eps_vec = None
@@ -153,8 +151,7 @@ class HopfAlgebra(object):
         self._eps_codes = [self.counit[nm] for nm in carrier.vars]
         if antipode is None:
             antipode = self._fixed_point_antipode()
-        if set(antipode) != set(carrier.vars):
-            raise BadParams("antipode must be given on exactly the carrier generators")
+        _require_on_gens("antipode", antipode, carrier.vars)
         self.antipode = {k: apply_map(v, {}, carrier)
                          for k, v in antipode.items()}
 
@@ -394,22 +391,26 @@ def hopf_verify(H):
     return report
 
 
-def _swap_images(H):
-    """Images exchanging the two legs of H ox H, for apply_map."""
-    t2 = H.t2()
-    swap = {nm: t2.var(nm + "'") for nm in H.carrier.vars}
-    swap.update({nm + "'": t2.var(nm) for nm in H.carrier.vars})
-    return swap
+def _swap_legs(f):
+    """f in A ox A with its two legs exchanged, by permuting the keys."""
+    a = f.alg._spans[1][0]
+    return Poly(f.alg, {m[a:] + m[:a]: c for m, c in f.d.items()})
 
 
 def is_cocommutative(H):
-    t2 = H.t2()
-    swap = _swap_images(H)
-    for nm in H.carrier.vars:
-        dx = H.delta[nm]
-        if apply_map(dx, swap, t2) != dx:
-            return False
-    return True
+    return all(_swap_legs(H.delta[nm]) == H.delta[nm]
+               for nm in H.carrier.vars)
+
+
+def _require_on_gens(what, given, names):
+    """BadParams naming the first generator that ``given`` (a dict) has
+    no entry for, or else the first of its keys that is no generator."""
+    for nm in names:
+        if nm not in given:
+            raise BadParams("%s: no entry for the generator %r" % (what, nm))
+    for nm in given:
+        if nm not in names:
+            raise BadParams("%s: %r is not a generator" % (what, nm))
 
 
 class Morphism(object):
@@ -418,8 +419,7 @@ class Morphism(object):
     def __init__(self, source, target, images, name=None):
         self.source = source
         self.target = target
-        if set(images) != set(source.carrier.vars):
-            raise BadParams("images must cover exactly the source generators")
+        _require_on_gens("images", images, source.carrier.vars)
         self.images = dict(images)
         self.name = name or "f"
         self._mat = None
@@ -480,25 +480,25 @@ def morphism_check(f):
         tgt = B.one() if kind == "unit" else B.zero()
         if val != tgt:
             fail("well_defined", "%s^%d" % (nm, d), val - tgt)
+    # one memo of f serves the relation, delta and antipode checks
+    image = _mono_images(A, f.images, B)
     for g in _relation_polys(A):
-        val = apply_map(g, f.images, B)
+        val = _sum_images(g, image, B)
         if val != 0:
             fail("well_defined", "ideal gen %s" % g, val)
     if not report["well_defined"]:
         report["ok"] = False
         return report
 
-    ff = {nm: tG.embed(f.images[nm], 0) for nm in A.vars}
-    ff.update({nm + "'": tG.embed(f.images[nm], 1) for nm in A.vars})
     for nm in _generating_vars(A):
-        lhs = apply_map(H.delta[nm], ff, tG)
+        lhs = map_leg(H.delta[nm], (0, 1), image, tG)
         rhs = G.delta_map(f.images[nm])
         if lhs != rhs:
             fail("delta_compatible", nm, lhs - rhs)
         ec = G.counit_map(f.images[nm])
         if ec != H.counit[nm]:
             fail("counit_compatible", nm, ec)
-        sa = f.map(H.antipode[nm])
+        sa = _sum_images(H.antipode[nm], image, B)
         sb = G.antipode_map(f.images[nm])
         if sa != sb:
             fail("antipode_compatible", nm, sa - sb)
@@ -516,24 +516,14 @@ def _requotient(carrier, extra):
     return quotient_algebra(carrier, list(extra))
 
 
-def _alias_tensor_images(Q, tQ):
-    """Images resolving newly eliminated names on both legs of Q ox Q."""
-    imgs = {}
-    for nm, expr in Q.aliases.items():
-        imgs[nm] = tQ.embed(expr, 0)
-        imgs[nm + "'"] = tQ.embed(expr, 1)
-    return imgs
-
-
 def _induced_hopf(H, Q, name):
-    """Push the structure maps of H through the projection onto Q."""
+    """Push the structure maps of H through the projection pi onto Q,
+    the coproduct as (pi ox pi) delta, leg by leg."""
     tQ = Q.tensor(Q)
-    imgs = _alias_tensor_images(Q, tQ)
-    delta, counit, anti = {}, {}, {}
-    for nm in Q.vars:
-        delta[nm] = apply_map(H.delta[nm], imgs, tQ)
-        counit[nm] = H.counit[nm]
-        anti[nm] = _push(H.antipode[nm], Q)
+    pi = _mono_images(H.carrier, {}, Q)
+    delta = {nm: map_leg(H.delta[nm], (0, 1), pi, tQ) for nm in Q.vars}
+    counit = {nm: H.counit[nm] for nm in Q.vars}
+    anti = {nm: _sum_images(H.antipode[nm], pi, Q) for nm in Q.vars}
     K = HopfAlgebra(Q, delta, counit, anti, name=name)
     rep = hopf_verify(K)
     if not rep["ok"]:
@@ -923,17 +913,9 @@ def is_central(H, ideal):
     A = H.carrier
     Q = _requotient(A, ideal.basis_polys())
     T = Q.tensor(A)
-    proj = {n: T.embed(_push(A.var(n), Q), 0) for n in A.vars}
-    keep = {n: T.embed(A.var(n), 1) for n in A.vars}
-    for nm in A.vars:
-        dx = H.delta[nm]
-        li = dict(proj)
-        li.update({n + "'": keep[n] for n in A.vars})
-        ri = dict(keep)
-        ri.update({n + "'": proj[n] for n in A.vars})
-        if apply_map(dx, li, T) != apply_map(dx, ri, T):
-            return False
-    return True
+    pi = _mono_images(A, {}, Q)
+    return all(map_leg(dx, 0, pi, T) == map_leg(_swap_legs(dx), 0, pi, T)
+               for dx in H.delta.values())
 
 
 def is_normal(H, ideal):
@@ -970,12 +952,11 @@ def quotient_group(H, ideal, name=None):
     tdim = A.dim * Q.dim
     if tdim > DIM_LIMIT:
         raise SizeGuard("quotient_group coinvariant equations", tdim, DIM_LIMIT)
-    proj = {n: T.embed(A.var(n), 0) for n in A.vars}
-    proj.update({n + "'": T.embed(_push(A.var(n), Q), 1) for n in A.vars})
+    pi = _mono_images(A, {}, Q)
     columns = []
     for m in A.basis_monomials():
         f = A.poly({m: 1})
-        img = apply_map(H.delta_map(f), proj, T) - T.embed(f, 0)
+        img = map_leg(H.delta_map(f), 1, pi, T) - T.embed(f, 0)
         vec = [0] * tdim
         for mono, c in img.d.items():
             m1, m2 = T.split_mono(mono)
@@ -1340,69 +1321,72 @@ def _morphism_equations(H1, H2):
     """The equations that ``morphism_check`` tests, one at a time, each
     with the source generators it reads.
 
-    Each is a pair (names, holds).  ``holds(imgs, legs, deltas)``
+    Each is a pair (names, holds).  ``holds(imgs, image, deltas)``
     evaluates the equation on the images bound so far: ``imgs`` maps a
-    generator x to its image f(x) in A(H2), ``legs`` maps x and x' to
-    f(x) in the two legs of A(H2) ox A(H2), and ``deltas`` maps x to
-    delta(f(x)).  Once every name it reads is bound, it is true exactly
-    when the matching check of ``morphism_check`` passes.  Equations on
-    one generator come first, cheapest first.
+    generator x to its image f(x) in A(H2), ``image`` is a
+    ``talg._mono_images`` memo of f on the monomials of A(H1) with every
+    bound generator rebound to its image, and ``deltas`` maps x to
+    delta(f(x)).  Relations and antipodes sum through ``image``, and
+    (f ox f) delta(x) maps both legs through it with ``map_leg``.  Once
+    every name it reads is bound, an equation is true exactly when the
+    matching check of ``morphism_check`` passes; like that check, the
+    delta and antipode equations run on ``_generating_vars`` only.
+    Equations on one generator come first, cheapest first.
     """
     A = H1.carrier
     B = H2.carrier
     names = A.vars
     tG = H2.t2()
-    tnames = H1.t2().vars
 
     def counit(nm):
         c = H1.counit[nm]
-        return {nm}, lambda imgs, legs, deltas: H2.counit_map(imgs[nm]) == c
+        return {nm}, lambda imgs, image, deltas: H2.counit_map(imgs[nm]) == c
 
     def power(nm, d, kind):
         tgt = B.one() if kind == "unit" else B.zero()
-        return {nm}, lambda imgs, legs, deltas: imgs[nm] ** d == tgt
+        return {nm}, lambda imgs, image, deltas: imgs[nm] ** d == tgt
 
     def antipode(nm):
         s = H1.antipode[nm]
-        return (_names_in(s, names) | {nm}, lambda imgs, legs, deltas:
-                apply_map(s, imgs, B, allow_missing=names)
-                == H2.antipode_map(imgs[nm]))
+        return (_names_in(s, names) | {nm}, lambda imgs, image, deltas:
+                _sum_images(s, image, B) == H2.antipode_map(imgs[nm]))
 
     def relation(g):
-        return (_names_in(g, names), lambda imgs, legs, deltas:
-                apply_map(g, imgs, B, allow_missing=names) == 0)
+        return (_names_in(g, names), lambda imgs, image, deltas:
+                _sum_images(g, image, B) == 0)
 
     def delta(nm):
         dx = H1.delta[nm]
-        return (_names_in(dx, names) | {nm}, lambda imgs, legs, deltas:
-                apply_map(dx, legs, tG, allow_missing=tnames) == deltas[nm])
+        return (_names_in(dx, names) | {nm}, lambda imgs, image, deltas:
+                map_leg(dx, (0, 1), image, tG) == deltas[nm])
 
     shell = A.ambient
     out = [counit(nm) for nm in names]
     out += [power(nm, d, kind)
             for nm, d, kind in zip(shell.vars, shell.orders, shell.kinds)]
     out += [relation(g) for g in _relation_polys(A)]
-    out += [delta(nm) for nm in names]
-    out += [antipode(nm) for nm in names]
+    out += [delta(nm) for nm in _generating_vars(A)]
+    out += [antipode(nm) for nm in _generating_vars(A)]
     return out
 
 
 def _morphisms(H1, H2, shape, iso_only):
     """The search behind enumerate_morphisms and find_isomorphism, as a
-    generator; the candidate count is guarded before it is made."""
+    generator; the shape is checked and the candidate count guarded
+    before anything is made."""
     A1, A2 = H1.carrier, H2.carrier
     F = H1.field
+    names = list(A1.vars)
     if shape is None:
         aug = [from_coords(A2, v) for v in H2.aug_subspace().basis()]
-        shape = {nm: aug for nm in A1.vars}
+        shape = {nm: aug for nm in names}
+    _require_on_gens("shape", shape, names)
     count = 1
-    for nm in A1.vars:
+    for nm in names:
         count *= F.q ** len(shape[nm])
     if count > ENUM_MORPHISM_LIMIT:
         raise SizeGuard("enumerate_morphisms candidates", count,
                         ENUM_MORPHISM_LIMIT)
-    names = list(A1.vars)
-    tG = H2.t2()
     # each equation waits for the last generator it reads; one that reads
     # that generator alone filters its candidates once, up front
     depth = {nm: k for k, nm in enumerate(names)}
@@ -1422,19 +1406,21 @@ def _morphisms(H1, H2, shape, iso_only):
             for c in range(1, F.q):
                 yield rest + head * A2.scalar(c)
 
+    # one memo of f for the whole search: binding generator k rebinds
+    # variable k, which drops only the monomials that read it
+    image = _mono_images(A1, {}, A2, allow_missing=names)
+    imgs, deltas = {}, {}
     cands = []
     for k, nm in enumerate(names):
         base = A2.scalar(H1.counit[nm])
         keep = []
         for el in combos(shape[nm]):
             img = base + el
-            leg = {nm: tG.embed(img, 0), nm + "'": tG.embed(img, 1)}
-            dimg = H2.delta_map(img)
-            if all(holds({nm: img}, leg, {nm: dimg}) for holds in alone[k]):
-                keep.append((img, leg, dimg))
+            image.rebind(k, img)
+            imgs[nm], deltas[nm] = img, H2.delta_map(img)
+            if all(holds(imgs, image, deltas) for holds in alone[k]):
+                keep.append((img, deltas[nm]))
         cands.append(keep)
-
-    imgs, legs, deltas = {}, {}, {}
 
     def rec(k):
         if k == len(names):
@@ -1443,14 +1429,11 @@ def _morphisms(H1, H2, shape, iso_only):
                 yield f
             return
         nm = names[k]
-        for img, leg, dimg in cands[k]:
+        for img, dimg in cands[k]:
+            image.rebind(k, img)
             imgs[nm], deltas[nm] = img, dimg
-            legs.update(leg)
-            if all(holds(imgs, legs, deltas) for holds in joint[k]):
+            if all(holds(imgs, image, deltas) for holds in joint[k]):
                 yield from rec(k + 1)
-        for bound in (imgs, legs, deltas):
-            bound.pop(nm, None)
-        legs.pop(nm + "'", None)
 
     return rec(0)
 
@@ -1464,8 +1447,12 @@ def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
     A depth-first search binds the generators' images in order.  Each
     equation of ``morphism_check`` is tested as soon as every generator
     it reads is bound, and a failure cuts the branch; ``morphism_check``
-    still certifies every map returned.  More than ENUM_MORPHISM_LIMIT
-    candidate assignments are refused (SizeGuard) before any search.
+    still certifies every map returned.  The equations read one memo of
+    the map on monomials, and binding a generator drops only the entries
+    that read it (``talg._mono_images``).  A shape must be given on
+    exactly the generators of A(H1) (BadParams otherwise), and more than
+    ENUM_MORPHISM_LIMIT candidate assignments are refused (SizeGuard),
+    both before any search.
     """
     return list(_morphisms(H1, H2, shape, iso_only))
 

@@ -20,7 +20,7 @@ little more than free arithmetic and nothing as wide as the monomial
 shell is laid out.  A TensorAlgebra glues several algebras side by side
 and reduces factor by factor, which never materialises the big tensor
 ideal.  ``apply_map`` substitutes through memoised monomial images, one
-product per new monomial, and ``map_leg`` substitutes into one leg of a
+product per new monomial, and ``map_leg`` substitutes into legs of a
 tensor element with no product or reduction at all.
 
 Size guards (SizeGuard, against DIM_LIMIT) sit where something dense is
@@ -220,6 +220,8 @@ class Algebra(object):
             self.dim = dim
         self._strides = None
         self._zero_mono = (0,) * len(names)
+        # whether reduce_term is always None, so products need no reduction
+        self._plain = type(self).reduce_term is Algebra.reduce_term
 
     @property
     def ambient(self):
@@ -333,7 +335,7 @@ class Algebra(object):
                     acc[m] = s
                 else:
                     acc.pop(m, None)
-        return self.reduce_dict(acc)
+        return acc if self._plain else self.reduce_dict(acc)
 
     # -- element constructors ---------------------------------------------------
 
@@ -666,7 +668,7 @@ class TensorAlgebra(Algebra):
             self.dim = dim
         else:
             self.dim = None
-        self._plain = all(type(fac) is Algebra for fac in factors)
+        self._plain = all(fac._plain for fac in factors)
         self._basis = None
         self._basis_pos = None
 
@@ -713,10 +715,15 @@ class TensorAlgebra(Algebra):
         """The pure tensor part_0 (x) part_1 (x) ... as an element here."""
         if len(parts) != len(self.factors):
             raise BadParams(f"expected {len(self.factors)} tensor legs")
-        out = self.one()
-        for k, f in enumerate(parts):
-            out = out * self.embed(f, k)
-        return out
+        mul = self.field.mul
+        out = {(): 1}
+        for fac, f in zip(self.factors, parts):
+            if f.alg is not fac:
+                raise BadParams("element does not live in the requested factor")
+            # reduced legs concatenate to a reduced key, and no two meet
+            out = {head + m: mul(c, c2)
+                   for head, c in out.items() for m, c2 in f.d.items()}
+        return Poly(self, out)
 
     def split_mono(self, m):
         return tuple(m[a:b] for a, b in self._spans)
@@ -749,8 +756,7 @@ def _require_free(alg):
     quotient factor, shell arithmetic is not the product."""
     if alg.dim is None:
         raise BadParams("ideals need a finite algebra")
-    if not (type(alg) is Algebra
-            or (isinstance(alg, TensorAlgebra) and alg._plain)):
+    if not alg._plain:
         raise BadParams(f"ideal closure needs a free algebra, not {alg!r}")
 
 
@@ -985,14 +991,12 @@ def apply_map(f, images, target, coeff_map=None, allow_missing=()):
 
 def _reduced_alike(src, target):
     """Whether every reduced monomial of src is reduced in target."""
-    if src is target or type(target) is Algebra:
+    if src is target or target._plain:
         return True
-    if isinstance(target, TensorAlgebra):
-        return target._plain or (
-            isinstance(src, TensorAlgebra)
+    return (isinstance(target, TensorAlgebra)
+            and isinstance(src, TensorAlgebra)
             and len(src.factors) == len(target.factors)
             and all(a is b for a, b in zip(src.factors, target.factors)))
-    return False
 
 
 def _codes(f, target, coeff_map):
@@ -1017,6 +1021,12 @@ def _mono_images(src, images, target, allow_missing=()):
     cleared, times img_k ** e; each such power is computed once (and
     reduced), so a new monomial costs at most one product and none is
     repeated.
+
+    ``image.rebind(k, img)`` sends variable k to img from then on (None
+    drops it, as ``allow_missing`` does).  Only the monomials whose last
+    nonzero exponent is at k or later read img_k, so only they leave the
+    memo: a search that binds variables in order keeps every image of
+    the earlier ones.
     """
     imgs = []
     for nm in src.vars:
@@ -1028,7 +1038,9 @@ def _mono_images(src, images, target, allow_missing=()):
             imgs.append(target.var(nm))
     one = {target._zero_mono: 1}
     memo = {(0,) * len(imgs): one}
-    powers = {}
+    powers = [{} for _ in imgs]
+    # layers[k]: the monomials in memo whose last nonzero exponent is at k
+    layers = [[] for _ in imgs]
 
     def image(m):
         hit = memo.get(m)
@@ -1037,7 +1049,7 @@ def _mono_images(src, images, target, allow_missing=()):
             while not m[k]:
                 k -= 1
             e = m[k]
-            pw = powers.get((k, e))
+            pw = powers[k].get(e)
             if pw is None:
                 img = imgs[k]
                 if img is None:
@@ -1045,12 +1057,22 @@ def _mono_images(src, images, target, allow_missing=()):
                 if img.alg is not target:
                     raise BadParams("operands live in different algebras")
                 # a power e > 1 comes out of products, hence reduced
-                pw = powers[k, e] = (target.reduce_dict(img.d) if e == 1
+                pw = powers[k][e] = (target.reduce_dict(img.d) if e == 1
                                      else (img ** e).d)
             head = image(m[:k] + (0,) * (len(m) - k))
             hit = memo[m] = pw if head is one else target.mul_dicts(head, pw)
+            layers[k].append(m)
         return hit
 
+    def rebind(k, img):
+        imgs[k] = img
+        powers[k].clear()
+        for layer in layers[k:]:
+            for m in layer:
+                del memo[m]
+            layer.clear()
+
+    image.rebind = rebind
     return image
 
 
@@ -1070,7 +1092,7 @@ def _sum_images(f, image, target, coeff_map=None):
 
 
 def map_leg(f, slot, fn, target):
-    """Substitute into one leg of a tensor element: each term c * m of f
+    """Substitute into legs of a tensor element: each term c * m of f
     becomes c * (legs before) fn(leg ``slot`` of m) (legs after).
 
     ``fn`` maps a reduced monomial of factor ``slot`` to a dict over
@@ -1078,25 +1100,46 @@ def map_leg(f, slot, fn, target):
     usually a memoised algebra map, such as ``HopfAlgebra.delta_mono``.
     A tensor reduces factor by factor, so every concatenated key is
     already reduced in ``target``: nothing is multiplied or reduced here.
+
+    ``slot`` may also be a tuple of slots, each substituted by ``fn``,
+    such as (f ox f) with ``slot=(0, 1)``: (f ox f)(sum c a ox b) is
+    sum f(a) ox (sum c f(b)).  The terms are grouped by every leg but the
+    last slot, whose images are summed per group; the group's key then
+    takes the images of its other slots.
     """
-    a, b = f.alg._spans[slot]
+    slots = (slot,) if isinstance(slot, int) else sorted(slot)
+    spans = f.alg._spans
+    a, b = spans[slots[-1]]
     add, mul = target.field.add, target.field.mul
     groups = {}
     for m, c in f.d.items():
         groups.setdefault((m[:a], m[b:]), []).append((m[a:b], c))
     out = {}
     for (head, tail), legs in groups.items():
-        # terms with other outer legs never meet: sum each group on its own
         acc = {}
         for leg, c in legs:
             for sub, c2 in fn(leg).items():
-                s = add(acc.get(sub, 0), c2 if c == 1 else mul(c, c2))
-                if s:
-                    acc[sub] = s
+                v = add(acc.get(sub, 0), c2 if c == 1 else mul(c, c2))
+                if v:
+                    acc[sub] = v
                 else:
                     del acc[sub]
-        for sub, c in acc.items():
-            out[head + sub + tail] = c
+        # the head's own slots, right to left so that x, y stay in place
+        heads = [(head, 1)]
+        for s in slots[-2::-1]:
+            x, y = spans[s]
+            img = fn(head[x:y]).items()
+            heads = [(h[:x] + sub + h[y:], c2 if c == 1 else mul(c, c2))
+                     for h, c in heads for sub, c2 in img]
+        # two groups meet only through those images
+        for h, hc in heads:
+            for sub, c in acc.items():
+                key = h + sub + tail
+                v = add(out.get(key, 0), c if hc == 1 else mul(hc, c))
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
     return Poly(target, out)
 
 

@@ -24,12 +24,14 @@ from math import comb
 
 from .errors import BadParams, IdentityFailed, NotAnAction, SizeGuard, VerifyError
 from .gf import Field
-from .talg import (Algebra, _mono_images, apply_map, invert_unit, map_leg,
-                   quotient_algebra, weight_decomposition)
-from .hopf import (HopfAlgebra, Morphism, _relation_polys, closed_subgroup,
-                   enumerate_morphisms, hopf_product, hopf_verify,
-                   kernel_subgroup, morphism_check, presentations_equal,
-                   primitive_elements, subgroup_from_elements)
+from .talg import (Algebra, _mono_images, _sum_images, apply_map,
+                   invert_unit, map_leg, quotient_algebra,
+                   weight_decomposition)
+from .hopf import (HopfAlgebra, Morphism, _relation_polys, _require_on_gens,
+                   closed_subgroup, enumerate_morphisms, hopf_product,
+                   hopf_verify, kernel_subgroup, morphism_check,
+                   presentations_equal, primitive_elements,
+                   subgroup_from_elements)
 
 ENUM_COACTION_LIMIT = 1 << 24
 
@@ -543,6 +545,59 @@ def h_iso_map(a, b, n, a1, field=None):
 # coactions of the multiplicative kernels
 
 
+def _coaction_frame(G, M):
+    """What the coaction axioms need of (G, M) alone, built once: returns
+    t2 = A(G) x A(M) and a function sending images over t2 to a lazy
+    sequence of the axioms' failures, in ``group_coaction_verify``'s
+    order, so a search can stop at the first one."""
+    AG, AM = G.carrier, M.carrier
+    t2, t3, t3g = AG.tensor(AM), AG.tensor(AM, AM), AG.tensor(AG, AM)
+    # rho of x on leg 0, and of x' on leg 1, of A(G) x A(G) x A(M), the
+    # A(M) output on leg 2 either way
+    left = {u + "'": t3g.var(u + "''") for u in AM.vars}
+    right = dict(left)
+    right.update({x: t3g.var(x + "'") for x in AG.vars})
+    relations = _relation_polys(AG)
+
+    def found(axiom, nm, diff):
+        if diff.d:
+            yield {"axiom": axiom, "generator": nm, "residual": diff}
+
+    def failures(images):
+        # well definedness on the shell powers and relations of A(G)
+        for nm, d, kind in zip(AG.vars, AG.orders, AG.kinds):
+            val = images[nm] ** d
+            yield from found("well_defined", nm,
+                             val if kind == "nil" else val - t2.one())
+        rho_mono = _mono_images(AG, images, t2)
+        for g in relations:
+            yield from found("well_defined", "relation",
+                             _sum_images(g, rho_mono, t2))
+        for nm in AG.vars:
+            yield from found("counit_M", nm, map_leg(
+                images[nm], 1, M._eps_leg, AG) - AG.var(nm))
+        for nm in AG.vars:
+            yield from found("counit_G", nm, map_leg(
+                images[nm], 0, G._eps_leg, AM) - AM.scalar(G.counit[nm]))
+        # rho on the A(G) leg of rho(x) against delta_M on its A(M) leg
+        for nm in AG.vars:
+            yield from found("coassoc", nm,
+                             map_leg(images[nm], 0, rho_mono, t3)
+                             - map_leg(images[nm], 1, M.delta_mono, t3))
+        # (rho ox rho) delta_G(x), the A(M) outputs multiplied, against
+        # delta_G on the A(G) leg of rho(x)
+        coact = {}
+        for x in AG.vars:
+            coact[x] = apply_map(images[x], left, t3g)
+            coact[x + "'"] = apply_map(images[x], right, t3g)
+        for nm in AG.vars:
+            yield from found("delta_G", nm,
+                             apply_map(G.delta[nm], coact, t3g)
+                             - map_leg(images[nm], 0, G.delta_mono, t3g))
+
+    return t2, failures
+
+
 def group_coaction_verify(G, M, images):
     """Axioms for a right coaction of the group with carrier A(M) on the
     group with carrier A(G), given on generators by images in A(G) x A(M).
@@ -551,66 +606,22 @@ def group_coaction_verify(G, M, images):
     M-counit collapses the coaction to the identity; the G-counit
     collapses it to the unit; coassociativity against delta_M; and
     compatibility with delta_G (the coaction is a group homomorphism
-    M -> Aut(G), expressed on coordinates).
+    M -> Aut(G), expressed on coordinates).  ``failures`` lists every
+    one that fails, in that order; images must be given on exactly the
+    generators of A(G) (BadParams otherwise).
 
     Legs are told apart by ticks: in A(G) x A(M) the A(G) names are bare
-    and the A(M) names carry one tick.  The counit axioms read eps_M, and
-    eps_G, off one leg of rho(x) with ``map_leg``; coassociativity
-    substitutes rho, and delta_M, into one leg the same way; the other
-    axioms are one apply_map each over renamed variables.
+    and the A(M) names carry one tick.  The relations and the rho side of
+    coassociativity sum through one memo of rho on monomials; the counit
+    axioms read eps_M, and eps_G, off one leg of rho(x) with ``map_leg``,
+    and delta_M and delta_G substitute into one leg the same way.  Only
+    (rho ox rho) delta_G multiplies, over renamed variables.
     """
-    AG, AM = G.carrier, M.carrier
-    t2 = AG.tensor(AM)
-    images = {nm: apply_map(v, {}, t2) for nm, v in images.items()}
-    failures = []
-
-    def record(axiom, nm, diff):
-        if diff.d:
-            failures.append({"axiom": axiom, "generator": nm,
-                             "residual": diff})
-
-    # well definedness on the shell powers and relations of A(G)
-    for nm in AG.vars:
-        img = images[nm]
-        k = AG.orders[AG.vars.index(nm)]
-        if AG.kinds[AG.vars.index(nm)] == "nil":
-            record("well_defined", nm, img ** k)
-        else:
-            record("well_defined", nm, img ** k - t2.one())
-    for g in _relation_polys(AG):
-        record("well_defined", "relation", apply_map(g, images, t2))
-
-    # coassoc: rho on the A(G) leg of rho(x) against delta_M on its A(M) leg
-    t3 = AG.tensor(AM, AM)
-    rho_mono = _mono_images(AG, images, t2)
-
-    # delta_G: rho on each A(G) leg with its A(M) output on leg 2, against
-    # x -> delta_G(x), u' -> u''
-    t3g = AG.tensor(AG, AM)
-    left = {u + "'": t3g.var(u + "''") for u in AM.vars}
-    right = dict(left)
-    right.update({x: t3g.var(x + "'") for x in AG.vars})
-    coact_g = {}
-    for x in AG.vars:
-        coact_g[x] = apply_map(images[x], left, t3g)
-        coact_g[x + "'"] = apply_map(images[x], right, t3g)
-    delta_g = dict(left)
-    delta_g.update({x: apply_map(G.delta[x], {}, t3g) for x in AG.vars})
-
-    for nm in AG.vars:
-        record("counit_M", nm, map_leg(images[nm], 1, M._eps_leg, AG)
-               - AG.var(nm))
-    for nm in AG.vars:
-        record("counit_G", nm, map_leg(images[nm], 0, G._eps_leg, AM)
-               - AM.scalar(G.counit[nm]))
-    for nm in AG.vars:
-        record("coassoc", nm, map_leg(images[nm], 0, rho_mono, t3)
-               - map_leg(images[nm], 1, M.delta_mono, t3))
-    for nm in AG.vars:
-        record("delta_G", nm, apply_map(G.delta[nm], coact_g, t3g)
-               - apply_map(images[nm], delta_g, t3g))
-
-    return {"ok": not failures, "failures": failures}
+    _require_on_gens("images", images, G.carrier.vars)
+    t2, failures = _coaction_frame(G, M)
+    found = list(failures({nm: apply_map(v, {}, t2)
+                           for nm, v in images.items()}))
+    return {"ok": not found, "failures": found}
 
 
 def mu_action_normalize(i, coeffs, n, field=None):
@@ -651,34 +662,29 @@ def mu_action_normalize(i, coeffs, n, field=None):
 
 def enumerate_coactions(G, M):
     """All coactions of M on a one-generator G, by exhausting the image
-    space of the generator.
+    space of the generator, in the order of the candidates' codes.
 
     A counit-compatible candidate is x + (terms in aug(G) x aug(M)), so
-    the search space is the product of the two augmentation ideals.
+    the search space is the product of the two augmentation ideals.  The
+    axioms' frame is built once, and a candidate is dropped at the first
+    failure ``group_coaction_verify`` would list, so it keeps exactly the
+    candidates that verify.
     """
     AG, AM = G.carrier, M.carrier
     F = G.field
     if len(AG.vars) != 1:
         raise BadParams("enumeration needs a one-generator carrier")
     nm = AG.vars[0]
-    t2 = AG.tensor(AM)
+    t2, failures = _coaction_frame(G, M)
     base = t2.embed(AG.var(nm), 0)
-    cells = []
-    for mg in AG.basis_monomials():
-        if sum(mg) == 0:
-            continue
-        fg = AG.poly({mg: 1})
-        for mm in AM.basis_monomials():
-            if sum(mm) == 0:
-                continue
-            fm = AM.poly({mm: 1})
-            cells.append(t2.embed(fg, 0) * t2.embed(fm, 1))
+    cells = [t2.elem(AG.poly({mg: 1}), AM.poly({mm: 1}))
+             for mg in AG.basis_monomials() if sum(mg)
+             for mm in AM.basis_monomials() if sum(mm)]
     total = F.q ** len(cells)
     if total > ENUM_COACTION_LIMIT:
         raise SizeGuard("coaction search space", total, ENUM_COACTION_LIMIT)
     scalars = list(F.elements())
     found = []
-    idx = [0] * len(cells)
     for code in range(total):
         rho = base
         c = code
@@ -687,8 +693,7 @@ def enumerate_coactions(G, M):
             c //= F.q
             if s:
                 rho = rho + cell * t2.scalar(s)
-        rep = group_coaction_verify(G, M, {nm: rho})
-        if rep["ok"]:
+        if next(failures({nm: rho}), None) is None:
             found.append(rho)
     return found
 

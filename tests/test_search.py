@@ -1,15 +1,18 @@
 """The pruned morphism search and the ideal-lattice subgroup walk against
 exhaustive oracles: the same lists, in the same order."""
 
+import itertools
+
 import pytest
 
-from gsl import Field
+from gsl import BadParams, Field
 from gsl.hopf import (HopfIdeal, Morphism, _basis_pos, coords,
                       enumerate_morphisms, enumerate_subgroups,
                       find_isomorphism, from_coords, hopf_product,
                       morphism_check, primitive_elements)
 from gsl.linalg import _pack, subspace_from
-from gsl.zoo import (D, H, SL2_kerF, alpha, cocycle_ext, mu,
+from gsl.zoo import (D, H, SL2_kerF, alpha, cocycle_ext,
+                     enumerate_coactions, group_coaction_verify, mu,
                      sl2_hom_enumerate, zoo_parse)
 
 F2 = Field(2)
@@ -122,6 +125,26 @@ def exhaustive_subgroups(H):
     return out
 
 
+def exhaustive_coactions(G, M):
+    """Every candidate x + (aug(G) x aug(M) terms) of a one-generator G,
+    cell 0 the fastest digit, each through the public verifier."""
+    AG, AM = G.carrier, M.carrier
+    t2 = AG.tensor(AM)
+    (nm,) = AG.vars
+    cells = [t2.embed(AG.poly({mg: 1}), 0) * t2.embed(AM.poly({mm: 1}), 1)
+             for mg in AG.basis_monomials() if sum(mg)
+             for mm in AM.basis_monomials() if sum(mm)]
+    out = []
+    for digits in itertools.product(list(G.field.elements()),
+                                    repeat=len(cells)):
+        rho = t2.embed(AG.var(nm), 0)
+        for s, cell in zip(reversed(digits), cells):
+            rho = rho + cell * t2.scalar(s)
+        if group_coaction_verify(G, M, {nm: rho})["ok"]:
+            out.append(rho)
+    return out
+
+
 def images(homs):
     return [f.images for f in homs]
 
@@ -170,6 +193,13 @@ def test_pruned_morphisms_match_exhaustive_with_shape(n):
     assert images(enumerate_morphisms(E, target, shape=shape)) == images(want)
 
 
+def test_shape_must_be_on_the_generators():
+    with pytest.raises(BadParams, match="'T'"):
+        enumerate_morphisms(alpha(1), alpha(1), shape={})
+    with pytest.raises(BadParams, match="'S'"):
+        enumerate_morphisms(alpha(1), alpha(1), shape={"T": [], "S": []})
+
+
 def test_find_isomorphism_none_matches_exhaustive():
     assert not exhaustive_morphisms(alpha(2), alpha(1), iso_only=True)
     assert find_isomorphism(alpha(2), alpha(1)) is None
@@ -194,6 +224,25 @@ def test_ideal_walk_matches_all_subspaces(case):
     assert bases(found) == bases(exhaustive_subgroups(G))
     assert len(found) == count
     assert all(i.verify()["ok"] for i in found)
+
+
+# -- coactions ----------------------------------------------------------------
+
+COACTION_CASES = {
+    "alpha2-mu1-GF2": lambda: (alpha(2, F2), mu(1, F2)),
+    "alpha2-mu1-GF4": lambda: (alpha(2, F4), mu(1, F4)),
+    "H12-mu1-GF2": lambda: (H(1, 2, F2), mu(1, F2)),
+    "H12-mu1-GF4": lambda: (H(1, 2, F4), mu(1, F4)),
+    "alpha1-mu1-GF3": lambda: (alpha(1, F3), mu(1, F3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COACTION_CASES))
+def test_coaction_search_matches_the_public_verifier(case):
+    G, M = COACTION_CASES[case]()
+    want = exhaustive_coactions(G, M)
+    assert want
+    assert [r.d for r in enumerate_coactions(G, M)] == [r.d for r in want]
 
 
 # -- pins that only the benchmark held ---------------------------------------

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
 from gsl.talg import (DIM_LIMIT, Algebra, Poly, TensorAlgebra, apply_map,
-                      _groebner, eliminate_linear, invert_unit, is_ideal,
+                      _groebner, _mono_images, eliminate_linear,
+                      invert_unit, is_ideal,
                       map_leg, quotient_algebra, quotient_by_subspace,
                       subalgebra_generated, weight_decomposition)
 from gsl.linalg import Subspace, subspace_from
@@ -512,6 +513,77 @@ def test_map_leg_is_the_leg_substitution(F):
 
     assert map_leg(f, 1, fn, QBB) == apply_map(f, images, QBB)
     assert map_leg(QB.zero(), 1, fn, QBB) == QBB.zero()
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=lambda F: F.name)
+def test_map_leg_on_several_slots_is_the_leg_substitution(F):
+    # f ox id ox f on Q ox C ox Q into B ox C ox B, and f ox f on Q ox Q,
+    # against apply_map on renamed variables; f meets itself on B's keys
+    A = ring_ST(F)
+    S, T = A.gens()
+    Q = quotient_algebra(A, [T * T - S * T], eliminate=False)
+    B = Algebra(F, ["x", "y"], [F.p, F.p ** 2])
+    C = Algebra(F, ["u"], [F.p])
+    x, y = B.gens()
+    f = {"S": x * y, "T": x + y + y * y * B.scalar(F.q - 1)}
+    image = _mono_images(Q, f, B)
+    QCQ, BCB = Q.tensor(C, Q), B.tensor(C, B)
+    sQ, tQ, u = Q.var("S"), Q.var("T"), C.var("u")
+    g = (QCQ.elem(tQ, u, sQ + tQ) * QCQ.scalar(F.q - 1)
+         + QCQ.elem(sQ, C.one(), tQ) + QCQ.elem(Q.one(), u, sQ * tQ)
+         + QCQ.elem(sQ + tQ, u, Q.one()) + QCQ.elem(tQ, C.one(), tQ))
+    legs = {nm: BCB.embed(v, 0) for nm, v in f.items()}
+    legs.update({nm + "''": BCB.embed(v, 2) for nm, v in f.items()})
+    assert map_leg(g, (0, 2), image, BCB) == apply_map(g, legs, BCB)
+    QQ, BB = Q.tensor(Q), B.tensor(B)
+    dx = (QQ.elem(tQ, tQ) + QQ.elem(sQ, tQ) + QQ.elem(tQ, sQ)
+          + QQ.elem(sQ, Q.one()))
+    ff = {nm: BB.embed(v, 0) for nm, v in f.items()}
+    ff.update({nm + "'": BB.embed(v, 1) for nm, v in f.items()})
+    assert map_leg(dx, (0, 1), image, BB) == apply_map(dx, ff, BB)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_rebound_memo_equals_a_fresh_one(p, data):
+    # rebind in any order, now and then to None, filling the memo in
+    # between; every monomial then maps as under the final images
+    F = Field(p)
+    src = Algebra(F, ["a", "b", "c"], [p, 2, p])
+    amb = Algebra(F, ["x", "y"], [p, p])
+    x, y = amb.gens()
+    Q = quotient_algebra(amb, [y * y - x * y], eliminate=False)
+    polys = st.builds(Q.poly, st.dictionaries(
+        st.sampled_from(Q.basis_monomials()), st.integers(1, p - 1),
+        min_size=1, max_size=3))
+    images = [None] * 3
+    image = _mono_images(src, {}, Q, allow_missing=src.vars)
+
+    def readable():
+        return [m for m in src.monomials()
+                if all(images[k] is not None for k, e in enumerate(m) if e)]
+
+    for _ in range(data.draw(st.integers(1, 10))):
+        k = data.draw(st.integers(0, 2))
+        images[k] = data.draw(polys) if data.draw(st.integers(0, 4)) else None
+        image.rebind(k, images[k])
+        for m in readable():
+            image(m)
+    bound = {nm: v for nm, v in zip(src.vars, images) if v is not None}
+    fresh = _mono_images(src, bound, Q, allow_missing=src.vars)
+    for m in readable():
+        assert image(m) == fresh(m)
+
+
+def test_plain_algebras_skip_reduction():
+    A = ring_ST()
+    S, T = A.gens()
+    Q = quotient_algebra(A, [T * T - S], eliminate=False)
+    assert A._plain and A.tensor(A)._plain
+    assert not Q._plain and not Q.tensor(A)._plain
+    TT = A.tensor(A)
+    t, t_ = TT.var("T"), TT.var("T'")
+    assert (t + t_) ** 3 == t ** 3 + t ** 2 * t_ + t * t_ ** 2 + t_ ** 3
 
 
 def test_tensor_embed_guards():

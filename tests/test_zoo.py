@@ -526,6 +526,53 @@ def test_coaction_failures_pinned(case):
     assert not rep["ok"]
 
 
+# (group, image) -> every failure, in the verifier's order: the axioms as
+# listed (well_defined, counit_M, counit_G, coassoc, delta_G), generators
+# in carrier order within each
+COACTION_FAILURE_ORDER = {
+    "alpha2-GF2 1 + x": [
+        ("well_defined", "T", "1"), ("counit_M", "T", "1"),
+        ("counit_G", "T", "1"), ("coassoc", "T", "1"), ("delta_G", "T", "1")],
+    "H12-GF4 x + g x u": [
+        ("coassoc", "T", "T*U'*U''"), ("delta_G", "T", "g*T^2*T'^2*U''")],
+    "invariants y1 + y2": [
+        ("well_defined", "relation", "Y1^2"), ("counit_M", "Y1", "Y2"),
+        ("coassoc", "Y1", "Y2"), ("delta_G", "Y2", "Y1^2*Y2' + Y1^2*Y1'")],
+}
+
+
+def _ordered_case(case):
+    if case == "invariants y1 + y2":
+        K = mu2_invariants_D(1, 1, 1)["group"]
+        y1, y2 = K.carrier.var("Y1"), K.carrier.var("Y2")
+        return K, mu(1), {"Y1": y1 + y2, "Y2": y2}
+    F = F2 if case.startswith("alpha2") else F4
+    G, M = (alpha(2, F) if F is F2 else H(1, 2, F)), mu(1, F)
+    t2 = G.carrier.tensor(M.carrier)
+    x = t2.embed(G.carrier.var("T"), 0)
+    u = t2.embed(M.carrier.var("U"), 1)
+    rho = t2.one() + x if F is F2 else x + x * u * t2.scalar(F.gen)
+    return G, M, {"T": rho}
+
+
+@pytest.mark.parametrize("case", sorted(COACTION_FAILURE_ORDER))
+def test_coaction_failure_order_pinned(case):
+    rep = group_coaction_verify(*_ordered_case(case))
+    got = [(f["axiom"], f["generator"], str(f["residual"]))
+           for f in rep["failures"]]
+    assert got == COACTION_FAILURE_ORDER[case]
+
+
+def test_coaction_images_must_be_on_the_generators():
+    G, M = alpha(2), mu(1)
+    t2 = G.carrier.tensor(M.carrier)
+    x = t2.embed(G.carrier.var("T"), 0)
+    with pytest.raises(BadParams, match="'T'"):
+        group_coaction_verify(G, M, {})
+    with pytest.raises(BadParams, match="'S'"):
+        group_coaction_verify(G, M, {"T": x, "S": x})
+
+
 def test_coaction_pins_cover_every_axiom():
     seen = {t[0] for trips in COACTION_FAILURES.values() for t in trips}
     assert seen == {"well_defined", "counit_M", "counit_G", "coassoc",
