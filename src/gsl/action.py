@@ -1,18 +1,20 @@
 """Coactions on the affine line and their projective closures.
 
-A coaction of a group carrier A on the line is stored through the image
-of the coordinate: rho(X) = sum_i a_i X^i as a sparse map from X-degree
-to a coefficient in A, Laurent degrees allowed.  Faithfulness, the chart
-change to the patch at infinity, and the fractional-linear matrix
-realization are all exact arithmetic on these dictionaries; nothing is
-evaluated at points.
+A coaction of a group carrier A on the line is held through the image of
+the coordinate, rho(X) = sum_i a_i X^i with Laurent degrees allowed, as
+one element ``series`` of L = A ox k[X, X^-1] (``HopfAlgebra._line``,
+built once per group).  Faithfulness, the chart change to the patch at
+infinity and the fractional-linear matrix realization are Poly
+arithmetic in L, with inverses from ``talg.invert_unit``; nothing is
+evaluated at points.  The degree dict {i: a_i} is how a coaction is
+given and read back.
 """
 
-from .errors import (BadParams, NotFractionalLinear, NotInvertible,
+from .errors import (BadParams, NonUnit, NotFractionalLinear, NotInvertible,
                      VerifyError)
 from .gf import Field
-from .hopf import _swap_legs, hopf_ideal_closure
-from .talg import invert_unit
+from .hopf import hopf_ideal_closure
+from .talg import Poly, invert_unit, map_leg
 from .zoo import D, alpha, mu, semidirect
 
 
@@ -23,101 +25,66 @@ def _field(field):
 class Coaction(object):
     """The image rho(X) of the line coordinate under a coaction.
 
-    rho maps X-degree -> coefficient in the group carrier.  Construction
-    only normalizes the dictionary; the axioms are checked separately by
-    coaction_verify, so deliberately broken instances can be studied.
+    ``series`` is rho(X) in the group's line ring A ox k[X, X^-1]; pass
+    it, or the degree dict {i: a_i} that ``rho`` reads back (zero
+    coefficients dropped, degrees ascending).  Construction checks no
+    axiom; coaction_verify does, so deliberately broken instances can be
+    studied.
     """
 
     def __init__(self, group, rho):
         self.group = group
-        self.rho = {int(i): f for i, f in rho.items() if f.d}
+        L = group._line()
+        if isinstance(rho, Poly):
+            if rho.alg is not L:
+                raise BadParams("series outside the group's line ring")
+            self.series = rho
+            return
+        A = group.carrier
+        d = {}
+        for i, f in rho.items():
+            if f.alg is not A:
+                raise BadParams("coefficient outside the group's carrier")
+            for m, c in f.d.items():
+                d[m + (int(i),)] = c
+        self.series = Poly(L, d)
+
+    @property
+    def rho(self):
+        return _degrees(self.series)
 
     def coefficient(self, i):
         return self.rho.get(i, self.group.carrier.zero())
 
     def __repr__(self):
-        if not self.rho:
+        rho = self.rho
+        if not rho:
             return "Coaction(0)"
-        parts = []
-        for i in sorted(self.rho, reverse=True):
-            parts.append("(%s)*X^%d" % (self.rho[i], i))
-        return "Coaction(%s)" % " + ".join(parts)
+        return "Coaction(%s)" % " + ".join(
+            "(%s)*X^%d" % (rho[i], i) for i in sorted(rho, reverse=True))
 
 
-# -- Laurent arithmetic over a carrier -------------------------------------
-
-def _lclean(r):
-    return {i: f for i, f in r.items() if f.d}
-
-
-def _ladd(r1, r2):
-    out = dict(r1)
-    for i, f in r2.items():
-        g = out.get(i)
-        out[i] = f if g is None else g + f
-    return _lclean(out)
-
-
-def _lmul(r1, r2):
+def _degrees(s):
+    """The degree dict {i: a_i} of s in a line ring, degrees ascending."""
     out = {}
-    for i, f in r1.items():
-        for j, g in r2.items():
-            h = f * g
-            if not h.d:
-                continue
-            k = i + j
-            s = out.get(k)
-            out[k] = h if s is None else s + h
-    return _lclean(out)
+    for m, c in s.d.items():
+        out.setdefault(m[-1], {})[m[:-1]] = c
+    A = s.alg.factors[0]
+    return {i: Poly(A, out[i]) for i in sorted(out)}
 
 
-def _lscale(r, f):
-    return _lclean({i: g * f for i, g in r.items()})
-
-
-def _lpow(A, r, e, rinv=None):
-    if e < 0:
-        if rinv is None:
-            raise NotInvertible("negative power of a non-inverted series")
-        return _lpow(A, rinv, -e)
-    out = {0: A.one()}
-    for _ in range(e):
-        out = _lmul(out, r)
-    return out
+def _inverse(s):
+    """s^-1 in a line ring, or NotInvertible."""
+    try:
+        return invert_unit(s)
+    except NonUnit as e:
+        raise NotInvertible("not a Laurent unit: %s" % e)
 
 
 def laurent_invert(H, r):
-    """Inverse of rho in A[X, X^-1] for a local carrier A.
-
-    Exactly one coefficient may survive the counit (the unit slot); the
-    rest are nilpotent and the geometric series against them terminates.
-    """
-    A = H.carrier
-    r = _lclean(r)
-    units = [i for i in r if H.counit_map(r[i])]
-    if len(units) != 1:
-        raise NotInvertible("need exactly one unit coefficient, found %d"
-                            % len(units))
-    d = units[0]
-    lead_inv = invert_unit(r[d])
-    n = {}
-    for i, f in r.items():
-        g = f * lead_inv
-        if i == d:
-            g = g - A.one()
-        if g.d:
-            n[i - d] = g
-    inv = {0: A.one()}
-    term = {0: A.one()}
-    for _ in range(A.dim + 1):
-        term = _lscale(_lmul(term, n), A.zero() - A.one())
-        if not term:
-            break
-        inv = _ladd(inv, term)
-    if term:
-        raise NotInvertible("series against the nilpotent part did not "
-                            "terminate")
-    return _lclean({i - d: f * lead_inv for i, f in inv.items()})
+    """Inverse of rho, given as a degree dict, in A[X, X^-1]: exactly one
+    coefficient may survive the counit, and the rest are nilpotent."""
+    return _degrees(_inverse(Coaction(H, r).series))
 
 
 # -- the axioms -------------------------------------------------------------
@@ -126,45 +93,47 @@ def coaction_verify(c):
     """Counit and coassociativity of a line coaction, checked degreewise.
 
     Counit: applying the counit to every coefficient must return the bare
-    coordinate.  Coassociativity: substituting rho into its own X-legs
-    must agree with the coefficient comultiplication.  The groups here
-    act from the left and the coefficients ride on the right leg, so the
-    matching comultiplication is the leg-swapped one; for a commutative
-    group the swap is invisible.
+    coordinate.  Coassociativity: substituting rho into the X-leg of rho,
+    sum a_i ox rho^i, must agree with the coefficient comultiplication,
+    sum delta(a_i) ox X^i, in A ox A ox k[X, X^-1].  The groups here act
+    from the left, so a residual is reported with its legs exchanged, in
+    A ox A.
     """
     H = c.group
-    A = H.carrier
-    F = H.field
+    s = c.series
+    line = H._line(0)
     failures = []
-    degrees = set(c.rho) | {1}
-    for i in sorted(degrees):
-        want = 1 if i == 1 else 0
-        got = H.counit_map(c.coefficient(i))
-        if got != want:
-            failures.append({"axiom": "counit", "degree": i,
-                             "residual": F.sub(got, want)})
+    miss = map_leg(s, 0, H._eps_leg, line) - line.var("X")
+    for (i,), code in sorted(miss.d.items()):
+        failures.append({"axiom": "counit", "degree": i, "residual": code})
     rinv = None
-    if any(i < 0 for i in c.rho):
+    if any(m[-1] < 0 for m in s.d):
         try:
-            rinv = laurent_invert(H, c.rho)
+            rinv = _inverse(s)
         except NotInvertible:
             failures.append({"axiom": "well_defined", "degree": None,
                              "residual": "rho is not a Laurent unit"})
             return {"ok": False, "failures": failures}
+    powers = {}
+
+    def power(leg):
+        i = leg[0]
+        hit = powers.get(i)
+        if hit is None:
+            hit = powers[i] = (s ** i if i >= 0 else rinv ** -i).d
+        return hit
+
+    target = H._line(2)
+    lhs = map_leg(s, 1, power, target)
+    rhs = map_leg(s, 0, H.delta_mono, target)
+    a = len(H.carrier.vars)
+    by_degree = {}
+    for m, code in ({} if lhs == rhs else (lhs - rhs).d).items():
+        by_degree.setdefault(m[-1], {})[m[a:-1] + m[:a]] = code
     t2 = H.t2()
-    lhs = {}
-    for i, f in c.rho.items():
-        for j, g in _lpow(A, c.rho, i, rinv).items():
-            term = t2.elem(g, f)
-            s = lhs.get(j)
-            lhs[j] = term if s is None else s + term
-    rhs = {i: _swap_legs(H.delta_map(f)) for i, f in c.rho.items()}
-    for j in sorted(set(lhs) | set(rhs)):
-        l = lhs.get(j, t2.zero())
-        r = rhs.get(j, t2.zero())
-        if l != r:
-            failures.append({"axiom": "coassoc", "degree": j,
-                             "residual": l - r})
+    for j in sorted(by_degree):
+        failures.append({"axiom": "coassoc", "degree": j,
+                         "residual": Poly(t2, by_degree[j])})
     return {"ok": not failures, "failures": failures}
 
 
@@ -250,19 +219,15 @@ def extends_to_p1(c):
 def chart2_closed_form(c):
     """The predicted inverse for the standard family, as a Laurent map:
     S + u^-1 + T^2 S u^-2 with u = T + WX (terms with absent generators
-    drop out).  Returns the dictionary for comparison against the actual
-    inverse."""
-    H = c.group
-    A = H.carrier
-    S = A.var("S") if "S" in A.vars else A.zero()
-    T = A.var("T") if "T" in A.vars else A.zero()
-    W = A.one() + A.var("U") if "U" in A.vars else A.one()
-    u = _lclean({0: T, 1: W})
-    uinv = laurent_invert(H, u)
-    out = _lclean({0: S})
-    out = _ladd(out, uinv)
-    out = _ladd(out, _lscale(_lmul(uinv, uinv), T ** 2 * S))
-    return out
+    drop out).  Returns the degree dict for comparison against the
+    actual inverse."""
+    L = c.group._line()
+    A = c.group.carrier
+    S = L.var("S") if "S" in A.vars else L.zero()
+    T = L.var("T") if "T" in A.vars else L.zero()
+    W = 1 + L.var("U") if "U" in A.vars else L.one()
+    uinv = (T + W * L.var("X'")) ** -1
+    return _degrees(S + uinv + T ** 2 * S * uinv ** 2)
 
 
 def chart2_matches_closed_form(c):
@@ -307,10 +272,11 @@ def mobius_matrix(c):
             raise NotFractionalLinear("coefficient at degree %d is not "
                                       "nilpotent" % i)
     b = c.coefficient(0)
-    cc = A.zero() - c.coefficient(2) * invert_unit(a1)
+    cc = -(c.coefficient(2) * invert_unit(a1))
     a = a1 + cc * b
-    prod = _lmul(c.rho, _lclean({1: cc, 0: A.one()}))
-    if prod != _lclean({1: a, 0: b}):
+    L = H._line()
+    X = L.var("X'")
+    if c.series * (L.embed(cc, 0) * X + 1) != L.embed(a, 0) * X + L.embed(b, 0):
         raise NotFractionalLinear("higher-degree coefficients do not fit "
                                   "a fractional-linear form")
     M = MobiusMatrix(H, ((a, b), (cc, A.one())))
@@ -321,10 +287,10 @@ def mobius_matrix(c):
 
 def coaction_from_matrix(H, entries):
     """rho(X) = (aX + b) * (cX + d)^-1 for a matrix over the carrier."""
-    (a, b), (c, d) = entries
-    denom = _lclean({1: c, 0: d})
-    num = _lclean({1: a, 0: b})
-    return Coaction(H, _lmul(num, laurent_invert(H, denom)))
+    L = H._line()
+    X = L.var("X'")
+    (a, b), (c, d) = [[L.embed(f, 0) for f in row] for row in entries]
+    return Coaction(H, (a * X + b) * _inverse(c * X + d))
 
 
 def pgl2_morphism_check(M):

@@ -142,6 +142,7 @@ class HopfAlgebra(object):
         _require_on_gens("counit", counit, carrier.vars)
         self._t2 = None
         self._t3 = None
+        self._lines = None
         self._eps_vec = None
         # re-anchor the given elements on this instance's own tensor square,
         # so that values built against a caller-side tensor still compare
@@ -172,6 +173,17 @@ class HopfAlgebra(object):
         if self._t3 is None:
             self._t3 = self.carrier.tensor(self.carrier, self.carrier)
         return self._t3
+
+    def _line(self, legs=1):
+        """A^(ox legs) ox k[X, X^-1]: with one leg the ring of ``action``'s
+        line coactions, with two where their coassociativity is checked.
+        Built once per group, so that coactions of the group multiply and
+        compare."""
+        if self._lines is None:
+            X = Algebra(self.field, ("X",), (0,), ("laurent",))
+            L = self.carrier.tensor(X)
+            self._lines = (X, L, self.carrier.tensor(L))
+        return self._lines[legs]
 
     def delta_map(self, f):
         if f.alg.vars != self.carrier.vars:

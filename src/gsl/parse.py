@@ -28,9 +28,9 @@ iteration.  Parsing verifies the result; a broken file raises ParseError
 with line and column, or VerifyError with the failing axiom.
 """
 
-from .action import (Coaction, coaction_verify, laurent_invert, _ladd,
-                     _lclean, _lmul, _lscale)
-from .errors import BadParams, GslError, ParseError, VerifyError
+from .action import Coaction, coaction_verify
+from .errors import (BadParams, GslError, NonUnit, NotInvertible, ParseError,
+                     VerifyError)
 from .gf import field_from_name
 from .hopf import HopfAlgebra, hopf_verify
 from .talg import Algebra
@@ -168,52 +168,24 @@ def evaluate_expr(text, env, embed, line=1):
     return _Expr(_tokenize(text, line), env, embed).run()
 
 
-class _Laur(object):
-    """Laurent polynomial in the line coordinate over a group carrier."""
-
-    def __init__(self, H, d):
-        self.H = H
-        self.d = _lclean(d)
-
-    def __add__(self, other):
-        return _Laur(self.H, _ladd(self.d, other.d))
-
-    def __sub__(self, other):
-        neg = _lscale(other.d, self.H.carrier.scalar_int(-1))
-        return _Laur(self.H, _ladd(self.d, neg))
-
-    def __mul__(self, other):
-        return _Laur(self.H, _lmul(self.d, other.d))
-
-    def __pow__(self, e):
-        base = self.d
-        if e < 0:
-            base = laurent_invert(self.H, base)
-            e = -e
-        out = {0: self.H.carrier.one()}
-        for _ in range(e):
-            out = _lmul(out, base)
-        return _Laur(self.H, out)
-
-
 def parse_coaction_expr(H, text, line=1, verify=True):
-    """A rho expression over the group H: Laurent in X with generator
-    coefficients; W and V are shorthand for 1 + U when U is present."""
+    """A rho expression over the group H, evaluated in its line ring
+    A ox k[X, X^-1]: Laurent in X with generator coefficients; W and V
+    are shorthand for 1 + U when U is present."""
     A = H.carrier
-    env = {nm: _Laur(H, {0: A.var(nm)}) for nm in A.vars}
-    env["X"] = _Laur(H, {1: A.one()})
+    L = H._line()
+    env = {nm: L.var(nm) for nm in A.vars}
+    env["X"] = L.var("X'")
     if "U" in A.vars:
-        w = _Laur(H, {0: A.one() + A.var("U")})
-        env.setdefault("W", w)
-        env.setdefault("V", w)
+        env.setdefault("W", 1 + L.var("U"))
+        env.setdefault("V", env["W"])
     if H.field.m > 1:
-        env.setdefault("g", _Laur(H, {0: A.scalar(H.field.gen)}))
-
-    def embed(k):
-        return _Laur(H, {0: A.scalar_int(k)})
-
-    val = evaluate_expr(text, env, embed, line)
-    c = Coaction(H, val.d)
+        env.setdefault("g", L.scalar(H.field.gen))
+    try:
+        val = evaluate_expr(text, env, L.scalar_int, line)
+    except NonUnit as e:
+        raise NotInvertible("negative power of a non-unit: %s" % e)
+    c = Coaction(H, val)
     if verify:
         rep = coaction_verify(c)
         if not rep["ok"]:

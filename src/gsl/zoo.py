@@ -638,7 +638,7 @@ def mu_action_normalize(i, coeffs, n, field=None):
     t2 = AG.tensor(AM)
     x = t2.embed(AG.var("T"), 0)
     v = t2.one() + t2.embed(AM.var("U"), 1)
-    vi = v ** i if i >= 0 else invert_unit(v) ** (-i)
+    vi = v ** i
     if not isinstance(coeffs, dict):
         coeffs = {l: a for l, a in enumerate(coeffs, start=1)}
     psi = t2.zero()

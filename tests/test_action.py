@@ -8,7 +8,6 @@ from gsl.action import (Coaction, MobiusMatrix, action_kernel,
                         is_faithful, laurent_invert, mobius_matrix,
                         pgl2_morphism_check, restrict_coaction,
                         standard_coaction)
-from gsl.action import _lclean, _lmul
 from gsl.errors import NotFractionalLinear, NotInvertible
 from gsl.hopf import closed_subgroup, morphism_check
 from gsl.zoo import D, alpha
@@ -46,6 +45,47 @@ def test_counit_failures_reported_degreewise():
     assert ("counit", 1) in [(f["axiom"], f["degree"]) for f in rep["failures"]]
 
 
+def _failures(rep):
+    return [(f["axiom"], f["degree"], str(f["residual"]))
+            for f in rep["failures"]]
+
+
+def test_failure_lists_pinned():
+    a1 = alpha(1)
+    A = a1.carrier
+    T = A.var("T")
+    assert _failures(coaction_verify(Coaction(a1, {1: A.one() + T}))) == [
+        ("coassoc", 1, "T*T'")]
+    assert _failures(coaction_verify(Coaction(a1, {1: A.one(), 0: A.one()}))) == [
+        ("counit", 0, "1"), ("coassoc", 0, "1")]
+    assert _failures(coaction_verify(Coaction(a1, {2: T}))) == [
+        ("counit", 1, "1"), ("coassoc", 2, "T' + T")]
+    # negative degrees: the powers rho^-k of a Laurent unit
+    assert _failures(coaction_verify(Coaction(a1, {1: A.one(), -1: T}))) == [
+        ("coassoc", -3, "T*T'")]
+    assert _failures(coaction_verify(Coaction(a1, {1: A.one(), -1: A.one()}))) == [
+        ("counit", -1, "1"), ("well_defined", None, "rho is not a Laurent unit")]
+    c = standard_coaction(1, 0, True)
+    inv = Coaction(c.group, laurent_invert(c.group, c.rho))
+    assert _failures(coaction_verify(inv)) == [
+        ("counit", -1, "1"), ("counit", 1, "1"), ("coassoc", -2, "T' + T"),
+        ("coassoc", -1, "1"), ("coassoc", 0, "T + S"), ("coassoc", 1, "1"),
+        ("coassoc", 2, "T' + S")]
+
+
+def test_counit_residuals_are_scalar_codes():
+    a1 = alpha(1)
+    rep = coaction_verify(Coaction(a1, {1: a1.carrier.one(), 0: a1.carrier.one()}))
+    assert [f["residual"] for f in rep["failures"] if f["axiom"] == "counit"] == [1]
+    c = standard_coaction(2, 1, False, F4)
+    rep = coaction_verify(Coaction(c.group, laurent_invert(c.group, c.rho)))
+    coassoc = [f for f in rep["failures"] if f["axiom"] == "coassoc"]
+    assert [f["degree"] for f in coassoc] == [-4, -3, -2, -1, 0, 1, 2, 3, 4]
+    assert all(f["residual"].alg is c.group.t2() for f in coassoc)
+    assert str(coassoc[-1]["residual"]) == "T'^3"
+    assert str(coassoc[3]["residual"]) == "1 + U' + U + U*U'"
+
+
 def test_coaction_normalizes_zero_coefficients():
     a1 = alpha(1)
     A = a1.carrier
@@ -63,7 +103,7 @@ def test_laurent_invert_pinned():
     uinv = laurent_invert(a1, u)
     assert sorted(uinv) == [-2, -1]
     assert uinv[-1] == A.one() and uinv[-2] == A.var("T")
-    assert _lmul(u, uinv) == {0: A.one()}
+    assert Coaction(a1, u).series * Coaction(a1, uinv).series == 1
 
 
 def test_laurent_invert_guards():
@@ -73,6 +113,43 @@ def test_laurent_invert_guards():
         laurent_invert(a1, {1: A.var("T")})
     with pytest.raises(NotInvertible):
         laurent_invert(a1, {1: A.one(), 0: A.one()})
+
+
+def test_matrix_with_non_unit_denominator_is_not_invertible():
+    a1 = alpha(1)
+    A = a1.carrier
+    one, zero, T = A.one(), A.zero(), A.var("T")
+    with pytest.raises(NotInvertible):
+        coaction_from_matrix(a1, ((one, zero), (T, zero)))
+    with pytest.raises(NotInvertible):
+        coaction_from_matrix(a1, ((one, zero), (one, one)))
+
+
+def _element(A, picks):
+    """Sum of the carrier's basis monomials at the picked positions."""
+    monos = A.basis_monomials()
+    return sum((A.monomial(monos[k % len(monos)]) for k in set(picks)),
+               A.zero())
+
+
+@given(st.sampled_from(["alpha(2)", "D(1)"]),
+       st.dictionaries(st.integers(min_value=-3, max_value=3),
+                       st.lists(st.integers(min_value=0, max_value=15),
+                                max_size=3),
+                       max_size=4),
+       st.integers(min_value=-2, max_value=2),
+       st.lists(st.integers(min_value=1, max_value=15), max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_degree_dict_and_inverse_round_trips(gid, codes, lead, tail):
+    H = alpha(2) if gid == "alpha(2)" else D(1)
+    A = H.carrier
+    # every coefficient nilpotent but the one at ``lead``, which is 1 + n
+    rho = {i: _element(A, [k for k in picks if k % A.dim])
+           for i, picks in codes.items()}
+    rho[lead] = A.one() + _element(A, [k for k in tail if k % A.dim])
+    c = Coaction(H, rho)
+    assert Coaction(H, c.rho).rho == c.rho
+    assert laurent_invert(H, laurent_invert(H, c.rho)) == c.rho
 
 
 COEFF_CODES = st.sampled_from(["0", "T", "TT", "T+TT"])
@@ -92,9 +169,9 @@ def test_laurent_inverse_round_trip(codes, unit_tail):
     A = a2.carrier
     r = {i: _decode(A, code) for i, code in codes.items()}
     r[0] = A.one() + _decode(A, unit_tail)
-    r = _lclean(r)
+    r = Coaction(a2, r).rho
     inv = laurent_invert(a2, r)
-    assert _lmul(r, inv) == {0: A.one()}
+    assert Coaction(a2, r).series * Coaction(a2, inv).series == 1
 
 
 # -- the standard family -----------------------------------------------------

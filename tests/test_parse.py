@@ -1,9 +1,13 @@
 import pytest
 
 from gsl import Field
+from gsl.action import (Coaction, extends_to_p1, laurent_invert,
+                        standard_coaction)
+from gsl.errors import NotInvertible, VerifyError
 from gsl.hopf import presentations_equal
-from gsl.parse import parse_presentation, print_presentation
-from gsl.zoo import zoo_parse
+from gsl.parse import (parse_coaction_expr, parse_presentation,
+                       print_presentation, rho_str)
+from gsl.zoo import alpha, zoo_parse
 
 F2 = Field(2)
 F3 = Field(3)
@@ -24,3 +28,40 @@ def test_print_parse_print_is_a_fixed_point(F, cid):
     K = parse_presentation(text)
     assert print_presentation(K) == text
     assert presentations_equal(H, K)
+
+
+_COACTIONS = ((1, 0, True), (2, 1, True), (2, 2, False), (0, 1, True))
+
+
+@pytest.mark.parametrize("F,args", [(F, a) for F in (F2, F4) for a in _COACTIONS],
+                         ids=lambda x: x.name if isinstance(x, Field) else str(x))
+def test_coaction_print_parse_print_is_a_fixed_point(F, args):
+    # the action block is read by parse_coaction_expr and verified
+    c = standard_coaction(*args, field=F)
+    chart2 = extends_to_p1(c)["chart2"]
+    for obj in (c, chart2):
+        text = print_presentation(obj)
+        back = parse_presentation(text)
+        assert print_presentation(back) == text
+        assert rho_str(back) == rho_str(obj)
+
+
+@pytest.mark.parametrize("F", (F2, F4), ids=lambda F: F.name)
+def test_negative_degrees_go_through_the_grammar(F):
+    # rho^-1 has only degrees <= 0 and is no coaction itself
+    c = standard_coaction(2, 1, True, F)
+    inv = Coaction(c.group, laurent_invert(c.group, c.rho))
+    assert min(inv.rho) == -4 and max(inv.rho) == 0
+    text = rho_str(inv)
+    assert "X^-1" in text
+    back = parse_coaction_expr(c.group, text, verify=False)
+    assert back.rho == inv.rho and rho_str(back) == text
+    with pytest.raises(VerifyError):
+        parse_coaction_expr(c.group, text)
+
+
+def test_negative_power_of_a_non_unit_is_not_invertible():
+    with pytest.raises(NotInvertible):
+        parse_coaction_expr(alpha(1), "(T*X)^-1")
+    with pytest.raises(NotInvertible):
+        parse_coaction_expr(alpha(1), "(1 + X)^-1")
