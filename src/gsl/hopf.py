@@ -40,39 +40,6 @@ def _pair_guard(what, A):
         raise SizeGuard(what, A.dim * A.dim, DIM_LIMIT)
 
 
-def _basis(alg):
-    """The reduced basis monomials, listed once and cached on the algebra."""
-    cache = getattr(alg, "_gsl_basis", None)
-    if cache is None:
-        cache = alg.basis_monomials()
-        alg._gsl_basis = cache
-    return cache
-
-
-def _basis_pos(alg):
-    """Monomial -> position map for the reduced basis, cached on the algebra."""
-    cache = getattr(alg, "_gsl_basis_pos", None)
-    if cache is None:
-        cache = {m: i for i, m in enumerate(_basis(alg))}
-        alg._gsl_basis_pos = cache
-    return cache
-
-
-def coords(f, alg=None):
-    """Coordinates of a reduced polynomial over the basis monomials."""
-    alg = alg or f.alg
-    pos = _basis_pos(alg)
-    vec = [0] * alg.dim
-    for m, c in f.d.items():
-        vec[pos[m]] = c
-    return vec
-
-
-def from_coords(alg, vec):
-    basis = _basis(alg)
-    return alg.poly({basis[i]: c for i, c in enumerate(vec) if c})
-
-
 def _push(f, target):
     """Project along equally-named generators; aliases resolve dropped ones."""
     return apply_map(f, {}, target)
@@ -115,7 +82,7 @@ def _ideal_span_coords(A, polys):
     J = quotient_algebra(
         amb, _relation_polys(A) + [Poly(amb, g.d) for g in polys],
         eliminate=False)
-    rows = [coords(Poly(A, {m: 1}) - Poly(A, J.reduce_term(m)), A)
+    rows = [A.to_vector(Poly(A, {m: 1}) - Poly(A, J.reduce_term(m)))
             for m in A.basis_monomials() if J.reduce_term(m) is not None]
     return subspace_from(A.field, A.dim, rows)
 
@@ -132,6 +99,11 @@ class HopfAlgebra(object):
     memo filled on demand (a plain dict over A ox A per monomial);
     ``delta_map``, ``delta_table`` and the coassociativity check read it.
     The counit of a monomial is a scalar, read off its exponents.
+
+    ``t2()`` is the carrier's own tensor square (``Algebra._square``):
+    groups on one carrier share it while any of them, or any element of
+    it, is alive, so their coproducts compare.  Coordinates are the
+    carrier's ``to_vector``/``from_vector``.
     """
 
     def __init__(self, carrier, delta, counit, antipode=None, name=None):
@@ -140,14 +112,14 @@ class HopfAlgebra(object):
         self.name = name or "H"
         _require_on_gens("delta", delta, carrier.vars)
         _require_on_gens("counit", counit, carrier.vars)
-        self._t2 = None
+        self._t2 = carrier._square()
         self._t3 = None
         self._lines = None
         self._eps_vec = None
-        # re-anchor the given elements on this instance's own tensor square,
-        # so that values built against a caller-side tensor still compare
-        self.delta = {k: apply_map(v, {}, self.t2()) for k, v in delta.items()}
-        self.delta_mono = _mono_images(carrier, self.delta, self.t2())
+        # re-anchor the given elements on the carrier's tensor square, so
+        # that values built against a caller-side tensor still compare
+        self.delta = {k: apply_map(v, {}, self._t2) for k, v in delta.items()}
+        self.delta_mono = _mono_images(carrier, self.delta, self._t2)
         self.counit = {k: int(v) for k, v in counit.items()}
         self._eps_codes = [self.counit[nm] for nm in carrier.vars]
         if antipode is None:
@@ -161,12 +133,6 @@ class HopfAlgebra(object):
         return self.carrier.dim
 
     def t2(self):
-        if self._t2 is None:
-            cached = getattr(self.carrier, "_gsl_t2", None)
-            if cached is None:
-                cached = self.carrier.tensor(self.carrier)
-                self.carrier._gsl_t2 = cached
-            self._t2 = cached
         return self._t2
 
     def t3(self):
@@ -227,7 +193,7 @@ class HopfAlgebra(object):
         A = self.carrier
         F = self.field
         eps = self._eps_vector()
-        one_pos = _basis_pos(A)[next(iter(A.one().d))]
+        one_pos = A._positions()[A._zero_mono]
         S = Subspace(F, A.dim)
         for i in range(A.dim):
             if i == one_pos:
@@ -241,7 +207,8 @@ class HopfAlgebra(object):
 
     def _eps_vector(self):
         if self._eps_vec is None:
-            self._eps_vec = [self._eps_mono(m) for m in _basis(self.carrier)]
+            self._eps_vec = [self._eps_mono(m)
+                             for m in self.carrier.basis_monomials()]
         return self._eps_vec
 
     def delta_table(self):
@@ -249,7 +216,7 @@ class HopfAlgebra(object):
         read from the ``delta_mono`` memo."""
         A = self.carrier
         _pair_guard("delta_table pairs", A)
-        split, pos = self.t2().split_mono, _basis_pos(A)
+        split, pos = self.t2().split_mono, A._positions()
         out = []
         for m in A.basis_monomials():
             entry = {}
@@ -299,18 +266,17 @@ class HopfAlgebra(object):
 def _relation_polys(A):
     """Generators of the carrier's ideal, falling back to its Groebner
     basis."""
-    gens = list(getattr(A, "ideal_gens", []))
-    if not gens and isinstance(A, QuotientAlgebra):
-        gens = list(A.groebner)
-    return gens
+    if not isinstance(A, QuotientAlgebra):
+        return []
+    return list(A.ideal_gens or A.groebner)
 
 
 def _generating_vars(A):
     """The carrier's variables less each v that leads an element v - t
     of its Groebner basis: t is lex-smaller, so a polynomial in earlier
     variables, and by induction the variables kept generate A."""
-    leads = [max(g.d, key=A.ambient.mono_index)
-             for g in getattr(A, "groebner", ())]
+    groebner = A.groebner if isinstance(A, QuotientAlgebra) else ()
+    leads = [max(g.d, key=A.ambient.mono_index) for g in groebner]
     skip = {t.index(1) for t in leads if sum(t) == 1}
     return [nm for i, nm in enumerate(A.vars) if i not in skip]
 
@@ -445,7 +411,7 @@ class Morphism(object):
             A = self.source.carrier
             B = self.target.carrier
             image = _mono_images(A, self.images, B)
-            self._mat = [coords(Poly(B, image(m)), B)
+            self._mat = [B.to_vector(Poly(B, image(m)))
                          for m in A.basis_monomials()]
         return self._mat
 
@@ -577,10 +543,10 @@ def subgroup_from_elements(G, named_elems, name=None):
     named_elems is a list of (generator name, element) pairs.  The shell
     is the free truncated algebra on the names, and ev sends its monomial
     m_j to the matching product of elements.  One Subspace echelonises the
-    rows e_j | coords(ev(m_j)): the rows whose high block is zero span the
-    kernel of ev, which presents the quotient Q of the shell, and the
-    residue of 0 | v is -c | 0 exactly when v = sum c_j ev(m_j) over the
-    staircase of Q (a nonzero high block means v escapes the span).
+    rows e_j | A.to_vector(ev(m_j)): the rows whose high block is zero
+    span the kernel of ev, which presents the quotient Q of the shell, and
+    the residue of 0 | v is -c | 0 exactly when v = sum c_j ev(m_j) over
+    the staircase of Q (a nonzero high block means v escapes the span).
     Delta of each element is expressed leg by leg: its left slices, one
     per right-leg monomial, then the right slices this leaves, so no
     vector of A.dim^2 coordinates is built and no SizeGuard applies.
@@ -612,9 +578,9 @@ def subgroup_from_elements(G, named_elems, name=None):
     k = len(smonos)
     image = _mono_images(shell, dict(elems), A)
     aug, kernel = _column_kernel(
-        F, [coords(Poly(A, image(m)), A) for m in smonos], A.dim)
+        F, [A.to_vector(Poly(A, image(m))) for m in smonos], A.dim)
     Q = quotient_by_subspace(shell, kernel)
-    pos = _basis_pos(A)
+    pos = A._positions()
 
     def express(terms):
         """The {j: c} with sum c_j ev(m_j) equal to the element of A with
@@ -717,7 +683,7 @@ def primitive_elements(H):
     eqs = Subspace(F, n)
     for row in seen.values():
         eqs.insert(row)
-    return [from_coords(A, vec) for vec in eqs.right_kernel_basis()]
+    return [A.from_vector(vec) for vec in eqs.right_kernel_basis()]
 
 
 def _twist_carrier(carrier, r):
@@ -788,11 +754,11 @@ class HopfIdeal(object):
         return self.subspace.dim
 
     def contains(self, f):
-        return self.subspace.contains(coords(f, self.hopf.carrier))
+        return self.subspace.contains(self.hopf.carrier.to_vector(f))
 
     def basis_polys(self):
         A = self.hopf.carrier
-        return [from_coords(A, v) for v in self.subspace.basis()]
+        return [A.from_vector(v) for v in self.subspace.basis()]
 
     def is_augmentation(self):
         return self.dim == self.hopf.dim - 1 and self._killed_by_counit()
@@ -819,9 +785,9 @@ class HopfIdeal(object):
                "augmented": self._killed_by_counit()}
         for f in self.basis_polys():
             for nm in A.vars:
-                if not V.contains(coords(A.var(nm) * f, A)):
+                if not V.contains(A.to_vector(A.var(nm) * f)):
                     rep["ideal"] = False
-            if not V.contains(coords(H.antipode_map(f), A)):
+            if not V.contains(A.to_vector(H.antipode_map(f))):
                 rep["antipode_stable"] = False
             if _escaping_legs(H, V, f):
                 rep["coideal"] = False
@@ -840,7 +806,7 @@ def _delta_matrix(H, f):
     _pair_guard("coproduct matrix", A)
     F = H.field
     split = H.t2().split_mono
-    pos = _basis_pos(A)
+    pos = A._positions()
     rows = {}
     for m, c in f.d.items():
         for mono, c2 in H.delta_mono(m).items():
@@ -872,12 +838,12 @@ def _escaping_legs(H, V, f):
     for j, col in cols.items():
         r = V.residue(col)
         if any(r):
-            out.append(from_coords(A, r))
+            out.append(A.from_vector(r))
             surviving[j] = True
     for i, row in reduced.items():
         keep = [c if surviving.get(j) else 0 for j, c in enumerate(row)]
         if any(keep):
-            out.append(from_coords(A, keep))
+            out.append(A.from_vector(keep))
     return out
 
 
@@ -886,7 +852,7 @@ def _escapes(H, V, f):
     legs of delta(f), then S(f) if it lies outside V."""
     out = _escaping_legs(H, V, f)
     sf = H.antipode_map(f)
-    if not V.contains(coords(sf, H.carrier)):
+    if not V.contains(H.carrier.to_vector(sf)):
         out.append(sf)
     return out
 
@@ -909,11 +875,11 @@ def hopf_ideal_closure(H, seeds, max_rounds=None):
     for _ in range(rounds):
         add = []
         for vec in V.basis():
-            add.extend(_escapes(H, V, from_coords(A, vec)))
+            add.extend(_escapes(H, V, A.from_vector(vec)))
         if not add:
             break
         old = V.dim
-        V = _ideal_span_coords(A, [from_coords(A, v) for v in V.basis()] + add)
+        V = _ideal_span_coords(A, [A.from_vector(v) for v in V.basis()] + add)
         if V.dim == old:
             break
     return HopfIdeal(H, V, gens=seeds)
@@ -959,8 +925,7 @@ def quotient_group(H, ideal, name=None):
     F = H.field
     Q = _requotient(A, ideal.basis_polys())
     T = A.tensor(Q)
-    posA = _basis_pos(A)
-    posQ = _basis_pos(Q)
+    posA, posQ = A._positions(), Q._positions()
     tdim = A.dim * Q.dim
     if tdim > DIM_LIMIT:
         raise SizeGuard("quotient_group coinvariant equations", tdim, DIM_LIMIT)
@@ -979,8 +944,8 @@ def quotient_group(H, ideal, name=None):
     sub = subalgebra_generated(A, [])
     idx = 0
     for vec in span.basis():
-        f = from_coords(A, vec)
-        if not sub.contains(A.to_vector(f)):
+        f = A.from_vector(vec)
+        if not sub.contains(vec):
             idx += 1
             chosen.append(("Z%d" % idx, f - A.scalar(f.constant_term())))
             sub = subalgebra_generated(A, [el for _, el in chosen])
@@ -1172,22 +1137,13 @@ def points_group(H, R):
     ideal_gens = _relation_polys(A)
 
     points = []
-
-    def rec(k, images):
-        if k == len(names):
-            if all(apply_map(g, images, R) == 0 for g in ideal_gens):
-                points.append(tuple(tuple(coords(images[nm], R))
-                                    for nm in names))
-            return
-        for r in cand[k]:
-            images[names[k]] = r
-            rec(k + 1, images)
-        images.pop(names[k], None)
-
-    rec(0, {})
+    for pick in product(*cand):
+        images = dict(zip(names, pick))
+        if all(apply_map(g, images, R) == 0 for g in ideal_gens):
+            points.append(tuple(tuple(R.to_vector(r)) for r in pick))
 
     def as_images(pt):
-        return {nm: from_coords(R, list(pt[i])) for i, nm in enumerate(names)}
+        return {nm: R.from_vector(pt[i]) for i, nm in enumerate(names)}
 
     t2 = H.t2()
 
@@ -1202,35 +1158,23 @@ def points_group(H, R):
                 b = apply_map(A.poly({m2: 1}), im2, R)
                 if a.d and b.d:
                     val = val + R.scalar(c) * a * b
-            out.append(tuple(coords(val, R)))
+            out.append(tuple(R.to_vector(val)))
         return tuple(out)
 
     def inv(pt):
         im = as_images(pt)
-        return tuple(tuple(coords(apply_map(H.antipode[nm], im, R), R))
+        return tuple(tuple(R.to_vector(apply_map(H.antipode[nm], im, R)))
                      for nm in names)
 
-    identity = tuple(tuple(coords(R.scalar(H.counit[nm]), R)) for nm in names)
+    identity = tuple(tuple(R.to_vector(R.scalar(H.counit[nm])))
+                     for nm in names)
     return GroupTable(H, R, points, mul, inv, identity)
 
 
 def _all_elements(R):
-    F = R.field
-    n = R.dim
-    out = []
-    vec = [0] * n
-
-    def rec(k):
-        if k == n:
-            out.append(from_coords(R, list(vec)))
-            return
-        for c in range(F.q):
-            vec[k] = c
-            rec(k + 1)
-        vec[k] = 0
-
-    rec(0)
-    return out
+    """Every element of R, the last coordinate running fastest."""
+    return [R.from_vector(vec)
+            for vec in product(range(R.field.q), repeat=R.dim)]
 
 
 def enumerate_subgroups(H):
@@ -1256,8 +1200,8 @@ def enumerate_subgroups(H):
                         ENUM_SUBGROUP_DIM_LIMIT)
     if any(k != "nil" for k in A.ambient.kinds):
         raise BadParams("enumerate_subgroups expects nil generators")
-    one_pos = _basis_pos(A)[next(iter(A.one().d))]
-    muls = [[coords(x * A.poly({m: 1}), A) for m in A.basis_monomials()]
+    one_pos = A._positions()[A._zero_mono]
+    muls = [[A.to_vector(x * A.poly({m: 1})) for m in A.basis_monomials()]
             for x in H.gens()]
     zero = Subspace(F, A.dim)
     ideals = {(): zero}
@@ -1273,7 +1217,7 @@ def enumerate_subgroups(H):
         level = up
     aug = [i for i in range(A.dim) if i != one_pos]
     found = [V for V in ideals.values()
-             if not any(_escapes(H, V, from_coords(A, v)) for v in V.basis())]
+             if not any(_escapes(H, V, A.from_vector(v)) for v in V.basis())]
     found.sort(key=lambda V: _echelon_order(V, aug))
     return [HopfIdeal(H, V) for V in found]
 
@@ -1390,7 +1334,7 @@ def _morphisms(H1, H2, shape, iso_only):
     F = H1.field
     names = list(A1.vars)
     if shape is None:
-        aug = [from_coords(A2, v) for v in H2.aug_subspace().basis()]
+        aug = [A2.from_vector(v) for v in H2.aug_subspace().basis()]
         shape = {nm: aug for nm in names}
     _require_on_gens("shape", shape, names)
     count = 1
@@ -1408,16 +1352,6 @@ def _morphisms(H1, H2, shape, iso_only):
         k = max((depth[nm] for nm in support), default=0)
         (alone if support <= {names[k]} else joint)[k].append(holds)
 
-    def combos(basis):
-        if not basis:
-            yield A2.zero()
-            return
-        head, tail = basis[0], basis[1:]
-        for rest in combos(tail):
-            yield rest
-            for c in range(1, F.q):
-                yield rest + head * A2.scalar(c)
-
     # one memo of f for the whole search: binding generator k rebinds
     # variable k, which drops only the monomials that read it
     image = _mono_images(A1, {}, A2, allow_missing=names)
@@ -1426,7 +1360,7 @@ def _morphisms(H1, H2, shape, iso_only):
     for k, nm in enumerate(names):
         base = A2.scalar(H1.counit[nm])
         keep = []
-        for el in combos(shape[nm]):
+        for el in _combos(A2, shape[nm]):
             img = base + el
             image.rebind(k, img)
             imgs[nm], deltas[nm] = img, H2.delta_map(img)
@@ -1434,20 +1368,39 @@ def _morphisms(H1, H2, shape, iso_only):
                 keep.append((img, deltas[nm]))
         cands.append(keep)
 
-    def rec(k):
-        if k == len(names):
-            f = Morphism(H1, H2, dict(imgs))
-            if morphism_check(f)["ok"] and (not iso_only or f.is_bijective()):
-                yield f
-            return
-        nm = names[k]
-        for img, dimg in cands[k]:
-            image.rebind(k, img)
-            imgs[nm], deltas[nm] = img, dimg
-            if all(holds(imgs, image, deltas) for holds in joint[k]):
-                yield from rec(k + 1)
+    maps = (Morphism(H1, H2, dict(imgs))
+            for _ in _bindings(0, names, cands, joint, image, imgs, deltas))
+    return (f for f in maps
+            if morphism_check(f)["ok"] and (not iso_only or f.is_bijective()))
 
-    return rec(0)
+
+def _combos(A, basis):
+    """Every linear combination of the basis elements of A, the first
+    coefficient running fastest, each made by one product and one sum."""
+    if not basis:
+        yield A.zero()
+        return
+    head = basis[0]
+    for rest in _combos(A, basis[1:]):
+        yield rest
+        for c in range(1, A.field.q):
+            yield rest + head * A.scalar(c)
+
+
+def _bindings(k, names, cands, joint, image, imgs, deltas):
+    """Depth first from generator k on: bind each candidate (image, its
+    delta) of generator k into ``image``, imgs and deltas, cut the branch
+    when an equation of ``joint[k]`` fails, and yield once per full
+    binding."""
+    if k == len(names):
+        yield
+        return
+    for img, dimg in cands[k]:
+        image.rebind(k, img)
+        imgs[names[k]], deltas[names[k]] = img, dimg
+        if all(holds(imgs, image, deltas) for holds in joint[k]):
+            yield from _bindings(k + 1, names, cands, joint, image, imgs,
+                                 deltas)
 
 
 def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
@@ -1495,9 +1448,9 @@ class DualHopf(object):
         for i, mi in enumerate(basis):
             for j, mj in enumerate(basis):
                 prod = A.poly({mi: 1}) * A.poly({mj: 1})
-                self._mult_coords[(i, j)] = coords(prod, A)
+                self._mult_coords[(i, j)] = A.to_vector(prod)
         self._eps = hopf._eps_vector()
-        self._one = coords(A.one(), A)
+        self._one = A.to_vector(A.one())
 
     def unit(self):
         return list(self._eps)

@@ -23,20 +23,27 @@ ideal.  ``apply_map`` substitutes through memoised monomial images, one
 product per new monomial, and ``map_leg`` substitutes into legs of a
 tensor element with no product or reduction at all.
 
+Every algebra lists its reduced basis once, on first use, and the one
+coordinate map, ``to_vector``/``from_vector``, reads a vector over that
+list.  Each such cache is an attribute declared in ``Algebra.__init__``;
+the tensor square A (x) A is shared through a weak reference, so no
+algebra is part of a reference cycle.
+
 Size guards (SizeGuard, against DIM_LIMIT) sit where something dense is
 materialised: the monomial shell of a free algebra, the reduced basis
 of a quotient (its staircase is counted before it is listed), the
 subspaces ``is_ideal`` tests, and a tensor's reduced basis
-(``basis_monomials``, hence ``reduced_index`` and coordinates).  A
-quotient's shell is never listed, so it may pass DIM_LIMIT when built
-with ``dim_guard=False``; building a tensor product materialises
-nothing and is never refused.
+(``basis_monomials``, hence coordinates).  A quotient's shell is never
+listed, so it may pass DIM_LIMIT when built with ``dim_guard=False``;
+building a tensor product materialises nothing and is never refused.
 
 Nothing here knows about comultiplications; Hopf structure lives one
 layer up.
 """
 
 import heapq
+import math
+import weakref
 
 from .errors import BadParams, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
 from .linalg import Subspace, _pack
@@ -209,17 +216,16 @@ class Algebra(object):
         self.orders = orders
         self.kinds = kinds
         self.aliases = {}
-        if "laurent" in kinds:
-            self.dim = None
-        else:
-            dim = 1
-            for d in orders:
-                dim *= d
-            if dim_guard and dim > DIM_LIMIT:
-                raise SizeGuard("algebra dimension", dim, DIM_LIMIT)
-            self.dim = dim
+        self.dim = None if "laurent" in kinds else math.prod(orders)
+        if dim_guard and self.dim is not None and self.dim > DIM_LIMIT:
+            raise SizeGuard("algebra dimension", self.dim, DIM_LIMIT)
         self._strides = None
         self._zero_mono = (0,) * len(names)
+        # filled on first use: basis_monomials(), each one's position in
+        # it, and a weak reference to self (x) self
+        self._basis = None
+        self._basis_pos = None
+        self._square_ref = None
         # whether reduce_term is always None, so products need no reduction
         self._plain = type(self).reduce_term is Algebra.reduce_term
 
@@ -253,10 +259,7 @@ class Algebra(object):
         return tuple(out)
 
     def ambient_dim(self):
-        dim = 1
-        for d in self.orders:
-            dim *= d
-        return dim
+        return math.prod(self.orders)
 
     def mono_mul(self, m1, m2):
         """Product of two exponent tuples, or None when a nil power dies."""
@@ -291,7 +294,21 @@ class Algebra(object):
             yield self.index_mono(i)
 
     def basis_monomials(self):
+        """The reduced basis, listed once; a monomial's position in it is
+        its coordinate in ``to_vector``."""
+        if self._basis is None:
+            self._basis = self._list_basis()
+        return self._basis
+
+    def _list_basis(self):
         return list(self.monomials())
+
+    def _positions(self):
+        """Monomial -> its position in ``basis_monomials()``."""
+        if self._basis_pos is None:
+            self._basis_pos = {m: i for i, m
+                               in enumerate(self.basis_monomials())}
+        return self._basis_pos
 
     # -- term reduction --------------------------------------------------------
 
@@ -359,7 +376,7 @@ class Algebra(object):
         if name not in self.vars:
             alias = self.aliases.get(name)
             if alias is not None:
-                return alias
+                return Poly(self, alias)
             raise BadParams(f"no variable or alias named {name!r} in {self.vars}")
         i = self.vars.index(name)
         m = [0] * len(self.vars)
@@ -385,29 +402,38 @@ class Algebra(object):
     # -- vectors -------------------------------------------------------------
 
     def to_vector(self, f):
-        vec = [0] * self.ambient_dim()
+        """Coordinates of f over ``basis_monomials()``, a list of dim codes."""
+        if f.alg is not self:
+            raise BadParams("element lives in another algebra")
+        pos = self._positions()
+        vec = [0] * self.dim
         for m, c in f.d.items():
-            vec[self.mono_index(m)] = c
+            vec[pos[m]] = c
         return vec
 
     def from_vector(self, vec):
-        d = {}
-        for i, c in enumerate(vec):
-            if c:
-                d[self.index_mono(i)] = c
-        return Poly(self, d)
-
-    def to_mask(self, f):
-        """Packed GF(2) twin of to_vector; only meaningful when q == 2."""
-        mask = 0
-        for m in f.d:
-            mask |= 1 << self.mono_index(m)
-        return mask
+        """The element with coordinates vec, the inverse of ``to_vector``."""
+        basis = self.basis_monomials()
+        if len(vec) != len(basis):
+            raise BadParams(
+                f"expected {len(basis)} coordinates, got {len(vec)}")
+        # basis monomials are reduced
+        return Poly(self, {basis[i]: c for i, c in enumerate(vec) if c})
 
     # -- misc ------------------------------------------------------------------
 
     def tensor(self, *others):
         return TensorAlgebra((self,) + others)
+
+    def _square(self):
+        """self (x) self, one algebra for every caller while any of them
+        holds it.  It is held here by weak reference only: it holds self
+        as its factors, and nothing points back."""
+        t2 = None if self._square_ref is None else self._square_ref()
+        if t2 is None:
+            t2 = TensorAlgebra((self, self))
+            self._square_ref = weakref.ref(t2)
+        return t2
 
     def poly_str(self, f):
         if not f.d:
@@ -464,7 +490,7 @@ class QuotientAlgebra(Algebra):
     the largest-pivot echelon form of the ideal.  Every Poly is stored
     reduced, supported on the staircase.  ``aliases`` maps names of
     variables that were eliminated during presentation to their
-    expressions here.
+    expressions here, as reduced term dicts that ``var`` wraps.
     """
 
     def __init__(self, ambient, groebner, gens=None, aliases=None):
@@ -488,22 +514,17 @@ class QuotientAlgebra(Algebra):
         self.dim = _stair_count(self.orders, [t for t, _ in self._leads])
         if self.dim > DIM_LIMIT:
             raise SizeGuard("quotient basis", self.dim, DIM_LIMIT)
-        self._basis = None
         self._memo = {}
-        self.aliases = {}
         if aliases:
             for nm, f in aliases.items():
-                self.aliases[nm] = Poly(self, self.reduce_dict(dict(f.d)))
+                self.aliases[nm] = self.reduce_dict(f.d)
 
     @property
     def ambient(self):
         return self._ambient
 
-    def basis_monomials(self):
-        if self._basis is None:
-            self._basis = _stair_list(self.orders,
-                                      [t for t, _ in self._leads])
-        return self._basis
+    def _list_basis(self):
+        return _stair_list(self.orders, [t for t, _ in self._leads])
 
     def reduce_term(self, m):
         hit = self._memo.get(m, _UNSEEN)
@@ -628,8 +649,8 @@ class TensorAlgebra(Algebra):
 
     All arithmetic is sparse, so any number of factors of any dimension
     may be glued; ``dim`` is only the product of the factor dimensions.
-    Only ``basis_monomials`` (and ``reduced_index`` and coordinates, which
-    go through it) lists the basis, and refuses past DIM_LIMIT.
+    Only ``basis_monomials`` (and the coordinates, which go through it)
+    lists the basis, and refuses past DIM_LIMIT.
     """
 
     def __init__(self, factors):
@@ -661,16 +682,9 @@ class TensorAlgebra(Algebra):
         for fac in factors:
             self._spans.append((off, off + len(fac.vars)))
             off += len(fac.vars)
-        if all(fac.dim is not None for fac in factors):
-            dim = 1
-            for fac in factors:
-                dim *= fac.dim
-            self.dim = dim
-        else:
-            self.dim = None
+        dims = [fac.dim for fac in factors]
+        self.dim = None if None in dims else math.prod(dims)
         self._plain = all(fac._plain for fac in factors)
-        self._basis = None
-        self._basis_pos = None
 
     def reduce_term(self, m):
         if self._plain:
@@ -728,23 +742,15 @@ class TensorAlgebra(Algebra):
     def split_mono(self, m):
         return tuple(m[a:b] for a, b in self._spans)
 
-    def basis_monomials(self):
+    def _list_basis(self):
         if self.dim is None:
             raise BadParams("no finite monomial basis with laurent variables")
         if self.dim > DIM_LIMIT:
             raise SizeGuard("tensor basis_monomials", self.dim, DIM_LIMIT)
-        if self._basis is None:
-            parts = [fac.basis_monomials() for fac in self.factors]
-            out = [()]
-            for p in parts:
-                out = [head + sub for sub in p for head in out]
-            self._basis = out
-        return self._basis
-
-    def reduced_index(self, m):
-        if self._basis_pos is None:
-            self._basis_pos = {mm: i for i, mm in enumerate(self.basis_monomials())}
-        return self._basis_pos[m]
+        out = [()]
+        for p in [fac.basis_monomials() for fac in self.factors]:
+            out = [head + sub for sub in p for head in out]
+        return out
 
 
 # -- ideals and quotients --------------------------------------------------
@@ -1020,7 +1026,9 @@ def _mono_images(src, images, target, allow_missing=()):
     The image of m is the image of m with its last nonzero exponent e
     cleared, times img_k ** e; each such power is computed once (and
     reduced), so a new monomial costs at most one product and none is
-    repeated.
+    repeated.  A lookup walks down those prefixes to the longest one in
+    the memo and multiplies back up in a loop, so the function never
+    calls itself and forms no reference cycle.
 
     ``image.rebind(k, img)`` sends variable k to img from then on (None
     drops it, as ``allow_missing`` does).  Only the monomials whose last
@@ -1044,10 +1052,19 @@ def _mono_images(src, images, target, allow_missing=()):
 
     def image(m):
         hit = memo.get(m)
-        if hit is None:
+        if hit is not None:
+            return hit
+        # (monomial, its last nonzero slot) down to a memoised prefix; the
+        # zero monomial is always memoised
+        chain = []
+        while hit is None:
             k = len(m) - 1
             while not m[k]:
                 k -= 1
+            chain.append((m, k))
+            m = m[:k] + (0,) * (len(m) - k)
+            hit = memo.get(m)
+        for m, k in reversed(chain):
             e = m[k]
             pw = powers[k].get(e)
             if pw is None:
@@ -1059,8 +1076,7 @@ def _mono_images(src, images, target, allow_missing=()):
                 # a power e > 1 comes out of products, hence reduced
                 pw = powers[k][e] = (target.reduce_dict(img.d) if e == 1
                                      else (img ** e).d)
-            head = image(m[:k] + (0,) * (len(m) - k))
-            hit = memo[m] = pw if head is one else target.mul_dicts(head, pw)
+            hit = memo[m] = pw if hit is one else target.mul_dicts(hit, pw)
             layers[k].append(m)
         return hit
 
@@ -1266,19 +1282,19 @@ def _find_linear(ambient, gens):
 
 
 def subalgebra_generated(alg, elems):
-    """Echelon span of the unital subalgebra generated by ``elems``."""
+    """Echelon span of the unital subalgebra generated by ``elems``, in
+    the coordinates of ``alg.to_vector``."""
     if alg.dim is None:
         raise BadParams("subalgebras need a finite algebra")
-    S = Subspace(alg.field, alg.ambient_dim())
-    pack = alg.to_mask if alg.field.q == 2 else alg.to_vector
+    S = Subspace(alg.field, alg.dim)
     one = alg.one()
-    S.insert(pack(one))
+    S.insert(alg.to_vector(one))
     queue = [one]
     while queue:
         f = queue.pop()
         for e in elems:
             w = f * e
-            if w.d and S.insert(pack(w)):
+            if w.d and S.insert(alg.to_vector(w)):
                 queue.append(w)
     return S
 

@@ -1,5 +1,7 @@
 import functools
+import gc
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
 from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       _counit_sides, _generating_vars,
-                      _ideal_span_coords, closed_subgroup, coords, dual_hopf,
+                      _ideal_span_coords, closed_subgroup, dual_hopf,
                       enumerate_morphisms, enumerate_subgroups,
-                      find_isomorphism, from_coords, frobenius,
+                      find_isomorphism, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
                       hopf_product, hopf_verify, image_subgroup, is_central,
                       is_cocommutative, is_normal, kernel_subgroup,
@@ -17,7 +19,9 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       primitive_elements, primitives, quotient_group,
                       subgroup_from_elements)
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
-from gsl.talg import DIM_LIMIT, Algebra, Poly, apply_map, quotient_algebra
+from gsl.action import extends_to_p1, standard_coaction
+from gsl.talg import (DIM_LIMIT, Algebra, Poly, apply_map, quotient_algebra,
+                      subalgebra_generated)
 from gsl.zoo import (D, SL2_kerF, kerFV, mu2_invariants_D, pullback, witt2,
                      zoo_parse)
 from test_talg import naive_apply_map
@@ -408,7 +412,7 @@ def test_guards_name_what_a_large_carrier_would_materialise():
     G = SL2_kerF(4)
     assert G.dim == 4096
     checks = [
-        ("tensor basis_monomials", lambda: coords(G.delta["u11"], G.t2())),
+        ("tensor basis_monomials", lambda: G.t2().to_vector(G.delta["u11"])),
         ("delta_table pairs", G.delta_table),
         ("DualHopf products", lambda: dual_hopf(G)),
         ("primitive_elements pair rows", lambda: primitive_elements(G)),
@@ -827,8 +831,9 @@ def test_ideal_spans_that_are_not_coideals():
                    (alpha(3), lambda A: A.var("T") ** 3)):
         A = H.carrier
         f = gen(A)
-        span = subspace_from(H.field, A.dim, [coords(f * A.poly({m: 1}), A)
-                                              for m in A.basis_monomials()])
+        span = subspace_from(H.field, A.dim,
+                             [A.to_vector(f * A.poly({m: 1}))
+                              for m in A.basis_monomials()])
         rep = HopfIdeal(H, span).verify()
         assert rep["ideal"] and rep["augmented"]
         assert rep["coideal"] is False and rep["ok"] is False
@@ -851,13 +856,13 @@ def _reference_ideal_coords(A, polys):
     S = Subspace(A.field, A.dim)
     queue = []
     for g in polys:
-        if g.d and S.insert(coords(g, A)):
+        if g.d and S.insert(A.to_vector(g)):
             queue.append(g)
     while queue:
         f = queue.pop()
         for x in A.gens():
             w = f * x
-            if w.d and S.insert(coords(w, A)):
+            if w.d and S.insert(A.to_vector(w)):
                 queue.append(w)
     return S
 
@@ -987,12 +992,12 @@ def test_points_of_d2_are_nonabelian():
     R = Algebra(F2, ["u", "v"], [2, 4])
     pts = points_group(H, R)
     assert pts.order == 8192
-    pu = tuple(tuple(coords(x, R)) for x in (R.var("u"), R.zero()))
-    pv = tuple(tuple(coords(x, R)) for x in (R.zero(), R.var("v")))
+    pu = tuple(tuple(R.to_vector(x)) for x in (R.var("u"), R.zero()))
+    pv = tuple(tuple(R.to_vector(x)) for x in (R.zero(), R.var("v")))
     ab, ba = pts.mul(pu, pv), pts.mul(pv, pu)
     u, v = R.gens()
-    assert [from_coords(R, list(c)) for c in ab] == [u, v + u * v ** 2]
-    assert [from_coords(R, list(c)) for c in ba] == [u, v]
+    assert [R.from_vector(list(c)) for c in ab] == [u, v + u * v ** 2]
+    assert [R.from_vector(list(c)) for c in ba] == [u, v]
     assert ab != ba
     assert pts.mul(pu, pts.inv(pu)) == pts.identity
     assert pts.mul(pv, pts.inv(pv)) == pts.identity
@@ -1091,3 +1096,82 @@ def test_delta_table_keeps_the_legs_in_order():
     one, S, T, T2 = (pos[next(iter(f.d))] for f in
                      (A.one(), A.var("S"), A.var("T"), A.var("T") ** 2))
     assert H.delta_table()[T] == {(T, one): 1, (one, T): 1, (S, T2): 1}
+
+
+# -- caches and cycles ------------------------------------------------------
+
+def _exercise(H):
+    """Verify H and run on it what builds memos, tensors and more groups."""
+    A, F = H.carrier, H.field
+    assert hopf_verify(H)["ok"]
+    assert morphism_check(frobenius(H))["ok"]
+    # the search is left suspended after its first map
+    shape = {nm: [A.var(nm) - A.scalar(H.counit[nm])] for nm in A.vars}
+    assert find_isomorphism(H, H, shape) is not None
+    assert enumerate_morphisms(H, alpha(1, F))
+    K, _ = subgroup_from_elements(H, [("Y" + nm, A.var(nm)) for nm in A.vars])
+    assert K.dim == H.dim
+    # eliminating the second generator leaves aliases on the carrier
+    K = closed_subgroup(H, [A.var(A.vars[1])])
+    assert K.carrier.aliases and K.dim < H.dim
+
+
+def test_built_groups_form_no_reference_cycles():
+    # with the collector off, reference counting alone must free every
+    # carrier, tensor square and memo once the caller drops them
+    gc.collect()
+    gc.disable()
+    try:
+        dead = []
+        for H in (SL2_kerF(1, F3), pullback(1, 1, 2, F2)):
+            _exercise(H)
+            dead += [weakref.ref(H.carrier), weakref.ref(H.t2())]
+        del H
+        c = standard_coaction(1, 1, True, F2)
+        extends_to_p1(c)
+        dead += [weakref.ref(c.group.carrier), weakref.ref(c.group.t2())]
+        del c
+        assert [r() for r in dead] == [None] * len(dead)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_kept_element_keeps_the_tensor_square_shared():
+    H = SL2_kerF(1, F3)
+    A, kept = H.carrier, H.delta["u12"]
+    caller = A.tensor(A)
+    given = {nm: Poly(caller, dict(v.d)) for nm, v in H.delta.items()}
+    counit, anti = H.counit, H.antipode
+    del H
+    K = HopfAlgebra(A, given, counit, anti)
+    assert K.delta["u12"] == kept and K.t2() is kept.alg
+
+
+@pytest.mark.parametrize("build", [lambda: SL2_kerF(1), lambda: alpha(3)],
+                         ids=["SL2_kerF(1)", "alpha(3)"])
+def test_every_cache_is_declared(build):
+    # caches filled on first use are attributes set at construction
+    H = build()
+    A, t2 = H.carrier, H.t2()
+    before = set(vars(A)), set(vars(t2))
+    assert hopf_verify(H)["ok"] and enumerate_subgroups(H)
+    x = A.var(A.vars[0])
+    assert A.from_vector(A.to_vector(x)) == x
+    assert t2.from_vector(t2.to_vector(H.delta_map(x))) == H.delta_map(x)
+    H.aug_subspace()
+    H.delta_table()
+    assert (set(vars(A)), set(vars(t2))) == before
+
+
+def test_subalgebra_generated_on_a_quotient_carrier():
+    # the span lies in to_vector's coordinates over the 27 basis
+    # monomials, not in the 81-wide shell
+    A = SL2_kerF(1, F3).carrier
+    u11, u12, u21 = (A.var(nm) for nm in ("u11", "u12", "u21"))
+    for elems, dim in (([u11], 3), ([u11 * u12, u21 ** 2], 6),
+                       ([u12, u21], 9)):
+        S = subalgebra_generated(A, elems)
+        assert S.dim == dim and S.n == A.dim == 27
+        assert S.contains(A.to_vector(elems[-1] ** 2))
+        assert not S.contains(A.to_vector(A.var("u22") - A.one()))

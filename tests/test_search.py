@@ -6,9 +6,9 @@ import itertools
 import pytest
 
 from gsl import BadParams, Field
-from gsl.hopf import (HopfIdeal, Morphism, _basis_pos, coords,
+from gsl.hopf import (HopfIdeal, Morphism,
                       enumerate_morphisms, enumerate_subgroups,
-                      find_isomorphism, from_coords, hopf_product,
+                      find_isomorphism, hopf_product,
                       morphism_check, primitive_elements)
 from gsl.linalg import _pack, subspace_from
 from gsl.zoo import (D, H, SL2_kerF, alpha, cocycle_ext,
@@ -27,7 +27,7 @@ def exhaustive_morphisms(H1, H2, shape=None, iso_only=False):
     A1, A2 = H1.carrier, H2.carrier
     F = H1.field
     if shape is None:
-        aug = [from_coords(A2, v) for v in H2.aug_subspace().basis()]
+        aug = [A2.from_vector(v) for v in H2.aug_subspace().basis()]
         shape = {nm: aug for nm in A1.vars}
     names = list(A1.vars)
     out = []
@@ -64,13 +64,13 @@ def exhaustive_subgroups(H):
     generators, one reduced echelon basis each, tested with int masks."""
     A = H.carrier
     n = A.dim
-    one_pos = _basis_pos(A)[next(iter(A.one().d))]
+    one_pos = A._positions()[next(iter(A.one().d))]
     aug_positions = [i for i in range(n) if i != one_pos]
     m = len(aug_positions)
     monos = A.basis_monomials()
-    mul_mats = [[_pack(coords(A.var(nm) * A.poly({mono: 1}), A))
+    mul_mats = [[_pack(A.to_vector(A.var(nm) * A.poly({mono: 1})))
                  for mono in monos] for nm in A.vars]
-    s_mat = [_pack(coords(H.antipode_map(A.poly({mono: 1})), A))
+    s_mat = [_pack(A.to_vector(H.antipode_map(A.poly({mono: 1}))))
              for mono in monos]
     tab = H.delta_table()
 

@@ -100,6 +100,46 @@ def test_laurent_exponents():
         A.to_vector(X)
 
 
+def test_coordinates_refuse_foreign_elements_and_wrong_lengths():
+    A = ring_ST()
+    S, T = A.gens()
+    Q = quotient_algebra(A, [T * T - S], eliminate=False)
+    assert Q.dim == 4
+    with pytest.raises(BadParams, match="another algebra"):
+        Q.to_vector(T ** 3)
+    for n in (9, 3):
+        with pytest.raises(BadParams, match="expected 4 coordinates"):
+            Q.from_vector([1] * n)
+    L = Algebra(F2, ["X"], [0], ["laurent"])
+    with pytest.raises(BadParams, match="laurent"):
+        L.to_vector(L.var("X"))
+    with pytest.raises(BadParams, match="laurent"):
+        L.from_vector([1])
+
+
+def _coordinate_algebras(F):
+    A = Algebra(F, ["S", "T", "W"], [2, 4, F.p], ["nil", "nil", "unit"])
+    S, T, W = A.gens()
+    Q = quotient_algebra(A, [T * T - S * W], eliminate=False)
+    return A, Q, Q.tensor(A), Q.tensor(Q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(F=st.sampled_from([F2, F3, F5, F4, Field(3, 2)]), k=st.integers(0, 3),
+       data=st.data())
+def test_coordinates_round_trip(F, k, data):
+    # free, quotient and tensor algebras; a vector is read over the
+    # reduced basis, so every vector is the coordinates of one element
+    A = _coordinate_algebras(F)[k]
+    f = data.draw(st.builds(lambda d: A.poly(d), st.dictionaries(
+        st.tuples(*(st.integers(0, d - 1) for d in A.orders)),
+        st.integers(1, F.q - 1), max_size=5)))
+    assert A.from_vector(A.to_vector(f)) == f
+    vec = data.draw(st.lists(st.integers(0, F.q - 1), min_size=A.dim,
+                             max_size=A.dim))
+    assert A.to_vector(A.from_vector(vec)) == vec
+
+
 def test_size_guard():
     with pytest.raises(SizeGuard):
         Algebra(F2, ["a", "b", "c"], [256, 256, 256])
@@ -204,7 +244,7 @@ def test_ideal_closure_needs_a_free_algebra():
 
 def _reference_span(A, gens):
     """The closure through Poly products: f * x for each queued f and x."""
-    pack = A.to_mask if A.field.q == 2 else A.to_vector
+    pack = A.to_vector
     S = Subspace(A.field, A.ambient_dim())
     queue = []
     for g in gens:
@@ -482,7 +522,7 @@ def test_tensor_past_the_dim_limit_is_sparse_and_guards_its_basis():
     assert T3.dim == 2048 ** 3 > DIM_LIMIT
     x, y = T3.var("x"), T3.var("y''")
     assert (x + y) ** 2 == x ** 2 + y ** 2 and y ** 32 == T3.zero()
-    for call in (T3.basis_monomials, lambda: T3.reduced_index(T3._zero_mono)):
+    for call in (T3.basis_monomials, lambda: T3._positions()[T3._zero_mono]):
         with pytest.raises(SizeGuard) as exc:
             call()
         assert exc.value.what == "tensor basis_monomials"
