@@ -40,13 +40,11 @@ from .talg import (
     weight_decomposition,
 )
 from .hopf import (
-    DualHopf,
     GroupTable,
     HopfAlgebra,
     HopfIdeal,
     Morphism,
     closed_subgroup,
-    dual_hopf,
     enumerate_morphisms,
     enumerate_subgroups,
     find_isomorphism,
@@ -61,11 +59,11 @@ from .hopf import (
     is_cocommutative,
     is_normal,
     kernel_subgroup,
+    lie_algebra,
     morphism_check,
     points_group,
     presentations_equal,
     primitive_elements,
-    primitives,
     quotient_group,
     subgroup_from_elements,
 )

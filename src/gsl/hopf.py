@@ -5,7 +5,7 @@ three structure maps given on generators.  Everything downstream is exact
 linear algebra over the coefficient field: verification of the axioms,
 morphism checks, kernels and images, Hopf ideals and quotients, point groups
 over small test algebras, complete searches for subgroups and morphisms that
-prune by equation, and the dual algebra with its primitive (Lie) part.
+prune by equation, and the restricted Lie algebra on the tangent space.
 
 Group morphisms are stored in the algebra direction throughout: a Morphism
 with source H and target G is the algebra map A(H) -> A(G) and represents the
@@ -97,7 +97,8 @@ class HopfAlgebra(object):
 
     ``delta_mono`` is the coproduct on monomials, a ``talg._mono_images``
     memo filled on demand (a plain dict over A ox A per monomial);
-    ``delta_map``, ``delta_table`` and the coassociativity check read it.
+    ``delta_map``, ``lie_algebra``'s p-map and the coassociativity check
+    read it.
     The counit of a monomial is a scalar, read off its exponents.
 
     ``t2()`` is the carrier's own tensor square (``Algebra._square``):
@@ -115,7 +116,6 @@ class HopfAlgebra(object):
         self._t2 = carrier._square()
         self._t3 = None
         self._lines = None
-        self._eps_vec = None
         # re-anchor the given elements on the carrier's tensor square, so
         # that values built against a caller-side tensor still compare
         self.delta = {k: apply_map(v, {}, self._t2) for k, v in delta.items()}
@@ -189,42 +189,18 @@ class HopfAlgebra(object):
         return self.carrier.dim == 1
 
     def aug_subspace(self):
-        """The augmentation ideal as a coordinate subspace."""
+        """The augmentation ideal as a coordinate subspace, spanned by
+        m - eps(m) over the basis monomials m other than 1."""
         A = self.carrier
-        F = self.field
-        eps = self._eps_vector()
         one_pos = A._positions()[A._zero_mono]
-        S = Subspace(F, A.dim)
-        for i in range(A.dim):
-            if i == one_pos:
-                continue
-            vec = [0] * A.dim
-            vec[i] = 1
-            if eps[i]:
-                vec[one_pos] = F.neg(eps[i])
-            S.insert(vec)
+        S = Subspace(self.field, A.dim)
+        for i, m in enumerate(A.basis_monomials()):
+            if i != one_pos:
+                vec = [0] * A.dim
+                vec[i] = 1
+                vec[one_pos] = self.field.neg(self._eps_mono(m))
+                S.insert(vec)
         return S
-
-    def _eps_vector(self):
-        if self._eps_vec is None:
-            self._eps_vec = [self._eps_mono(m)
-                             for m in self.carrier.basis_monomials()]
-        return self._eps_vec
-
-    def delta_table(self):
-        """Per-basis-element coproduct as {(i, j): coefficient} dictionaries,
-        read from the ``delta_mono`` memo."""
-        A = self.carrier
-        _pair_guard("delta_table pairs", A)
-        split, pos = self.t2().split_mono, A._positions()
-        out = []
-        for m in A.basis_monomials():
-            entry = {}
-            for mono, c in self.delta_mono(m).items():
-                m1, m2 = split(mono)
-                entry[(pos[m1], pos[m2])] = c
-            out.append(entry)
-        return out
 
     def _fixed_point_antipode(self):
         """The antipode on generators, by iteration to a fixed point.
@@ -686,6 +662,94 @@ def primitive_elements(H):
     return [A.from_vector(vec) for vec in eqs.right_kernel_basis()]
 
 
+def lie_algebra(H):
+    """The restricted Lie algebra of H on its tangent space at eps.
+
+    A Lie element is an eps-derivation u: A -> k, held as its values on
+    ``carrier.vars``.  By the Leibniz rule u(m) = sum_i m_i eps(m / x_i)
+    u(x_i) on a monomial m, so the basis is the right kernel of the
+    Jacobian at eps of the carrier's relations; a truncation x^d adds
+    nothing, as d x^(d-1) vanishes at eps.  The bracket [u, v] is
+    (u ox v - v ox u) read on delta of the generators, and the p-map
+    is the convolution power u^(*p) there, by u^(*j)(m) =
+    sum c u^(*(j-1))(m1) u(m2) over delta(m) = sum c m1 ox m2.  A
+    monomial of degree d in the counit-zero variables lies in I^d for
+    the augmentation ideal I, which u^(*j) kills for d > j; that cuts
+    the recursion.  Nothing of size dim A is laid out.
+
+    Returns (basis, bracket, ppower), bracket and ppower acting on
+    tangent vectors.
+    """
+    A, F = H.carrier, H.field
+    r = len(A.vars)
+    split = H.t2().split_mono
+    aug = [i for i, c in enumerate(H._eps_codes) if not c]
+    grads = {}
+
+    def grad(m):
+        """The nonzero partial derivatives of the monomial m at eps."""
+        out = grads.get(m)
+        if out is None:
+            out = grads[m] = []
+            for i, e in enumerate(m):
+                c = F.scalar_from_int(e)
+                if c:
+                    c = F.mul(c, H._eps_mono(m[:i] + (e - 1,) + m[i + 1:]))
+                if c:
+                    out.append((i, c))
+        return out
+
+    def value(u, m):
+        acc = 0
+        for i, c in grad(m):
+            acc = F.add(acc, F.mul(c, u[i]))
+        return acc
+
+    eqs = Subspace(F, r)
+    for g in _relation_polys(A):
+        row = [0] * r
+        for m, c in g.d.items():
+            for i, d in grad(m):
+                row[i] = F.add(row[i], F.mul(c, d))
+        eqs.insert(row)
+
+    def bracket(u, v):
+        out = []
+        for nm in A.vars:
+            acc = 0
+            for mono, c in H.delta[nm].d.items():
+                m1, m2 = split(mono)
+                x = F.sub(F.mul(value(u, m1), value(v, m2)),
+                          F.mul(value(v, m1), value(u, m2)))
+                acc = F.add(acc, F.mul(c, x))
+            out.append(acc)
+        return out
+
+    def ppower(u):
+        memo = {}
+
+        def conv(j, m):
+            """u^(*j)(m)."""
+            if j == 1:
+                return value(u, m)
+            if sum(m[i] for i in aug) > j:
+                return 0
+            if (j, m) not in memo:
+                acc = 0
+                for mono, c in H.delta_mono(m).items():
+                    m1, m2 = split(mono)
+                    b = value(u, m2)
+                    if b:
+                        acc = F.add(acc, F.mul(c, F.mul(conv(j - 1, m1), b)))
+                memo[(j, m)] = acc
+            return memo[(j, m)]
+
+        return [conv(F.p, tuple(int(i == k) for k in range(r)))
+                for i in range(r)]
+
+    return eqs.right_kernel_basis(), bracket, ppower
+
+
 def _twist_carrier(carrier, r):
     F = carrier.field
     if isinstance(carrier, QuotientAlgebra):
@@ -764,17 +828,7 @@ class HopfIdeal(object):
         return self.dim == self.hopf.dim - 1 and self._killed_by_counit()
 
     def _killed_by_counit(self):
-        H = self.hopf
-        F = H.field
-        eps = H._eps_vector()
-        for row in self.subspace.basis():
-            acc = 0
-            for i, c in enumerate(row):
-                if c:
-                    acc = F.add(acc, F.mul(c, eps[i]))
-            if acc:
-                return False
-        return True
+        return not any(self.hopf.counit_map(f) for f in self.basis_polys())
 
     def verify(self):
         """The four defining properties, as a report dictionary."""
@@ -1426,93 +1480,3 @@ def find_isomorphism(H1, H2, shape=None):
     """The first bijective map that ``enumerate_morphisms`` would list,
     or None; the search stops there.  Same guard."""
     return next(_morphisms(H1, H2, shape, True), None)
-
-
-class DualHopf(object):
-    """The dual Hopf algebra as structure constants on the dual basis.
-
-    Multiplying functionals is convolution (the transpose of the carrier
-    coproduct); their coproduct is the transpose of the carrier product.
-    The dual of a noncocommutative Hopf algebra is a noncommutative ring,
-    so this stays a structure-constant object rather than a carrier."""
-
-    def __init__(self, hopf):
-        _pair_guard("DualHopf products", hopf.carrier)
-        self.hopf = hopf
-        self.field = hopf.field
-        self.dim = hopf.dim
-        A = hopf.carrier
-        self._tab = hopf.delta_table()
-        basis = A.basis_monomials()
-        self._mult_coords = {}
-        for i, mi in enumerate(basis):
-            for j, mj in enumerate(basis):
-                prod = A.poly({mi: 1}) * A.poly({mj: 1})
-                self._mult_coords[(i, j)] = A.to_vector(prod)
-        self._eps = hopf._eps_vector()
-        self._one = A.to_vector(A.one())
-
-    def unit(self):
-        return list(self._eps)
-
-    def counit(self, u):
-        F = self.field
-        acc = 0
-        for c, o in zip(u, self._one):
-            if c and o:
-                acc = F.add(acc, F.mul(c, o))
-        return acc
-
-    def conv(self, u, v):
-        F = self.field
-        out = [0] * self.dim
-        for k in range(self.dim):
-            acc = 0
-            for (i, j), c in self._tab[k].items():
-                if u[i] and v[j]:
-                    acc = F.add(acc, F.mul(c, F.mul(u[i], v[j])))
-            out[k] = acc
-        return out
-
-    def is_commutative(self):
-        for i in range(self.dim):
-            ei = [0] * self.dim
-            ei[i] = 1
-            for j in range(i + 1, self.dim):
-                ej = [0] * self.dim
-                ej[j] = 1
-                if self.conv(ei, ej) != self.conv(ej, ei):
-                    return False
-        return True
-
-    def primitive_basis(self):
-        """Functionals with x(ab) = x(a) eps(b) + eps(a) x(b): the Lie
-        algebra of the group scheme the carrier presents."""
-        F = self.field
-        eqs = Subspace(F, self.dim)
-        for (i, j), prod in self._mult_coords.items():
-            row = list(prod)
-            row[i] = F.sub(row[i], self._eps[j])
-            row[j] = F.sub(row[j], self._eps[i])
-            if any(row):
-                eqs.insert(row)
-        return eqs.right_kernel_basis()
-
-    def ppower(self, u):
-        acc = u
-        for _ in range(self.field.p - 1):
-            acc = self.conv(acc, u)
-        return acc
-
-    def bracket(self, u, v):
-        F = self.field
-        return [F.sub(x, y) for x, y in zip(self.conv(u, v), self.conv(v, u))]
-
-
-def dual_hopf(H):
-    return DualHopf(H)
-
-
-def primitives(dual):
-    """Lie algebra data of the dual: (basis, bracket, p-power operation)."""
-    return dual.primitive_basis(), dual.bracket, dual.ppower

@@ -167,7 +167,7 @@ class Poly(object):
 
     def degree_in(self, name):
         """Largest exponent of the named variable, or None for 0."""
-        i = self.alg.vars.index(name)
+        i = self.alg._var_index(name)
         if not self.d:
             return None
         return max(m[i] for m in self.d)
@@ -372,6 +372,13 @@ class Algebra(object):
     def scalar_int(self, k):
         return self.scalar(k % self.field.p)
 
+    def _var_index(self, name):
+        try:
+            return self.vars.index(name)
+        except ValueError:
+            raise BadParams(
+                f"no variable named {name!r} in {self.vars}") from None
+
     def var(self, name):
         if name not in self.vars:
             alias = self.aliases.get(name)
@@ -391,7 +398,7 @@ class Algebra(object):
         if isinstance(exps, dict):
             m = [0] * len(self.vars)
             for nm, e in exps.items():
-                m[self.vars.index(nm)] = e
+                m[self._var_index(nm)] = e
             exps = tuple(m)
         return Poly(self, self.reduce_dict({tuple(exps): 1}))
 
@@ -514,6 +521,8 @@ class QuotientAlgebra(Algebra):
         self.dim = _stair_count(self.orders, [t for t, _ in self._leads])
         if self.dim > DIM_LIMIT:
             raise SizeGuard("quotient basis", self.dim, DIM_LIMIT)
+        if not self.dim:
+            self.__class__ = _ZeroRing
         self._memo = {}
         if aliases:
             for nm, f in aliases.items():
@@ -596,6 +605,20 @@ class QuotientAlgebra(Algebra):
     def describe(self):
         base = Algebra.describe(self)
         return f"{base} / ideal(dim {self.ambient_dim() - self.dim})"
+
+
+class _ZeroRing(QuotientAlgebra):
+    """A quotient by the unit ideal, where 1 = 0.  A QuotientAlgebra
+    with an empty staircase takes this class, so that its unit and
+    scalars are the zero element while a nonzero ring's constructors
+    stay as they are."""
+
+    def one(self):
+        return self.zero()
+
+    def scalar(self, code):
+        Algebra.scalar(self, code)  # refuses a code outside the field
+        return self.zero()
 
 
 def _divides(t, m):

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
 from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       _counit_sides, _generating_vars,
-                      _ideal_span_coords, closed_subgroup, dual_hopf,
+                      _ideal_span_coords, closed_subgroup,
                       enumerate_morphisms, enumerate_subgroups,
                       find_isomorphism, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
                       hopf_product, hopf_verify, image_subgroup, is_central,
                       is_cocommutative, is_normal, kernel_subgroup,
-                      morphism_check, points_group, presentations_equal,
-                      primitive_elements, primitives, quotient_group,
+                      lie_algebra, morphism_check, points_group,
+                      presentations_equal, primitive_elements, quotient_group,
                       subgroup_from_elements)
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
 from gsl.action import extends_to_p1, standard_coaction
@@ -30,6 +30,7 @@ F2 = Field(2)
 F3 = Field(3)
 F4 = Field(2, 2)
 F5 = Field(5)
+F9 = Field(3, 2)
 
 
 def additive(F, name, order, hname):
@@ -413,8 +414,6 @@ def test_guards_name_what_a_large_carrier_would_materialise():
     assert G.dim == 4096
     checks = [
         ("tensor basis_monomials", lambda: G.t2().to_vector(G.delta["u11"])),
-        ("delta_table pairs", G.delta_table),
-        ("DualHopf products", lambda: dual_hopf(G)),
         ("primitive_elements pair rows", lambda: primitive_elements(G)),
         ("coproduct matrix",
          lambda: HopfIdeal(G, subspace_from(F2, G.dim, [1 << 5])).verify()),
@@ -425,8 +424,9 @@ def test_guards_name_what_a_large_carrier_would_materialise():
         with pytest.raises(SizeGuard) as exc:
             call()
         assert exc.value.what == what
-    # subgroup_from_elements lays out nothing of size dim^2; u12 alone is
-    # not coproduct stable
+    # lie_algebra and subgroup_from_elements lay out nothing of size
+    # dim^2; u12 alone is not coproduct stable
+    assert len(lie_algebra(G)[0]) == 3
     with pytest.raises(VerifyError, match=r"delta\(U\) escapes the span"):
         subgroup_from_elements(G, [("U", G.carrier.var("u12"))])
 
@@ -1046,56 +1046,99 @@ def test_presentations_distinguish_kinds_and_orders():
     assert presentations_equal(d2(), d2())
 
 
-# -- duals and the restricted Lie algebra ------------------------------------
+# -- the restricted Lie algebra ----------------------------------------------
 
-def test_dual_commutativity_tracks_cocommutativity():
-    assert not dual_hopf(d2()).is_commutative()
-    assert dual_hopf(alpha(2)).is_commutative()
-    assert dual_hopf(mu(2)).is_commutative()
+def test_cocommutativity_of_d2_alpha_and_mu():
+    # the dual algebra is commutative exactly when H is cocommutative
+    assert not is_cocommutative(d2())
+    assert is_cocommutative(alpha(2))
+    assert is_cocommutative(mu(2))
 
 
 def test_lie_data():
-    dual = dual_hopf(d2())
-    basis, bracket, ppower = primitives(dual)
+    basis, bracket, ppower = lie_algebra(d2())
     assert len(basis) == 2
-    zero = [0] * dual.dim
+    zero = [0, 0]
     for x in basis:
         for y in basis:
             assert bracket(x, y) == zero
         assert ppower(x) == zero
 
-    dual = dual_hopf(mu(1))
-    basis, _, ppower = primitives(dual)
+    basis, _, ppower = lie_algebra(mu(1))
     assert len(basis) == 1
     assert ppower(basis[0]) == basis[0]  # toral direction
 
-    dual = dual_hopf(alpha(1))
-    basis, _, ppower = primitives(dual)
+    basis, _, ppower = lie_algebra(alpha(1))
     assert len(basis) == 1
-    assert ppower(basis[0]) == [0] * dual.dim  # additive direction
+    assert ppower(basis[0]) == [0]  # additive direction
 
-    basis, _, ppower = primitives(dual_hopf(alpha(2)))
-    assert len(basis) == 1 and ppower(basis[0]) == [0] * 4
-
-
-def test_dual_unit_counit():
-    dual = dual_hopf(d2())
-    assert dual.counit(dual.unit()) == 1
-    ei = [0] * dual.dim
-    ei[0] = 1
-    assert dual.conv(dual.unit(), ei) == ei
-    assert dual.conv(ei, dual.unit()) == ei
+    basis, _, ppower = lie_algebra(alpha(2))
+    assert len(basis) == 1 and ppower(basis[0]) == [0]
 
 
-def test_delta_table_keeps_the_legs_in_order():
+def _lie_triple(H):
+    """(dim L, rank of the p-map on the basis, dim [L, L]) of Lie(H),
+    checking that L is closed under both operations."""
+    basis, bracket, ppower = lie_algebra(H)
+    n = len(H.carrier.vars)
+    powers = [ppower(u) for u in basis]
+    brackets = [bracket(u, v) for u in basis for v in basis]
+    L = subspace_from(H.field, n, basis)
+    assert all(L.contains(w) for w in powers + brackets)
+    return (L.dim, subspace_from(H.field, n, powers).dim,
+            subspace_from(H.field, n, brackets).dim)
+
+
+@pytest.mark.parametrize("F,cid,triple", [
+    (F2, "SL2_kerF(1)", (3, 1, 1)), (F2, "SL2_kerF(2)", (3, 1, 1)),
+    (F4, "SL2_kerF(1)", (3, 1, 1)), (F3, "SL2_kerF(1)", (3, 1, 3)),
+    (F9, "SL2_kerF(1)", (3, 1, 3)), (F5, "SL2_kerF(1)", (3, 1, 3)),
+    (F2, "mu(2)", (1, 1, 0)), (F2, "witt2", (2, 1, 0)),
+    (F3, "witt2", (2, 1, 0)),
+    (F2, "semidirect(D(1),mu(1),w=[-1,1])", (3, 1, 2)),
+    (F2, "pullback(1,1,1)", (3, 1, 1)), (F2, "alpha(3)", (1, 0, 0)),
+    (F2, "D(2,A)", (2, 0, 0)), (F2, "D(2,B)", (2, 0, 0)),
+    (F2, "cocycle_ext(a=1,n=2)", (2, 0, 0)),
+    # past DIM_LIMIT for a dim^2 table of the dual (dim 4096, 32768, 15625)
+    (F2, "SL2_kerF(4)", (3, 1, 1)), (F2, "SL2_kerF(5)", (3, 1, 1)),
+    (F5, "SL2_kerF(2)", (3, 1, 3))],
+    ids=lambda x: x.name if isinstance(x, Field) else (
+        x if isinstance(x, str) else "(%d,%d,%d)" % x))
+def test_lie_data_is_pinned(F, cid, triple):
+    # in characteristic 2, [sl2, sl2] is the central line k*h; in odd
+    # characteristic sl2 is perfect
+    assert _lie_triple(zoo_parse(cid, F)) == triple
+
+
+_LIE_CATALOGUE = ["alpha(2)", "mu(2)", "D(1)", "D(2,B)", "H(a=1,n=1)",
+                  "E_trunc(2)", "witt2", "kerFV", "cocycle_ext(a=1,n=2)",
+                  "SL2_kerF(1)", "semidirect(D(1),mu(1),w=[-1,1])",
+                  "Hunip(s1=1,s2=1,n=1)"]
+
+
+@pytest.mark.parametrize("F,cid", (
+    [(F, cid) for F in (F2, F3, F5, F4, F9) for cid in _LIE_CATALOGUE]
+    + [(F, "SL2_kerF(2)") for F in (F2, F3, F4)]
+    + [(F2, "pullback(1,1,2)"), (F4, "pullback(1,1,1)"),
+       (F2, "semidirect(D(2),mu(1),w=[-1,1])"), (F2, "mu(6)")]),
+    ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_frobenius_kernel_has_the_lie_algebra_of_the_group(F, cid):
+    # ker F is the height-one subgroup with Lie(G): dim p^(dim Lie G)
+    H = zoo_parse(cid, F)
+    n = len(lie_algebra(H)[0])
+    K = frobenius_kernel(H)
+    assert K.dim == F.p ** n
+    assert len(lie_algebra(K)[0]) == n
+
+
+def test_delta_mono_keeps_the_legs_in_order():
     # delta(T) = T ox 1 + 1 ox T + S ox T^2 in D2 is not cocommutative, so
-    # swapped legs would show; the table is read from the delta_mono memo
+    # swapped legs would show
     H = d2()
     A = H.carrier
-    pos = {m: i for i, m in enumerate(A.basis_monomials())}
-    one, S, T, T2 = (pos[next(iter(f.d))] for f in
+    one, S, T, T2 = (next(iter(f.d)) for f in
                      (A.one(), A.var("S"), A.var("T"), A.var("T") ** 2))
-    assert H.delta_table()[T] == {(T, one): 1, (one, T): 1, (S, T2): 1}
+    assert H.delta_mono(T) == {T + one: 1, one + T: 1, S + T2: 1}
 
 
 # -- caches and cycles ------------------------------------------------------
@@ -1160,7 +1203,8 @@ def test_every_cache_is_declared(build):
     assert A.from_vector(A.to_vector(x)) == x
     assert t2.from_vector(t2.to_vector(H.delta_map(x))) == H.delta_map(x)
     H.aug_subspace()
-    H.delta_table()
+    basis, bracket, ppower = lie_algebra(H)
+    ppower(basis[0]), bracket(basis[0], basis[-1])
     assert (set(vars(A)), set(vars(t2))) == before
 
 

@@ -72,7 +72,9 @@ def exhaustive_subgroups(H):
                  for mono in monos] for nm in A.vars]
     s_mat = [_pack(A.to_vector(H.antipode_map(A.poly({mono: 1}))))
              for mono in monos]
-    tab = H.delta_table()
+    split, pos = H.t2().split_mono, A._positions()
+    tab = [{tuple(pos[leg] for leg in split(mono)): c
+            for mono, c in H.delta_mono(m).items()} for m in monos]
 
     def spread(mask):
         return sum(1 << p for k, p in enumerate(aug_positions)

@@ -490,6 +490,29 @@ def test_unit_ideal_gives_zero_ring():
     assert Q.dim == 0 and Q.is_zero_ring
 
 
+@pytest.mark.parametrize("eliminate", [False, True])
+def test_zero_ring_unit_and_scalars_are_zero(eliminate):
+    # GF(2)[T]/(T^4, T + 1): with elimination T = 1 leaves no variables
+    A = Algebra(F2, ["T"], [4])
+    Q = quotient_algebra(A, [A.var("T") + 1], eliminate=eliminate)
+    assert Q.vars == (() if eliminate else ("T",))
+    assert Q.dim == 0 and Q.is_zero_ring
+    assert Q.one() == Q.zero() and Q.scalar(1) == Q.zero() and Q.one() == 1
+    assert Q.to_vector(Q.one()) == [] and Q.from_vector([]) == Q.one()
+    assert Q.var("T") == Q.zero()
+    with pytest.raises(BadParams):
+        Q.scalar(2)
+
+
+def test_unknown_variable_names_are_refused():
+    A = ring_ST()
+    with pytest.raises(BadParams, match="'Z'"):
+        A.monomial({"Z": 1})
+    with pytest.raises(BadParams, match="'Z'"):
+        A.var("T").degree_in("Z")
+    assert A.monomial({"T": 2}).degree_in("T") == 2
+
+
 # -- tensor products -----------------------------------------------------------
 
 def test_tensor_naming_and_dim():

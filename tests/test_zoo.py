@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from gsl import (BadParams, Field, NotAnAction, SizeGuard, VerifyError,
                  Morphism)
-from gsl.hopf import (closed_subgroup, dual_hopf, enumerate_morphisms,
+from gsl.hopf import (closed_subgroup, enumerate_morphisms,
                       enumerate_subgroups, find_isomorphism, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
                       hopf_product, hopf_verify,
                       is_central, is_cocommutative, kernel_subgroup,
-                      morphism_check, presentations_equal, primitives,
+                      lie_algebra, morphism_check, presentations_equal,
                       quotient_group)
 from gsl.linalg import Subspace
 from gsl.talg import DIM_LIMIT, invert_unit
@@ -695,7 +695,7 @@ def test_cocycle_embeddings():
 def test_lie_algebra_of_D1_semidirect_mu():
     G = semidirect(D(1), mu(1), {"S": -1, "T": 1})
     assert G.carrier.dim == 8
-    basis, bracket, ppower = primitives(dual_hopf(G))
+    basis, bracket, ppower = lie_algebra(G)
     assert len(basis) == 3
     nil = [u for u in basis if not any(ppower(u))]
     tor = [u for u in basis if ppower(u) == u]
