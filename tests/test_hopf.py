@@ -235,6 +235,46 @@ def test_morphism_check_catches_a_corrupt_image_of_a_skipped_generator():
             if w[0] == "well_defined"][0].startswith("ideal gen")
 
 
+def _triples(rep):
+    return [tuple(w) for w in rep["witnesses"]]
+
+
+def _broken_d2_map(which):
+    """A map out of GF(3) D(2) that breaks one axiom only.  Delta: S goes
+    to S + S T^6.  A Hopf map that respects delta respects eps and S, so
+    the other two break the target instead: the identity into D(2) with
+    eps(S) = 1, or with S(S) = S."""
+    G = D(2, "A", F3)
+    A = G.carrier
+    S = A.var("S")
+    images = {nm: A.var(nm) for nm in A.vars}
+    target = G
+    if which == "delta":
+        images["S"] = S + S * A.var("T") ** 6
+    elif which == "counit":
+        target = HopfAlgebra(A, G.delta, {"S": 1, "T": 0}, G.antipode)
+    else:
+        target = HopfAlgebra(A, G.delta, G.counit, {**G.antipode, "S": S})
+    return Morphism(G, target, images)
+
+
+MORPHISM_FAILURES = {
+    "delta": [
+        ("delta_compatible", "S",
+         "T^3*S'*T'^3 + 2*T^6*S' + 2*S*T'^6 + S*T^3*T'^3"),
+        ("delta_compatible", "T", "S*T^6*T'^3")],
+    "counit": [("counit_compatible", "S", "1")],
+    "antipode": [("antipode_compatible", "S", "S")],
+}
+
+
+@pytest.mark.parametrize("which", sorted(MORPHISM_FAILURES))
+def test_morphism_failures_pinned(which):
+    rep = morphism_check(_broken_d2_map(which))
+    assert not rep["ok"]
+    assert _triples(rep) == MORPHISM_FAILURES[which]
+
+
 def test_verify_catches_bad_relation():
     # primitive delta is not compatible with a cube-zero truncation in char 2
     A = Algebra(F2, ["T"], [3])
