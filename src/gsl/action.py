@@ -10,10 +10,9 @@ evaluated at points.  The degree dict {i: a_i} is how a coaction is
 given and read back.
 """
 
-from .errors import (BadParams, NonUnit, NotFractionalLinear, NotInvertible,
-                     VerifyError)
+from .errors import BadParams, NonUnit, NotFractionalLinear, NotInvertible
 from .gf import Field
-from .hopf import hopf_ideal_closure
+from .hopf import Failure, _report, _require_ok, hopf_ideal_closure
 from .talg import Poly, invert_unit, map_leg
 from .zoo import D, alpha, mu, semidirect
 
@@ -97,23 +96,22 @@ def coaction_verify(c):
     sum a_i ox rho^i, must agree with the coefficient comultiplication,
     sum delta(a_i) ox X^i, in A ox A ox k[X, X^-1].  The groups here act
     from the left, so a residual is reported with its legs exchanged, in
-    A ox A.
+    A ox A.  A Failure's ``where`` is its X-degree, or None (residual:
+    the series) when a series with negative degrees is no Laurent unit.
     """
     H = c.group
     s = c.series
     line = H._line(0)
-    failures = []
     miss = map_leg(s, 0, H._eps_leg, line) - line.var("X")
-    for (i,), code in sorted(miss.d.items()):
-        failures.append({"axiom": "counit", "degree": i, "residual": code})
+    failures = [Failure("counit", i, line.scalar(code))
+                for (i,), code in sorted(miss.d.items())]
     rinv = None
     if any(m[-1] < 0 for m in s.d):
         try:
             rinv = _inverse(s)
         except NotInvertible:
-            failures.append({"axiom": "well_defined", "degree": None,
-                             "residual": "rho is not a Laurent unit"})
-            return {"ok": False, "failures": failures}
+            failures.append(Failure("well_defined", None, s))
+            return _report(failures)
     powers = {}
 
     def power(leg):
@@ -131,10 +129,9 @@ def coaction_verify(c):
     for m, code in ({} if lhs == rhs else (lhs - rhs).d).items():
         by_degree.setdefault(m[-1], {})[m[a:-1] + m[:a]] = code
     t2 = H.t2()
-    for j in sorted(by_degree):
-        failures.append({"axiom": "coassoc", "degree": j,
-                         "residual": Poly(t2, by_degree[j])})
-    return {"ok": not failures, "failures": failures}
+    failures += [Failure("coassoc", j, Poly(t2, by_degree[j]))
+                 for j in sorted(by_degree)]
+    return _report(failures)
 
 
 # -- faithfulness ------------------------------------------------------------
@@ -191,9 +188,7 @@ def standard_coaction(n, l, with_S=True, field=None):
     if with_S:
         rho[2] = W ** 2 * A.var("S")
     c = Coaction(G, rho)
-    rep = coaction_verify(c)
-    if not rep["ok"]:
-        raise VerifyError("coaction", rep["failures"][0])
+    _require_ok(coaction_verify(c), "coaction")
     return c
 
 
@@ -210,9 +205,7 @@ def extends_to_p1(c):
         return {"extends": False, "chart2": None,
                 "witness": {"degree": bad[0], "coefficient": rinv[bad[0]]}}
     chart2 = Coaction(H, {-i: f for i, f in rinv.items()})
-    rep = coaction_verify(chart2)
-    if not rep["ok"]:
-        raise VerifyError("chart2", rep["failures"][0])
+    _require_ok(coaction_verify(chart2), "chart2")
     return {"extends": True, "chart2": chart2, "witness": None}
 
 

@@ -90,7 +90,8 @@ class BadParams(GslError):
 class VerifyError(GslError):
     """A Hopf-algebra axiom failed during construction of a presentation.
 
-    Carries the axiom name and a witness (generator and nonzero residual).
+    Carries what was checked and a witness: the first ``hopf.Failure``
+    of a verifier's report, or a message where no verifier ran.
     """
 
     def __init__(self, axiom, witness):

@@ -17,6 +17,7 @@ exactly when its counit is nonzero.  A map out of a carrier is fixed by its
 values on generators, so the antipode is solved and the axioms checked there.
 """
 
+from collections import namedtuple
 from itertools import product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
@@ -32,6 +33,21 @@ TABLE_LIMIT = 256
 ASSOC_FULL_LIMIT = 64
 ENUM_SUBGROUP_DIM_LIMIT = 8
 ENUM_MORPHISM_LIMIT = 1 << 24
+
+
+# a verifier's report lists these; the residual is a nonzero Poly
+Failure = namedtuple("Failure", "axiom where residual")
+
+
+def _report(failures):
+    """The report every verifier returns: {"ok", "failures"}."""
+    return {"ok": not failures, "failures": failures}
+
+
+def _require_ok(rep, what):
+    """Raise VerifyError(what, first failure) unless the report is ok."""
+    if not rep["ok"]:
+        raise VerifyError(what, rep["failures"][0])
 
 
 def _pair_guard(what, A):
@@ -279,8 +295,8 @@ def _counit_sides(H, dx):
 def hopf_verify(H):
     """Check the Hopf axioms; returns a report, never raises.
 
-    report keys: well_defined, coassociative, counital, antipode_ok, ok,
-    witnesses (list of (axiom, location, residual-string)).
+    The report is {"ok": bool, "failures": [Failure, ...]}, with the
+    axioms well_defined, coassociative, counital and antipode_ok.
 
     The relations (truncations, ideal generators) are checked first and
     in full; the axioms then on ``_generating_vars`` only.  That suffices:
@@ -293,12 +309,12 @@ def hopf_verify(H):
     """
     A = H.carrier
     t2 = H.t2()
-    report = {"well_defined": True, "coassociative": True,
-              "counital": True, "antipode_ok": True, "witnesses": []}
+    failures = []
 
-    def fail(axiom, where, residual):
-        report[axiom] = False
-        report["witnesses"].append((axiom, where, str(residual)))
+    def check(lhs, rhs, axiom, where, *args):
+        # the location is formatted only for a failure
+        if lhs != rhs:
+            failures.append(Failure(axiom, where % args, lhs - rhs))
 
     # the three maps must kill the carrier's relations
     shell = A.ambient
@@ -307,42 +323,28 @@ def hopf_verify(H):
         for tag, img, makes_one in (("delta", H.delta[nm], t2.one()),
                                     ("counit", A.scalar(H.counit[nm]), A.one()),
                                     ("antipode", H.antipode[nm], A.one())):
-            val = img ** d
-            tgt = makes_one if kind == "unit" else val.alg.zero()
-            if val != tgt:
-                fail("well_defined", "%s(%s)^%d" % (tag, nm, d), val - tgt)
+            tgt = makes_one if kind == "unit" else img.alg.zero()
+            check(img ** d, tgt, "well_defined", "%s(%s)^%d", tag, nm, d)
     for g in _relation_polys(A):
         for tag, val in (("delta", H.delta_map(g)),
                          ("counit", A.scalar(H.counit_map(g))),
                          ("antipode", apply_map(g, H.antipode, A))):
-            if val != 0:
-                fail("well_defined", "%s(ideal gen %s)" % (tag, g), val)
+            check(val, 0, "well_defined", "%s(ideal gen %s)", tag, g)
 
     ids = {n: A.var(n) for n in A.vars}
     s_l = {**H.antipode, **{n + "'": x for n, x in ids.items()}}
     s_r = {**ids, **{n + "'": s for n, s in H.antipode.items()}}
     for nm in _generating_vars(A):
         dx = H.delta[nm]
-        left, right = _coassoc_sides(H, dx)
-        if left != right:
-            fail("coassociative", nm, left - right)
+        check(*_coassoc_sides(H, dx), "coassociative", "%s", nm)
         x = A.var(nm)
         lc, rc = _counit_sides(H, dx)
-        if lc != x:
-            fail("counital", nm, lc - x)
-        if rc != x:
-            fail("counital", nm + "'", rc - x)
+        check(lc, x, "counital", "%s", nm)
+        check(rc, x, "counital", "%s'", nm)
         target = A.scalar(H.counit[nm])
-        ls = apply_map(dx, s_l, A)
-        rs = apply_map(dx, s_r, A)
-        if ls != target:
-            fail("antipode_ok", nm, ls - target)
-        if rs != target:
-            fail("antipode_ok", nm + "'", rs - target)
-
-    report["ok"] = (report["well_defined"] and report["coassociative"]
-                    and report["counital"] and report["antipode_ok"])
-    return report
+        check(apply_map(dx, s_l, A), target, "antipode_ok", "%s", nm)
+        check(apply_map(dx, s_r, A), target, "antipode_ok", "%s'", nm)
+    return _report(failures)
 
 
 def _swap_legs(f):
@@ -367,10 +369,16 @@ def _require_on_gens(what, given, names):
             raise BadParams("%s: %r is not a generator" % (what, nm))
 
 
+def _same_field(source, target):
+    if source.field != target.field:
+        raise BadParams("source and target fields differ")
+
+
 class Morphism(object):
     """Algebra map A(source) -> A(target); group map Spec target -> Spec source."""
 
     def __init__(self, source, target, images, name=None):
+        _same_field(source, target)
         self.source = source
         self.target = target
         _require_on_gens("images", images, source.carrier.vars)
@@ -408,57 +416,26 @@ class Morphism(object):
 def morphism_check(f):
     """Full Hopf-map check for a Morphism; returns a report, never raises.
 
-    The images must first kill the source's relations (``well_defined``).
-    The compatibilities with delta, eps and S are then checked on the
-    source's ``_generating_vars``: each side, such as (f ox f) delta_H
-    and delta_G f, is an algebra map out of A(H), so agreeing there is
-    agreeing on A(H).  Source and target are taken to pass
-    ``hopf_verify``.
+    The report is {"ok": bool, "failures": [Failure, ...]}: each equation
+    of ``_morphism_equations`` (well_defined, delta_compatible,
+    counit_compatible, antipode_compatible) on all of f, through one memo
+    of f on monomials, stopping after the well_defined ones if any fails.
+    Source and target are taken to pass ``hopf_verify``.
     """
     H, G = f.source, f.target
-    B = G.carrier
-    tG = G.t2()
-    report = {"well_defined": True, "delta_compatible": True,
-              "counit_compatible": True, "antipode_compatible": True,
-              "witnesses": []}
-
-    def fail(key, where, residual):
-        report[key] = False
-        report["witnesses"].append((key, where, str(residual)))
-
     A = H.carrier
-    shell = A.ambient
-    for i, nm in enumerate(shell.vars):
-        d, kind = shell.orders[i], shell.kinds[i]
-        val = f.images[nm] ** d
-        tgt = B.one() if kind == "unit" else B.zero()
-        if val != tgt:
-            fail("well_defined", "%s^%d" % (nm, d), val - tgt)
-    # one memo of f serves the relation, delta and antipode checks
-    image = _mono_images(A, f.images, B)
-    for g in _relation_polys(A):
-        val = _sum_images(g, image, B)
-        if val != 0:
-            fail("well_defined", "ideal gen %s" % g, val)
-    if not report["well_defined"]:
-        report["ok"] = False
-        return report
-
-    for nm in _generating_vars(A):
-        lhs = map_leg(H.delta[nm], (0, 1), image, tG)
-        rhs = G.delta_map(f.images[nm])
+    image = _mono_images(A, f.images, G.carrier)
+    deltas = {nm: G.delta_map(f.images[nm]) for nm in _generating_vars(A)}
+    failures = []
+    for axiom, where, _names, sides in _morphism_equations(H, G):
+        # the well_defined equations come first; stop after them if any failed
+        if (axiom != "well_defined" and failures
+                and failures[-1].axiom == "well_defined"):
+            break
+        lhs, rhs = sides(f.images, image, deltas)
         if lhs != rhs:
-            fail("delta_compatible", nm, lhs - rhs)
-        ec = G.counit_map(f.images[nm])
-        if ec != H.counit[nm]:
-            fail("counit_compatible", nm, ec)
-        sa = _sum_images(H.antipode[nm], image, B)
-        sb = G.antipode_map(f.images[nm])
-        if sa != sb:
-            fail("antipode_compatible", nm, sa - sb)
-    report["ok"] = (report["delta_compatible"] and report["counit_compatible"]
-                    and report["antipode_compatible"])
-    return report
+            failures.append(Failure(axiom, where, lhs - rhs))
+    return _report(failures)
 
 
 def _requotient(carrier, extra):
@@ -479,9 +456,7 @@ def _induced_hopf(H, Q, name):
     counit = {nm: H.counit[nm] for nm in Q.vars}
     anti = {nm: _sum_images(H.antipode[nm], pi, Q) for nm in Q.vars}
     K = HopfAlgebra(Q, delta, counit, anti, name=name)
-    rep = hopf_verify(K)
-    if not rep["ok"]:
-        raise VerifyError("quotient Hopf structure", rep["witnesses"][:1])
+    _require_ok(hopf_verify(K), "quotient Hopf structure")
     return K
 
 
@@ -610,9 +585,7 @@ def subgroup_from_elements(G, named_elems, name=None):
         anti[nm] = Q.poly({smonos[j]: c for j, c in sq.items()})
         counit[nm] = G.counit_map(el)
     K = HopfAlgebra(Q, delta, counit, anti, name=name or "sub")
-    rep = hopf_verify(K)
-    if not rep["ok"]:
-        raise VerifyError("subgroup Hopf structure", rep["witnesses"][:1])
+    _require_ok(hopf_verify(K), "subgroup Hopf structure")
     return K, Morphism(K, G, dict(elems), name="incl")
 
 
@@ -831,23 +804,29 @@ class HopfIdeal(object):
         return not any(self.hopf.counit_map(f) for f in self.basis_polys())
 
     def verify(self):
-        """The four defining properties, as a report dictionary."""
+        """The four defining properties as a report over the basis of V:
+        x f (``ideal``) and S(f) (``antipode_stable``) lie in V, no leg of
+        delta(f) escapes V ox A + A ox V (``coideal``), eps(f) = 0."""
         H = self.hopf
         A = H.carrier
         V = self.subspace
-        rep = {"ideal": True, "coideal": True, "antipode_stable": True,
-               "augmented": self._killed_by_counit()}
+        failures = []
+
+        def outside(axiom, where, f):
+            res = V.residue(A.to_vector(f))
+            if any(res):
+                failures.append(Failure(axiom, where, A.from_vector(res)))
+
         for f in self.basis_polys():
             for nm in A.vars:
-                if not V.contains(A.to_vector(A.var(nm) * f)):
-                    rep["ideal"] = False
-            if not V.contains(A.to_vector(H.antipode_map(f))):
-                rep["antipode_stable"] = False
-            if _escaping_legs(H, V, f):
-                rep["coideal"] = False
-        rep["ok"] = all(rep[k] for k in
-                        ("ideal", "coideal", "antipode_stable", "augmented"))
-        return rep
+                outside("ideal", "%s*(%s)" % (nm, f), A.var(nm) * f)
+            failures += [Failure("coideal", str(f), leg)
+                         for leg in dict.fromkeys(_escaping_legs(H, V, f))]
+            outside("antipode_stable", str(f), H.antipode_map(f))
+            eps = H.counit_map(f)
+            if eps:
+                failures.append(Failure("augmented", str(f), A.scalar(eps)))
+        return _report(failures)
 
     def __repr__(self):
         return "HopfIdeal(dim=%d of %r)" % (self.dim, self.hopf)
@@ -1328,64 +1307,69 @@ def _names_in(f, names):
 
 
 def _morphism_equations(H1, H2):
-    """The equations that ``morphism_check`` tests, one at a time, each
-    with the source generators it reads.
+    """The equations of a Hopf map A(H1) -> A(H2), in ``morphism_check``'s
+    order: the shell powers and the relations (``well_defined``) first,
+    then delta, eps and S compatibility on each of ``_generating_vars``.
+    Each side of the last three is an algebra map out of A(H1), so
+    agreeing on those generators is agreeing on A(H1).
 
-    Each is a pair (names, holds).  ``holds(imgs, image, deltas)``
-    evaluates the equation on the images bound so far: ``imgs`` maps a
-    generator x to its image f(x) in A(H2), ``image`` is a
-    ``talg._mono_images`` memo of f on the monomials of A(H1) with every
-    bound generator rebound to its image, and ``deltas`` maps x to
-    delta(f(x)).  Relations and antipodes sum through ``image``, and
-    (f ox f) delta(x) maps both legs through it with ``map_leg``.  Once
-    every name it reads is bound, an equation is true exactly when the
-    matching check of ``morphism_check`` passes; like that check, the
-    delta and antipode equations run on ``_generating_vars`` only.
-    Equations on one generator come first, cheapest first.
+    Each entry is (axiom, where, names, sides): ``names`` are the source
+    generators the equation reads, and ``sides(imgs, image, deltas)``
+    returns its two sides on the images bound so far.  ``imgs`` maps a
+    generator x to f(x) in A(H2), ``image`` is a ``talg._mono_images``
+    memo of f on the monomials of A(H1) with every bound generator bound,
+    and ``deltas`` maps x to delta(f(x)).  Relations and antipodes sum
+    through ``image``, and (f ox f) delta(x) maps both legs through it
+    with ``map_leg``.
     """
     A = H1.carrier
     B = H2.carrier
     names = A.vars
     tG = H2.t2()
-
-    def counit(nm):
-        c = H1.counit[nm]
-        return {nm}, lambda imgs, image, deltas: H2.counit_map(imgs[nm]) == c
+    zero = B.zero()
 
     def power(nm, d, kind):
-        tgt = B.one() if kind == "unit" else B.zero()
-        return {nm}, lambda imgs, image, deltas: imgs[nm] ** d == tgt
-
-    def antipode(nm):
-        s = H1.antipode[nm]
-        return (_names_in(s, names) | {nm}, lambda imgs, image, deltas:
-                _sum_images(s, image, B) == H2.antipode_map(imgs[nm]))
+        tgt = B.one() if kind == "unit" else zero
+        return ("well_defined", "%s^%d" % (nm, d), {nm},
+                lambda imgs, image, deltas: (imgs[nm] ** d, tgt))
 
     def relation(g):
-        return (_names_in(g, names), lambda imgs, image, deltas:
-                _sum_images(g, image, B) == 0)
+        return ("well_defined", "ideal gen %s" % g, _names_in(g, names),
+                lambda imgs, image, deltas: (_sum_images(g, image, B), zero))
 
     def delta(nm):
         dx = H1.delta[nm]
-        return (_names_in(dx, names) | {nm}, lambda imgs, image, deltas:
-                map_leg(dx, (0, 1), image, tG) == deltas[nm])
+        return ("delta_compatible", nm, _names_in(dx, names) | {nm},
+                lambda imgs, image, deltas:
+                (map_leg(dx, (0, 1), image, tG), deltas[nm]))
+
+    def counit(nm):
+        c = B.scalar(H1.counit[nm])
+        return ("counit_compatible", nm, {nm}, lambda imgs, image, deltas:
+                (B.scalar(H2.counit_map(imgs[nm])), c))
+
+    def antipode(nm):
+        s = H1.antipode[nm]
+        return ("antipode_compatible", nm, _names_in(s, names) | {nm},
+                lambda imgs, image, deltas:
+                (_sum_images(s, image, B), H2.antipode_map(imgs[nm])))
 
     shell = A.ambient
-    out = [counit(nm) for nm in names]
-    out += [power(nm, d, kind)
-            for nm, d, kind in zip(shell.vars, shell.orders, shell.kinds)]
+    out = [power(nm, d, kind)
+           for nm, d, kind in zip(shell.vars, shell.orders, shell.kinds)]
     out += [relation(g) for g in _relation_polys(A)]
-    out += [delta(nm) for nm in _generating_vars(A)]
-    out += [antipode(nm) for nm in _generating_vars(A)]
+    for nm in _generating_vars(A):
+        out += [delta(nm), counit(nm), antipode(nm)]
     return out
 
 
 def _morphisms(H1, H2, shape, iso_only):
     """The search behind enumerate_morphisms and find_isomorphism, as a
-    generator; the shape is checked and the candidate count guarded
+    generator; the fields, the shape and the candidate count are checked
     before anything is made."""
     A1, A2 = H1.carrier, H2.carrier
     F = H1.field
+    _same_field(H1, H2)
     names = list(A1.vars)
     if shape is None:
         aug = [A2.from_vector(v) for v in H2.aug_subspace().basis()]
@@ -1402,9 +1386,9 @@ def _morphisms(H1, H2, shape, iso_only):
     depth = {nm: k for k, nm in enumerate(names)}
     alone = [[] for _ in names]
     joint = [[] for _ in names]
-    for support, holds in _morphism_equations(H1, H2) if names else ():
+    for *_, support, sides in _morphism_equations(H1, H2) if names else ():
         k = max((depth[nm] for nm in support), default=0)
-        (alone if support <= {names[k]} else joint)[k].append(holds)
+        (alone if support <= {names[k]} else joint)[k].append(sides)
 
     # one memo of f for the whole search: binding generator k rebinds
     # variable k, which drops only the monomials that read it
@@ -1418,14 +1402,20 @@ def _morphisms(H1, H2, shape, iso_only):
             img = base + el
             image.rebind(k, img)
             imgs[nm], deltas[nm] = img, H2.delta_map(img)
-            if all(holds(imgs, image, deltas) for holds in alone[k]):
+            if _hold(alone[k], imgs, image, deltas):
                 keep.append((img, deltas[nm]))
         cands.append(keep)
 
+    # every equation has passed on each full binding, so each is a map
     maps = (Morphism(H1, H2, dict(imgs))
             for _ in _bindings(0, names, cands, joint, image, imgs, deltas))
-    return (f for f in maps
-            if morphism_check(f)["ok"] and (not iso_only or f.is_bijective()))
+    return (f for f in maps if not iso_only or f.is_bijective())
+
+
+def _hold(equations, imgs, image, deltas):
+    """Whether both sides agree in each of the equations' ``sides``."""
+    return all(lhs == rhs for lhs, rhs in
+               (sides(imgs, image, deltas) for sides in equations))
 
 
 def _combos(A, basis):
@@ -1452,7 +1442,7 @@ def _bindings(k, names, cands, joint, image, imgs, deltas):
     for img, dimg in cands[k]:
         image.rebind(k, img)
         imgs[names[k]], deltas[names[k]] = img, dimg
-        if all(holds(imgs, image, deltas) for holds in joint[k]):
+        if _hold(joint[k], imgs, image, deltas):
             yield from _bindings(k + 1, names, cands, joint, image, imgs,
                                  deltas)
 
@@ -1464,14 +1454,15 @@ def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
     of H2.
 
     A depth-first search binds the generators' images in order.  Each
-    equation of ``morphism_check`` is tested as soon as every generator
-    it reads is bound, and a failure cuts the branch; ``morphism_check``
-    still certifies every map returned.  The equations read one memo of
+    equation of ``morphism_check`` (``_morphism_equations``) is tested as
+    soon as every generator it reads is bound, and a failure cuts the
+    branch, so a full binding has passed all of them and is returned
+    without a second check.  The equations read one memo of
     the map on monomials, and binding a generator drops only the entries
     that read it (``talg._mono_images``).  A shape must be given on
-    exactly the generators of A(H1) (BadParams otherwise), and more than
-    ENUM_MORPHISM_LIMIT candidate assignments are refused (SizeGuard),
-    both before any search.
+    exactly the generators of A(H1), over the field of A(H2) (BadParams
+    otherwise), and more than ENUM_MORPHISM_LIMIT candidate assignments
+    are refused (SizeGuard), all before any search.
     """
     return list(_morphisms(H1, H2, shape, iso_only))
 

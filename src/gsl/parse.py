@@ -25,14 +25,13 @@ Primed names are the second tensor leg, `^` takes (possibly negative)
 integer exponents, and `#` starts a comment.  The antipode block may be
 omitted, in which case it is solved on the generators by fixed-point
 iteration.  Parsing verifies the result; a broken file raises ParseError
-with line and column, or VerifyError with the failing axiom.
+with line and column, or VerifyError with the first Failure.
 """
 
 from .action import Coaction, coaction_verify
-from .errors import (BadParams, GslError, NonUnit, NotInvertible, ParseError,
-                     VerifyError)
+from .errors import BadParams, GslError, NonUnit, NotInvertible, ParseError
 from .gf import field_from_name
-from .hopf import HopfAlgebra, hopf_verify
+from .hopf import HopfAlgebra, _require_ok, hopf_verify
 from .talg import Algebra
 
 
@@ -187,9 +186,7 @@ def parse_coaction_expr(H, text, line=1, verify=True):
         raise NotInvertible("negative power of a non-unit: %s" % e)
     c = Coaction(H, val)
     if verify:
-        rep = coaction_verify(c)
-        if not rep["ok"]:
-            raise VerifyError("coaction", rep["failures"][0])
+        _require_ok(coaction_verify(c), "coaction")
     return c
 
 
@@ -321,10 +318,7 @@ def parse_presentation(text):
         # the antipode solver gave up; pin a placeholder so that the
         # verifier can name the axiom the file actually breaks
         H = HopfAlgebra(A, delta, counit, dict(env1))
-    rep = hopf_verify(H)
-    if not rep["ok"]:
-        axiom, where, residual = rep["witnesses"][0]
-        raise VerifyError(axiom, {"location": where, "residual": residual})
+    _require_ok(hopf_verify(H), "presentation")
     if rho_src is None:
         return H
     return parse_coaction_expr(H, rho_src[0], rho_src[1])

@@ -27,11 +27,11 @@ from .gf import Field
 from .talg import (Algebra, _mono_images, _sum_images, apply_map,
                    invert_unit, map_leg, quotient_algebra,
                    weight_decomposition)
-from .hopf import (HopfAlgebra, Morphism, _relation_polys, _require_on_gens,
-                   closed_subgroup, enumerate_morphisms, hopf_product,
-                   hopf_verify, kernel_subgroup, morphism_check,
-                   presentations_equal, primitive_elements,
-                   subgroup_from_elements)
+from .hopf import (Failure, HopfAlgebra, Morphism, _relation_polys, _report,
+                   _require_ok, _require_on_gens, closed_subgroup,
+                   enumerate_morphisms, hopf_product, hopf_verify,
+                   kernel_subgroup, morphism_check, presentations_equal,
+                   primitive_elements, subgroup_from_elements)
 
 ENUM_COACTION_LIMIT = 1 << 24
 
@@ -360,9 +360,7 @@ def semidirect(Hu, Hm, weights, name=None):
 
     out = HopfAlgebra(shell, delta, counit, anti,
                       name=name or ("semidirect(%s,%s)" % (Hu.name, Hm.name)))
-    rep = hopf_verify(out)
-    if not rep["ok"]:
-        raise VerifyError("semidirect structure", rep["witnesses"][:1])
+    _require_ok(hopf_verify(out), "semidirect structure")
     return out
 
 
@@ -515,7 +513,7 @@ def d_presentation_iso(n, field=None):
     f = Morphism(src, tgt, images)
     rep = morphism_check(f)
     if not (rep["ok"] and f.is_bijective()):
-        raise VerifyError("d_presentation_iso", rep["witnesses"][:1])
+        raise VerifyError("d_presentation_iso", rep["failures"][:1])
     return f
 
 
@@ -561,7 +559,7 @@ def _coaction_frame(G, M):
 
     def found(axiom, nm, diff):
         if diff.d:
-            yield {"axiom": axiom, "generator": nm, "residual": diff}
+            yield Failure(axiom, nm, diff)
 
     def failures(images):
         # well definedness on the shell powers and relations of A(G)
@@ -621,7 +619,7 @@ def group_coaction_verify(G, M, images):
     t2, failures = _coaction_frame(G, M)
     found = list(failures({nm: apply_map(v, {}, t2)
                            for nm, v in images.items()}))
-    return {"ok": not found, "failures": found}
+    return _report(found)
 
 
 def mu_action_normalize(i, coeffs, n, field=None):
@@ -653,7 +651,7 @@ def mu_action_normalize(i, coeffs, n, field=None):
     rep = group_coaction_verify(G, M, {"T": rho})
     if not rep["ok"]:
         raise NotAnAction("coaction axioms fail: %r"
-                          % rep["failures"][0]["axiom"])
+                          % rep["failures"][0].axiom)
     lhs = apply_map(phi, {"T": rho}, t2)
     rhs = t2.embed(phi, 0) * vi
     return {"normalizer": phi, "intertwines": lhs == rhs,
@@ -896,7 +894,7 @@ def mu2_invariants_D(s1, s2, n, field=None):
     rep = morphism_check(iso)
     if not (rep["ok"] and iso.is_bijective()):
         raise IdentityFailed("two-generator model isomorphism",
-                             rep["witnesses"][:1])
+                             rep["failures"][:1])
     report["iso"] = iso
     report["model"] = Dmodel
     return report

@@ -26,27 +26,31 @@ def test_trivial_coaction_verifies():
     assert not is_faithful(c)
 
 
-def test_unit_twist_fails_coassoc_only():
+def _unit_twist():
+    """X -> (1 + T) X on alpha(1): counital, not coassociative."""
     a1 = alpha(1)
     A = a1.carrier
-    c = Coaction(a1, {1: A.one() + A.var("T")})
-    rep = coaction_verify(c)
+    return Coaction(a1, {1: A.one() + A.var("T")})
+
+
+def test_unit_twist_fails_coassoc_only():
+    rep = coaction_verify(_unit_twist())
     assert not rep["ok"]
-    assert {f["axiom"] for f in rep["failures"]} == {"coassoc"}
+    assert {f.axiom for f in rep["failures"]} == {"coassoc"}
 
 
 def test_counit_failures_reported_degreewise():
     a1 = alpha(1)
     A = a1.carrier
     rep = coaction_verify(Coaction(a1, {1: A.one(), 0: A.one()}))
-    assert ("counit", 0) in [(f["axiom"], f["degree"]) for f in rep["failures"]]
+    assert ("counit", 0) in [(f.axiom, f.where) for f in rep["failures"]]
     # a dropped degree-one coefficient is a counit failure at 1
     rep = coaction_verify(Coaction(a1, {2: A.var("T")}))
-    assert ("counit", 1) in [(f["axiom"], f["degree"]) for f in rep["failures"]]
+    assert ("counit", 1) in [(f.axiom, f.where) for f in rep["failures"]]
 
 
 def _failures(rep):
-    return [(f["axiom"], f["degree"], str(f["residual"]))
+    return [(f.axiom, f.where, str(f.residual))
             for f in rep["failures"]]
 
 
@@ -63,8 +67,9 @@ def test_failure_lists_pinned():
     # negative degrees: the powers rho^-k of a Laurent unit
     assert _failures(coaction_verify(Coaction(a1, {1: A.one(), -1: T}))) == [
         ("coassoc", -3, "T*T'")]
+    # a series that is no Laurent unit is its own residual
     assert _failures(coaction_verify(Coaction(a1, {1: A.one(), -1: A.one()}))) == [
-        ("counit", -1, "1"), ("well_defined", None, "rho is not a Laurent unit")]
+        ("counit", -1, "1"), ("well_defined", None, "X'^-1 + X'")]
     c = standard_coaction(1, 0, True)
     inv = Coaction(c.group, laurent_invert(c.group, c.rho))
     assert _failures(coaction_verify(inv)) == [
@@ -76,14 +81,15 @@ def test_failure_lists_pinned():
 def test_counit_residuals_are_scalar_codes():
     a1 = alpha(1)
     rep = coaction_verify(Coaction(a1, {1: a1.carrier.one(), 0: a1.carrier.one()}))
-    assert [f["residual"] for f in rep["failures"] if f["axiom"] == "counit"] == [1]
+    counit = [f.residual for f in rep["failures"] if f.axiom == "counit"]
+    assert [(str(r), r.constant_term(), len(r.d)) for r in counit] == [("1", 1, 1)]
     c = standard_coaction(2, 1, False, F4)
     rep = coaction_verify(Coaction(c.group, laurent_invert(c.group, c.rho)))
-    coassoc = [f for f in rep["failures"] if f["axiom"] == "coassoc"]
-    assert [f["degree"] for f in coassoc] == [-4, -3, -2, -1, 0, 1, 2, 3, 4]
-    assert all(f["residual"].alg is c.group.t2() for f in coassoc)
-    assert str(coassoc[-1]["residual"]) == "T'^3"
-    assert str(coassoc[3]["residual"]) == "1 + U' + U + U*U'"
+    coassoc = [f for f in rep["failures"] if f.axiom == "coassoc"]
+    assert [f.where for f in coassoc] == [-4, -3, -2, -1, 0, 1, 2, 3, 4]
+    assert all(f.residual.alg is c.group.t2() for f in coassoc)
+    assert str(coassoc[-1].residual) == "T'^3"
+    assert str(coassoc[3].residual) == "1 + U' + U + U*U'"
 
 
 def test_coaction_normalizes_zero_coefficients():

@@ -202,6 +202,20 @@ def test_shape_must_be_on_the_generators():
         enumerate_morphisms(alpha(1), alpha(1), shape={"T": [], "S": []})
 
 
+def test_maps_between_fields_are_refused():
+    # GF(3) codes such as 2 are no GF(2) codes, so such a map reads wrong
+    src, tgt = alpha(1, F3), alpha(2, F2)
+    with pytest.raises(BadParams, match="^source and target fields differ$"):
+        Morphism(src, tgt, {"T": tgt.carrier.var("T") ** 2})
+    for search in (enumerate_morphisms, find_isomorphism):
+        with pytest.raises(BadParams,
+                           match="^source and target fields differ$"):
+            search(src, tgt)
+    # GF(4) is no GF(2) either, though their codes 0 and 1 agree
+    with pytest.raises(BadParams, match="fields differ"):
+        enumerate_morphisms(alpha(1, F2), alpha(1, F4))
+
+
 def test_find_isomorphism_none_matches_exhaustive():
     assert not exhaustive_morphisms(alpha(2), alpha(1), iso_only=True)
     assert find_isomorphism(alpha(2), alpha(1)) is None

@@ -480,7 +480,7 @@ def test_coaction_verify_rejects_non_coaction():
     bad = group_coaction_verify(G, M, {"T": x + t2.embed(
         G.carrier.var("T") ** 2, 0)})
     assert not bad["ok"]
-    assert {f["axiom"] for f in bad["failures"]} == {"coassoc", "counit_M"}
+    assert {f.axiom for f in bad["failures"]} == {"coassoc", "counit_M"}
 
 
 # (field, image of T) -> sorted (axiom, generator, residual) triples of the
@@ -520,7 +520,7 @@ def test_coaction_failures_pinned(case):
     F = {"F2": F2, "F4": F4}[case[0]]
     G, M, rho = _broken_image(F, case[1])
     rep = group_coaction_verify(G, M, {"T": rho})
-    got = sorted((f["axiom"], f["generator"], str(f["residual"]))
+    got = sorted((f.axiom, f.where, str(f.residual))
                  for f in rep["failures"])
     assert got == COACTION_FAILURES[case]
     assert not rep["ok"]
@@ -558,7 +558,7 @@ def _ordered_case(case):
 @pytest.mark.parametrize("case", sorted(COACTION_FAILURE_ORDER))
 def test_coaction_failure_order_pinned(case):
     rep = group_coaction_verify(*_ordered_case(case))
-    got = [(f["axiom"], f["generator"], str(f["residual"]))
+    got = [(f.axiom, f.where, str(f.residual))
            for f in rep["failures"]]
     assert got == COACTION_FAILURE_ORDER[case]
 
@@ -589,9 +589,9 @@ def test_coaction_checks_relations_of_subspace_carriers():
     assert [str(g) for g in K.carrier.groebner] == ["Y2^2 + Y1^2"]
     rep = group_coaction_verify(K, mu(1), {"Y1": y1 + y2, "Y2": y2})
     broken = [f for f in rep["failures"]
-              if (f["axiom"], f["generator"]) == ("well_defined", "relation")]
+              if (f.axiom, f.where) == ("well_defined", "relation")]
     assert len(broken) == 1
-    assert str(broken[0]["residual"]) == "Y1^2"
+    assert str(broken[0].residual) == "Y1^2"
     assert group_coaction_verify(K, mu(1), {"Y1": y1, "Y2": y2})["ok"]
 
 
