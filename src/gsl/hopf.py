@@ -169,7 +169,7 @@ class HopfAlgebra(object):
 
     def delta_map(self, f):
         if f.alg.vars != self.carrier.vars:
-            return apply_map(f, self.delta, self.t2())
+            f = _push(f, self.carrier)
         return _sum_images(f, self.delta_mono, self.t2())
 
     def _eps_mono(self, m):
@@ -439,12 +439,14 @@ def morphism_check(f):
 
 
 def _requotient(carrier, extra):
-    """Quotient a carrier by additional elements, re-eliminating linears."""
+    """Quotient a carrier by additional elements, re-eliminating linears;
+    the carrier's aliases are carried over."""
+    amb = carrier.ambient
+    aliases = {nm: Poly(amb, d) for nm, d in carrier.aliases.items()}
     if isinstance(carrier, QuotientAlgebra):
-        amb = carrier.ambient
         gens = _relation_polys(carrier) + [carrier.lift(g) for g in extra]
-        return quotient_algebra(amb, gens)
-    return quotient_algebra(carrier, list(extra))
+        return quotient_algebra(amb, gens, aliases=aliases)
+    return quotient_algebra(carrier, list(extra), aliases=aliases)
 
 
 def _induced_hopf(H, Q, name):

@@ -6,8 +6,11 @@ tests elsewhere can compare against these by literal structure-map
 equality rather than up to isomorphism.  Only the constructors that
 derive a group from another one (kerFV, H_unip, semidirect) verify the
 Hopf axioms before returning; alpha, mu, D, H, witt2, cocycle_ext,
-SL2_kerF and pullback write the structure maps down without checking
-them, and hopf_verify checks them on demand.  The second half
+SL2_kerF, PGL2_kerF and pullback write the structure maps down without
+checking them, and hopf_verify checks them on demand.  The Frobenius
+kernels of SL2 and PGL2 live on free charts, k[x,y,z]/(x^q, y^q, z^q):
+SL2_kerF solves det = 1 for u22, which stays readable as an alias of
+the carrier, and PGL2_kerF divides by x22, so neither needs a quotient.  The second half
 of the module holds the computations that are run against the
 catalogue: presentation changes, scalar rescaling maps, coactions of
 the multiplicative kernels on the additive ones, exhaustive morphism
@@ -22,7 +25,8 @@ the requested object cannot exist, while a check records what it saw.
 
 from math import comb
 
-from .errors import BadParams, IdentityFailed, NotAnAction, SizeGuard, VerifyError
+from .errors import (BadParams, IdentityFailed, NotAnAction, ParseError,
+                     SizeGuard, VerifyError)
 from .gf import Field
 from .talg import (Algebra, _mono_images, _sum_images, apply_map,
                    invert_unit, map_leg, quotient_algebra,
@@ -202,34 +206,67 @@ def SL2_kerF(n, field=None):
     """Height-n frobenius kernel of the rank-one special linear group,
     written in the nilpotent coordinates u_ij = x_ij - delta_ij.
 
-    Carrier: k[u11,u12,u21,u22]/(u_ij^(p^n), det - 1), matrix
-    comultiplication, adjugate antipode.
+    Carrier: the free chart k[u11,u12,u21]/(u11^q, u12^q, u21^q) with
+    q = p^n.  Since 1 + u11 is a unit, det = 1 solves for
+    u22 = (u12 u21 - u11)(1 + u11)^-1, and Frobenius is additive, so
+    u22^q = (u12^q u21^q - u11^q)(1 + u11^q)^-1 = 0 holds already: the
+    chart is k[u11,u12,u21,u22]/(u^q, det - 1) with u22 eliminated, and
+    needs no Groebner basis.  ``carrier.aliases["u22"]`` holds that
+    series, so ``carrier.var("u22")`` reads it.  Matrix
+    comultiplication, adjugate antipode u11 -> u22, u12 -> -u12,
+    u21 -> -u21 (Jantzen, Representations of Algebraic Groups, I.9).
     """
     F = _field(field)
     if n < 1:
         raise BadParams("SL2_kerF needs n >= 1")
-    p = F.p
+    A = Algebra(F, ("u11", "u12", "u21"), (F.p ** n,) * 3)
+    u11, u12, u21 = A.gens()
+    A.aliases["u22"] = ((u12 * u21 - u11) * invert_unit(A.one() + u11)).d
+    t2 = A._square()
     names = ("u11", "u12", "u21", "u22")
-    # the shell is only divided: DIM_LIMIT bounds the quotient instead
-    shell = Algebra(F, names, (p ** n,) * 4, dim_guard=False)
-    u11, u12, u21, u22 = (shell.var(nm) for nm in names)
-    det = u11 + u22 + u11 * u22 - u12 * u21
-    A = quotient_algebra(shell, [det], eliminate=False)
-    t2 = A.tensor(A)
     u = {nm: t2.embed(A.var(nm), 0) for nm in names}
     u_ = {nm: t2.embed(A.var(nm), 1) for nm in names}
     delta = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            nm = "u%d%d" % (i, j)
-            acc = u[nm] + u_[nm]
-            for k in (1, 2):
-                acc = acc + u["u%d%d" % (i, k)] * u_["u%d%d" % (k, j)]
-            delta[nm] = acc
-    anti = {"u11": A.var("u22"), "u22": A.var("u11"),
-            "u12": -A.var("u12"), "u21": -A.var("u21")}
-    return HopfAlgebra(A, delta, {nm: 0 for nm in names}, anti,
+    for nm in A.vars:
+        i, j = nm[1], nm[2]
+        acc = u[nm] + u_[nm]
+        for k in "12":
+            acc = acc + u["u" + i + k] * u_["u" + k + j]
+        delta[nm] = acc
+    anti = {"u11": A.var("u22"), "u12": -u12, "u21": -u21}
+    return HopfAlgebra(A, delta, {nm: 0 for nm in A.vars}, anti,
                        name="SL2_kerF(%d)" % n)
+
+
+def PGL2_kerF(n, field=None):
+    """Height-n frobenius kernel of the projective linear group on the
+    chart x22 = 1.
+
+    Carrier: k[a,b,c]/(a^q, b^q, c^q) with q = p^n, the coordinates of
+    the Moebius matrix ((1 + a, b), (c, 1)) = x / x22.  delta is the
+    matrix product divided by its (2,2) entry 1 + c b', and the antipode
+    is the inverse matrix divided by 1 + a: a -> (1 + a)^-1 - 1,
+    b -> -b (1 + a)^-1, c -> -c (1 + a)^-1.  Frobenius is multiplicative,
+    so both maps kill the truncations.
+    """
+    F = _field(field)
+    if n < 1:
+        raise BadParams("PGL2_kerF needs n >= 1")
+    A = Algebra(F, ("a", "b", "c"), (F.p ** n,) * 3)
+    a, b, c = A.gens()
+    t2 = A._square()
+    one = t2.one()
+    x = {nm: t2.embed(A.var(nm), 0) for nm in A.vars}
+    x_ = {nm: t2.embed(A.var(nm), 1) for nm in A.vars}
+    inv = invert_unit(one + x["c"] * x_["b"])
+    delta = {"a": ((one + x["a"]) * (one + x_["a"]) + x["b"] * x_["c"]) * inv
+             - one,
+             "b": ((one + x["a"]) * x_["b"] + x["b"]) * inv,
+             "c": (x["c"] * (one + x_["a"]) + x_["c"]) * inv}
+    ainv = invert_unit(A.one() + a)
+    anti = {"a": ainv - A.one(), "b": -b * ainv, "c": -c * ainv}
+    return HopfAlgebra(A, delta, {nm: 0 for nm in A.vars}, anti,
+                       name="PGL2_kerF(%d)" % n)
 
 
 def H_unip(s1, s2, n, field=None):
@@ -368,6 +405,19 @@ def semidirect(Hu, Hm, weights, name=None):
 # catalogue id parsing
 
 
+def _balanced(text):
+    """Whether every bracket of text closes, and none closes early."""
+    depth = 0
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
 def _split_args(body):
     parts, depth, cur = [], 0, []
     for ch in body:
@@ -421,18 +471,22 @@ def zoo_parse(text, field=None):
     """Build a catalogue group from its id string.
 
     Examples: alpha(4), mu(2), D(2,A), H(a=g^3,n=2), witt2, kerFV,
-    E_trunc(2), cocycle_ext(a=1,n=3), SL2_kerF(2),
+    E_trunc(2), cocycle_ext(a=1,n=3), SL2_kerF(2), PGL2_kerF(2),
     Hunip(s1=1,s2=0,n=2), pullback(1,0,1),
     semidirect(D(2),mu(1),w=[-1,1]).
+
+    An id that does not parse (unbalanced parentheses) or names no
+    catalogue group raises ParseError; arguments that do not fit the
+    constructor (their number, names or values) raise BadParams.
     """
     F = _field(field)
     text = text.strip()
     if "(" not in text:
         head, parts = text, []
     else:
-        if not text.endswith(")"):
-            raise BadParams("unbalanced parentheses in %r" % text)
         head, body = text.split("(", 1)
+        if not (text.endswith(")") and _balanced(body[:-1])):
+            raise ParseError("unbalanced parentheses in %r" % text)
         head = head.strip()
         parts = _split_args(body[:-1])
     try:
@@ -444,7 +498,7 @@ def zoo_parse(text, field=None):
 
 def _catalogue_call(head, parts, F):
     """Constructor and its arguments for a catalogue id split into parts."""
-    if head in ("alpha", "mu", "E_trunc", "SL2_kerF"):
+    if head in _BY_HEIGHT:
         _arity(parts, 1)
         return _BY_HEIGHT[head], (int(parts[0]), F)
     if head == "D":
@@ -479,13 +533,13 @@ def _catalogue_call(head, parts, F):
         if len(wlist) != len(uvars):
             raise BadParams("need one weight per generator of %s" % Hu.name)
         return semidirect, (Hu, Hm, dict(zip(uvars, wlist)))
-    raise BadParams("unknown catalogue id %r" % head)
+    raise ParseError("unknown catalogue id %r" % head)
 
 
 construct = zoo_parse
 
 _BY_HEIGHT = {"alpha": alpha, "mu": mu, "E_trunc": E_trunc,
-              "SL2_kerF": SL2_kerF}
+              "SL2_kerF": SL2_kerF, "PGL2_kerF": PGL2_kerF}
 
 
 # ---------------------------------------------------------------------------
@@ -724,14 +778,17 @@ def sl2_hom_enumerate(n, field=None):
 
 def _hom_shape(f, F):
     """Common additive factor and coefficient matrix of a nonzero hom."""
-    AT = f.images["u11"].alg
+    AT = f.target.carrier
+    # the u22 entry is the image of its alias on the chart
+    entries = dict(f.images)
+    entries["u22"] = f.map(f.source.carrier.var("u22"))
     monos = set()
-    for v in f.images.values():
+    for v in entries.values():
         monos |= set(v.d)
     monos = sorted(monos)
     # the content: gcd of the images as a distributed additive polynomial
     coeffs = {}
-    for nm, v in f.images.items():
+    for nm, v in entries.items():
         coeffs[nm] = {m: v.d.get(m, 0) for m in monos}
     # find a monomial where some entry is nonzero, scale it to 1 there
     pivot = None
@@ -773,8 +830,9 @@ def unipotent_line_hom(s1, s2, n, field=None):
     def sc(c):
         return T * A.carrier.scalar(c)
 
+    # u22 goes to -s1 s2 T through its alias
     images = {"u11": sc(F.mul(s1, s2)), "u12": sc(F.neg(F.mul(s1, s1))),
-              "u21": sc(F.mul(s2, s2)), "u22": sc(F.neg(F.mul(s1, s2)))}
+              "u21": sc(F.mul(s2, s2))}
     return Morphism(G, A, images)
 
 

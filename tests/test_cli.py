@@ -30,7 +30,7 @@ def test_verify_prints_each_failure_and_exits_1(capsys, monkeypatch):
 def test_malformed_id_is_an_error(capsys):
     code, out = _run(capsys, ["verify", "SL2_kerF(1"])
     assert code == 2
-    assert out == {"error": "BadParams",
+    assert out == {"error": "ParseError",
                    "message": "unbalanced parentheses in 'SL2_kerF(1'"}
 
 

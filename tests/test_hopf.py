@@ -187,8 +187,48 @@ def test_antipode_of_a_shift_off_the_augmentation_ideal_is_refused():
     assert exc.value.axiom == "antipode"
 
 
+def sl2_quotient(n, F):
+    """SL2_kerF(n) in its quotient form, k[u11,u12,u21,u22]/(u^q, det - 1),
+    built from talg primitives: the oracle for the free chart."""
+    names = ("u11", "u12", "u21", "u22")
+    shell = Algebra(F, names, (F.p ** n,) * 4)
+    u11, u12, u21, u22 = shell.gens()
+    A = quotient_algebra(shell, [u11 + u22 + u11 * u22 - u12 * u21],
+                         eliminate=False)
+    t2 = A.tensor(A)
+    delta = {}
+    for nm in names:
+        i, j = nm[1], nm[2]
+        delta[nm] = t2.var(nm) + t2.var(nm + "'")
+        for k in "12":
+            delta[nm] = delta[nm] + t2.var("u%s%s" % (i, k)) * t2.var(
+                "u%s%s'" % (k, j))
+    anti = {"u11": A.var("u22"), "u22": A.var("u11"),
+            "u12": -A.var("u12"), "u21": -A.var("u21")}
+    return HopfAlgebra(A, delta, {nm: 0 for nm in names}, anti,
+                       name="SL2 quotient(%d)" % n)
+
+
+@pytest.mark.parametrize("F,n", [(F2, 1), (F2, 2), (F2, 3), (F4, 1),
+                                 (F3, 1), (F3, 2), (F5, 1)],
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_sl2_chart_is_the_quotient_form(F, n):
+    # u_ij -> u_ij both ways, u22 -> its alias on the chart
+    G, Q = SL2_kerF(n, F), sl2_quotient(n, F)
+    assert hopf_verify(Q)["ok"]
+    A, B = G.carrier, Q.carrier
+    to_q = Morphism(G, Q, {nm: B.var(nm) for nm in A.vars})
+    to_chart = Morphism(Q, G, {nm: A.var(nm) for nm in B.vars})
+    for f in (to_q, to_chart):
+        assert morphism_check(f)["ok"]
+        assert f.is_bijective()
+    assert to_q.map(A.var("u22")) == B.var("u22")
+
+
 def test_generating_vars_skip_the_leads_of_the_groebner_basis():
     for F, n in ((F2, 1), (F3, 1), (F5, 1), (F2, 3)):
+        assert _generating_vars(sl2_quotient(n, F).carrier) == [
+            "u11", "u12", "u21"]
         assert _generating_vars(SL2_kerF(n, F).carrier) == ["u11", "u12", "u21"]
     for cid in ("alpha(3)", "witt2", "D(2,B)", "cocycle_ext(a=1,n=2)",
                 "semidirect(D(1),mu(1),w=[-1,1])"):
@@ -210,7 +250,7 @@ def _det_witness(rep, tag):
 def test_verify_catches_a_corrupt_map_on_a_skipped_generator():
     # u22 is a polynomial in the other three, so only the det relation
     # sees its images
-    G = SL2_kerF(1, F3)
+    G = sl2_quotient(1, F3)
     A, t2 = G.carrier, G.t2()
     assert "u22" not in _generating_vars(A)
     delta = dict(G.delta)
@@ -224,9 +264,10 @@ def test_verify_catches_a_corrupt_map_on_a_skipped_generator():
 
 
 def _corrupt_u22_map():
-    """The identity of GF(3) SL2_kerF(1) with u22 sent off its det
-    relation; u22 is no generator, so only that relation sees it."""
-    G = SL2_kerF(1, F3)
+    """The identity of GF(3) SL2_kerF(1), in its quotient form, with u22
+    sent off its det relation; u22 is no generator, so only that
+    relation sees it."""
+    G = sl2_quotient(1, F3)
     A = G.carrier
     images = {nm: A.var(nm) for nm in A.vars}
     images["u22"] = A.var("u22") + A.var("u12") * A.var("u21")
@@ -414,21 +455,27 @@ def test_counit_sides_tell_the_legs_apart():
 
 
 def test_counit_and_delta_of_elements_on_other_names():
-    # Hunip(1,1,2) eliminates u11, u12 and u21 to multiples of u22
+    # Hunip(1,1,2) eliminates u11, u21 and the alias u22 to multiples
+    # of u12
     H = zoo_parse("Hunip(s1=1,s2=1,n=2)", F3)
     A = H.carrier
-    B = Algebra(F3, ["u22", "u11"], [9, 9])
-    u22, u11 = B.gens()
-    f = 1 + u11 + 2 * u11 * u22 + u22 ** 2
+    assert A.vars == ("u12",)
+    B = Algebra(F3, ["u12", "u11"], [9, 9])
+    u12, u11 = B.gens()
+    f = 1 + u11 + 2 * u11 * u12 + u12 ** 2
     pushed = apply_map(f, {}, A)
     assert H.counit_map(f) == H.counit_map(pushed) == 1
-    C = Algebra(F3, ["u22"], [9])  # the carrier's names, but not the carrier
-    g = C.var("u22") ** 2 + 2
+    C = Algebra(F3, ["u12"], [9])  # the carrier's names, but not the carrier
+    g = C.var("u12") ** 2 + 2
     assert H.delta_map(g) == H.delta_map(apply_map(g, {}, A))
     K = SL2_kerF(1, F3)
     D = Algebra(F3, ["u12", "u11"], [3, 3])  # a subset of the names
     h = D.var("u11") * D.var("u12") + D.var("u12") ** 2
     assert K.delta_map(h) == K.delta_map(apply_map(h, {}, K.carrier))
+    # a name that is an alias of the chart reads the alias
+    E = Algebra(F3, ["u22"], [3])
+    assert K.delta_map(E.var("u22")) == K.delta_map(K.carrier.var("u22"))
+    assert K.counit_map(E.var("u22") + 1) == 1
 
 
 def test_delta_mono_costs_a_product_per_monomial_and_power(products):
@@ -721,8 +768,7 @@ field GF(2)
 u11 ^2 nil
 u12 ^2 nil
 u21 ^2 nil
-u22 ^2 nil
-ideal 8 71a07ad0a37d01b6
+ideal 0 e3b0c44298fc1c14
 delta u11 = u11' + u11 + u12*u21' + u11*u11'
 counit u11 = 0
 antipode u11 = u11 + u12*u21 + u11*u12*u21
@@ -731,10 +777,7 @@ counit u12 = 0
 antipode u12 = u12
 delta u21 = u21' + u21 + u21*u11' + u11*u21' + u12*u21*u21' + u11*u12*u21*u21'
 counit u21 = 0
-antipode u21 = u21
-delta u22 = u11' + u11 + u12'*u21' + u21*u12' + u12*u21 + u11*u11' + u11'*u12'*u21' + u12*u21*u11' + u11*u12'*u21' + u11*u12*u21 + u12*u21*u12'*u21' + u11*u11'*u12'*u21' + u11*u12*u21*u11' + u12*u21*u11'*u12'*u21' + u11*u12*u21*u12'*u21' + u11*u12*u21*u11'*u12'*u21'
-counit u22 = 0
-antipode u22 = u11""",
+antipode u21 = u21""",
     "D2/<S>": """\
 field GF(2)
 Z1 ^2 nil
@@ -962,6 +1005,30 @@ def test_closed_subgroup_keeps_the_ideal_of_a_subspace_carrier():
     assert K.carrier.ambient_dim() - K.carrier.dim == 4
     S = closed_subgroup(K, [K.carrier.var("V")])
     assert S.dim == 2 and hopf_verify(S)["ok"]
+
+
+def test_requotient_keeps_the_carriers_aliases():
+    # Hunip(1,1,2) over GF(3) is a quotient of the chart: u22 is the
+    # chart's alias, and u11, u21 are eliminated to multiples of u12
+    H = zoo_parse("Hunip(s1=1,s2=1,n=2)", F3)
+    A = H.carrier
+    u12 = A.var("u12")
+    want = {"u11": 2 * u12, "u21": 2 * u12, "u22": u12}
+    assert {nm: A.var(nm) for nm in want} == want
+    # cutting it down again keeps every alias
+    K = closed_subgroup(H, [A.var("u22") ** 3])
+    B = K.carrier
+    assert K.dim == 3
+    v = B.var("u12")
+    assert {nm: B.var(nm) for nm in want} == {
+        "u11": 2 * v, "u21": 2 * v, "u22": v}
+    # and so does a subgroup of the chart itself
+    G = SL2_kerF(1, F3)
+    C = G.carrier
+    T = closed_subgroup(G, [C.var("u12"), C.var("u21")])
+    assert T.dim == 3 and T.carrier.vars == ("u11",)
+    u11 = T.carrier.var("u11")
+    assert T.carrier.var("u22") * (1 + u11) == -u11
 
 
 def test_enumeration_guards():

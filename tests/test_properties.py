@@ -1,0 +1,27 @@
+"""Structural invariants of the Frobenius kernels of SL2 and PGL2 over
+p = 2, 3, 5 and m = 1, 2 (Jantzen, Representations of Algebraic Groups,
+I.9; Demazure & Gabriel, Groupes algebriques, II sec. 7)."""
+
+import pytest
+
+from gsl import Field, frobenius_image, frobenius_kernel, lie_algebra
+from gsl.zoo import zoo_parse
+
+CASES = [(F, n) for F, top in ((Field(2), 3), (Field(2, 2), 2), (Field(3), 2),
+                               (Field(3, 2), 1), (Field(5), 1))
+         for n in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("group", ["SL2_kerF", "PGL2_kerF"])
+@pytest.mark.parametrize("F,n", CASES,
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_frobenius_splits_and_kernel_has_the_lie_dimension(F, n, group):
+    G = zoo_parse("%s(%d)" % (group, n), F)
+    assert G.dim == F.p ** (3 * n)
+    # dim A(G) = dim A(ker F^r) * dim A(im F^r) for every r up to the height
+    for r in range(1, n + 1):
+        K, I = frobenius_kernel(G, r), frobenius_image(G, r)
+        assert G.dim == K.dim * I.dim
+        assert K.dim == F.p ** (3 * r)
+    # the first kernel has height one: dim p^(dim Lie G)
+    assert frobenius_kernel(G).dim == F.p ** len(lie_algebra(G)[0])

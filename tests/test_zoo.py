@@ -4,8 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsl import (BadParams, Field, NotAnAction, SizeGuard, VerifyError,
-                 Morphism)
+from gsl import (Algebra, BadParams, Field, NotAnAction, ParseError,
+                 SizeGuard, VerifyError, Morphism, talg)
 from gsl.hopf import (closed_subgroup, enumerate_morphisms,
                       enumerate_subgroups, find_isomorphism, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
@@ -15,8 +15,8 @@ from gsl.hopf import (closed_subgroup, enumerate_morphisms,
                       quotient_group)
 from gsl.linalg import Subspace
 from gsl.talg import DIM_LIMIT, invert_unit
-from gsl.zoo import (D, E_trunc, H, H_unip, SL2_kerF, alpha, cocycle_check,
-                     cocycle_ext, construct, d_presentation_iso,
+from gsl.zoo import (D, E_trunc, H, H_unip, PGL2_kerF, SL2_kerF, alpha,
+                     cocycle_check, cocycle_ext, construct, d_presentation_iso,
                      enumerate_coactions, group_coaction_verify, h_iso_map,
                      kerFV, mu, mu2_invariants_D, mu_action_normalize,
                      pullback, semidirect, sl2_hom_enumerate,
@@ -129,6 +129,45 @@ def test_SL2_kerF_dims_and_axioms():
         assert hopf_verify(G)["ok"]
 
 
+def test_sl2_and_pgl2_kernels_build_no_quotient(monkeypatch):
+    # both are free charts: no Groebner basis, no QuotientAlgebra
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quotient was built")
+
+    monkeypatch.setattr(talg, "_groebner", refuse)
+    monkeypatch.setattr(talg.QuotientAlgebra, "__init__", refuse)
+    for build in (SL2_kerF, PGL2_kerF):
+        G = build(2, F3)
+        assert type(G.carrier) is Algebra and G.dim == 729
+        assert hopf_verify(G)["ok"]
+
+
+@pytest.mark.parametrize("F,n,dim", [
+    (F2, 1, 8), (F2, 2, 64), (F2, 3, 512), (F4, 1, 8), (F3, 1, 27),
+    (F3, 2, 729), (Field(5), 1, 125)],
+    ids=lambda x: x.name if isinstance(x, Field) else str(x))
+def test_pgl2_kernels_verify(F, n, dim):
+    G = zoo_parse("PGL2_kerF(%d)" % n, F)
+    assert G.carrier.vars == ("a", "b", "c") and G.dim == dim
+    assert hopf_verify(G)["ok"]
+    assert len(lie_algebra(G)[0]) == 3
+
+
+@pytest.mark.parametrize("F,kdim", [(F2, 2), (F4, 2), (F3, 1)],
+                         ids=lambda x: x.name if isinstance(x, Field) else "")
+def test_sl2_maps_onto_pgl2_with_central_kernel(F, kdim):
+    # pi: SL2 -> PGL2, x -> x / x22, as the algebra map
+    # A(PGL2_kerF(1)) -> A(SL2_kerF(1)); its kernel is mu2 in
+    # characteristic 2 and trivial otherwise
+    P, G = PGL2_kerF(1, F), SL2_kerF(1, F)
+    A = G.carrier
+    w = invert_unit(A.one() + A.var("u22"))
+    pi = Morphism(P, G, {"a": (A.one() + A.var("u11")) * w - A.one(),
+                         "b": A.var("u12") * w, "c": A.var("u21") * w})
+    assert morphism_check(pi)["ok"]
+    assert kernel_subgroup(pi).dim == kdim
+
+
 def test_H_unip_dims_and_axioms():
     for n in (1, 2):
         for s1, s2 in [(1, 0), (0, 1), (1, 1)]:
@@ -183,8 +222,22 @@ def test_zoo_parse_round_trips():
     g = zoo_parse("semidirect(D(2),mu(1),w=[-1,1])")
     assert presentations_equal(g, semidirect(D(2), mu(1), {"S": -1, "T": 1}))
     assert construct is zoo_parse or construct("mu(1)").carrier.dim == 2
-    with pytest.raises(BadParams):
+    with pytest.raises(ParseError):
         zoo_parse("nosuch(1)")
+
+
+@pytest.mark.parametrize("cid,message", [
+    ("SL2_kerF(1", "unbalanced parentheses in 'SL2_kerF(1'"),
+    ("alpha(1))", "unbalanced parentheses in 'alpha(1))'"),
+    ("alpha((1)", "unbalanced parentheses in 'alpha((1)'"),
+    ("alpha(1)(2)", "unbalanced parentheses in 'alpha(1)(2)'"),
+    ("nosuch", "unknown catalogue id 'nosuch'"),
+    ("semidirect(D(2),nosuch(1),w=[-1,1])", "unknown catalogue id 'nosuch'")])
+def test_zoo_parse_syntax_errors_and_unknown_ids_raise_parse_error(cid,
+                                                                   message):
+    with pytest.raises(ParseError) as exc:
+        zoo_parse(cid)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("cid", ["alpha()", "alpha(x)", "H(a=1)",
@@ -246,7 +299,7 @@ def _box(bounds):
     ("pullback(0,1,2)", (2, 2, 8, 1), "X11 + X11*X12*X21", "X12*X21"),
     ("pullback(1,1,2)", (8, 2, 2, 1), "X11^7 + X11^7*X12*X21",
      "1 + X12*X21 + X11^4"),
-    ("SL2_kerF(3)", (8, 8, 8, 1),
+    ("SL2_kerF(3)", (8, 8, 8),
      "u11 + u12*u21 + u11^2 + u11*u12*u21 + u11^3 + u11^2*u12*u21 + u11^4"
      " + u11^3*u12*u21 + u11^5 + u11^4*u12*u21 + u11^6 + u11^5*u12*u21"
      " + u11^7 + u11^6*u12*u21 + u11^7*u12*u21",
@@ -259,23 +312,34 @@ def _box(bounds):
     ("pullback(1,1,3)", (16, 2, 2, 1), "X11^15 + X11^15*X12*X21",
      "1 + X12*X21 + X11^4")])
 def test_catalogue_quotients_are_pinned(cid, box, top_var, all_vars):
-    # staircases and residues of GF(2) carriers closed through ideal_span
+    # staircases and residues of GF(2) carriers closed through ideal_span;
+    # SL2_kerF is a free chart whose fourth name, u22, is an alias
     A = zoo_parse(cid, F2).carrier
+    names = A.vars + tuple(A.aliases)
     assert A.basis_monomials() == _box(box)
-    assert str(A.var(A.vars[3])) == top_var
-    assert str(A.monomial({nm: 1 for nm in A.vars})) == all_vars
+    assert str(A.var(names[3])) == top_var
+    assert str(_product(A, names)) == all_vars
+
+
+def _product(A, names):
+    """The product of the named variables and aliases of A."""
+    out = A.one()
+    for nm in names:
+        out = out * A.var(nm)
+    return out
 
 
 def test_sl2_kernel_over_gf3_is_pinned():
-    # the 729-dim carrier in a 6561-dim shell, closed on the list path
+    # the 729-dim chart; u22 and the product of all four names read the
+    # normal forms of the quotient k[u11,u12,u21,u22]/(u^9, det - 1)
     A = zoo_parse("SL2_kerF(2)", F3).carrier
-    assert A.basis_monomials() == _box((9, 9, 9, 1))
+    assert A.basis_monomials() == _box((9, 9, 9))
     assert str(A.var("u22")) == (
         "2*u11 + u12*u21 + u11^2 + 2*u11*u12*u21 + 2*u11^3 + u11^2*u12*u21"
         " + u11^4 + 2*u11^3*u12*u21 + 2*u11^5 + u11^4*u12*u21 + u11^6"
         " + 2*u11^5*u12*u21 + 2*u11^7 + u11^6*u12*u21 + u11^8"
         " + 2*u11^7*u12*u21 + u11^8*u12*u21")
-    assert str(A.monomial({nm: 1 for nm in A.vars})) == (
+    assert str(_product(A, ("u11", "u12", "u21", "u22"))) == (
         "2*u11^2*u12*u21 + u11*u12^2*u21^2 + u11^3*u12*u21"
         " + 2*u11^2*u12^2*u21^2 + 2*u11^4*u12*u21 + u11^3*u12^2*u21^2"
         " + u11^5*u12*u21 + 2*u11^4*u12^2*u21^2 + 2*u11^6*u12*u21"
@@ -288,17 +352,19 @@ def test_sl2_kernel_over_gf3_is_pinned():
                          ids=["GF(5) n=2", "GF(3) n=3", "GF(2) n=5",
                               "GF(2) n=6"])
 def test_sl2_kernels_on_shells_past_the_limit_build(F, n, dim):
-    # shells of 390 625 to 2^24 monomials are only divided, never laid
-    # out; the carrier is the staircase of one leading monomial, u22
+    # the four-variable shells of 390 625 to 2^24 monomials are gone: the
+    # carrier is the free chart on u11, u12, u21, of the same dimension
     A = SL2_kerF(n, F).carrier
     assert A.dim == dim <= DIM_LIMIT
-    assert [max(g.d, key=A.mono_index) for g in A.groebner] == [(0, 0, 0, 1)]
+    assert type(A) is Algebra
+    assert A.vars == ("u11", "u12", "u21") and set(A.aliases) == {"u22"}
 
 
 def test_sl2_kernel_past_the_quotient_limit_is_refused():
+    # the chart of dim 5^9 trips the free algebra's own guard
     with pytest.raises(SizeGuard) as exc:
         SL2_kerF(3, Field(5))
-    assert exc.value.what == "quotient basis"
+    assert exc.value.what == "algebra dimension"
     assert exc.value.size == 5 ** 9
 
 
@@ -650,6 +716,9 @@ def test_unipotent_line_hom_all_lines():
         for s1, s2 in [(1, 0), (0, 1), (1, 1)]:
             f = unipotent_line_hom(s1, s2, n)
             assert morphism_check(f)["ok"]
+            # u22 has no image of its own: its alias goes to -s1 s2 T
+            T = f.target.carrier.var("T")
+            assert f.map(f.source.carrier.var("u22")) == -(T * s1 * s2)
 
 
 # -- invariants of the diagonal torus action -------------------------------
