@@ -12,9 +12,9 @@ given and read back.
 
 from .errors import BadParams, NonUnit, NotFractionalLinear, NotInvertible
 from .gf import Field
-from .hopf import Failure, _report, _require_ok, hopf_ideal_closure
+from .hopf import Failure, Morphism, _report, _require_ok, hopf_ideal_closure
 from .talg import Poly, invert_unit, map_leg
-from .zoo import D, alpha, mu, semidirect
+from .zoo import D, PGL2_kerF, alpha, mu, semidirect
 
 
 def _field(field):
@@ -286,27 +286,13 @@ def coaction_from_matrix(H, entries):
     return Coaction(H, (a * X + b) * _inverse(c * X + d))
 
 
-def pgl2_morphism_check(M):
-    """Whether the matrix entries present a homomorphism to PGL2 and land
-    in the Frobenius kernel.
-
-    Homomorphism mod scalars: the entrywise comultiplication must equal
-    the tensor-square matrix product up to one unit factor, solved from
-    the lower-right entry.  Frobenius kernel: the entrywise p-th power
-    matrix must be a scalar multiple of the identity.
-    """
-    H = M.group
-    p = H.field.p
-    t2 = H.t2()
-    ent = M.entries
-    dm = [[H.delta_map(ent[i][j]) for j in (0, 1)] for i in (0, 1)]
-    mm = [[sum((t2.embed(ent[i][k], 0) * t2.embed(ent[k][j], 1)
-                for k in (0, 1)), t2.zero()) for j in (0, 1)]
-          for i in (0, 1)]
-    lam = dm[1][1] * invert_unit(mm[1][1])
-    hom = all(dm[i][j] == mm[i][j] * lam for i in (0, 1) for j in (0, 1))
-    power = [[ent[i][j] ** p for j in (0, 1)] for i in (0, 1)]
-    scalar = (not power[0][1].d and not power[1][0].d
-              and power[0][0] == power[1][1])
-    return {"is_homomorphism_mod_scalars": hom, "lands_in_kerF": scalar,
-            "scalar_factor": lam, "power_matrix": power}
+def pgl2_morphism(M, n):
+    """The Morphism PGL2_kerF(n) -> M.group sending the chart coordinates
+    a, b, c to a/d - 1, b/d, c/d.  ``morphism_check`` of it is ok exactly
+    when the matrix is a homomorphism to PGL2 that lands in the height-n
+    Frobenius kernel; a matrix whose entrywise p^n-th power is not scalar
+    breaks ``well_defined``."""
+    (a, b), (c, d) = M.entries
+    dinv = invert_unit(d)
+    return Morphism(PGL2_kerF(n, M.group.field), M.group,
+                    {"a": a * dinv - 1, "b": b * dinv, "c": c * dinv})

@@ -23,7 +23,7 @@ from itertools import product
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, _mono_images,
-                   _sum_images, apply_map, map_leg,
+                   _sum_images, apply_map, map_leg, multiply_legs,
                    quotient_algebra, quotient_by_subspace,
                    subalgebra_generated)
 
@@ -54,11 +54,6 @@ def _pair_guard(what, A):
     """Refuse an operation that lays out A.dim^2 coordinates."""
     if A.dim * A.dim > DIM_LIMIT:
         raise SizeGuard(what, A.dim * A.dim, DIM_LIMIT)
-
-
-def _push(f, target):
-    """Project along equally-named generators; aliases resolve dropped ones."""
-    return apply_map(f, {}, target)
 
 
 def _nil_order(f):
@@ -169,7 +164,7 @@ class HopfAlgebra(object):
 
     def delta_map(self, f):
         if f.alg.vars != self.carrier.vars:
-            f = _push(f, self.carrier)
+            f = apply_map(f, {}, self.carrier)
         return _sum_images(f, self.delta_mono, self.t2())
 
     def _eps_mono(self, m):
@@ -188,7 +183,7 @@ class HopfAlgebra(object):
 
     def counit_map(self, f):
         if f.alg.vars != self.carrier.vars:
-            f = _push(f, self.carrier)
+            f = apply_map(f, {}, self.carrier)
         F = self.field
         out = 0
         for m, c in f.d.items():
@@ -224,11 +219,11 @@ class HopfAlgebra(object):
         With y = x - eps(x) in the augmentation ideal I and
         delta(y) = y ox 1 + 1 ox y + R(y), R(y) in I ox I, the antipode
         axiom reads S(y) = -y - sum c S(m1) m2 over the terms c m1 ox m2
-        of R(y).  From S(y) = -y each round fixes S modulo one more power
-        of the nilpotent I, so this settles within dim A rounds.
+        of R(y), a ``multiply_legs`` over one S memo per round.  From
+        S(y) = -y each round fixes S modulo one more power of the
+        nilpotent I, so this settles within dim A rounds.
         """
         A, t2 = self.carrier, self.t2()
-        legs = {nm + "'": A.var(nm) for nm in A.vars}
         start, rest = {}, {}
         for nm in A.vars:
             # S(x) = eps(x) + S(y)
@@ -239,8 +234,8 @@ class HopfAlgebra(object):
                         - t2.embed(y, 0) - t2.embed(y, 1))
         anti = start
         for _ in range(A.dim + 2):
-            images = {**legs, **anti}
-            nxt = {nm: start[nm] - apply_map(rest[nm], images, A)
+            legs = (_mono_images(A, anti, A), _same_leg)
+            nxt = {nm: start[nm] - multiply_legs(rest[nm], legs, A)
                    for nm in A.vars}
             if nxt == anti:
                 return anti
@@ -302,9 +297,10 @@ def hopf_verify(H):
     in full; the axioms then on ``_generating_vars`` only.  That suffices:
     once the maps kill the relations, both sides of each axiom are
     algebra maps out of A (S is one, A being commutative).  Every check
-    is sparse: coassociativity compares both sides in A ox A ox A leg by
-    leg (``_coassoc_sides``), and the counit sides read eps off one leg
-    of delta(x) (``_counit_sides``).  No basis of a tensor power is
+    is sparse, leg by leg: coassociativity in A ox A ox A
+    (``_coassoc_sides``), the counit sides (``_counit_sides``), and the
+    antipode sides mu (S ox id) delta, mu (id ox S) delta as
+    ``multiply_legs`` over one S memo.  No basis of a tensor power is
     listed, so no SizeGuard applies, whatever dim A is.
     """
     A = H.carrier
@@ -331,9 +327,7 @@ def hopf_verify(H):
                          ("antipode", apply_map(g, H.antipode, A))):
             check(val, 0, "well_defined", "%s(ideal gen %s)", tag, g)
 
-    ids = {n: A.var(n) for n in A.vars}
-    s_l = {**H.antipode, **{n + "'": x for n, x in ids.items()}}
-    s_r = {**ids, **{n + "'": s for n, s in H.antipode.items()}}
+    S = _mono_images(A, H.antipode, A)
     for nm in _generating_vars(A):
         dx = H.delta[nm]
         check(*_coassoc_sides(H, dx), "coassociative", "%s", nm)
@@ -342,9 +336,14 @@ def hopf_verify(H):
         check(lc, x, "counital", "%s", nm)
         check(rc, x, "counital", "%s'", nm)
         target = A.scalar(H.counit[nm])
-        check(apply_map(dx, s_l, A), target, "antipode_ok", "%s", nm)
-        check(apply_map(dx, s_r, A), target, "antipode_ok", "%s'", nm)
+        for legs, where in (((S, _same_leg), "%s"), ((_same_leg, S), "%s'")):
+            check(multiply_legs(dx, legs, A), target, "antipode_ok", where, nm)
     return _report(failures)
+
+
+def _same_leg(m):
+    """The identity on a reduced monomial, as a ``multiply_legs`` image."""
+    return {m: 1}
 
 
 def _swap_legs(f):
@@ -934,18 +933,19 @@ def is_central(H, ideal):
 def is_normal(H, ideal):
     """Adjoint stability of the ideal: sum pi(j_(2)) ox S(j_(1)) j_(3) must
     reproduce pi(j) ox 1 ... i.e. vanish for j in the ideal since pi(j) = 0.
+    It is ``multiply_legs`` into Q ox A of (delta ox id) delta(j).
     Returns (ok, witness)."""
     A = H.carrier
     Q = _requotient(A, ideal.basis_polys())
     T = Q.tensor(A)
-    names = A.vars
+    S, pi = _mono_images(A, H.antipode, A), _mono_images(A, {}, Q)
+    zq, za = Q._zero_mono, A._zero_mono
+    legs = (lambda m: {zq + k: c for k, c in S(m).items()},
+            lambda m: {k + za: c for k, c in pi(m).items()},
+            lambda m: {zq + m: 1})
     for f in ideal.basis_polys():
         d2, _ = _coassoc_sides(H, H.delta_map(f))
-        imgs = {n: T.embed(H.antipode[n], 1) for n in names}
-        imgs.update({n + "'": T.embed(_push(A.var(n), Q), 0) for n in names})
-        imgs.update({n + "''": T.embed(A.var(n), 1) for n in names})
-        got = apply_map(d2, imgs, T)
-        if got != 0:
+        if multiply_legs(d2, legs, T) != 0:
             return False, f
     return True, None
 
@@ -1000,29 +1000,22 @@ def hopf_product(H1, H2, name=None):
         raise BadParams("hopf_product expects free truncated carriers")
     if A1.field != A2.field:
         raise BadParams("mismatched coefficient fields")
-    rename = {}
     names = list(A1.vars)
     for nm in A2.vars:
-        new = nm
-        while new in names:
-            new += "2"
-        rename[nm] = new
-        names.append(new)
+        while nm in names:
+            nm += "2"
+        names.append(nm)
     shell = Algebra(A1.field, tuple(names), A1.orders + A2.orders,
                     A1.kinds + A2.kinds)
-    t2 = shell.tensor(shell)
+    t2 = shell._square()
+    z1, z2 = A1._zero_mono, A2._zero_mono
     delta, counit, anti = {}, {}, {}
-    for nm in A1.vars:
-        delta[nm] = apply_map(H1.delta[nm], {}, t2)
-        counit[nm] = H1.counit[nm]
-        anti[nm] = apply_map(H1.antipode[nm], {}, shell)
-    ren = {nm: shell.var(rename[nm]) for nm in A2.vars}
-    ren_t = {nm: t2.var(rename[nm]) for nm in A2.vars}
-    ren_t.update({nm + "'": t2.var(rename[nm] + "'") for nm in A2.vars})
-    for nm in A2.vars:
-        delta[rename[nm]] = apply_map(H2.delta[nm], ren_t, t2)
-        counit[rename[nm]] = H2.counit[nm]
-        anti[rename[nm]] = apply_map(H2.antipode[nm], ren, shell)
+    new = iter(names)
+    for H, embed in ((H1, lambda m: {m + z2: 1}), (H2, lambda m: {z1 + m: 1})):
+        for nm, to in zip(H.carrier.vars, new):
+            delta[to] = map_leg(H.delta[nm], (0, 1), embed, t2)
+            counit[to] = H.counit[nm]
+            anti[to] = _sum_images(H.antipode[nm], embed, shell)
     return HopfAlgebra(shell, delta, counit, anti,
                        name=name or "%s x %s" % (H1.name, H2.name))
 
@@ -1177,28 +1170,18 @@ def points_group(H, R):
         if all(apply_map(g, images, R) == 0 for g in ideal_gens):
             points.append(tuple(tuple(R.to_vector(r)) for r in pick))
 
-    def as_images(pt):
-        return {nm: R.from_vector(pt[i]) for i, nm in enumerate(names)}
-
-    t2 = H.t2()
+    def as_map(pt):
+        return _mono_images(A, {nm: R.from_vector(pt[i])
+                                for i, nm in enumerate(names)}, R)
 
     def mul(p1, p2):
-        im1, im2 = as_images(p1), as_images(p2)
-        out = []
-        for nm in names:
-            val = R.zero()
-            for mono, c in H.delta[nm].d.items():
-                m1, m2 = t2.split_mono(mono)
-                a = apply_map(A.poly({m1: 1}), im1, R)
-                b = apply_map(A.poly({m2: 1}), im2, R)
-                if a.d and b.d:
-                    val = val + R.scalar(c) * a * b
-            out.append(tuple(R.to_vector(val)))
-        return tuple(out)
+        legs = (as_map(p1), as_map(p2))
+        return tuple(tuple(R.to_vector(multiply_legs(H.delta[nm], legs, R)))
+                     for nm in names)
 
     def inv(pt):
-        im = as_images(pt)
-        return tuple(tuple(R.to_vector(apply_map(H.antipode[nm], im, R)))
+        image = as_map(pt)
+        return tuple(tuple(R.to_vector(_sum_images(H.antipode[nm], image, R)))
                      for nm in names)
 
     identity = tuple(tuple(R.to_vector(R.scalar(H.counit[nm])))

@@ -21,6 +21,8 @@ A presentation file is line oriented:
       T = T
 
 followed by an optional action block with a single `rho = ...` line.
+An optional aliases block names elements of the carrier, one
+`NAME = expression` line each, as `u22` is named on the SL2 chart.
 Primed names are the second tensor leg, `^` takes (possibly negative)
 integer exponents, and `#` starts a comment.  The antipode block may be
 omitted, in which case it is solved on the generators by fixed-point
@@ -32,7 +34,7 @@ from .action import Coaction, coaction_verify
 from .errors import BadParams, GslError, NonUnit, NotInvertible, ParseError
 from .gf import field_from_name
 from .hopf import HopfAlgebra, _require_ok, hopf_verify
-from .talg import Algebra
+from .talg import Algebra, Poly
 
 
 # -- expression grammar ------------------------------------------------------
@@ -192,7 +194,8 @@ def parse_coaction_expr(H, text, line=1, verify=True):
 
 # -- presentation files --------------------------------------------------------
 
-_BLOCKS = ("generators", "delta", "epsilon", "antipode", "action")
+_BLOCKS = ("generators", "delta", "epsilon", "antipode", "aliases",
+           "action")
 
 
 def parse_presentation(text):
@@ -205,7 +208,7 @@ def parse_presentation(text):
     field = None
     gens = []
     seen = set()
-    maps = {"delta": {}, "epsilon": {}, "antipode": {}}
+    maps = {"delta": {}, "epsilon": {}, "antipode": {}, "aliases": {}}
     rho_src = None
     block = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -260,13 +263,16 @@ def parse_presentation(text):
                 raise ParseError("want: NAME = expression", lineno, col)
             nm, rhs = stripped.split("=", 1)
             nm = nm.strip()
-            if nm not in seen:
+            if block == "aliases":
+                if not nm.isidentifier():
+                    raise ParseError("bad alias name %r" % nm, lineno, col)
+            elif nm not in seen:
                 raise ParseError("map for undeclared generator %r" % nm,
                                  lineno, col)
             if nm in maps[block]:
                 raise ParseError("duplicate %s entry for %r" % (block, nm),
                                  lineno, col)
-            maps[block][nm] = (rhs, lineno)
+            maps[block][nm] = (rhs, lineno, col)
     if field is None:
         raise ParseError("missing field line", 1, 1)
     if not gens:
@@ -277,6 +283,9 @@ def parse_presentation(text):
             if nm not in maps[want]:
                 raise ParseError("no %s entry for generator %r" % (want, nm),
                                  lineno, col)
+    for nm, (_, lineno, col) in maps["aliases"].items():
+        if nm in seen:
+            raise ParseError("alias %r names a generator" % nm, lineno, col)
     if maps["antipode"]:
         for nm, _, _, lineno, col in gens:
             if nm not in maps["antipode"]:
@@ -298,19 +307,21 @@ def parse_presentation(text):
 
     delta = {}
     for nm in names:
-        src, lineno = maps["delta"][nm]
+        src, lineno, _ = maps["delta"][nm]
         delta[nm] = evaluate_expr(src, env2, t2.scalar_int, lineno)
     counit = {}
     for nm in names:
-        src, lineno = maps["epsilon"][nm]
+        src, lineno, _ = maps["epsilon"][nm]
         val = evaluate_expr(src, env0, A.scalar_int, lineno)
         counit[nm] = val.constant_term()
     antipode = None
     if maps["antipode"]:
         antipode = {}
         for nm in names:
-            src, lineno = maps["antipode"][nm]
+            src, lineno, _ = maps["antipode"][nm]
             antipode[nm] = evaluate_expr(src, env1, A.scalar_int, lineno)
+    for nm, (src, lineno, _) in maps["aliases"].items():
+        A.aliases[nm] = evaluate_expr(src, env1, A.scalar_int, lineno).d
 
     try:
         H = HopfAlgebra(A, delta, counit, antipode)
@@ -369,4 +380,8 @@ def print_presentation(obj):
     lines += ["", "antipode"]
     for nm in A.vars:
         lines.append("  %s = %s" % (nm, A.poly_str(H.antipode[nm])))
+    if A.aliases:
+        lines += ["", "aliases"]
+        for nm, d in A.aliases.items():
+            lines.append("  %s = %s" % (nm, A.poly_str(Poly(A, d))))
     return "\n".join(lines) + "\n"

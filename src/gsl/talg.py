@@ -1117,17 +1117,37 @@ def _mono_images(src, images, target, allow_missing=()):
 
 def _sum_images(f, image, target, coeff_map=None):
     """Sum c * image(m) over the terms c * m of f, in one dict."""
-    F = target.field
+    return Poly(target, _sum_terms(_codes(f, target, coeff_map), image,
+                                   target.field))
+
+
+def _sum_terms(terms, image, F):
+    """Sum c * image(m) over the pairs (m, c), as a new dict."""
     add, mul = F.add, F.mul
     out = {}
-    for m, c in _codes(f, target, coeff_map):
+    for m, c in terms:
         for m2, c2 in image(m).items():
             s = add(out.get(m2, 0), c2 if c == 1 else mul(c, c2))
             if s:
                 out[m2] = s
             else:
                 del out[m2]
-    return Poly(target, out)
+    return out
+
+
+def _leg_groups(f, span, fn, F):
+    """Group the terms c * m of a tensor element by the legs around
+    ``span``; yields each group's head, tail and sum of c * fn(leg in
+    span), which is fn's own dict for a lone term with c = 1."""
+    a, b = span
+    groups = {}
+    for m, c in f.d.items():
+        groups.setdefault((m[:a], m[b:]), []).append((m[a:b], c))
+    for (head, tail), legs in groups.items():
+        if len(legs) == 1 and legs[0][1] == 1:
+            yield head, tail, fn(legs[0][0])
+        else:
+            yield head, tail, _sum_terms(legs, fn, F)
 
 
 def map_leg(f, slot, fn, target):
@@ -1148,21 +1168,9 @@ def map_leg(f, slot, fn, target):
     """
     slots = (slot,) if isinstance(slot, int) else sorted(slot)
     spans = f.alg._spans
-    a, b = spans[slots[-1]]
     add, mul = target.field.add, target.field.mul
-    groups = {}
-    for m, c in f.d.items():
-        groups.setdefault((m[:a], m[b:]), []).append((m[a:b], c))
     out = {}
-    for (head, tail), legs in groups.items():
-        acc = {}
-        for leg, c in legs:
-            for sub, c2 in fn(leg).items():
-                v = add(acc.get(sub, 0), c2 if c == 1 else mul(c, c2))
-                if v:
-                    acc[sub] = v
-                else:
-                    del acc[sub]
+    for head, tail, acc in _leg_groups(f, spans[slots[-1]], fn, target.field):
         # the head's own slots, right to left so that x, y stay in place
         heads = [(head, 1)]
         for s in slots[-2::-1]:
@@ -1180,6 +1188,33 @@ def map_leg(f, slot, fn, target):
                 else:
                     del out[key]
     return Poly(target, out)
+
+
+def multiply_legs(f, fns, target):
+    """The product of leg images: each term c * m of a tensor element f
+    becomes c * fns[0](leg 0 of m) * fns[1](leg 1 of m) * ... in target,
+    such as mu (S ox id) delta(x) with ``fns = (S, id)``.  Each fns[i] is
+    an algebra map on reduced monomials of factor i, as for ``map_leg``
+    but into target: a ``_mono_images`` memo, or an identity or embedding
+    such as ``lambda m: {m: 1}``.  Terms are grouped by every leg but the
+    last, whose images are summed per group, so a group costs one product
+    per other leg that is not 1.
+    """
+    spans = f.alg._spans
+    if len(fns) != len(spans):
+        raise BadParams(f"expected {len(spans)} leg maps, got {len(fns)}")
+
+    def product(group):
+        head, _, acc = group
+        for fn, (x, y) in zip(fns, spans[:-1]):
+            leg = head[x:y]
+            if acc and any(leg):
+                acc = target.mul_dicts(acc, fn(leg))
+        return acc
+
+    groups = _leg_groups(f, spans[-1], fns[-1], target.field)
+    return Poly(target, _sum_terms(((g, 1) for g in groups), product,
+                                   target.field))
 
 
 def invert_unit(f):

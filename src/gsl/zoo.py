@@ -29,7 +29,7 @@ from .errors import (BadParams, IdentityFailed, NotAnAction, ParseError,
                      SizeGuard, VerifyError)
 from .gf import Field
 from .talg import (Algebra, _mono_images, _sum_images, apply_map,
-                   invert_unit, map_leg, quotient_algebra,
+                   invert_unit, map_leg, multiply_legs, quotient_algebra,
                    weight_decomposition)
 from .hopf import (Failure, HopfAlgebra, Morphism, _relation_polys, _report,
                    _require_ok, _require_on_gens, closed_subgroup,
@@ -604,11 +604,8 @@ def _coaction_frame(G, M):
     order, so a search can stop at the first one."""
     AG, AM = G.carrier, M.carrier
     t2, t3, t3g = AG.tensor(AM), AG.tensor(AM, AM), AG.tensor(AG, AM)
-    # rho of x on leg 0, and of x' on leg 1, of A(G) x A(G) x A(M), the
-    # A(M) output on leg 2 either way
-    left = {u + "'": t3g.var(u + "''") for u in AM.vars}
-    right = dict(left)
-    right.update({x: t3g.var(x + "'") for x in AG.vars})
+    z = AG._zero_mono  # rho(x) goes on legs (0, 2) or (1, 2) of t3g
+    to_legs = (lambda m: {m + z: 1}), (lambda m: {z + m: 1})
     relations = _relation_polys(AG)
 
     def found(axiom, nm, diff):
@@ -638,13 +635,12 @@ def _coaction_frame(G, M):
                              - map_leg(images[nm], 1, M.delta_mono, t3))
         # (rho ox rho) delta_G(x), the A(M) outputs multiplied, against
         # delta_G on the A(G) leg of rho(x)
-        coact = {}
-        for x in AG.vars:
-            coact[x] = apply_map(images[x], left, t3g)
-            coact[x + "'"] = apply_map(images[x], right, t3g)
+        rho_legs = tuple(_mono_images(AG, {x: map_leg(v, 0, to, t3g)
+                                           for x, v in images.items()}, t3g)
+                         for to in to_legs)
         for nm in AG.vars:
             yield from found("delta_G", nm,
-                             apply_map(G.delta[nm], coact, t3g)
+                             multiply_legs(G.delta[nm], rho_legs, t3g)
                              - map_leg(images[nm], 0, G.delta_mono, t3g))
 
     return t2, failures
@@ -662,12 +658,12 @@ def group_coaction_verify(G, M, images):
     one that fails, in that order; images must be given on exactly the
     generators of A(G) (BadParams otherwise).
 
-    Legs are told apart by ticks: in A(G) x A(M) the A(G) names are bare
-    and the A(M) names carry one tick.  The relations and the rho side of
-    coassociativity sum through one memo of rho on monomials; the counit
-    axioms read eps_M, and eps_G, off one leg of rho(x) with ``map_leg``,
-    and delta_M and delta_G substitute into one leg the same way.  Only
-    (rho ox rho) delta_G multiplies, over renamed variables.
+    The relations and the rho side of coassociativity sum through one
+    memo of rho on monomials; the counit axioms read eps_M, and eps_G,
+    off one leg of rho(x) with ``map_leg``, and delta_M and delta_G
+    substitute into one leg the same way.  (rho ox rho) delta_G is
+    ``multiply_legs`` over two memos of rho, one landing on legs (0, 2)
+    of A(G) x A(G) x A(M) and one on legs (1, 2).
     """
     _require_on_gens("images", images, G.carrier.vars)
     t2, failures = _coaction_frame(G, M)

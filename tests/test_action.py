@@ -6,7 +6,7 @@ from gsl.action import (Coaction, MobiusMatrix, action_kernel,
                         chart2_closed_form, chart2_matches_closed_form,
                         coaction_from_matrix, coaction_verify, extends_to_p1,
                         is_faithful, laurent_invert, mobius_matrix,
-                        pgl2_morphism_check, restrict_coaction,
+                        pgl2_morphism, restrict_coaction,
                         standard_coaction)
 from gsl.errors import NotFractionalLinear, NotInvertible
 from gsl.hopf import closed_subgroup, morphism_check
@@ -298,17 +298,34 @@ def test_mobius_entries_pinned():
     assert M.det() == W
 
 
+def lands_at_height(M, n):
+    """The failing axioms of the matrix as a map from PGL2_kerF(n)."""
+    return sorted({f.axiom for f in
+                   morphism_check(pgl2_morphism(M, n))["failures"]})
+
+
 def test_mobius_lands_in_frobenius_kernel():
     c = standard_coaction(1, 1, True)
     A = c.group.carrier
     M = mobius_matrix(c)
-    rep = pgl2_morphism_check(M)
-    assert rep["is_homomorphism_mod_scalars"]
-    assert rep["lands_in_kerF"]
-    pw = rep["power_matrix"]
-    assert not pw[0][1].d and not pw[1][0].d
-    assert pw[0][0] == A.one() and pw[1][1] == A.one()
+    f = pgl2_morphism(M, 1)
+    assert f.source.name == "PGL2_kerF(1)" and f.target is c.group
+    assert morphism_check(f)["ok"]
+    # the entrywise square is the identity matrix
+    (a, b), (cc, d) = M.entries
+    assert a ** 2 == A.one() and not (b ** 2).d and not (cc ** 2).d
+    assert f.images["a"] == a - A.one()
     assert c.group.dim == 8 and is_faithful(c)
+
+
+def test_pgl2_morphism_divides_by_the_lower_right_entry():
+    c = standard_coaction(1, 1, True)
+    A = c.group.carrier
+    W = A.one() + A.var("U")
+    (a, b), (cc, d) = mobius_matrix(c).entries
+    scaled = MobiusMatrix(c.group, ((a * W, b * W), (cc * W, W)))
+    assert (pgl2_morphism(scaled, 1).images
+            == pgl2_morphism(mobius_matrix(c), 1).images)
 
 
 def test_mobius_round_trip():
@@ -327,23 +344,22 @@ def test_affine_matrix_misses_frobenius_kernel():
     (a, b), (cc, d) = M.entries
     assert a == A.one() + A.var("U") and b == A.var("T")
     assert not cc.d and d == A.one()
-    rep = pgl2_morphism_check(M)
-    assert rep["is_homomorphism_mod_scalars"]
-    assert not rep["lands_in_kerF"]
+    # a homomorphism, of height 2: T^2 survives at height 1
+    assert lands_at_height(M, 1) == ["well_defined"]
+    assert lands_at_height(M, 2) == []
 
 
 def test_deeper_unipotent_misses_frobenius_kernel():
-    rep = pgl2_morphism_check(mobius_matrix(standard_coaction(2, 1, True)))
-    assert rep["is_homomorphism_mod_scalars"]
-    assert not rep["lands_in_kerF"]
+    M = mobius_matrix(standard_coaction(2, 1, True))
+    assert lands_at_height(M, 1) == ["well_defined"]
+    assert lands_at_height(M, 2) == []
 
 
 def test_identity_matrix_passes_both_checks():
     a1 = alpha(1)
     c = Coaction(a1, {1: a1.carrier.one()})
     M = mobius_matrix(c)
-    rep = pgl2_morphism_check(M)
-    assert rep["is_homomorphism_mod_scalars"] and rep["lands_in_kerF"]
+    assert lands_at_height(M, 1) == []
 
 
 def test_not_fractional_linear_cases():

@@ -3,7 +3,7 @@ import pytest
 from gsl import Field
 from gsl.action import (Coaction, extends_to_p1, laurent_invert,
                         standard_coaction)
-from gsl.errors import NotInvertible, VerifyError
+from gsl.errors import NotInvertible, ParseError, VerifyError
 from gsl.hopf import presentations_equal
 from gsl.parse import (parse_coaction_expr, parse_presentation,
                        print_presentation, rho_str)
@@ -28,6 +28,38 @@ def test_print_parse_print_is_a_fixed_point(F, cid):
     K = parse_presentation(text)
     assert print_presentation(K) == text
     assert presentations_equal(H, K)
+
+
+@pytest.mark.parametrize("F,n", [(F3, 1), (F2, 2)],
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_aliases_survive_the_round_trip(F, n):
+    H = zoo_parse("SL2_kerF(%d)" % n, F)
+    text = print_presentation(H)
+    assert "\naliases\n  u22 = " in text
+    K = parse_presentation(text)
+    assert print_presentation(K) == text
+    assert presentations_equal(H, K)
+    assert K.carrier.aliases == H.carrier.aliases
+    assert K.carrier.var("u22").d == H.carrier.var("u22").d
+
+
+def test_no_aliases_block_without_aliases():
+    assert "aliases" not in print_presentation(zoo_parse("D(2)", F2))
+
+
+@pytest.mark.parametrize("lines,message,where", [
+    (["  S = T"], "alias 'S' names a generator", (20, 3)),
+    (["  W = S", "  W = T"], "duplicate aliases entry for 'W'", (21, 3)),
+    (["  2W = S"], "bad alias name '2W'", (20, 3)),
+    (["  W S"], "want: NAME = expression", (20, 3)),
+], ids=["generator", "repeated", "identifier", "no_equals"])
+def test_bad_aliases_are_parse_errors(lines, message, where):
+    text = print_presentation(zoo_parse("D(2)", F2))
+    assert len(text.splitlines()) == 17
+    with pytest.raises(ParseError) as exc:
+        parse_presentation(text + "\naliases\n" + "\n".join(lines) + "\n")
+    assert message in str(exc.value)
+    assert (exc.value.line, exc.value.col) == where
 
 
 _COACTIONS = ((1, 0, True), (2, 1, True), (2, 2, False), (0, 1, True))

@@ -1,10 +1,12 @@
 """Structural invariants of the Frobenius kernels of SL2 and PGL2 over
 p = 2, 3, 5 and m = 1, 2 (Jantzen, Representations of Algebraic Groups,
-I.9; Demazure & Gabriel, Groupes algebriques, II sec. 7)."""
+I.9; Demazure & Gabriel, Groupes algebriques, II sec. 7), and of the
+quotient by a normal subgroup on the catalogue groups."""
 
 import pytest
 
 from gsl import Field, frobenius_image, frobenius_kernel, lie_algebra
+from gsl.hopf import hopf_ideal_closure, quotient_group
 from gsl.zoo import zoo_parse
 
 CASES = [(F, n) for F, top in ((Field(2), 3), (Field(2, 2), 2), (Field(3), 2),
@@ -25,3 +27,27 @@ def test_frobenius_splits_and_kernel_has_the_lie_dimension(F, n, group):
         assert K.dim == F.p ** (3 * r)
     # the first kernel has height one: dim p^(dim Lie G)
     assert frobenius_kernel(G).dim == F.p ** len(lie_algebra(G)[0])
+
+
+NORMAL_CASES = ([(Field(3), cid) for cid in ("D(2)", "alpha(2)", "H(1,2)",
+                                             "mu(2)")]
+                + [(Field(5), "alpha(2)"), (Field(3, 2), "D(2)"),
+                   (Field(2, 2), "pullback(1,1,1)")]
+                + [(Field(2), cid) for cid in ("D(3,A)", "witt2",
+                                               "cocycle_ext(a=1,n=3)")])
+
+
+@pytest.mark.parametrize("F,cid", NORMAL_CASES,
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_group_order_is_normal_subgroup_times_quotient(F, cid):
+    # N = ker F, cut out by (x - eps(x))^p; |G| = |N| |G/N| (Waterhouse,
+    # ch. 15-16), and G/N is the Frobenius image
+    G = zoo_parse(cid, F)
+    A = G.carrier
+    seeds = [(A.var(nm) - A.scalar(G.counit[nm])) ** F.p for nm in A.vars]
+    ideal = hopf_ideal_closure(G, seeds)
+    n_dim = G.dim - ideal.dim
+    assert n_dim == frobenius_kernel(G).dim
+    Q = quotient_group(G, ideal)
+    assert Q.dim * n_dim == G.dim
+    assert Q.dim == frobenius_image(G).dim

@@ -1,13 +1,19 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import gsl
 
 from gsl import BadParams, Field, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
 from gsl.talg import (DIM_LIMIT, Algebra, Poly, TensorAlgebra, apply_map,
                       _groebner, _mono_images, eliminate_linear,
-                      invert_unit, is_ideal,
-                      map_leg, quotient_algebra, quotient_by_subspace,
+                      invert_unit, is_ideal, map_leg, multiply_legs,
+                      quotient_algebra, quotient_by_subspace,
                       subalgebra_generated, weight_decomposition)
 from gsl.linalg import Subspace, subspace_from
+from gsl.zoo import zoo_parse
 
 F2 = Field(2)
 F3 = Field(3)
@@ -604,6 +610,80 @@ def test_map_leg_on_several_slots_is_the_leg_substitution(F):
     ff = {nm: BB.embed(v, 0) for nm, v in f.items()}
     ff.update({nm + "'": BB.embed(v, 1) for nm, v in f.items()})
     assert map_leg(dx, (0, 1), image, BB) == apply_map(dx, ff, BB)
+
+
+@settings(max_examples=40, deadline=None)
+@given(F=st.sampled_from([F2, F4, F3]), k=st.integers(2, 3), data=st.data())
+def test_multiply_legs_is_the_product_over_renamed_variables(F, k, data):
+    # k legs of the quotient Q, each sent by a random algebra map Q -> Q or
+    # by the identity, against apply_map with leg i's variables renamed by
+    # i ticks (the reference the tick-free primitive replaced)
+    A = ring_ST(F)
+    S, T = A.gens()
+    Q = quotient_algebra(A, [T * T - S * T], eliminate=False)
+    Qk = TensorAlgebra((Q,) * k)
+    f = random_poly(data.draw, Qk, max_terms=6)
+    fns, renamed = [], {}
+    for i in range(k):
+        if data.draw(st.booleans()):
+            fns.append(lambda m: {m: 1})
+            images = {nm: Q.var(nm) for nm in Q.vars}
+        else:
+            images = {nm: random_poly(data.draw, Q) for nm in Q.vars}
+            fns.append(_mono_images(Q, images, Q))
+        renamed.update({nm + "'" * i: v for nm, v in images.items()})
+    assert multiply_legs(f, fns, Q) == apply_map(f, renamed, Q)
+
+
+def test_multiply_legs_wants_one_map_per_leg():
+    A = ring_ST()
+    with pytest.raises(BadParams):
+        multiply_legs(A.tensor(A).one(), (lambda m: {m: 1},), A)
+
+
+# a name with ticks appended: nm + "'", "'" * k, f"{nm}'"
+_TICKED = re.compile(r"""\+\s*("'+"|'\\'+')|"'+"\s*\*|\{\w+\}'+["']""")
+
+
+def test_only_talg_renames_tensor_legs_with_ticks():
+    # every other module reaches a tensor leg through map_leg or
+    # multiply_legs, never through a variable renamed with ticks
+    src = Path(gsl.__file__).parent
+    hits = ["%s:%d: %s" % (path.name, i, line.strip())
+            for path in sorted(src.glob("*.py")) if path.name != "talg.py"
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if _TICKED.search(line)]
+    assert hits == []
+    assert _TICKED.search((src / "talg.py").read_text())
+
+
+# the catalogue groups the GF(2) and odd-characteristic benchmarks build
+_BENCH_GROUPS = (
+    [(F2, cid) for cid in (
+        "SL2_kerF(2)", "SL2_kerF(3)", "pullback(1,1,3)", "kerFV",
+        "pullback(1,0,2)", "pullback(0,1,2)", "pullback(1,1,2)",
+        "Hunip(s1=1,s2=0,n=2)", "Hunip(s1=1,s2=1,n=2)", "D(3,A)", "D(3,B)",
+        "H(1,3)", "witt2", "cocycle_ext(a=1,n=3)",
+        "semidirect(D(2),mu(1),w=[-1,1])", "alpha(6)", "mu(6)")]
+    + [(Field(p, m), "SL2_kerF(1)")
+       for p, m in ((3, 1), (2, 2), (3, 2), (2, 8), (3, 6), (5, 1))]
+    + [(F5, "Hunip(s1=1,s2=2,n=1)"), (F4, "pullback(1,1,1)")]
+    + [(F, cid) for F in (F3, F5)
+       for cid in ("D(2)", "alpha(3)", "H(1,2)", "mu(2)")])
+
+
+@pytest.mark.parametrize("F,cid", _BENCH_GROUPS,
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_antipode_axiom_on_the_bench_groups(F, cid):
+    # mu (S ox id) delta(x) = mu (id ox S) delta(x) = eps(x) on generators
+    H = zoo_parse(cid, F)
+    A = H.carrier
+    S = _mono_images(A, H.antipode, A)
+    for nm in A.vars:
+        dx = H.delta[nm]
+        eps = A.scalar(H.counit[nm])
+        assert multiply_legs(dx, (S, lambda m: {m: 1}), A) == eps
+        assert multiply_legs(dx, (lambda m: {m: 1}, S), A) == eps
 
 
 @settings(max_examples=60, deadline=None)
