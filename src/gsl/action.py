@@ -39,13 +39,13 @@ class Coaction(object):
                 raise BadParams("series outside the group's line ring")
             self.series = rho
             return
-        A = group.carrier
+        A, X = group.carrier, group._line(0)
         d = {}
         for i, f in rho.items():
             if f.alg is not A:
                 raise BadParams("coefficient outside the group's carrier")
-            for m, c in f.d.items():
-                d[m + (int(i),)] = c
+            # distinct degrees share no key
+            d.update(L.elem(f, X.monomial((int(i),))).d)
         self.series = Poly(L, d)
 
     @property
@@ -63,13 +63,21 @@ class Coaction(object):
             "(%s)*X^%d" % (rho[i], i) for i in sorted(rho, reverse=True))
 
 
+def _degree(L, m):
+    """The X-degree of the key m of a line ring: X is its last variable."""
+    return L.exponent(m, -1)
+
+
 def _degrees(s):
     """The degree dict {i: a_i} of s in a line ring, degrees ascending."""
+    L = s.alg
+    A, X = L.factors
     out = {}
     for m, c in s.d.items():
-        out.setdefault(m[-1], {})[m[:-1]] = c
-    A = s.alg.factors[0]
-    return {i: Poly(A, out[i]) for i in sorted(out)}
+        a, x = L.split_mono(m)
+        out.setdefault(x, {})[a] = c
+    # X-leg keys sort as their degrees do
+    return {X.exponent(x, 0): Poly(A, out[x]) for x in sorted(out)}
 
 
 def _inverse(s):
@@ -103,10 +111,11 @@ def coaction_verify(c):
     s = c.series
     line = H._line(0)
     miss = map_leg(s, 0, H._eps_leg, line) - line.var("X")
-    failures = [Failure("counit", i, line.scalar(code))
-                for (i,), code in sorted(miss.d.items())]
+    # keys sort as their degrees do
+    failures = [Failure("counit", _degree(line, m), line.scalar(code))
+                for m, code in sorted(miss.d.items())]
     rinv = None
-    if any(m[-1] < 0 for m in s.d):
+    if any(_degree(s.alg, m) < 0 for m in s.d):
         try:
             rinv = _inverse(s)
         except NotInvertible:
@@ -115,20 +124,21 @@ def coaction_verify(c):
     powers = {}
 
     def power(leg):
-        i = leg[0]
-        hit = powers.get(i)
+        hit = powers.get(leg)
         if hit is None:
-            hit = powers[i] = (s ** i if i >= 0 else rinv ** -i).d
+            i = _degree(line, leg)
+            hit = powers[leg] = (s ** i if i >= 0 else rinv ** -i).d
         return hit
 
     target = H._line(2)
     lhs = map_leg(s, 1, power, target)
     rhs = map_leg(s, 0, H.delta_mono, target)
-    a = len(H.carrier.vars)
+    t2 = H.t2()
     by_degree = {}
     for m, code in ({} if lhs == rhs else (lhs - rhs).d).items():
-        by_degree.setdefault(m[-1], {})[m[a:-1] + m[:a]] = code
-    t2 = H.t2()
+        m1, m2, x = target.split_mono(m)
+        by_degree.setdefault(_degree(line, x), {})[
+            t2.join_mono((m2, m1))] = code
     failures += [Failure("coassoc", j, Poly(t2, by_degree[j]))
                  for j in sorted(by_degree)]
     return _report(failures)
@@ -199,12 +209,16 @@ def extends_to_p1(c):
     projective line exactly when no positive X-degree survives, and the
     second chart is the inverse read in Y = 1/X (re-verified)."""
     H = c.group
-    rinv = laurent_invert(H, c.rho)
+    inv = _inverse(c.series)
+    rinv = _degrees(inv)
     bad = sorted(i for i in rinv if i > 0)
     if bad:
         return {"extends": False, "chart2": None,
                 "witness": {"degree": bad[0], "coefficient": rinv[bad[0]]}}
-    chart2 = Coaction(H, {-i: f for i, f in rinv.items()})
+    # X^i -> X^-i on the X leg of the inverse
+    X = H._line(0)
+    chart2 = Coaction(H, map_leg(
+        inv, 1, lambda x: X.monomial((-X.exponent(x, 0),)).d, H._line()))
     _require_ok(coaction_verify(chart2), "chart2")
     return {"extends": True, "chart2": chart2, "witness": None}
 

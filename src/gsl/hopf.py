@@ -23,8 +23,8 @@ from itertools import product
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, _mono_images,
-                   _sum_images, apply_map, map_leg, multiply_legs,
-                   quotient_algebra, quotient_by_subspace,
+                   _scalar_leg, _sum_images, apply_map, map_leg,
+                   multiply_legs, quotient_algebra, quotient_by_subspace,
                    subalgebra_generated)
 
 POINTS_DIM_LIMIT = 64
@@ -110,7 +110,8 @@ class HopfAlgebra(object):
     memo filled on demand (a plain dict over A ox A per monomial);
     ``delta_map``, ``lie_algebra``'s p-map and the coassociativity check
     read it.
-    The counit of a monomial is a scalar, read off its exponents.
+    The counit of a monomial is a scalar, read off its exponents and
+    memoised per key.
 
     ``t2()`` is the carrier's own tensor square (``Algebra._square``):
     groups on one carrier share it while any of them, or any element of
@@ -133,6 +134,8 @@ class HopfAlgebra(object):
         self.delta_mono = _mono_images(carrier, self.delta, self._t2)
         self.counit = {k: int(v) for k, v in counit.items()}
         self._eps_codes = [self.counit[nm] for nm in carrier.vars]
+        # monomial key -> its counit, filled on first use
+        self._eps = {}
         if antipode is None:
             antipode = self._fixed_point_antipode()
         _require_on_gens("antipode", antipode, carrier.vars)
@@ -168,18 +171,24 @@ class HopfAlgebra(object):
         return _sum_images(f, self.delta_mono, self.t2())
 
     def _eps_mono(self, m):
-        """Counit of the monomial m over the carrier's variables: a scalar."""
+        """Counit of the monomial key m of the carrier: a scalar."""
+        c = self._eps.get(m)
+        if c is None:
+            c = self._eps[m] = self._eps_exponents(self.carrier.exponents(m))
+        return c
+
+    def _eps_exponents(self, exps):
+        """Counit of the monomial with the exponent tuple exps."""
         F = self.field
         out = 1
-        for c, e in zip(self._eps_codes, m):
+        for c, e in zip(self._eps_codes, exps):
             if e:
                 out = F.mul(out, F.pow(c, e))
         return out
 
     def _eps_leg(self, m):
-        """The counit of m as a ``map_leg`` image: {(): eps(m)}, or {}."""
-        c = self._eps_mono(m)
-        return {(): c} if c else {}
+        """The counit of m as a ``map_leg`` image that drops the leg."""
+        return _scalar_leg(self._eps_mono(m))
 
     def counit_map(self, f):
         if f.alg.vars != self.carrier.vars:
@@ -203,7 +212,7 @@ class HopfAlgebra(object):
         """The augmentation ideal as a coordinate subspace, spanned by
         m - eps(m) over the basis monomials m other than 1."""
         A = self.carrier
-        one_pos = A._positions()[A._zero_mono]
+        one_pos = A.to_vector(A.one()).index(1)
         S = Subspace(self.field, A.dim)
         for i, m in enumerate(A.basis_monomials()):
             if i != one_pos:
@@ -263,7 +272,8 @@ def _generating_vars(A):
     of its Groebner basis: t is lex-smaller, so a polynomial in earlier
     variables, and by induction the variables kept generate A."""
     groebner = A.groebner if isinstance(A, QuotientAlgebra) else ()
-    leads = [max(g.d, key=A.ambient.mono_index) for g in groebner]
+    # a leading monomial is the largest key
+    leads = [A.ambient.exponents(max(g.d)) for g in groebner]
     skip = {t.index(1) for t in leads if sum(t) == 1}
     return [nm for i, nm in enumerate(A.vars) if i not in skip]
 
@@ -348,8 +358,9 @@ def _same_leg(m):
 
 def _swap_legs(f):
     """f in A ox A with its two legs exchanged, by permuting the keys."""
-    a = f.alg._spans[1][0]
-    return Poly(f.alg, {m[a:] + m[:a]: c for m, c in f.d.items()})
+    t = f.alg
+    return Poly(t, {t.join_mono(t.split_mono(m)[::-1]): c
+                    for m, c in f.d.items()})
 
 
 def is_cocommutative(H):
@@ -569,7 +580,7 @@ def subgroup_from_elements(G, named_elems, name=None):
         pairs = None if rights is None else express_slices(rights)
         if pairs is None:
             return None
-        return tQ.poly({smonos[j1] + smonos[j2]: c
+        return tQ.poly({tQ.join_mono((smonos[j1], smonos[j2])): c
                         for j2, row in pairs.items() for j1, c in row.items()})
 
     delta, counit, anti = {}, {}, {}
@@ -665,10 +676,12 @@ def lie_algebra(H):
         out = grads.get(m)
         if out is None:
             out = grads[m] = []
-            for i, e in enumerate(m):
+            exps = A.exponents(m)
+            for i, e in enumerate(exps):
                 c = F.scalar_from_int(e)
                 if c:
-                    c = F.mul(c, H._eps_mono(m[:i] + (e - 1,) + m[i + 1:]))
+                    c = F.mul(c, H._eps_exponents(
+                        exps[:i] + (e - 1,) + exps[i + 1:]))
                 if c:
                     out.append((i, c))
         return out
@@ -706,7 +719,7 @@ def lie_algebra(H):
             """u^(*j)(m)."""
             if j == 1:
                 return value(u, m)
-            if sum(m[i] for i in aug) > j:
+            if A.degree(m, aug) > j:
                 return 0
             if (j, m) not in memo:
                 acc = 0
@@ -718,8 +731,9 @@ def lie_algebra(H):
                 memo[(j, m)] = acc
             return memo[(j, m)]
 
-        return [conv(F.p, tuple(int(i == k) for k in range(r)))
-                for i in range(r)]
+        # x_i itself, unreduced: its key in the free ambient
+        return [conv(F.p, next(iter(A.ambient.var(nm).d)))
+                for nm in A.vars]
 
     return eqs.right_kernel_basis(), bracket, ppower
 
@@ -939,10 +953,9 @@ def is_normal(H, ideal):
     Q = _requotient(A, ideal.basis_polys())
     T = Q.tensor(A)
     S, pi = _mono_images(A, H.antipode, A), _mono_images(A, {}, Q)
-    zq, za = Q._zero_mono, A._zero_mono
-    legs = (lambda m: {zq + k: c for k, c in S(m).items()},
-            lambda m: {k + za: c for k, c in pi(m).items()},
-            lambda m: {zq + m: 1})
+    legs = (lambda m: T.embed(Poly(A, S(m)), 1).d,
+            lambda m: T.embed(Poly(Q, pi(m)), 0).d,
+            lambda m: T.embed(Poly(A, {m: 1}), 1).d)
     for f in ideal.basis_polys():
         d2, _ = _coassoc_sides(H, H.delta_map(f))
         if multiply_legs(d2, legs, T) != 0:
@@ -1008,11 +1021,14 @@ def hopf_product(H1, H2, name=None):
     shell = Algebra(A1.field, tuple(names), A1.orders + A2.orders,
                     A1.kinds + A2.kinds)
     t2 = shell._square()
-    z1, z2 = A1._zero_mono, A2._zero_mono
     delta, counit, anti = {}, {}, {}
     new = iter(names)
-    for H, embed in ((H1, lambda m: {m + z2: 1}), (H2, lambda m: {z1 + m: 1})):
-        for nm, to in zip(H.carrier.vars, new):
+    for H in (H1, H2):
+        rename = {nm: next(new) for nm in H.carrier.vars}
+        # the inclusion of the factor's carrier into the shell
+        embed = _mono_images(H.carrier, {nm: shell.var(to) for nm, to
+                                         in rename.items()}, shell)
+        for nm, to in rename.items():
             delta[to] = map_leg(H.delta[nm], (0, 1), embed, t2)
             counit[to] = H.counit[nm]
             anti[to] = _sum_images(H.antipode[nm], embed, shell)
@@ -1049,17 +1065,16 @@ def presentations_equal(H1, H2, rename=None):
     if prof1 != prof2 or free1 != A1.dim or free2 != A2.dim:
         return False
 
-    def tdict(f, t):
-        return {t.split_mono(m): c for m, c in f.d.items()}
+    def terms(f):
+        return {f.alg.exponents(m): c for m, c in f.d.items()}
 
-    t1, t2 = H1.t2(), H2.t2()
     for nm in A1.vars:
         nm2 = rename.get(nm, nm)
         if H1.counit[nm] != H2.counit[nm2]:
             return False
-        if tdict(H1.delta[nm], t1) != tdict(H2.delta[nm2], t2):
+        if terms(H1.delta[nm]) != terms(H2.delta[nm2]):
             return False
-        if dict(H1.antipode[nm].d) != dict(H2.antipode[nm2].d):
+        if terms(H1.antipode[nm]) != terms(H2.antipode[nm2]):
             return False
     return True
 
@@ -1218,7 +1233,7 @@ def enumerate_subgroups(H):
                         ENUM_SUBGROUP_DIM_LIMIT)
     if any(k != "nil" for k in A.ambient.kinds):
         raise BadParams("enumerate_subgroups expects nil generators")
-    one_pos = A._positions()[A._zero_mono]
+    one_pos = A.to_vector(A.one()).index(1)
     muls = [[A.to_vector(x * A.poly({m: 1})) for m in A.basis_monomials()]
             for x in H.gens()]
     zero = Subspace(F, A.dim)
@@ -1287,8 +1302,8 @@ def _echelon_order(V, positions):
 def _names_in(f, names):
     """The names whose variables occur in f; over a tensor power the
     legs' variables cycle through ``names``."""
-    n = len(names)
-    return {names[i % n] for m in f.d for i, e in enumerate(m) if e}
+    n, exps = len(names), f.alg.exponents
+    return {names[i % n] for m in f.d for i, e in enumerate(exps(m)) if e}
 
 
 def _morphism_equations(H1, H2):

@@ -39,7 +39,9 @@ from .talg import Algebra, Poly
 
 # -- expression grammar ------------------------------------------------------
 
-def _tokenize(s, line):
+def _tokenize(s, line, offset=0):
+    """The tokens of s, each (kind, value, line, column); s starts at
+    ``offset`` characters into its line."""
     toks = []
     i, n = 0, len(s)
     while i < n:
@@ -47,7 +49,7 @@ def _tokenize(s, line):
         if ch in " \t":
             i += 1
             continue
-        col = i + 1
+        col = offset + i + 1
         if ch.isdigit():
             j = i
             while j < n and s[j].isdigit():
@@ -71,7 +73,7 @@ def _tokenize(s, line):
             i += 1
         else:
             raise ParseError("unexpected character %r" % ch, line, col)
-    toks.append(("end", None, line, n + 1))
+    toks.append(("end", None, line, offset + n + 1))
     return toks
 
 
@@ -165,14 +167,17 @@ class _Expr(object):
         raise ParseError("unexpected %r" % str(val), line, col)
 
 
-def evaluate_expr(text, env, embed, line=1):
-    return _Expr(_tokenize(text, line), env, embed).run()
+def evaluate_expr(text, env, embed, line=1, offset=0):
+    """Evaluate text, which starts ``offset`` characters into line
+    ``line`` (for a ParseError's column)."""
+    return _Expr(_tokenize(text, line, offset), env, embed).run()
 
 
-def parse_coaction_expr(H, text, line=1, verify=True):
+def parse_coaction_expr(H, text, line=1, verify=True, offset=0):
     """A rho expression over the group H, evaluated in its line ring
     A ox k[X, X^-1]: Laurent in X with generator coefficients; W and V
-    are shorthand for 1 + U when U is present."""
+    are shorthand for 1 + U when U is present.  ``line`` and ``offset``
+    place text in its file, as for ``evaluate_expr``."""
     A = H.carrier
     L = H._line()
     env = {nm: L.var(nm) for nm in A.vars}
@@ -183,7 +188,7 @@ def parse_coaction_expr(H, text, line=1, verify=True):
     if H.field.m > 1:
         env.setdefault("g", L.scalar(H.field.gen))
     try:
-        val = evaluate_expr(text, env, L.scalar_int, line)
+        val = evaluate_expr(text, env, L.scalar_int, line, offset)
     except NonUnit as e:
         raise NotInvertible("negative power of a non-unit: %s" % e)
     c = Coaction(H, val)
@@ -257,7 +262,8 @@ def parse_presentation(text):
                                  lineno, col)
             if rho_src is not None:
                 raise ParseError("duplicate rho line", lineno, col)
-            rho_src = (stripped.split("=", 1)[1], lineno)
+            rho_src = (stripped.split("=", 1)[1], lineno,
+                       body.index("=") + 1)
         else:
             if "=" not in stripped:
                 raise ParseError("want: NAME = expression", lineno, col)
@@ -272,7 +278,8 @@ def parse_presentation(text):
             if nm in maps[block]:
                 raise ParseError("duplicate %s entry for %r" % (block, nm),
                                  lineno, col)
-            maps[block][nm] = (rhs, lineno, col)
+            # the right-hand side starts just after the "="
+            maps[block][nm] = (rhs, lineno, col, body.index("=") + 1)
     if field is None:
         raise ParseError("missing field line", 1, 1)
     if not gens:
@@ -283,7 +290,7 @@ def parse_presentation(text):
             if nm not in maps[want]:
                 raise ParseError("no %s entry for generator %r" % (want, nm),
                                  lineno, col)
-    for nm, (_, lineno, col) in maps["aliases"].items():
+    for nm, (_, lineno, col, _) in maps["aliases"].items():
         if nm in seen:
             raise ParseError("alias %r names a generator" % nm, lineno, col)
     if maps["antipode"]:
@@ -305,23 +312,19 @@ def parse_presentation(text):
         for env, alg in ((env2, t2), (env1, A), (env0, A)):
             env.setdefault("g", alg.scalar(field.gen))
 
-    delta = {}
-    for nm in names:
-        src, lineno, _ = maps["delta"][nm]
-        delta[nm] = evaluate_expr(src, env2, t2.scalar_int, lineno)
-    counit = {}
-    for nm in names:
-        src, lineno, _ = maps["epsilon"][nm]
-        val = evaluate_expr(src, env0, A.scalar_int, lineno)
-        counit[nm] = val.constant_term()
+    def value(block, nm, env, embed):
+        src, lineno, _, offset = maps[block][nm]
+        return evaluate_expr(src, env, embed, lineno, offset)
+
+    delta = {nm: value("delta", nm, env2, t2.scalar_int) for nm in names}
+    counit = {nm: value("epsilon", nm, env0, A.scalar_int).constant_term()
+              for nm in names}
     antipode = None
     if maps["antipode"]:
-        antipode = {}
-        for nm in names:
-            src, lineno, _ = maps["antipode"][nm]
-            antipode[nm] = evaluate_expr(src, env1, A.scalar_int, lineno)
-    for nm, (src, lineno, _) in maps["aliases"].items():
-        A.aliases[nm] = evaluate_expr(src, env1, A.scalar_int, lineno).d
+        antipode = {nm: value("antipode", nm, env1, A.scalar_int)
+                    for nm in names}
+    for nm in maps["aliases"]:
+        A.aliases[nm] = value("aliases", nm, env1, A.scalar_int).d
 
     try:
         H = HopfAlgebra(A, delta, counit, antipode)
@@ -332,7 +335,8 @@ def parse_presentation(text):
     _require_ok(hopf_verify(H), "presentation")
     if rho_src is None:
         return H
-    return parse_coaction_expr(H, rho_src[0], rho_src[1])
+    return parse_coaction_expr(H, rho_src[0], rho_src[1],
+                               offset=rho_src[2])
 
 
 # -- canonical printing ----------------------------------------------------------

@@ -8,20 +8,48 @@ field in which every variable carries one of three exponent rules:
 * ``unit``    -- x^d = 1; exponents are reduced mod d (d must be a power
                  of the characteristic, so x - 1 stays nilpotent and the
                  ring stays local),
-* ``laurent`` -- no relation; exponents range over all of Z.
+* ``laurent`` -- no relation; exponents range over all of Z (up to the
+                 field width below).
 
-Elements (Poly) are sparse dicts mapping exponent tuples to nonzero
-scalar codes of the coefficient field.  A QuotientAlgebra divides a
-free finite Algebra by an ideal held as its Groebner basis: the reduced
-basis is the staircase of monomials that no leading monomial divides,
-listed from the leading exponents alone, and the residue of a monomial
-is its normal form by division, memoised, so reduced arithmetic costs
-little more than free arithmetic and nothing as wide as the monomial
-shell is laid out.  A TensorAlgebra glues several algebras side by side
-and reduces factor by factor, which never materialises the big tensor
-ideal.  ``apply_map`` substitutes through memoised monomial images, one
-product per new monomial, and ``map_leg`` substitutes into legs of a
-tensor element with no product or reduction at all.
+Elements (Poly) are sparse dicts mapping monomial keys to nonzero scalar
+codes of the coefficient field.  A key is one int holding the exponents
+side by side, packed as in Bachmann & Schoenemann (ISSAC 1998) and
+Monagan & Pearce (CASC 2007).  Variable i owns a bit field at a fixed
+offset, the first variable lowest:
+
+* a nil or unit variable of order d gets k + 1 bits with 2^k >= d, the
+  top one a guard bit.  Reduced exponents leave it clear, and a sum of
+  two fits, so the product of two keys is their sum.  With a bias of
+  2^k - d added to each field, ``(m + bias) & guard`` is set exactly in
+  the fields whose exponent reached d: there a nil term dies and a unit
+  exponent wraps by taking d off;
+* a laurent field holds e + 5 * 2^31 in 34 bits.  The product of two
+  keys is their sum less the zero key, and its exponent e stays in
+  [-2^31, 2^31) exactly when the field's guard, bit 32, stays clear;
+  past that a product raises SizeGuard.
+
+So divisibility of reduced keys is ``((m | guard) - t) & guard == guard``
+and the quotient is m - t.  The int order of keys is the lex order with
+the last variable most significant: the Groebner side, the staircase and
+every basis listing sort and compare keys directly.  A TensorAlgebra
+lays out factor k's own fields shifted past factor k - 1's, so a leg is
+a shift and a mask, and joining legs is an OR.  The key format is known
+to this module alone: ``Algebra.poly`` and ``monomial`` also take
+exponent tuples and pack them, and ``exponents``, ``exponent``,
+``degree``, ``split_mono`` and ``join_mono`` read keys for everyone
+else.
+
+A QuotientAlgebra divides a free finite Algebra by an ideal held as its
+Groebner basis: the reduced basis is the staircase of monomials that no
+leading monomial divides, listed from the leading keys alone, and the
+residue of a monomial is its normal form by division, memoised, so
+reduced arithmetic costs little more than free arithmetic and nothing as
+wide as the monomial shell is laid out.  A TensorAlgebra glues several
+algebras side by side and reduces factor by factor, which never
+materialises the big tensor ideal.  ``apply_map`` substitutes through
+memoised monomial images, one product per new monomial, and ``map_leg``
+substitutes into legs of a tensor element with no product or reduction
+at all.
 
 Every algebra lists its reduced basis once, on first use, and the one
 coordinate map, ``to_vector``/``from_vector``, reads a vector over that
@@ -54,9 +82,99 @@ _UNSEEN = object()
 
 _KINDS = ("nil", "unit", "laurent")
 
+# a laurent field: 32 value bits, the guard, and one bit above it; an
+# exponent e is held as e + _LAURENT_ZERO
+_LAURENT_BITS = 32
+_LAURENT_ZERO = 5 << (_LAURENT_BITS - 1)
+_LAURENT_RANGE = 1 << (_LAURENT_BITS - 1)
+
+# (orders, kinds) -> its _Layout, filled on first use
+_LAYOUTS = {}
+
+
+class _Layout(object):
+    """The bit fields of one list of variables (see the module docstring):
+    per variable its offset, field mask and zero value, and over all of
+    them the zero key, the bias and the guard bits of the product rule."""
+
+    __slots__ = ("offs", "masks", "zeros", "width", "zero", "bias", "guard",
+                 "all_nil", "nil_guard", "nil_bits", "laurent_guard",
+                 "laurent_bits", "unit_wraps", "wraps", "var_at")
+
+    def __init__(self, orders, kinds):
+        self.offs, self.masks, self.zeros, self.var_at = [], [], [], []
+        off = zero = bias = guard = 0
+        nil_guard = nil_bits = laurent_guard = laurent_bits = 0
+        self.unit_wraps = {}
+        for i, (d, kind) in enumerate(zip(orders, kinds)):
+            if kind == "laurent":
+                k, z, width = _LAURENT_BITS, _LAURENT_ZERO, _LAURENT_BITS + 2
+            else:
+                k, z = (d - 1).bit_length(), 0
+                width = k + 1
+                bias |= ((1 << k) - d) << off
+            mask = (1 << width) - 1
+            g = 1 << (off + k)
+            if kind == "nil":
+                nil_guard |= g
+                nil_bits |= mask << off
+            elif kind == "unit":
+                self.unit_wraps[g] = d << off
+            else:
+                laurent_guard |= g
+                laurent_bits |= mask << off
+            self.offs.append(off)
+            self.masks.append(mask)
+            self.zeros.append(z)
+            self.var_at += [i] * width
+            zero |= z << off
+            guard |= g
+            off += width
+        self.width, self.zero, self.bias, self.guard = off, zero, bias, guard
+        self.all_nil = nil_guard == guard
+        self.nil_guard, self.nil_bits = nil_guard, nil_bits
+        self.laurent_guard, self.laurent_bits = laurent_guard, laurent_bits
+        # overflow bits of unit fields -> what wraps them back
+        self.wraps = {}
+
+    def fix(self, m, o):
+        """The key of a sum m of keys (less the zero key) whose fields
+        overflowed at the guard bits o: None if a nil field did, else m
+        with each unit field wrapped; SizeGuard if a laurent field did."""
+        if o & self.nil_guard:
+            return None
+        if o & self.laurent_guard:
+            raise SizeGuard("laurent exponent", _LAURENT_RANGE,
+                            _LAURENT_RANGE - 1)
+        w = self.wraps.get(o)
+        if w is None:
+            w = self.wraps[o] = sum(a for g, a in self.unit_wraps.items()
+                                    if o & g)
+        return m - w
+
+
+def _layout(orders, kinds):
+    lay = _LAYOUTS.get((orders, kinds))
+    if lay is None:
+        lay = _LAYOUTS[orders, kinds] = _Layout(orders, kinds)
+    return lay
+
+
+def _divides(t, m, guard):
+    """Whether the reduced key t divides the key m: no field of
+    (m | guard) - t borrows from its guard bit."""
+    return ((m | guard) - t) & guard == guard
+
+
+def _scalar_leg(c):
+    """A ``map_leg`` image that drops the leg, scaling by c."""
+    return {0: c} if c else {}
+
 
 class Poly(object):
-    """A sparse element of an Algebra; immutable by convention."""
+    """A sparse element of an Algebra, {key: nonzero code} over the
+    packed monomial keys of the module docstring; immutable by
+    convention."""
 
     __slots__ = ("alg", "d")
 
@@ -137,7 +255,7 @@ class Poly(object):
         F = alg.field
         d = {}
         for m, c in self.d.items():
-            mp = alg.mono_pow(m, F.p)
+            mp = alg._mono_pow(m, F.p)
             if mp is None:
                 continue
             cp = F.frob(c)
@@ -162,15 +280,14 @@ class Poly(object):
     # -- inspection ----------------------------------------------------------
 
     def constant_term(self):
-        zero_mono = (0,) * len(self.alg.vars)
-        return self.d.get(zero_mono, 0)
+        return self.d.get(self.alg._zero_mono, 0)
 
     def degree_in(self, name):
         """Largest exponent of the named variable, or None for 0."""
         i = self.alg._var_index(name)
         if not self.d:
             return None
-        return max(m[i] for m in self.d)
+        return max(self.alg.exponent(m, i) for m in self.d)
 
     def __str__(self):
         return self.alg.poly_str(self)
@@ -220,7 +337,8 @@ class Algebra(object):
         if dim_guard and self.dim is not None and self.dim > DIM_LIMIT:
             raise SizeGuard("algebra dimension", self.dim, DIM_LIMIT)
         self._strides = None
-        self._zero_mono = (0,) * len(names)
+        self._lay = _layout(orders, kinds)
+        self._zero_mono = self._lay.zero
         # filled on first use: basis_monomials(), each one's position in
         # it, and a weak reference to self (x) self
         self._basis = None
@@ -233,9 +351,11 @@ class Algebra(object):
     def ambient(self):
         return self
 
-    # -- monomial bookkeeping ------------------------------------------------
+    # -- monomial keys -------------------------------------------------------
 
     def strides(self):
+        """Coordinate strides of the variables over the free shell (the
+        shell is listed in key order, so x_i moves an index by these)."""
         if self._strides is None:
             if self.dim is None:
                 raise BadParams("no finite monomial basis with laurent variables")
@@ -247,51 +367,78 @@ class Algebra(object):
             self._strides = tuple(out)
         return self._strides
 
-    def mono_index(self, m):
-        s = self.strides()
-        return sum(e * st for e, st in zip(m, s))
-
-    def index_mono(self, i):
-        out = []
-        for d in self.orders:
-            out.append(i % d)
-            i //= d
-        return tuple(out)
-
     def ambient_dim(self):
         return math.prod(self.orders)
 
-    def mono_mul(self, m1, m2):
-        """Product of two exponent tuples, or None when a nil power dies."""
-        out = []
-        for e1, e2, d, k in zip(m1, m2, self.orders, self.kinds):
-            e = e1 + e2
-            if k == "nil":
-                if e >= d:
-                    return None
-            elif k == "unit":
-                e %= d
-            out.append(e)
-        return tuple(out)
-
-    def mono_pow(self, m, k):
-        out = []
-        for e, d, kind in zip(m, self.orders, self.kinds):
-            e *= k
+    def _pack(self, exps):
+        """The key of an exponent tuple under the exponent rules, or None
+        when a nil exponent reaches its order."""
+        if len(exps) != len(self.vars):
+            raise BadParams(
+                f"expected {len(self.vars)} exponents, got {exps!r}")
+        lay = self._lay
+        m = wide = 0
+        for e, d, kind, off, z in zip(exps, self.orders, self.kinds,
+                                      lay.offs, lay.zeros):
             if kind == "nil":
+                if e < 0:
+                    raise BadParams(f"negative exponent {e} on a nil variable")
                 if e >= d:
                     return None
             elif kind == "unit":
                 e %= d
-            out.append(e)
-        return tuple(out)
+            elif not -_LAURENT_RANGE <= e < _LAURENT_RANGE:
+                wide = max(wide, abs(e))
+            m |= (e + z) << off
+        if wide:
+            raise SizeGuard("laurent exponent", wide, _LAURENT_RANGE - 1)
+        return m
+
+    def _exponents(self, m):
+        lay = self._lay
+        return tuple(((m >> off) & mask) - z for off, mask, z
+                     in zip(lay.offs, lay.masks, lay.zeros))
+
+    def exponents(self, m):
+        """The exponent tuple of the key m, in the order of ``vars``."""
+        return self._exponents(m)
+
+    def exponent(self, m, i):
+        """The exponent of variable ``vars[i]`` in the key m."""
+        lay = self._lay
+        return ((m >> lay.offs[i]) & lay.masks[i]) - lay.zeros[i]
+
+    def degree(self, m, indices=None):
+        """The exponent sum of the key m over the variables at ``indices``
+        (positions in ``vars``; all of them by default)."""
+        e = self._exponents(m)
+        return sum(e) if indices is None else sum(e[i] for i in indices)
+
+    def _mono_mul(self, m1, m2):
+        """Product of two keys, or None when a nil power dies."""
+        lay = self._lay
+        m = m1 + m2 - lay.zero
+        o = (m + lay.bias) & lay.guard
+        return lay.fix(m, o) if o else m
+
+    def _mono_pow(self, m, k):
+        """The key m^k for k >= 1, or None when a nil power dies."""
+        out = m
+        try:
+            for _ in range(k - 1):
+                out = self._mono_mul(out, m)
+                if out is None:
+                    return None
+        except SizeGuard:
+            # a laurent field left its range before a nil power died
+            return self._pack(tuple(e * k for e in self._exponents(m)))
+        return out
 
     def monomials(self):
-        """All exponent tuples of the (ambient) free ring, index order."""
+        """All keys of the (ambient) free ring, in index order."""
         if self.dim is None:
             raise BadParams("no finite monomial basis with laurent variables")
-        for i in range(self.ambient_dim()):
-            yield self.index_mono(i)
+        return _stair_list(self.orders, self._lay.offs, [], self._lay.guard)
 
     def basis_monomials(self):
         """The reduced basis, listed once; a monomial's position in it is
@@ -301,7 +448,7 @@ class Algebra(object):
         return self._basis
 
     def _list_basis(self):
-        return list(self.monomials())
+        return self.monomials()
 
     def _positions(self):
         """Monomial -> its position in ``basis_monomials()``."""
@@ -317,6 +464,9 @@ class Algebra(object):
         return None  # None signals "already reduced", saves dict churn
 
     def reduce_dict(self, d):
+        if self._plain:
+            # every key is its own residue, and a dict repeats none
+            return {m: c for m, c in d.items() if c}
         out = {}
         F = self.field
         for m, c in d.items():
@@ -337,17 +487,27 @@ class Algebra(object):
         return out
 
     def mul_dicts(self, d1, d2):
-        F = self.field
+        add, mul = self.field.add, self.field.mul
+        lay = self._lay
+        zero, bias, guard, fix, dies = (lay.zero, lay.bias, lay.guard, lay.fix,
+                                        lay.all_nil)
         acc = {}
         if len(d1) > len(d2):
             d1, d2 = d2, d1
         for m1, c1 in d1.items():
+            b = m1 - zero
             for m2, c2 in d2.items():
-                m = self.mono_mul(m1, m2)
-                if m is None:
-                    continue
-                c = F.mul(c1, c2)
-                s = F.add(acc.get(m, 0), c)
+                # the product of keys is their sum (see the module docstring)
+                m = b + m2
+                o = (m + bias) & guard
+                if o:
+                    if dies:
+                        continue
+                    m = fix(m, o)
+                    if m is None:
+                        continue
+                c = mul(c1, c2)
+                s = add(acc.get(m, 0), c)
                 if s:
                     acc[m] = s
                 else:
@@ -385,25 +545,35 @@ class Algebra(object):
             if alias is not None:
                 return Poly(self, alias)
             raise BadParams(f"no variable or alias named {name!r} in {self.vars}")
-        i = self.vars.index(name)
-        m = [0] * len(self.vars)
-        m[i] = 1
-        return Poly(self, self.reduce_dict({tuple(m): 1}))
+        m = self._zero_mono + (1 << self._lay.offs[self.vars.index(name)])
+        return Poly(self, self.reduce_dict({m: 1}))
 
     def gens(self):
         return tuple(self.var(nm) for nm in self.vars)
 
     def monomial(self, exps):
-        """Poly for an exponent dict {name: e} or a raw tuple."""
+        """Poly for an exponent dict {name: e}, an exponent tuple or a key;
+        exponents follow the exponent rules (a nil power may die)."""
         if isinstance(exps, dict):
             m = [0] * len(self.vars)
             for nm, e in exps.items():
                 m[self._var_index(nm)] = e
             exps = tuple(m)
-        return Poly(self, self.reduce_dict({tuple(exps): 1}))
+        m = exps if isinstance(exps, int) else self._pack(tuple(exps))
+        return Poly(self, {} if m is None else self.reduce_dict({m: 1}))
 
     def poly(self, d):
-        """Wrap a raw dict that is already truncated; reduces mod the ideal."""
+        """Wrap a dict over reduced keys or exponent tuples (packed under
+        the exponent rules); reduces mod the ideal."""
+        if any(type(m) is tuple for m in d):
+            add, keyed = self.field.add, {}
+            for m, c in d.items():
+                if type(m) is tuple:
+                    m = self._pack(m)
+                    if m is None:
+                        continue
+                keyed[m] = add(keyed.get(m, 0), c)
+            d = keyed
         return Poly(self, self.reduce_dict(d))
 
     # -- vectors -------------------------------------------------------------
@@ -447,8 +617,9 @@ class Algebra(object):
             return "0"
         F = self.field
         terms = []
-        for m in sorted(f.d, key=lambda m: (sum(abs(e) for e in m), m)):
-            c = f.d[m]
+        # by total degree, then by exponent tuple, first variable first
+        for m, c in sorted(((self._exponents(m), c) for m, c in f.d.items()),
+                           key=lambda t: (sum(map(abs, t[0])), t[0])):
             parts = []
             for nm, e in zip(self.vars, m):
                 if e == 0:
@@ -487,9 +658,10 @@ class QuotientAlgebra(Algebra):
 
     ``groebner`` lists monic Polys of the free ambient ring that, with the
     ambient's truncation relations, form a Groebner basis of the ideal
-    under the lex order of ``mono_index`` (last variable most
-    significant); ``quotient_algebra`` and ``quotient_by_subspace`` supply
-    a minimal one (Cox, Little & O'Shea, ch. 2 sec. 6 and ch. 5 sec. 3).
+    under lex order with the last variable most significant, which is the
+    int order of the keys; ``quotient_algebra`` and ``quotient_by_subspace``
+    supply a minimal one (Cox, Little & O'Shea, ch. 2 sec. 6 and ch. 5
+    sec. 3).
     The reduced basis is the staircase, the monomials that no leading
     monomial divides, counted at construction (SizeGuard "quotient basis"
     past DIM_LIMIT) and listed on demand.  ``reduce_term`` is the normal
@@ -511,14 +683,15 @@ class QuotientAlgebra(Algebra):
         F = self.field
         self.groebner, self._leads = [], []
         for g in groebner:
-            t = max(g.d, key=ambient.mono_index)
+            t = max(g.d)
             c = F.inv(g.d[t])
             self.groebner.append(Poly(ambient, {m: F.mul(c, x)
                                                 for m, x in g.d.items()}))
             # division by g: t -> sum of (-c * x) * s over its tail
             self._leads.append((t, [(m, F.neg(F.mul(c, x)))
                                     for m, x in g.d.items() if m != t]))
-        self.dim = _stair_count(self.orders, [t for t, _ in self._leads])
+        self.dim = _stair_count(self.orders, self._lay.offs,
+                                [t for t, _ in self._leads], self._lay.guard)
         if self.dim > DIM_LIMIT:
             raise SizeGuard("quotient basis", self.dim, DIM_LIMIT)
         if not self.dim:
@@ -533,7 +706,8 @@ class QuotientAlgebra(Algebra):
         return self._ambient
 
     def _list_basis(self):
-        return _stair_list(self.orders, [t for t, _ in self._leads])
+        return _stair_list(self.orders, self._lay.offs,
+                           [t for t, _ in self._leads], self._lay.guard)
 
     def reduce_term(self, m):
         hit = self._memo.get(m, _UNSEEN)
@@ -544,13 +718,14 @@ class QuotientAlgebra(Algebra):
     def _division_step(self, m):
         """m less a multiple of the first basis element whose leading
         monomial divides it, as {monomial: c}; None on the staircase."""
+        guard = self._lay.guard
         for t, tail in self._leads:
-            if _divides(t, m):
-                u = tuple(b - a for a, b in zip(t, m))
+            if _divides(t, m, guard):
+                u = m - t
                 # x^u is injective on the shell: no two terms meet
                 out = {}
                 for s, c in tail:
-                    su = self.mono_mul(s, u)
+                    su = self._mono_mul(s, u)
                     if su is not None:
                         out[su] = c
                 return out
@@ -621,43 +796,42 @@ class _ZeroRing(QuotientAlgebra):
         return self.zero()
 
 
-def _divides(t, m):
-    """Whether the monomial t divides m (in the free ring)."""
-    return all(a <= b for a, b in zip(t, m))
-
-
-def _slices(orders, tops):
-    """The box of ``orders`` cut along its last variable wherever the set
-    of leading monomials that can divide changes: (lo, hi, those leading
-    monomials less their last exponent, minimal under division)."""
-    cuts = sorted({t[-1] for t in tops} | {0}) + [orders[-1]]
+def _slices(orders, offs, tops, guard):
+    """The box of ``orders`` cut along its last variable, the top field of
+    the keys, wherever the set of leading keys that can divide changes:
+    (lo, hi, those leading keys less their last field, minimal under
+    division)."""
+    off = offs[len(orders) - 1]
+    low = (1 << off) - 1
+    cuts = sorted({t >> off for t in tops} | {0}) + [orders[-1]]
     for lo, hi in zip(cuts, cuts[1:]):
-        sub = {t[:-1] for t in tops if t[-1] <= lo}
-        yield lo, hi, [t for t in sub
-                       if not any(u != t and _divides(u, t) for u in sub)]
+        sub = {t & low for t in tops if t >> off <= lo}
+        yield lo, hi, [t for t in sub if not any(
+            u != t and _divides(u, t, guard) for u in sub)]
 
 
-def _stair_count(orders, tops):
-    """How many monomials of the box no leading monomial divides."""
-    if any(not any(t) for t in tops):
+def _stair_count(orders, offs, tops, guard):
+    """How many monomials of the box no leading key divides."""
+    if 0 in tops:
         return 0
     if not orders:
         return 1
-    return sum((hi - lo) * _stair_count(orders[:-1], sub)
-               for lo, hi, sub in _slices(orders, tops))
+    return sum((hi - lo) * _stair_count(orders[:-1], offs, sub, guard)
+               for lo, hi, sub in _slices(orders, offs, tops, guard))
 
 
-def _stair_list(orders, tops):
-    """Those monomials in index order, last variable most significant."""
-    if any(not any(t) for t in tops):
+def _stair_list(orders, offs, tops, guard):
+    """Those monomials' keys in index order, which is key order."""
+    if 0 in tops:
         return []
     if not orders:
-        return [()]
+        return [0]
+    off = offs[len(orders) - 1]
     out = []
-    for lo, hi, sub in _slices(orders, tops):
-        low = _stair_list(orders[:-1], sub)
+    for lo, hi, sub in _slices(orders, offs, tops, guard):
+        low = _stair_list(orders[:-1], offs, sub, guard)
         for e in range(lo, hi):
-            out += [s + (e,) for s in low]
+            out += [s | (e << off) for s in low]
     return out
 
 
@@ -668,7 +842,8 @@ class TensorAlgebra(Algebra):
     A (x) A has variables T and T'.  Reduction applies each factor's
     monomial residue map in turn; for ideals I, J this is exactly
     reduction modulo I (x) B + A (x) J.  So a monomial is reduced exactly
-    when each of its legs is, and its key is the legs' keys concatenated.
+    when each of its legs is, and its key is the legs' keys, each shifted
+    to its factor's bit span (``_spans``) and OR-ed together.
 
     All arithmetic is sparse, so any number of factors of any dimension
     may be glued; ``dim`` is only the product of the factor dimensions.
@@ -700,22 +875,51 @@ class TensorAlgebra(Algebra):
         Algebra.__init__(self, field, names, orders, kinds, allow_ticks=True,
                          dim_guard=False)
         self.factors = factors
+        # factor k's bits: its own layout shifted past factor k - 1's
         self._spans = []
         off = 0
         for fac in factors:
-            self._spans.append((off, off + len(fac.vars)))
-            off += len(fac.vars)
+            self._spans.append((off, off + fac._lay.width))
+            off += fac._lay.width
         dims = [fac.dim for fac in factors]
         self.dim = None if None in dims else math.prod(dims)
         self._plain = all(fac._plain for fac in factors)
+        # (slots, target width) -> ``_leg_plan``, filled on first use
+        self._leg_plans = {}
+
+    def _leg_plan(self, slots, width):
+        """Where ``map_leg`` puts the legs of a key in a target ``width``
+        bits wide whose legs at ``slots`` are replaced by runs of equal
+        width: (runs, at).  A run (a, mask, p) moves the kept bits
+        (m >> a) & mask to p; ``at[s]`` is where slot s's image goes."""
+        plan = self._leg_plans.get((slots, width))
+        if plan is None:
+            spans = self._spans
+            kept = self._lay.width - sum(spans[s][1] - spans[s][0]
+                                         for s in slots)
+            size = (width - kept) // len(slots)
+            runs, at, pos = [], {}, 0
+            for j, (a, b) in enumerate(spans):
+                if j in slots:
+                    at[j] = pos
+                    pos += size
+                    continue
+                if runs and runs[-1][0] + runs[-1][1] == a:
+                    runs[-1][1] += b - a  # the leg before stays too
+                else:
+                    runs.append([a, b - a, pos])
+                pos += b - a
+            runs = [(a, (1 << w) - 1, p) for a, w, p in runs]
+            plan = self._leg_plans[slots, width] = (runs, at)
+        return plan
 
     def reduce_term(self, m):
         if self._plain:
             return None
         F = self.field
-        acc = {(): 1}
+        acc = {0: 1}
         for fac, (a, b) in zip(self.factors, self._spans):
-            part = m[a:b]
+            part = (m >> a) & ((1 << (b - a)) - 1)
             red = fac.reduce_term(part)
             if red is None:
                 red = {part: 1}
@@ -723,7 +927,7 @@ class TensorAlgebra(Algebra):
             for head, c in acc.items():
                 for sub, c2 in red.items():
                     cc = F.mul(c, c2)
-                    key = head + sub
+                    key = head | (sub << a)
                     s = F.add(nxt.get(key, 0), cc)
                     if s:
                         nxt[key] = s
@@ -740,39 +944,47 @@ class TensorAlgebra(Algebra):
         if f.alg is not fac:
             raise BadParams("element does not live in the requested factor")
         a, b = self._spans[slot]
-        n = len(self.vars)
-        d = {}
-        for m, c in f.d.items():
-            big = [0] * n
-            big[a:b] = m
-            d[tuple(big)] = c
-        return Poly(self, d)
+        # the other legs are 1
+        rest = self._zero_mono & ~(((1 << (b - a)) - 1) << a)
+        return Poly(self, {rest | (m << a): c for m, c in f.d.items()})
 
     def elem(self, *parts):
         """The pure tensor part_0 (x) part_1 (x) ... as an element here."""
         if len(parts) != len(self.factors):
             raise BadParams(f"expected {len(self.factors)} tensor legs")
         mul = self.field.mul
-        out = {(): 1}
-        for fac, f in zip(self.factors, parts):
+        out = {0: 1}
+        for fac, f, (a, _) in zip(self.factors, parts, self._spans):
             if f.alg is not fac:
                 raise BadParams("element does not live in the requested factor")
-            # reduced legs concatenate to a reduced key, and no two meet
-            out = {head + m: mul(c, c2)
+            # reduced legs join to a reduced key, and no two meet
+            out = {head | (m << a): mul(c, c2)
                    for head, c in out.items() for m, c2 in f.d.items()}
         return Poly(self, out)
 
     def split_mono(self, m):
-        return tuple(m[a:b] for a, b in self._spans)
+        """The legs of the key m: one key of each factor."""
+        return tuple((m >> a) & ((1 << (b - a)) - 1) for a, b in self._spans)
+
+    def join_mono(self, legs):
+        """The key whose legs are the given keys of the factors, the
+        inverse of ``split_mono``."""
+        if len(legs) != len(self._spans):
+            raise BadParams(f"expected {len(self._spans)} tensor legs")
+        m = 0
+        for leg, (a, _) in zip(legs, self._spans):
+            m |= leg << a
+        return m
 
     def _list_basis(self):
         if self.dim is None:
             raise BadParams("no finite monomial basis with laurent variables")
         if self.dim > DIM_LIMIT:
             raise SizeGuard("tensor basis_monomials", self.dim, DIM_LIMIT)
-        out = [()]
-        for p in [fac.basis_monomials() for fac in self.factors]:
-            out = [head + sub for sub in p for head in out]
+        out = [0]
+        for fac, (a, _) in zip(self.factors, self._spans):
+            out = [head | (sub << a) for sub in fac.basis_monomials()
+                   for head in out]
         return out
 
 
@@ -847,24 +1059,25 @@ def _groebner(alg, gens):
     algebra ``alg``, in the order of their leading monomials.
 
     Buchberger's algorithm (Cox, Little & O'Shea, ch. 2) on monic shell
-    polynomials keyed by shell index, whose own arithmetic reduces by x^d
-    (nil) and x^d - 1 (unit).  The S-pair of g with the relation of x_v,
-    when x_v^e divides LT(g), e > 0, is the shell product x_v^(d-e) * g.
-    Pairs go smallest lcm first; a pair is skipped when its leading
-    monomials are coprime, or when a third element's leading monomial
-    divides its lcm and that element's pairs with both are done
-    (Buchberger's second criterion).
+    polynomials over the algebra's keys, whose int order is the monomial
+    order and whose own product reduces by x^d (nil) and x^d - 1 (unit).
+    The S-pair of g with the relation of x_v, when x_v^e divides LT(g),
+    e > 0, is the shell product x_v^(d-e) * g.  Pairs go smallest lcm
+    first; a pair is skipped when its leading monomials are coprime, or
+    when a third element's leading monomial divides its lcm and that
+    element's pairs with both are done (Buchberger's second criterion).
     """
     _require_free(alg)
-    F, mono, index = alg.field, alg.index_mono, alg.mono_index
+    F, mul, guard = alg.field, alg._mono_mul, alg._lay.guard
+    offs, exponents = alg._lay.offs, alg._exponents
+    # (leading key, element, leading exponents)
     basis, pairs, pending = [], [], set()
 
     def add_times(f, c, u, g, todo=None):
-        # f += c * x^u * g in place, pushing each index touched onto todo
+        # f += c * x^u * g in place, pushing each key touched onto todo
         for k, cg in g.items():
-            m = alg.mono_mul(mono(k), u)
-            if m is not None:
-                s = index(m)
+            s = mul(k, u)
+            if s is not None:
                 val = F.add(f.get(s, 0), F.mul(c, cg))
                 if val:
                     f[s] = val
@@ -874,11 +1087,8 @@ def _groebner(alg, gens):
                     heapq.heappush(todo, -s)
         return f
 
-    def over(m, t):
-        return tuple(a - b for a, b in zip(m, t))
-
     def reduce(f):
-        # leading terms come off a heap of the indices f has held: a
+        # leading terms come off a heap of the keys f has held: a
         # division step only adds terms below the one it cancels
         todo = [-k for k in f]
         heapq.heapify(todo)
@@ -886,10 +1096,9 @@ def _groebner(alg, gens):
             lt = -heapq.heappop(todo)
             if lt not in f:
                 continue
-            m = mono(lt)
-            for t, g in basis:
-                if _divides(t, m):
-                    add_times(f, F.neg(f[lt]), over(m, t), g, todo)
+            for t, g, _ in basis:
+                if _divides(t, lt, guard):
+                    add_times(f, F.neg(f[lt]), lt - t, g, todo)
                     break
             else:
                 c = F.inv(f[lt])
@@ -897,45 +1106,44 @@ def _groebner(alg, gens):
         return None
 
     def add(h):
-        # a pair is (index of its lcm, lcm, i, j); j = ~v stands for the
-        # relation of x_v, and that lcm carries x_v^d
-        i, t = len(basis), mono(max(h))
-        for j, (u, _) in enumerate(basis):
-            if any(a and b for a, b in zip(t, u)):
-                l = tuple(map(max, t, u))
-                heapq.heappush(pairs, (index(l), l, j, i))
+        # a pair is (lcm, i, j); j = ~v stands for the relation of x_v,
+        # and that lcm carries x_v^d, one past the field's range
+        i, t = len(basis), max(h)
+        te = exponents(t)
+        for j, (_, _, ue) in enumerate(basis):
+            if any(a and b for a, b in zip(te, ue)):
+                l = sum(max(a, b) << off for a, b, off in zip(te, ue, offs))
+                heapq.heappush(pairs, (l, j, i))
                 pending.add((j, i))
-        for v, (e, d) in enumerate(zip(t, alg.orders)):
+        for v, (e, d, off) in enumerate(zip(te, alg.orders, offs)):
             if e:
-                l = t[:v] + (d,) + t[v + 1:]
-                heapq.heappush(pairs, (index(l), l, i, ~v))
+                heapq.heappush(pairs, (t + ((d - e) << off), i, ~v))
                 pending.add((i, ~v))
-        basis.append((t, h))
+        basis.append((t, h, te))
 
     def done(k, j):
         return ((k, j) if j < 0 else (min(k, j), max(k, j))) not in pending
 
     for g in gens:
-        h = reduce({index(m): c for m, c in g.d.items()})
+        h = reduce(dict(g.d))
         if h:
             add(h)
     while pairs:
-        _, l, i, j = heapq.heappop(pairs)
+        l, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
-        if any(k != i and k != j and _divides(t, l) and done(k, i)
-               and done(k, j) for k, (t, _) in enumerate(basis)):
+        if any(k != i and k != j and _divides(t, l, guard) and done(k, i)
+               and done(k, j) for k, (t, _, _) in enumerate(basis)):
             continue
-        t, g = basis[i]
-        s = add_times({}, 1, over(l, t), g)
+        t, g, _ = basis[i]
+        s = add_times({}, 1, l - t, g)
         if j >= 0:
-            t, g = basis[j]
-            add_times(s, F.neg(1), over(l, t), g)
+            t, g, _ = basis[j]
+            add_times(s, F.neg(1), l - t, g)
         h = reduce(s)
         if h:
             add(h)
-    return [Poly(alg, {mono(k): c for k, c in g.items()})
-            for t, g in sorted(basis, key=lambda tg: index(tg[0]))
-            if not any(u != t and _divides(u, t) for u, _ in basis)]
+    return [Poly(alg, g) for t, g, _ in sorted(basis, key=lambda b: b[0])
+            if not any(u != t and _divides(u, t, guard) for u, _, _ in basis)]
 
 
 def is_ideal(alg, S):
@@ -978,16 +1186,19 @@ def quotient_by_subspace(ambient, S):
     pivot m / x_v, are the reduced Groebner basis."""
     if not is_ideal(ambient, S):
         raise NotAnIdeal("subspace is not closed under multiplication")
-    F, mono, strides = ambient.field, ambient.index_mono, ambient.strides()
+    F, strides = ambient.field, ambient.strides()
+    # the shell's coordinates are its monomials in key order
+    monos = ambient.monomials()
     pivots = set(S.pivots())
     basis = []
     for l in sorted(pivots):
-        m = mono(l)
-        if any(e and l - st in pivots for e, st in zip(m, strides)):
+        m = monos[l]
+        if any(e and l - st in pivots
+               for e, st in zip(ambient._exponents(m), strides)):
             continue
         vec = [0] * S.n
         vec[l] = 1
-        row = {mono(j): F.neg(c) for j, c in enumerate(S.residue(vec)) if c}
+        row = {monos[j]: F.neg(c) for j, c in enumerate(S.residue(vec)) if c}
         row[m] = 1
         basis.append(Poly(ambient, row))
     return QuotientAlgebra(ambient, basis)
@@ -1043,15 +1254,17 @@ def _codes(f, target, coeff_map):
 
 def _mono_images(src, images, target, allow_missing=()):
     """The algebra map of ``apply_map`` on monomials, memoised: a function
-    sending an exponent tuple over ``src.vars`` to its image in target, as
-    a dict over reduced monomials that must never be mutated.
+    sending a key of ``src`` to its image in target, as a dict over
+    reduced keys that must never be mutated.
 
     The image of m is the image of m with its last nonzero exponent e
     cleared, times img_k ** e; each such power is computed once (and
     reduced), so a new monomial costs at most one product and none is
-    repeated.  A lookup walks down those prefixes to the longest one in
-    the memo and multiplies back up in a loop, so the function never
-    calls itself and forms no reference cycle.
+    repeated.  The last nonzero exponent is the field of the top bit in
+    which m differs from the zero key.  A lookup walks down those
+    prefixes to the longest one in the memo and multiplies back up in a
+    loop, so the function never calls itself and forms no reference
+    cycle.
 
     ``image.rebind(k, img)`` sends variable k to img from then on (None
     drops it, as ``allow_missing`` does).  Only the monomials whose last
@@ -1067,8 +1280,15 @@ def _mono_images(src, images, target, allow_missing=()):
             imgs.append(None)
         else:
             imgs.append(target.var(nm))
+    lay = src._lay
+    zero, var_at, offs, masks, zeros = (lay.zero, lay.var_at, lay.offs,
+                                        lay.masks, lay.zeros)
+    # clearing field k and every field above it: keep the bits below it
+    # and take the zero key's above
+    lows = [(1 << off) - 1 for off in offs]
+    highs = [zero & ~low for low in lows]
     one = {target._zero_mono: 1}
-    memo = {(0,) * len(imgs): one}
+    memo = {zero: one}
     powers = [{} for _ in imgs]
     # layers[k]: the monomials in memo whose last nonzero exponent is at k
     layers = [[] for _ in imgs]
@@ -1081,14 +1301,12 @@ def _mono_images(src, images, target, allow_missing=()):
         # zero monomial is always memoised
         chain = []
         while hit is None:
-            k = len(m) - 1
-            while not m[k]:
-                k -= 1
+            k = var_at[(m ^ zero).bit_length() - 1]
             chain.append((m, k))
-            m = m[:k] + (0,) * (len(m) - k)
+            m = (m & lows[k]) | highs[k]
             hit = memo.get(m)
         for m, k in reversed(chain):
-            e = m[k]
+            e = ((m >> offs[k]) & masks[k]) - zeros[k]
             pw = powers[k].get(e)
             if pw is None:
                 img = imgs[k]
@@ -1136,29 +1354,34 @@ def _sum_terms(terms, image, F):
 
 
 def _leg_groups(f, span, fn, F):
-    """Group the terms c * m of a tensor element by the legs around
-    ``span``; yields each group's head, tail and sum of c * fn(leg in
-    span), which is fn's own dict for a lone term with c = 1."""
+    """Group the terms c * m of a tensor element by the legs around the
+    bit ``span``; yields each group's key, m with that leg's bits clear,
+    and its sum of c * fn(leg in span), which is fn's own dict for a lone
+    term with c = 1."""
     a, b = span
+    mask = (1 << (b - a)) - 1
     groups = {}
     for m, c in f.d.items():
-        groups.setdefault((m[:a], m[b:]), []).append((m[a:b], c))
-    for (head, tail), legs in groups.items():
+        leg = (m >> a) & mask
+        groups.setdefault(m ^ (leg << a), []).append((leg, c))
+    for rest, legs in groups.items():
         if len(legs) == 1 and legs[0][1] == 1:
-            yield head, tail, fn(legs[0][0])
+            yield rest, fn(legs[0][0])
         else:
-            yield head, tail, _sum_terms(legs, fn, F)
+            yield rest, _sum_terms(legs, fn, F)
 
 
 def map_leg(f, slot, fn, target):
     """Substitute into legs of a tensor element: each term c * m of f
     becomes c * (legs before) fn(leg ``slot`` of m) (legs after).
 
-    ``fn`` maps a reduced monomial of factor ``slot`` to a dict over
-    reduced monomials of the factors that replace that leg in ``target``;
-    usually a memoised algebra map, such as ``HopfAlgebra.delta_mono``.
-    A tensor reduces factor by factor, so every concatenated key is
-    already reduced in ``target``: nothing is multiplied or reduced here.
+    ``fn`` maps a reduced key of factor ``slot`` to a dict over reduced
+    keys of the factors that replace that leg in ``target``, as one key
+    of their own tensor product (no factors: ``_scalar_leg``); usually a
+    memoised algebra map, such as ``HopfAlgebra.delta_mono``.  A tensor
+    reduces factor by factor, so every joined key is already reduced in
+    ``target``: nothing is multiplied or reduced here.  The legs that
+    stay move as bit runs to their place in ``target``.
 
     ``slot`` may also be a tuple of slots, each substituted by ``fn``,
     such as (f ox f) with ``slot=(0, 1)``: (f ox f)(sum c a ox b) is
@@ -1166,22 +1389,28 @@ def map_leg(f, slot, fn, target):
     last slot, whose images are summed per group; the group's key then
     takes the images of its other slots.
     """
-    slots = (slot,) if isinstance(slot, int) else sorted(slot)
+    slots = (slot,) if isinstance(slot, int) else tuple(sorted(slot))
     spans = f.alg._spans
+    runs, at = f.alg._leg_plan(slots, target._lay.width)
     add, mul = target.field.add, target.field.mul
     out = {}
-    for head, tail, acc in _leg_groups(f, spans[slots[-1]], fn, target.field):
-        # the head's own slots, right to left so that x, y stay in place
-        heads = [(head, 1)]
+    for rest, acc in _leg_groups(f, spans[slots[-1]], fn, target.field):
+        base = 0
+        for a, mask, p in runs:
+            base |= ((rest >> a) & mask) << p
+        # the group's own slots
+        heads = [(base, 1)]
         for s in slots[-2::-1]:
             x, y = spans[s]
-            img = fn(head[x:y]).items()
-            heads = [(h[:x] + sub + h[y:], c2 if c == 1 else mul(c, c2))
+            img = fn((rest >> x) & ((1 << (y - x)) - 1)).items()
+            p = at[s]
+            heads = [(h | (sub << p), c2 if c == 1 else mul(c, c2))
                      for h, c in heads for sub, c2 in img]
         # two groups meet only through those images
+        p = at[slots[-1]]
         for h, hc in heads:
             for sub, c in acc.items():
-                key = h + sub + tail
+                key = h | (sub << p)
                 v = add(out.get(key, 0), c if hc == 1 else mul(hc, c))
                 if v:
                     out[key] = v
@@ -1194,8 +1423,8 @@ def multiply_legs(f, fns, target):
     """The product of leg images: each term c * m of a tensor element f
     becomes c * fns[0](leg 0 of m) * fns[1](leg 1 of m) * ... in target,
     such as mu (S ox id) delta(x) with ``fns = (S, id)``.  Each fns[i] is
-    an algebra map on reduced monomials of factor i, as for ``map_leg``
-    but into target: a ``_mono_images`` memo, or an identity or embedding
+    an algebra map on reduced keys of factor i, as for ``map_leg`` but
+    into target: a ``_mono_images`` memo, or an identity or embedding
     such as ``lambda m: {m: 1}``.  Terms are grouped by every leg but the
     last, whose images are summed per group, so a group costs one product
     per other leg that is not 1.
@@ -1203,12 +1432,14 @@ def multiply_legs(f, fns, target):
     spans = f.alg._spans
     if len(fns) != len(spans):
         raise BadParams(f"expected {len(spans)} leg maps, got {len(fns)}")
+    legs = [(fn, a, (1 << (b - a)) - 1, fac._zero_mono)
+            for fn, (a, b), fac in zip(fns, spans, f.alg.factors)][:-1]
 
     def product(group):
-        head, _, acc = group
-        for fn, (x, y) in zip(fns, spans[:-1]):
-            leg = head[x:y]
-            if acc and any(leg):
+        rest, acc = group
+        for fn, a, mask, one in legs:
+            leg = (rest >> a) & mask
+            if acc and leg != one:
                 acc = target.mul_dicts(acc, fn(leg))
         return acc
 
@@ -1228,23 +1459,13 @@ def invert_unit(f):
     """
     alg = f.alg
     F = alg.field
+    lay = alg._lay
     lam = {}
     for m, c in f.d.items():
-        key = []
-        dead = False
-        for e, k in zip(m, alg.kinds):
-            if k == "nil":
-                if e:
-                    dead = True
-                    break
-                key.append(0)
-            elif k == "unit":
-                key.append(0)
-            else:
-                key.append(e)
-        if dead:
+        if m & lay.nil_bits:
             continue
-        key = tuple(key)
+        # the unit exponents go to 0, the laurent ones stay
+        key = m & lay.laurent_bits
         s = F.add(lam.get(key, 0), c)
         if s:
             lam[key] = s
@@ -1253,7 +1474,7 @@ def invert_unit(f):
     if len(lam) != 1:
         raise NonUnit(f"local part has {len(lam)} monomials, need exactly 1")
     (key, c), = lam.items()
-    inv_mono = tuple(-e for e in key)
+    inv_mono = alg._pack(tuple(-e for e in alg._exponents(key)))
     inv0 = Poly(alg, {inv_mono: F.inv(c)})
     n = f * inv0 - 1
     cap = 1 + sum(d - 1 for d, k in zip(alg.orders, alg.kinds) if k != "laurent")
@@ -1306,21 +1527,21 @@ def eliminate_linear(ambient, gens):
 
 
 def _find_linear(ambient, gens):
+    lay = ambient._lay
     for gi, g in enumerate(gens):
         for xi, name in enumerate(ambient.vars):
             if ambient.kinds[xi] == "laurent":
                 continue
+            off, mask = lay.offs[xi], lay.masks[xi]
             a_part = {}
             b_part = {}
             ok = True
             for m, c in g.d.items():
-                e = m[xi]
+                e = (m >> off) & mask
                 if e == 0:
                     b_part[m] = c
                 elif e == 1:
-                    mm = list(m)
-                    mm[xi] = 0
-                    a_part[tuple(mm)] = c
+                    a_part[m ^ (1 << off)] = c
                 else:
                     ok = False
                     break
@@ -1380,7 +1601,7 @@ def weight_decomposition(alg, weights, modulus):
         wts.append(w)
 
     def wt(m):
-        return sum(e * w for e, w in zip(m, wts)) % modulus
+        return sum(e * w for e, w in zip(alg._exponents(m), wts)) % modulus
 
     if isinstance(alg, QuotientAlgebra):
         for t, _ in alg._leads:

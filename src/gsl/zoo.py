@@ -28,7 +28,7 @@ from math import comb
 from .errors import (BadParams, IdentityFailed, NotAnAction, ParseError,
                      SizeGuard, VerifyError)
 from .gf import Field
-from .talg import (Algebra, _mono_images, _sum_images, apply_map,
+from .talg import (Algebra, Poly, _mono_images, _sum_images, apply_map,
                    invert_unit, map_leg, multiply_legs, quotient_algebra,
                    weight_decomposition)
 from .hopf import (Failure, HopfAlgebra, Morphism, _relation_polys, _report,
@@ -376,16 +376,17 @@ def semidirect(Hu, Hm, weights, name=None):
     def push(f):
         return apply_map(f, {}, shell)
 
+    # the monomials of A(Hu) as monomials of the shell
+    lift = _mono_images(Au, {}, shell)
     tu = Hu.t2()
     delta = {}
     for v in Au.vars:
         acc = t2.zero()
         for m, c in Hu.delta[v].d.items():
             m1, m2 = tu.split_mono(m)
-            wt = sum(e * weights[Au.vars[i]] for i, e in enumerate(m2))
-            left = shell.poly({m1 + (0,): c}) * wpow(wt)
-            right = shell.poly({m2 + (0,): 1})
-            acc = acc + t2.elem(left, right)
+            wt = sum(e * weights[x] for x, e in zip(Au.vars, Au.exponents(m2)))
+            left = _sum_images(Poly(Au, {m1: c}), lift, shell) * wpow(wt)
+            acc = acc + t2.elem(left, Poly(shell, lift(m2)))
         delta[v] = acc
     Uu, Uu_ = t2.embed(U, 0), t2.embed(U, 1)
     delta[mvar] = Uu + Uu_ + Uu * Uu_
@@ -604,8 +605,11 @@ def _coaction_frame(G, M):
     order, so a search can stop at the first one."""
     AG, AM = G.carrier, M.carrier
     t2, t3, t3g = AG.tensor(AM), AG.tensor(AM, AM), AG.tensor(AG, AM)
-    z = AG._zero_mono  # rho(x) goes on legs (0, 2) or (1, 2) of t3g
-    to_legs = (lambda m: {m + z: 1}), (lambda m: {z + m: 1})
+    # rho(x) goes on legs (0, 2) or (1, 2) of t3g: its A(G) leg becomes
+    # one leg of A(G) x A(G)
+    tgg = AG._square()
+    to_legs = tuple((lambda m, k=k: tgg.embed(Poly(AG, {m: 1}), k).d)
+                    for k in (0, 1))
     relations = _relation_polys(AG)
 
     def found(axiom, nm, diff):
@@ -726,8 +730,8 @@ def enumerate_coactions(G, M):
     t2, failures = _coaction_frame(G, M)
     base = t2.embed(AG.var(nm), 0)
     cells = [t2.elem(AG.poly({mg: 1}), AM.poly({mm: 1}))
-             for mg in AG.basis_monomials() if sum(mg)
-             for mm in AM.basis_monomials() if sum(mm)]
+             for mg in AG.basis_monomials() if AG.degree(mg)
+             for mm in AM.basis_monomials() if AM.degree(mm)]
     total = F.q ** len(cells)
     if total > ENUM_COACTION_LIMIT:
         raise SizeGuard("coaction search space", total, ENUM_COACTION_LIMIT)
@@ -781,7 +785,7 @@ def _hom_shape(f, F):
     monos = set()
     for v in entries.values():
         monos |= set(v.d)
-    monos = sorted(monos)
+    monos = sorted(monos, key=AT.exponents)
     # the content: gcd of the images as a distributed additive polynomial
     coeffs = {}
     for nm, v in entries.items():
@@ -804,7 +808,7 @@ def _hom_shape(f, F):
                 ok = False
     B = {nm: coeffs[nm][lead] for nm in coeffs}
     powers = {F.p ** k for k in range(9)}
-    additive = all(sum(m) in powers for m in monos)
+    additive = all(AT.degree(m) in powers for m in monos)
     tr = F.add(B["u11"], B["u22"])
     det = F.sub(F.mul(B["u11"], B["u22"]), F.mul(B["u12"], B["u21"]))
     shape = {"factored": ok, "f": fpoly, "B": B, "f_additive": additive,
@@ -1021,6 +1025,6 @@ def cocycle_check(a, n, field=None):
 def _aug_basis(A):
     out = []
     for m in A.basis_monomials():
-        if sum(m):
+        if A.degree(m):
             out.append(A.poly({m: 1}))
     return out

@@ -52,7 +52,8 @@ def test_no_aliases_block_without_aliases():
     (["  W = S", "  W = T"], "duplicate aliases entry for 'W'", (21, 3)),
     (["  2W = S"], "bad alias name '2W'", (20, 3)),
     (["  W S"], "want: NAME = expression", (20, 3)),
-], ids=["generator", "repeated", "identifier", "no_equals"])
+    (["  W = S'"], "unknown name", (20, 7)),
+], ids=["generator", "repeated", "identifier", "no_equals", "tick"])
 def test_bad_aliases_are_parse_errors(lines, message, where):
     text = print_presentation(zoo_parse("D(2)", F2))
     assert len(text.splitlines()) == 17
@@ -60,6 +61,31 @@ def test_bad_aliases_are_parse_errors(lines, message, where):
         parse_presentation(text + "\naliases\n" + "\n".join(lines) + "\n")
     assert message in str(exc.value)
     assert (exc.value.line, exc.value.col) == where
+
+
+@pytest.mark.parametrize("block,rhs,col", [
+    ("delta", "S + Q'", 11), ("epsilon", "Q", 7), ("antipode", "S*Q", 9)])
+def test_a_bad_right_hand_side_names_its_column(block, rhs, col):
+    # the column counts from the start of the line, not of the expression
+    lines = print_presentation(zoo_parse("D(2)", F2)).splitlines()
+    at = lines.index(block) + 1
+    assert lines[at].startswith("  S = ")
+    lines[at] = "  S = " + rhs
+    with pytest.raises(ParseError) as exc:
+        parse_presentation("\n".join(lines) + "\n")
+    assert "unknown name" in str(exc.value) and "Q" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (at + 1, col)
+
+
+def test_a_bad_rho_line_names_its_column():
+    lines = print_presentation(standard_coaction(1, 0, True, F2)).splitlines()
+    at = lines.index("action") + 1
+    assert lines[at].startswith("  rho = ")
+    lines[at] = "  rho = X + Q"
+    with pytest.raises(ParseError) as exc:
+        parse_presentation("\n".join(lines) + "\n")
+    assert "unknown name" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (at + 1, 13)
 
 
 _COACTIONS = ((1, 0, True), (2, 1, True), (2, 2, False), (0, 1, True))

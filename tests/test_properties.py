@@ -6,7 +6,7 @@ quotient by a normal subgroup on the catalogue groups."""
 import pytest
 
 from gsl import Field, frobenius_image, frobenius_kernel, lie_algebra
-from gsl.hopf import hopf_ideal_closure, quotient_group
+from gsl.hopf import closed_subgroup, hopf_ideal_closure, quotient_group
 from gsl.zoo import zoo_parse
 
 CASES = [(F, n) for F, top in ((Field(2), 3), (Field(2, 2), 2), (Field(3), 2),
@@ -51,3 +51,31 @@ def test_group_order_is_normal_subgroup_times_quotient(F, cid):
     Q = quotient_group(G, ideal)
     assert Q.dim * n_dim == G.dim
     assert Q.dim == frobenius_image(G).dim
+
+
+def _frobenius_equations(G):
+    """(x - eps(x))^p over the generators x: they cut out ker F."""
+    A = G.carrier
+    return [(A.var(nm) - A.scalar(G.counit[nm])) ** G.field.p
+            for nm in A.vars]
+
+
+@pytest.mark.parametrize("F,cid", NORMAL_CASES,
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_kernel_subgroup_agrees_with_closed_subgroup(F, cid):
+    # ker F by kernel_subgroup of the Frobenius morphism, and the closed
+    # subgroup its equations cut out, have one dimension
+    G = zoo_parse(cid, F)
+    K = closed_subgroup(G, _frobenius_equations(G))
+    assert K.dim == frobenius_kernel(G).dim < G.dim
+
+
+@pytest.mark.parametrize("F,cid", NORMAL_CASES,
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_hopf_ideal_closure_is_idempotent(F, cid):
+    # closing a Hopf ideal's own basis adds nothing
+    G = zoo_parse(cid, F)
+    ideal = hopf_ideal_closure(G, _frobenius_equations(G))
+    again = hopf_ideal_closure(G, ideal.basis_polys())
+    assert again.subspace.basis() == ideal.subspace.basis()
+    assert ideal.verify()["ok"]

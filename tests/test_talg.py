@@ -1,3 +1,5 @@
+import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import gsl
 
 from gsl import BadParams, Field, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
 from gsl.talg import (DIM_LIMIT, Algebra, Poly, TensorAlgebra, apply_map,
-                      _groebner, _mono_images, eliminate_linear,
+                      _divides, _groebner, _mono_images, eliminate_linear,
                       invert_unit, is_ideal, map_leg, multiply_legs,
                       quotient_algebra, quotient_by_subspace,
                       subalgebra_generated, weight_decomposition)
@@ -274,6 +276,34 @@ def _reference_is_ideal(A, S):
     return True
 
 
+def tuple_mul(A, m1, m2):
+    """The product of two exponent tuples under A's exponent rules, or
+    None when a nil power dies: the rule a product of keys must follow."""
+    out = []
+    for e1, e2, d, k in zip(m1, m2, A.orders, A.kinds):
+        e = e1 + e2
+        if k == "nil":
+            if e >= d:
+                return None
+        elif k == "unit":
+            e %= d
+        out.append(e)
+    return tuple(out)
+
+
+def shell_tuples(A):
+    """The exponent tuples of a finite free A in index order, the last
+    variable most significant (its coordinate order)."""
+    return [tuple(reversed(m)) for m in
+            itertools.product(*[range(d) for d in reversed(A.orders)])]
+
+
+def key(A, exps):
+    """The key of an exponent tuple in the free algebra A."""
+    (m,) = A.monomial(exps).d
+    return m
+
+
 def ideal_span(A, gens):
     """The shell sweep, as an oracle: the largest-pivot RREF of the ideal
     of a free algebra, as {pivot index: tail}, row = pivot + tail.
@@ -284,11 +314,14 @@ def ideal_span(A, gens):
     x_v * m' with m' a pivot, and res(m) is x_v * res(m') with each
     pivot term, all below m, replaced by its residue.
     """
-    F, index, mono = A.field, A.mono_index, A.index_mono
+    F, exps = A.field, A.exponents
+    tuples = shell_tuples(A)
+    index = {m: i for i, m in enumerate(tuples)}.__getitem__
+    mono = tuples.__getitem__
     leads = {}
     for g in _groebner(A, gens):
-        t = max(g.d, key=index)
-        leads[t] = {index(m): c for m, c in g.d.items() if m != t}
+        t = max(g.d, key=lambda m: index(exps(m)))
+        leads[exps(t)] = {index(exps(m)): c for m, c in g.d.items() if m != t}
 
     def divides(t, m):
         return all(a <= b for a, b in zip(t, m))
@@ -310,7 +343,7 @@ def ideal_span(A, gens):
             x = tuple(int(k == v) for k in range(len(m)))
             r = {}
             for j, c in rows[index(prev)].items():
-                jx = A.mono_mul(mono(j), x)
+                jx = tuple_mul(A, mono(j), x)
                 if jx is not None:
                     r[index(jx)] = c
         for j in [j for j in r if is_pivot(mono(j))]:
@@ -342,7 +375,8 @@ def assert_quotient_matches_sweep(A, gens):
     quotient equal those the sweep writes."""
     rows = ideal_span(A, gens)
     Q = quotient_algebra(A, gens, eliminate=False)
-    F, mono = A.field, A.index_mono
+    F, keys = A.field, [key(A, m) for m in shell_tuples(A)]
+    mono = keys.__getitem__
     assert Q.basis_monomials() == [mono(i) for i in range(A.ambient_dim())
                                    if i not in rows]
     assert Q.dim == A.ambient_dim() - len(rows)
@@ -430,19 +464,21 @@ def test_ideal_span_degenerate_inputs(F):
     for unit in (A.one() + x, y):
         Q = quotient_algebra(A, [unit], eliminate=False)
         assert Q.dim == 0 and Q.basis_monomials() == []
-        assert [g.d for g in Q.groebner] == [{A._zero_mono: 1}]
+        assert Q.groebner == [A.one()]
         assert all(Q.reduce_term(m) == {} for m in A.monomials())
     # a monomial generates its multiples, each residue zero
     Q = quotient_algebra(A, [x * z ** 2], eliminate=False)
+    e = A.exponents
     assert Q.basis_monomials() == [m for m in A.monomials()
-                                   if not (m[0] >= 1 and m[2] == 2)]
+                                   if not (e(m)[0] >= 1 and e(m)[2] == 2)]
     assert all(Q.reduce_term(m) == {} for m in A.monomials()
-               if m[0] >= 1 and m[2] == 2)
+               if e(m)[0] >= 1 and e(m)[2] == 2)
     # no variables at all: the shell is the constants
     A0 = Algebra(F, [], [])
-    assert quotient_algebra(A0, [], eliminate=False).basis_monomials() == [()]
+    assert [A0.exponents(m) for m in quotient_algebra(
+        A0, [], eliminate=False).basis_monomials()] == [()]
     Q0 = quotient_algebra(A0, [A0.scalar(F.q - 1)], eliminate=False)
-    assert Q0.dim == 0 and Q0.reduce_term(()) == {}
+    assert Q0.dim == 0 and Q0.reduce_term(key(A0, ())) == {}
 
 
 def test_ideal_span_makes_no_poly_products(monkeypatch):
@@ -460,7 +496,7 @@ def test_ideal_span_makes_no_poly_products(monkeypatch):
         want = _reference_span(A, [det])
         monkeypatch.setattr(Algebra, "mul_dicts", counted)
         Q = quotient_algebra(A, [det], eliminate=False)
-        assert Q.basis_monomials() == [A.index_mono(j)
+        assert Q.basis_monomials() == [A.basis_monomials()[j]
                                        for j in want.complement_indices()]
         monkeypatch.setattr(Algebra, "mul_dicts", mul_dicts)
     assert calls == []
@@ -472,9 +508,9 @@ def test_normal_forms_of_a_long_division_chain():
     A = Algebra(F2, ["x", "y"], [1024, 1024])
     x, y = A.gens()
     Q = quotient_algebra(A, [y * y + y * x], eliminate=False)
-    assert Q.reduce_term((0, 1023)) == {(1022, 1): 1}
-    assert Q.reduce_term((1022, 1)) is None
-    assert Q.reduce_term((1, 1023)) == {}  # x^1023 * y: x^1024 = 0
+    assert Q.reduce_term(key(A, (0, 1023))) == {key(A, (1022, 1)): 1}
+    assert Q.reduce_term(key(A, (1022, 1))) is None
+    assert Q.reduce_term(key(A, (1, 1023))) == {}  # x^1023 * y: x^1024 = 0
     assert Q.dim == 1024 + 1023
 
 
@@ -657,6 +693,63 @@ def test_only_talg_renames_tensor_legs_with_ticks():
     assert _TICKED.search((src / "talg.py").read_text())
 
 
+# talg's key-format internals, which no other module may touch
+_KEY_INTERNALS = {"index_mono", "mono_index", "mono_mul", "_mono_mul",
+                  "mono_pow", "_mono_pow", "_zero_mono", "_pack", "_lay"}
+
+
+def _key_format_uses(source):
+    """Lines of source that reach into the key format: a use of one of
+    ``_KEY_INTERNALS``; a dict key, displayed or stored, sliced or summed
+    from tuples; or a tuple display as a key of a dict handed to Poly,
+    poly or monomial."""
+
+    def sliced(node):
+        if isinstance(node, ast.Subscript):
+            return isinstance(node.slice, ast.Slice)
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and any(isinstance(n, ast.Tuple) or sliced(n)
+                        for n in (node.left, node.right)))
+
+    def keys(node):
+        return (node.keys if isinstance(node, ast.Dict)
+                else [node.key] if isinstance(node, ast.DictComp) else [])
+
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _KEY_INTERNALS:
+            hits.add(node.lineno)
+        hits.update(k.lineno for k in keys(node)
+                    if k is not None and sliced(k))
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and sliced(node.slice)):
+            hits.add(node.lineno)
+        if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) in (
+                    "Poly", "poly", "monomial"):
+            hits.update(k.lineno for arg in node.args for k in keys(arg)
+                        if isinstance(k, ast.Tuple))
+    return sorted(hits)
+
+
+def test_only_talg_knows_the_key_format():
+    # every other module reads a monomial key through Algebra's accessors
+    # (exponents, degree, split_mono, join_mono) and builds one through
+    # poly/monomial, never from an exponent tuple
+    src = Path(gsl.__file__).parent
+    hits = ["%s:%d" % (path.name, i)
+            for path in sorted(src.glob("*.py")) if path.name != "talg.py"
+            for i in _key_format_uses(path.read_text())]
+    assert hits == []
+    # what the check catches: the spellings that went before
+    for line in ("A.poly({m1 + (0,): c})", "{m[a:] + m[:a]: c for m in d}",
+                 "d[m + (int(i),)] = c", "out.setdefault(i, {})[m[:-1]] = c",
+                 "Poly(L, {(0, 1): 1})", "z = A._zero_mono",
+                 "A.mono_mul(m1, m2)", "max(g.d, key=A.mono_index)"):
+        assert _key_format_uses(line) == [1], line
+    assert _key_format_uses("A.poly({m: 1}); t.join_mono((a, b))") == []
+
+
 # the catalogue groups the GF(2) and odd-characteristic benchmarks build
 _BENCH_GROUPS = (
     [(F2, cid) for cid in (
@@ -704,7 +797,8 @@ def test_rebound_memo_equals_a_fresh_one(p, data):
 
     def readable():
         return [m for m in src.monomials()
-                if all(images[k] is not None for k, e in enumerate(m) if e)]
+                if all(images[k] is not None
+                       for k, e in enumerate(src.exponents(m)) if e)]
 
     for _ in range(data.draw(st.integers(1, 10))):
         k = data.draw(st.integers(0, 2))
@@ -822,7 +916,7 @@ def naive_apply_map(f, images, target, coeff_map=None, allow_missing=()):
         if coeff_map is not None:
             c = coeff_map(c)
         term = target.scalar(c)
-        for img, e in zip(imgs, m):
+        for img, e in zip(imgs, src.exponents(m)):
             if e == 0:
                 continue
             if img is None:
@@ -881,7 +975,7 @@ def test_apply_map_matches_the_term_by_term_oracle(F, case, data):
     if missing:
         # raised exactly when f has a nonzero exponent on the dropped name
         z = src.vars.index(missing[0])
-        assert (got is BadParams) == any(m[z] for m in f.d)
+        assert (got is BadParams) == any(src.exponents(m)[z] for m in f.d)
     else:
         assert got is not BadParams and got.alg is target
 
@@ -928,7 +1022,7 @@ def test_weight_decomposition_free():
     A = ring_ST()
     wd = weight_decomposition(A, {"S": 1, "T": 1}, 2)
     assert sorted(wd) == [0, 1]
-    assert wd[0] == [(0, 0), (1, 1), (0, 2), (1, 3)]
+    assert [A.exponents(m) for m in wd[0]] == [(0, 0), (1, 1), (0, 2), (1, 3)]
     assert len(wd[1]) == 4
 
 
@@ -969,3 +1063,106 @@ def test_poly_str():
     assert str(S * T + T) == "T + S*T"
     assert str(g * T ** 2) == "g*T^2"
     assert str((g + A.one()) * T) == "(g+1)*T"
+
+
+# -- packed monomial keys ----------------------------------------------------
+
+_LAURENT = 1 << 31  # laurent exponents live in [-2^31, 2^31)
+
+
+@st.composite
+def key_algebras(draw):
+    """A free algebra of nil, unit and laurent variables over GF(p),
+    alone or as a tensor of two or three such factors."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    F = Field(p)
+
+    def factor(k):
+        kinds = draw(st.lists(st.sampled_from(["nil", "unit", "laurent"]),
+                              max_size=3))
+        orders = [0 if kd == "laurent" else
+                  p ** draw(st.integers(1, 3)) if kd == "unit" else
+                  draw(st.integers(2, 30)) for kd in kinds]
+        return Algebra(F, ["x%d_%d" % (k, i) for i in range(len(kinds))],
+                       orders, kinds)
+
+    factors = [factor(k) for k in range(draw(st.integers(1, 3)))]
+    return factors[0] if len(factors) == 1 else TensorAlgebra(factors)
+
+
+def exponent_tuples(A):
+    laurent = st.one_of(st.integers(-40, 40),
+                        st.integers(-_LAURENT, _LAURENT - 1))
+    return st.tuples(*[laurent if kd == "laurent" else st.integers(0, d - 1)
+                       for d, kd in zip(A.orders, A.kinds)])
+
+
+def in_range(A, e):
+    """e under the exponent rules, or SizeGuard past the laurent range."""
+    if any(not -_LAURENT <= x < _LAURENT
+           for x, kd in zip(e, A.kinds) if kd == "laurent"):
+        return SizeGuard
+    return e
+
+
+def tuple_pow(A, m, k):
+    """m^k by the exponent-tuple rule, or None when a nil power dies."""
+    out = []
+    for e, d, kd in zip(m, A.orders, A.kinds):
+        e *= k
+        if kd == "nil":
+            if e >= d:
+                return None
+        elif kd == "unit":
+            e %= d
+        out.append(e)
+    return tuple(out)
+
+
+def key_of(f):
+    (m,) = f.d
+    return m
+
+
+def _monomial_or_guard(fn):
+    try:
+        f = fn()
+    except SizeGuard:
+        return SizeGuard
+    return None if not f else f.alg.exponents(key_of(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=key_algebras(), data=st.data())
+def test_packed_keys_follow_the_exponent_tuple_rules(A, data):
+    e1, e2 = data.draw(exponent_tuples(A)), data.draw(exponent_tuples(A))
+    f1, f2 = A.monomial(e1), A.monomial(e2)
+    k1, k2 = key_of(f1), key_of(f2)
+    # packing then unpacking returns the tuple
+    assert A.exponents(k1) == e1 and A.exponents(k2) == e2
+    assert tuple(A.exponent(k1, i) for i in range(len(e1))) == e1
+    # the product of keys is the tuple product
+    want = tuple_mul(A, e1, e2)
+    assert _monomial_or_guard(lambda: f1 * f2) == (
+        None if want is None else in_range(A, want))
+    # the p-th power
+    want = tuple_pow(A, e1, A.field.p)
+    assert _monomial_or_guard(lambda: f1 ** A.field.p) == (
+        None if want is None else in_range(A, want))
+    # divisibility of reduced keys, and the quotient
+    divides = all(a <= b for a, b in zip(e1, e2))
+    assert _divides(k1, k2, A._lay.guard) == divides
+    if divides and "laurent" not in A.kinds:
+        assert A.exponents(k2 - k1) == tuple(b - a for a, b in zip(e1, e2))
+    # key order is index order: the last variable most significant
+    assert (k1 < k2) == (e1[::-1] < e2[::-1])
+    assert (k1 == k2) == (e1 == e2)
+    # legs: a shift and a mask each, joined by an OR
+    if isinstance(A, TensorAlgebra):
+        legs = A.split_mono(k1)
+        at = 0
+        for fac, leg in zip(A.factors, legs):
+            n = len(fac.vars)
+            assert fac.exponents(leg) == e1[at:at + n]
+            at += n
+        assert A.join_mono(legs) == k1

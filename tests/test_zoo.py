@@ -316,7 +316,7 @@ def test_catalogue_quotients_are_pinned(cid, box, top_var, all_vars):
     # SL2_kerF is a free chart whose fourth name, u22, is an alias
     A = zoo_parse(cid, F2).carrier
     names = A.vars + tuple(A.aliases)
-    assert A.basis_monomials() == _box(box)
+    assert [A.exponents(m) for m in A.basis_monomials()] == _box(box)
     assert str(A.var(names[3])) == top_var
     assert str(_product(A, names)) == all_vars
 
@@ -333,7 +333,7 @@ def test_sl2_kernel_over_gf3_is_pinned():
     # the 729-dim chart; u22 and the product of all four names read the
     # normal forms of the quotient k[u11,u12,u21,u22]/(u^9, det - 1)
     A = zoo_parse("SL2_kerF(2)", F3).carrier
-    assert A.basis_monomials() == _box((9, 9, 9))
+    assert [A.exponents(m) for m in A.basis_monomials()] == _box((9, 9, 9))
     assert str(A.var("u22")) == (
         "2*u11 + u12*u21 + u11^2 + 2*u11*u12*u21 + 2*u11^3 + u11^2*u12*u21"
         " + u11^4 + 2*u11^3*u12*u21 + 2*u11^5 + u11^4*u12*u21 + u11^6"
