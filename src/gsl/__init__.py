@@ -15,7 +15,6 @@ from .errors import (
     NonUnit,
     IdentityFailed,
     NotAnAction,
-    NotAnIdeal,
     NotFractionalLinear,
     NotHomogeneous,
     NotInvertible,
@@ -35,7 +34,6 @@ from .talg import (
     apply_map,
     invert_unit,
     quotient_algebra,
-    quotient_by_subspace,
     subalgebra_generated,
     weight_decomposition,
 )

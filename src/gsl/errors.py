@@ -42,10 +42,6 @@ class NonUnit(GslError):
     """Inversion was requested for an element that is not a unit."""
 
 
-class NotAnIdeal(GslError):
-    """A subspace handed to a quotient constructor is not closed under multiplication."""
-
-
 class NotHomogeneous(GslError):
     """A weight decomposition was requested for a non-homogeneous ideal."""
 

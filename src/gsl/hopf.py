@@ -22,10 +22,10 @@ from itertools import product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
-from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra, _mono_images,
-                   _scalar_leg, _sum_images, apply_map, map_leg,
-                   multiply_legs, quotient_algebra, quotient_by_subspace,
-                   subalgebra_generated)
+from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra,
+                   _evaluation_quotient, _mono_images, _scalar_leg,
+                   _sum_images, apply_map, map_leg, multiply_legs,
+                   quotient_algebra, subalgebra_generated)
 
 POINTS_DIM_LIMIT = 64
 POINTS_CANDIDATE_LIMIT = 1 << 20
@@ -483,11 +483,9 @@ def kernel_subgroup(f, name=None):
 
 
 def _column_kernel(F, columns, n):
-    """Echelonise the rows e_j | columns[j], each column of length n.
-
-    Returns that augmented Subspace, of width k + n for k columns, and the
-    kernel of the columns, {c : sum c_j columns[j] = 0}, in k unknowns:
-    the rows of the augmented basis whose high block is zero.
+    """The kernel of the columns, {c : sum c_j columns[j] = 0} in k
+    unknowns for k columns of length n: echelonise the rows
+    e_j | columns[j] and keep those whose high block is zero.
     """
     k = len(columns)
     aug = Subspace(F, k + n)
@@ -495,21 +493,21 @@ def _column_kernel(F, columns, n):
         unit = [0] * k
         unit[j] = 1
         aug.insert(unit + col)
-    kernel = subspace_from(F, k, [row[:k] for row in aug.basis()
-                                  if not any(row[k:])])
-    return aug, kernel
+    return subspace_from(F, k, [row[:k] for row in aug.basis()
+                                if not any(row[k:])])
 
 
 def subgroup_from_elements(G, named_elems, name=None):
     """Sub-Hopf algebra generated by named carrier elements, re-presented.
 
     named_elems is a list of (generator name, element) pairs.  The shell
-    is the free truncated algebra on the names, and ev sends its monomial
-    m_j to the matching product of elements.  One Subspace echelonises the
-    rows e_j | A.to_vector(ev(m_j)): the rows whose high block is zero
-    span the kernel of ev, which presents the quotient Q of the shell, and
-    the residue of 0 | v is -c | 0 exactly when v = sum c_j ev(m_j) over
-    the staircase of Q (a nonzero high block means v escapes the span).
+    is the free truncated algebra on the names, and ev sends its monomials
+    to the matching products of elements.  The staircase walk of
+    ``talg._evaluation_quotient`` reads the carrier Q, the shell modulo
+    ker ev, off the images of the staircase and its border alone.  Its
+    Subspace holds the rows e_j | A.to_vector(ev(s_j)) over the staircase
+    s_j of Q, and the residue of 0 | v is -c | 0 exactly when
+    v = sum c_j ev(s_j) (a nonzero high block means v escapes the span).
     Delta of each element is expressed leg by leg: its left slices, one
     per right-leg monomial, then the right slices this leaves, so no
     vector of A.dim^2 coordinates is built and no SizeGuard applies.
@@ -537,17 +535,16 @@ def subgroup_from_elements(G, named_elems, name=None):
             kinds.append("nil")
             orders.append(_nil_order(el))
     shell = Algebra(F, tuple(names), tuple(orders), tuple(kinds))
-    smonos = shell.basis_monomials()
-    k = len(smonos)
     image = _mono_images(shell, dict(elems), A)
-    aug, kernel = _column_kernel(
-        F, [A.to_vector(Poly(A, image(m))) for m in smonos], A.dim)
-    Q = quotient_by_subspace(shell, kernel)
+    Q, aug = _evaluation_quotient(
+        shell, lambda m: A.to_vector(Poly(A, image(m))), A.dim)
+    stair = Q.basis_monomials()
+    k = aug.n - A.dim
     pos = A._positions()
 
     def express(terms):
-        """The {j: c} with sum c_j ev(m_j) equal to the element of A with
-        coordinates terms = {i: t}, or None if it escapes the span."""
+        """The {j: c} with sum c_j ev(stair[j]) equal to the element of A
+        with coordinates terms = {i: t}, or None if it escapes the span."""
         vec = [0] * (k + A.dim)
         for i, t in terms.items():
             vec[k + i] = t
@@ -580,7 +577,7 @@ def subgroup_from_elements(G, named_elems, name=None):
         pairs = None if rights is None else express_slices(rights)
         if pairs is None:
             return None
-        return tQ.poly({tQ.join_mono((smonos[j1], smonos[j2])): c
+        return tQ.poly({tQ.join_mono((stair[j1], stair[j2])): c
                         for j2, row in pairs.items() for j1, c in row.items()})
 
     delta, counit, anti = {}, {}, {}
@@ -594,7 +591,7 @@ def subgroup_from_elements(G, named_elems, name=None):
             raise VerifyError("subalgebra stability",
                               "antipode(%s) escapes the span" % nm)
         delta[nm] = dq
-        anti[nm] = Q.poly({smonos[j]: c for j, c in sq.items()})
+        anti[nm] = Q.poly({stair[j]: c for j, c in sq.items()})
         counit[nm] = G.counit_map(el)
     K = HopfAlgebra(Q, delta, counit, anti, name=name or "sub")
     _require_ok(hopf_verify(K), "subgroup Hopf structure")
@@ -949,8 +946,12 @@ def is_normal(H, ideal):
     reproduce pi(j) ox 1 ... i.e. vanish for j in the ideal since pi(j) = 0.
     It is ``multiply_legs`` into Q ox A of (delta ox id) delta(j).
     Returns (ok, witness)."""
+    return _is_normal(H, ideal, _requotient(H.carrier, ideal.basis_polys()))
+
+
+def _is_normal(H, ideal, Q):
+    """``is_normal`` given Q, the carrier modulo the ideal."""
     A = H.carrier
-    Q = _requotient(A, ideal.basis_polys())
     T = Q.tensor(A)
     S, pi = _mono_images(A, H.antipode, A), _mono_images(A, {}, Q)
     legs = (lambda m: T.embed(Poly(A, S(m)), 1).d,
@@ -966,12 +967,12 @@ def is_normal(H, ideal):
 def quotient_group(H, ideal, name=None):
     """Quotient by the normal subgroup the ideal cuts out: the coinvariants
     of the right translation coaction, re-presented on fresh generators."""
-    ok, witness = is_normal(H, ideal)
-    if not ok:
-        raise NotNormal(witness)
     A = H.carrier
     F = H.field
     Q = _requotient(A, ideal.basis_polys())
+    ok, witness = _is_normal(H, ideal, Q)
+    if not ok:
+        raise NotNormal(witness)
     T = A.tensor(Q)
     posA, posQ = A._positions(), Q._positions()
     tdim = A.dim * Q.dim
@@ -987,7 +988,7 @@ def quotient_group(H, ideal, name=None):
             m1, m2 = T.split_mono(mono)
             vec[posA[m1] * Q.dim + posQ[m2]] = c
         columns.append(vec)
-    _, span = _column_kernel(F, columns, tdim)
+    span = _column_kernel(F, columns, tdim)
     chosen = []
     sub = subalgebra_generated(A, [])
     idx = 0

@@ -44,7 +44,11 @@ Groebner basis: the reduced basis is the staircase of monomials that no
 leading monomial divides, listed from the leading keys alone, and the
 residue of a monomial is its normal form by division, memoised, so
 reduced arithmetic costs little more than free arithmetic and nothing as
-wide as the monomial shell is laid out.  A TensorAlgebra glues several
+wide as the monomial shell is laid out.  The Groebner basis comes from
+generators by Buchberger's algorithm (``quotient_algebra``), or, for the
+kernel of an algebra map out of a free algebra, from the staircase walk
+of ``_evaluation_quotient``, which reads the reduced basis off the
+images of the staircase and its border.  A TensorAlgebra glues several
 algebras side by side and reduces factor by factor, which never
 materialises the big tensor ideal.  ``apply_map`` substitutes through
 memoised monomial images, one product per new monomial, and ``map_leg``
@@ -59,11 +63,11 @@ algebra is part of a reference cycle.
 
 Size guards (SizeGuard, against DIM_LIMIT) sit where something dense is
 materialised: the monomial shell of a free algebra, the reduced basis
-of a quotient (its staircase is counted before it is listed), the
-subspaces ``is_ideal`` tests, and a tensor's reduced basis
-(``basis_monomials``, hence coordinates).  A quotient's shell is never
-listed, so it may pass DIM_LIMIT when built with ``dim_guard=False``;
-building a tensor product materialises nothing and is never refused.
+of a quotient (its staircase is counted before it is listed), and a
+tensor's reduced basis (``basis_monomials``, hence coordinates).  A
+quotient's shell is never listed, so it may pass DIM_LIMIT when built
+with ``dim_guard=False``; building a tensor product materialises
+nothing and is never refused.
 
 Nothing here knows about comultiplications; Hopf structure lives one
 layer up.
@@ -73,8 +77,8 @@ import heapq
 import math
 import weakref
 
-from .errors import BadParams, NonUnit, NotAnIdeal, NotHomogeneous, SizeGuard
-from .linalg import Subspace, _pack
+from .errors import BadParams, NonUnit, NotHomogeneous, SizeGuard
+from .linalg import Subspace
 
 DIM_LIMIT = 1 << 20
 
@@ -336,7 +340,6 @@ class Algebra(object):
         self.dim = None if "laurent" in kinds else math.prod(orders)
         if dim_guard and self.dim is not None and self.dim > DIM_LIMIT:
             raise SizeGuard("algebra dimension", self.dim, DIM_LIMIT)
-        self._strides = None
         self._lay = _layout(orders, kinds)
         self._zero_mono = self._lay.zero
         # filled on first use: basis_monomials(), each one's position in
@@ -352,20 +355,6 @@ class Algebra(object):
         return self
 
     # -- monomial keys -------------------------------------------------------
-
-    def strides(self):
-        """Coordinate strides of the variables over the free shell (the
-        shell is listed in key order, so x_i moves an index by these)."""
-        if self._strides is None:
-            if self.dim is None:
-                raise BadParams("no finite monomial basis with laurent variables")
-            out = []
-            acc = 1
-            for d in self.orders:
-                out.append(acc)
-                acc *= d
-            self._strides = tuple(out)
-        return self._strides
 
     def ambient_dim(self):
         return math.prod(self.orders)
@@ -659,9 +648,9 @@ class QuotientAlgebra(Algebra):
     ``groebner`` lists monic Polys of the free ambient ring that, with the
     ambient's truncation relations, form a Groebner basis of the ideal
     under lex order with the last variable most significant, which is the
-    int order of the keys; ``quotient_algebra`` and ``quotient_by_subspace``
-    supply a minimal one (Cox, Little & O'Shea, ch. 2 sec. 6 and ch. 5
-    sec. 3).
+    int order of the keys; ``quotient_algebra`` supplies a minimal one and
+    ``_evaluation_quotient`` the reduced one (Cox, Little & O'Shea, ch. 2
+    sec. 6 and ch. 5 sec. 3).
     The reduced basis is the staircase, the monomials that no leading
     monomial divides, counted at construction (SizeGuard "quotient basis"
     past DIM_LIMIT) and listed on demand.  ``reduce_term`` is the normal
@@ -1001,58 +990,6 @@ def _require_free(alg):
         raise BadParams(f"ideal closure needs a free algebra, not {alg!r}")
 
 
-def _variable_shifts(alg):
-    """Multiplication by each variable of a free finite algebra, as maps
-    on coordinate vectors, in the order of ``alg.vars``.
-
-    Multiplying by x_i moves a monomial with e_i < d - 1 up by the stride
-    of x_i; one with e_i = d - 1 dies if x_i is nil and wraps to e_i = 0
-    if x_i is a unit.  No two monomials land on one, so coefficients just
-    move.  Over GF(2) a map acts on an int mask with two masks and two
-    shifts; over larger fields it acts on a sparse {index: coefficient}
-    dict through an index table (-1 where the term dies).
-    """
-    _require_free(alg)
-    n = alg.ambient_dim()
-    if n > DIM_LIMIT:
-        raise SizeGuard("ideal shell", n, DIM_LIMIT)
-    full = (1 << n) - 1 if alg.field.q == 2 else None
-    out = []
-    for s, d, kind in zip(alg.strides(), alg.orders, alg.kinds):
-        period, back = s * d, s * (d - 1)
-        if alg.field.q == 2:
-            # the e_i = d - 1 blocks, repeated by doubling over the shell
-            top, width = ((1 << s) - 1) << back, period
-            while width < n:
-                top |= top << width
-                width *= 2
-            top &= full
-            wrap = top if kind == "unit" else 0
-
-            def shift(v, keep=full ^ top, s=s, wrap=wrap, back=back):
-                return ((v & keep) << s) | ((v & wrap) >> back)
-        else:
-            block = list(range(s, period))
-            block += list(range(s)) if kind == "unit" else [-1] * s
-            img = [j + off if j >= 0 else -1
-                   for off in range(0, n, period) for j in block]
-
-            def shift(v, img=img):
-                return {img[i]: c for i, c in v.items() if img[i] >= 0}
-        out.append(shift)
-    return out
-
-
-def _dense(v, n):
-    """The Subspace input for a shifted vector: masks pass, dicts fill a list."""
-    if isinstance(v, int):
-        return v
-    vec = [0] * n
-    for i, c in v.items():
-        vec[i] = c
-    return vec
-
-
 def _groebner(alg, gens):
     """A minimal Groebner basis of the ideal of ``gens`` and the
     truncation relations, less those relations: monic Polys of the free
@@ -1146,21 +1083,6 @@ def _groebner(alg, gens):
             if not any(u != t and _divides(u, t, guard) for u, _, _ in basis)]
 
 
-def is_ideal(alg, S):
-    """Whether the subspace S of a free algebra is closed under
-    multiplication by every variable (``_variable_shifts``)."""
-    shifts = _variable_shifts(alg)
-    for row in S.basis():
-        if alg.field.q == 2:
-            v = _pack(row)
-        else:
-            v = {i: c for i, c in enumerate(row) if c}
-        for shift in shifts:
-            if not S.contains(_dense(shift(v), S.n)):
-                return False
-    return True
-
-
 def quotient_algebra(ambient, gens, eliminate=True, aliases=None):
     """Divide a finite free algebra by the ideal the generators span.
 
@@ -1179,29 +1101,46 @@ def quotient_algebra(ambient, gens, eliminate=True, aliases=None):
     return QuotientAlgebra(ambient, _groebner(ambient, gens), gens, alias_acc)
 
 
-def quotient_by_subspace(ambient, S):
-    """Divide a free finite algebra by an ideal given as a Subspace of
-    its shell.  The pivots of S are the leading monomials of the ideal,
-    so its rows m - residue(m) at the minimal pivots, those m with no
-    pivot m / x_v, are the reduced Groebner basis."""
-    if not is_ideal(ambient, S):
-        raise NotAnIdeal("subspace is not closed under multiplication")
-    F, strides = ambient.field, ambient.strides()
-    # the shell's coordinates are its monomials in key order
-    monos = ambient.monomials()
-    pivots = set(S.pivots())
-    basis = []
-    for l in sorted(pivots):
-        m = monos[l]
-        if any(e and l - st in pivots
-               for e, st in zip(ambient._exponents(m), strides)):
+def _evaluation_quotient(shell, coords, n):
+    """Divide a free finite algebra by the kernel of an algebra map out
+    of it, read off its images by a staircase walk (FGLM: Faugere,
+    Gianni, Lazard & Mora, J. Symb. Comput. 16, 1993; Marinari, Moeller
+    & Mora, 1993).  ``coords(m)`` gives the image of the key m as a list
+    of n coordinates.
+
+    The keys go in int order, skipping any that a leading key found so
+    far divides (the kernel is an ideal, so such a key is a leading key
+    of it too).  Each other key m reduces 0 | coords(m) once in one
+    Subspace whose low block indexes the staircase s_0, s_1, ... found
+    so far; the staircase is no longer than the shell or the rank of the
+    images, so that block is min(shell.dim, n) wide.  If the high part
+    survives, m is the next staircase monomial
+    s_j and the reduced row, with e_j set, is inserted; otherwise the
+    residue is res | 0, and m + sum res_j s_j is the next element of the
+    reduced Groebner basis.
+
+    Returns the QuotientAlgebra, whose ``basis_monomials()`` is that
+    staircase, and the Subspace of the rows e_j | coords(s_j), in which
+    the residue of 0 | v is -c | 0 exactly when v = sum c_j coords(s_j).
+    """
+    guard = shell._lay.guard
+    w = min(shell.dim, n)
+    S = Subspace(shell.field, w + n)
+    stair, leads, basis = [], [], []
+    for m in shell.monomials():
+        if any(_divides(t, m, guard) for t in leads):
             continue
-        vec = [0] * S.n
-        vec[l] = 1
-        row = {monos[j]: F.neg(c) for j, c in enumerate(S.residue(vec)) if c}
-        row[m] = 1
-        basis.append(Poly(ambient, row))
-    return QuotientAlgebra(ambient, basis)
+        res = S.residue([0] * w + coords(m))
+        if any(res[w:]):
+            res[len(stair)] = 1
+            S.insert(res)
+            stair.append(m)
+        else:
+            row = {s: c for s, c in zip(stair, res) if c}
+            row[m] = 1
+            basis.append(Poly(shell, row))
+            leads.append(m)
+    return QuotientAlgebra(shell, basis), S
 
 
 def apply_map(f, images, target, coeff_map=None, allow_missing=()):

@@ -1,6 +1,7 @@
 import functools
 import gc
 import hashlib
+import math
 import weakref
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
 from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
-                      _counit_sides, _generating_vars,
-                      _ideal_span_coords, closed_subgroup,
+                      _column_kernel, _counit_sides, _generating_vars,
+                      _ideal_span_coords, _nil_order, _unit_order,
+                      closed_subgroup,
                       enumerate_morphisms, enumerate_subgroups,
                       find_isomorphism, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
@@ -20,7 +22,8 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       subgroup_from_elements)
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
 from gsl.action import extends_to_p1, standard_coaction
-from gsl.talg import (DIM_LIMIT, Algebra, Poly, apply_map, quotient_algebra,
+from gsl.talg import (DIM_LIMIT, Algebra, Poly, _evaluation_quotient,
+                      _mono_images, apply_map, quotient_algebra,
                       subalgebra_generated)
 from gsl.zoo import (D, SL2_kerF, kerFV, mu2_invariants_D, pullback, witt2,
                      zoo_parse)
@@ -984,8 +987,8 @@ def _carrier(k):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), k=st.integers(0, 7))
 def test_ideal_coords_match_the_poly_product_closure(data, k):
-    # free carriers, quotients with generators and one presented by a
-    # subspace, over GF(2), GF(3) and GF(4)
+    # free carriers, quotients with generators and one read off the images
+    # of its generators, over GF(2), GF(3) and GF(4)
     A = _carrier(k)
     # sparse seeds without constant term: a unit would give the whole ring
     polys = [f - A.scalar(f.constant_term())
@@ -997,8 +1000,9 @@ def test_ideal_coords_match_the_poly_product_closure(data, k):
 
 
 def test_closed_subgroup_keeps_the_ideal_of_a_subspace_carrier():
-    # K = k[U, V]/(U^4, V^2, V - U^2) is presented by a subspace, with no
-    # generator list; cutting out V must keep V = U^2 and leave k[U]/(U^2)
+    # K = k[U, V]/(U^4, V^2, V - U^2) is read off the images of U and V,
+    # with no generator list; cutting out V must keep V = U^2 and leave
+    # k[U]/(U^2)
     G = alpha(3)
     T = G.carrier.var("T")
     K, _ = subgroup_from_elements(G, [("U", T ** 2), ("V", T ** 4)])
@@ -1006,6 +1010,73 @@ def test_closed_subgroup_keeps_the_ideal_of_a_subspace_carrier():
     assert K.carrier.ambient_dim() - K.carrier.dim == 4
     S = closed_subgroup(K, [K.carrier.var("V")])
     assert S.dim == 2 and hopf_verify(S)["ok"]
+
+
+# small carriers, over every field, for the evaluation-kernel oracle
+EVAL_CARRIERS = (lambda F: alpha(2, F), lambda F: alpha(3, F),
+                 lambda F: mu(2, F), lambda F: zoo_parse("D(1)", F),
+                 lambda F: zoo_parse("H(1,2)", F), witt2,
+                 lambda F: SL2_kerF(1, F))
+
+
+def shell_kernel_quotient(shell, images, A):
+    """The shell modulo the kernel of its evaluation at ``images``, by
+    Buchberger over the shell-wide kernel: one ``_column_kernel`` row per
+    shell monomial."""
+    ev = _mono_images(shell, images, A)
+    kernel = _column_kernel(A.field, [A.to_vector(Poly(A, ev(m)))
+                                      for m in shell.basis_monomials()], A.dim)
+    return quotient_algebra(shell, [shell.from_vector(r)
+                                    for r in kernel.basis()], eliminate=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(0, len(EVAL_CARRIERS) - 1),
+       F=st.sampled_from([F2, F3, F5, F4, F9]))
+def test_subgroup_carrier_matches_the_shell_wide_kernel(data, k, F):
+    # 1-3 elements, nil (counit 0) or unit (counit 1), on a shell of at
+    # most 256 monomials; random elements mostly generate no sub-Hopf
+    # algebra, and then the walk that subgroup_from_elements runs is
+    # checked on its own
+    G = EVAL_CARRIERS[k](F)
+    A = G.carrier
+    named, orders, kinds = [], [], []
+    for i in range(data.draw(st.integers(1, 3))):
+        x = random_poly(data.draw, A, max_terms=3)
+        x -= A.scalar(G.counit_map(x))
+        if not x:
+            x = A.gens()[0] - A.scalar(G.counit_map(A.gens()[0]))
+        if data.draw(st.booleans()):
+            x += 1
+            order, kind = _unit_order(x), "unit"
+        else:
+            order, kind = _nil_order(x), "nil"
+        if named and order * math.prod(orders) > 256:
+            break
+        named.append(("Y%d" % i, x))
+        orders.append(order)
+        kinds.append(kind)
+    shell = Algebra(F, [nm for nm, _ in named], orders, kinds)
+    want = shell_kernel_quotient(shell, dict(named), A)
+    try:
+        got = subgroup_from_elements(G, named)[0].carrier
+    except VerifyError:
+        ev = _mono_images(shell, dict(named), A)
+        got, _ = _evaluation_quotient(
+            shell, lambda m: A.to_vector(Poly(A, ev(m))), A.dim)
+    assert [g.d for g in got.groebner] == [g.d for g in want.groebner]
+    assert got.basis_monomials() == want.basis_monomials()
+
+
+def test_subgroup_carrier_at_scale():
+    # the shell of (T, T^2, T^4) in GF(2) alpha(5) has 32 * 16 * 8 = 4096
+    # monomials; the walk meets 32 staircase monomials and two leads
+    G = alpha(5)
+    T = G.carrier.var("T")
+    K, _ = subgroup_from_elements(G, [("Y1", T), ("Y2", T ** 2),
+                                      ("Y4", T ** 4)])
+    assert K.dim == 32
+    assert [str(g) for g in K.carrier.groebner] == ["Y2 + Y1^2", "Y4 + Y1^4"]
 
 
 def test_requotient_keeps_the_carriers_aliases():

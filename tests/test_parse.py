@@ -1,6 +1,9 @@
-import pytest
+import functools
 
-from gsl import Field
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gsl import Field, GslError
 from gsl.action import (Coaction, extends_to_p1, laurent_invert,
                         standard_coaction)
 from gsl.errors import NotInvertible, ParseError, VerifyError
@@ -123,3 +126,51 @@ def test_negative_power_of_a_non_unit_is_not_invertible():
         parse_coaction_expr(alpha(1), "(T*X)^-1")
     with pytest.raises(NotInvertible):
         parse_coaction_expr(alpha(1), "(1 + X)^-1")
+
+
+_FUZZ_SEEDS = (("D(2)", F2), ("SL2_kerF(1)", F3), ("mu(2)", F2),
+               ("H(1,2)", F3))
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_text(k):
+    cid, F = _FUZZ_SEEDS[k]
+    return print_presentation(zoo_parse(cid, F))
+
+
+def _mutate(text, edits):
+    """Apply character deletions, character insertions and line swaps,
+    each edit's positions taken modulo the current text."""
+    for kind, i, j, ch in edits:
+        if kind == "swap":
+            lines = text.split("\n")
+            i, j = i % len(lines), j % len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+        elif kind == "delete" and text:
+            i %= len(text)
+            text = text[:i] + text[i + 1:]
+        elif kind == "insert":
+            i %= len(text) + 1
+            text = text[:i] + ch + text[i:]
+    return text
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(["delete", "insert", "swap"]),
+                            st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
+                            st.sampled_from("STUu12^*+-='()X0 \n#;,.aGF")),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, len(_FUZZ_SEEDS) - 1), edits=_EDITS)
+def test_a_mutated_presentation_parses_or_names_its_place(k, edits):
+    # a damaged file either still reads as a group, or raises a GslError;
+    # a ParseError says where, by line and column
+    text = _mutate(_fuzz_text(k), edits)
+    try:
+        parse_presentation(text)
+    except ParseError as e:
+        assert e.line is not None and e.col is not None, (text, e)
+    except GslError:
+        pass

@@ -646,9 +646,10 @@ def test_coaction_pins_cover_every_axiom():
 
 
 def test_coaction_checks_relations_of_subspace_carriers():
-    # the invariants carrier is presented by a subspace: no ideal_gens,
-    # and its one Groebner basis relation Y2^2 + Y1^2, which Y1 -> Y1 + Y2
-    # breaks; a map that respects the generators respects the ideal
+    # the invariants carrier is read off its generators' images: no
+    # ideal_gens, and its one Groebner basis relation Y2^2 + Y1^2, which
+    # Y1 -> Y1 + Y2 breaks; a map that respects the generators respects
+    # the ideal
     K = mu2_invariants_D(1, 1, 1)["group"]
     y1, y2 = K.carrier.var("Y1"), K.carrier.var("Y2")
     assert not K.carrier.ideal_gens
