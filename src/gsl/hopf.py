@@ -15,6 +15,10 @@ All carriers here are finite local algebras (the schemes are connected, up to
 unit-kind generators that are unipotent shifts of 1), so an element is a unit
 exactly when its counit is nonzero.  A map out of a carrier is fixed by its
 values on generators, so the antipode is solved and the axioms checked there.
+
+A Hopf ideal V of A is decided through Q = A/V (``HopfIdeal``): each of its
+conditions asks an algebra map out of the commutative A to kill V, so it is
+tested on V's generators, and nothing of size dim A^2 is laid out.
 """
 
 from collections import namedtuple
@@ -23,9 +27,9 @@ from itertools import product
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra,
-                   _evaluation_quotient, _mono_images, _scalar_leg,
-                   _sum_images, apply_map, map_leg, multiply_legs,
-                   quotient_algebra, subalgebra_generated)
+                   _echelon_quotient, _evaluation_quotient, _mono_images,
+                   _scalar_leg, _sum_images, apply_map, map_leg,
+                   multiply_legs, quotient_algebra, subalgebra_generated)
 
 POINTS_DIM_LIMIT = 64
 POINTS_CANDIDATE_LIMIT = 1 << 20
@@ -48,12 +52,6 @@ def _require_ok(rep, what):
     """Raise VerifyError(what, first failure) unless the report is ok."""
     if not rep["ok"]:
         raise VerifyError(what, rep["failures"][0])
-
-
-def _pair_guard(what, A):
-    """Refuse an operation that lays out A.dim^2 coordinates."""
-    if A.dim * A.dim > DIM_LIMIT:
-        raise SizeGuard(what, A.dim * A.dim, DIM_LIMIT)
 
 
 def _nil_order(f):
@@ -500,7 +498,9 @@ def _column_kernel(F, columns, n):
 def subgroup_from_elements(G, named_elems, name=None):
     """Sub-Hopf algebra generated by named carrier elements, re-presented.
 
-    named_elems is a list of (generator name, element) pairs.  The shell
+    named_elems is a list of (generator name, element) pairs.  A unit u
+    (eps(u) != 0) is taken as u eps(u)^-1, which generates the same
+    subalgebra and has counit 1, hence a p-power order.  The shell
     is the free truncated algebra on the names, and ev sends its monomials
     to the matching products of elements.  The staircase walk of
     ``talg._evaluation_quotient`` reads the carrier Q, the shell modulo
@@ -527,8 +527,11 @@ def subgroup_from_elements(G, named_elems, name=None):
     if len(set(names)) != len(names):
         raise BadParams("duplicate generator names")
     orders, kinds = [], []
-    for _, el in elems:
-        if G.counit_map(el) != 0:
+    for i, (nm, el) in enumerate(elems):
+        c = G.counit_map(el)
+        if c:
+            el = el * F.inv(c)
+            elems[i] = (nm, el)
             kinds.append("unit")
             orders.append(_unit_order(el))
         else:
@@ -628,7 +631,10 @@ def primitive_elements(H):
     inside the augmentation ideal by linear conditions."""
     A = H.carrier
     F = H.field
-    _pair_guard("primitive_elements pair rows", A)
+    if A.dim * A.dim > DIM_LIMIT:
+        # the equations are rows over A ox A
+        raise SizeGuard("primitive_elements pair rows", A.dim * A.dim,
+                        DIM_LIMIT)
     t2 = H.t2()
     n = A.dim
     seen = {}
@@ -789,14 +795,20 @@ def frobenius_image(H, r=1):
 
 
 class HopfIdeal(object):
-    """A subspace of the carrier that is an ideal, a coideal, antipode-stable
-    and killed by the counit; quotienting by one is passing to a quotient
-    group presentation.  The subspace is held in reduced-basis coordinates."""
+    """A subspace V of the carrier A, in reduced-basis coordinates, that
+    is to be a Hopf ideal: an ideal and a coideal, antipode-stable and
+    killed by the counit.  It cuts out a closed subgroup.
 
-    def __init__(self, hopf, subspace, gens=None):
+    Its one cache, ``_quotient()``, filled on first use, holds Q = A/V,
+    the projection pi and the ideal's generators, read off V's echelon
+    rows (``talg._echelon_quotient``).  A V that is no ideal is read
+    through the ideal it generates, and ``verify`` reports it.
+    """
+
+    def __init__(self, hopf, subspace):
         self.hopf = hopf
         self.subspace = subspace
-        self.gens = list(gens) if gens is not None else None
+        self._cache = None
 
     @property
     def dim(self):
@@ -810,15 +822,61 @@ class HopfIdeal(object):
         return [A.from_vector(v) for v in self.subspace.basis()]
 
     def is_augmentation(self):
-        return self.dim == self.hopf.dim - 1 and self._killed_by_counit()
+        return self.dim == self.hopf.dim - 1 and not any(
+            self.hopf.counit_map(f) for f in self.basis_polys())
 
-    def _killed_by_counit(self):
-        return not any(self.hopf.counit_map(f) for f in self.basis_polys())
+    def _quotient(self):
+        """(Q, pi, generators, whether V is an ideal)."""
+        if self._cache is None:
+            H, V = self.hopf, self.subspace
+            A = H.carrier
+            polys, xs = self.basis_polys(), H.gens()
+            ideal = all(V.contains(A.to_vector(x * f))
+                        for f in polys for x in xs)
+            self._cache = _echelon_quotient(
+                A, V if ideal else _ideal_span_coords(A, polys)) + (ideal,)
+        return self._cache
+
+    def _is_hopf(self):
+        """Whether V is a Hopf ideal: an ideal whose generators g have
+        eps(g) = 0, (pi ox pi) delta(g) = 0 (delta(g) lies in
+        V ox A + A ox V) and pi S(g) = 0.  The three are algebra maps out
+        of the commutative A, so they kill V when they kill its generators."""
+        H = self.hopf
+        Q, pi, gens, ideal = self._quotient()
+        tQ = Q.tensor(Q)
+        return ideal and all(
+            not H.counit_map(g)
+            and not map_leg(H.delta_map(g), (0, 1), pi, tQ)
+            and not _sum_images(H.antipode_map(g), pi, Q) for g in gens)
+
+    def _escaping_legs(self, f):
+        """The legs that keep delta(f) out of V ox A + A ox V, in basis
+        order: the first legs of (pi ox pi) delta(f), one per surviving
+        second-leg monomial, then the second legs of (id ox pi) delta(f),
+        one per first-leg monomial, cut to those."""
+        H = self.hopf
+        A = H.carrier
+        Q, pi, _, _ = self._quotient()
+        tAQ, tQ = A.tensor(Q), Q.tensor(Q)
+        half = map_leg(H.delta_map(f), 1, pi, tAQ)
+        cols, rows = {}, {}
+        for mono, c in map_leg(half, 0, pi, tQ).d.items():
+            m1, m2 = tQ.split_mono(mono)
+            cols.setdefault(m2, {})[m1] = c
+        for mono, c in half.d.items():
+            m1, m2 = tAQ.split_mono(mono)
+            if m2 in cols:
+                rows.setdefault(m1, {})[m2] = c
+        order = ((cols, Q._positions()), (rows, A._positions()))
+        return [apply_map(Poly(Q, legs[m]), {}, A) for legs, pos in order
+                for m in sorted(legs, key=pos.__getitem__)]
 
     def verify(self):
         """The four defining properties as a report over the basis of V:
         x f (``ideal``) and S(f) (``antipode_stable``) lie in V, no leg of
-        delta(f) escapes V ox A + A ox V (``coideal``), eps(f) = 0."""
+        delta(f) escapes V ox A + A ox V (``coideal``, taken sparsely
+        through Q by ``_escaping_legs``), eps(f) = 0."""
         H = self.hopf
         A = H.carrier
         V = self.subspace
@@ -833,7 +891,7 @@ class HopfIdeal(object):
             for nm in A.vars:
                 outside("ideal", "%s*(%s)" % (nm, f), A.var(nm) * f)
             failures += [Failure("coideal", str(f), leg)
-                         for leg in dict.fromkeys(_escaping_legs(H, V, f))]
+                         for leg in dict.fromkeys(self._escaping_legs(f))]
             outside("antipode_stable", str(f), H.antipode_map(f))
             eps = H.counit_map(f)
             if eps:
@@ -844,123 +902,63 @@ class HopfIdeal(object):
         return "HopfIdeal(dim=%d of %r)" % (self.dim, self.hopf)
 
 
-def _delta_matrix(H, f):
-    """Coproduct of f as a dict first-leg index -> second-leg coordinate
-    row, summed from the ``delta_mono`` memo."""
-    A = H.carrier
-    _pair_guard("coproduct matrix", A)
-    F = H.field
-    split = H.t2().split_mono
-    pos = A._positions()
-    rows = {}
-    for m, c in f.d.items():
-        for mono, c2 in H.delta_mono(m).items():
-            m1, m2 = split(mono)
-            row = rows.setdefault(pos[m1], [0] * A.dim)
-            j = pos[m2]
-            row[j] = F.add(row[j], F.mul(c, c2))
-    return rows
-
-
-def _escaping_legs(H, V, f):
-    """Row and column legs of delta(f) left over after reducing the second
-    legs by V and then the first legs of what remains; empty iff delta(f)
-    lies in V ox A + A ox V."""
-    A = H.carrier
-    rows = _delta_matrix(H, f)
-    reduced = {}
-    for i, row in rows.items():
-        r = V.residue(row)
-        if any(r):
-            reduced[i] = r
-    cols = {}
-    for i, row in reduced.items():
-        for j, c in enumerate(row):
-            if c:
-                cols.setdefault(j, [0] * A.dim)[i] = c
-    out = []
-    surviving = {}
-    for j, col in cols.items():
-        r = V.residue(col)
-        if any(r):
-            out.append(A.from_vector(r))
-            surviving[j] = True
-    for i, row in reduced.items():
-        keep = [c if surviving.get(j) else 0 for j, c in enumerate(row)]
-        if any(keep):
-            out.append(A.from_vector(keep))
-    return out
-
-
-def _escapes(H, V, f):
-    """What keeps the ideal V from being a Hopf ideal at f: the escaping
-    legs of delta(f), then S(f) if it lies outside V."""
-    out = _escaping_legs(H, V, f)
-    sf = H.antipode_map(f)
-    if not V.contains(H.carrier.to_vector(sf)):
-        out.append(sf)
-    return out
-
-
-def hopf_ideal_closure(H, seeds, max_rounds=None):
+def hopf_ideal_closure(H, seeds):
     """Hopf ideal containing the seeds, grown by forced leg adjunction.
 
-    Rounds: take the ideal span; whenever a coproduct escapes
-    V ox A + A ox V, adjoin both legs of the two-sided residual, and adjoin
-    any antipode image that escapes; repeat until stable.  When the seeds
-    already generate a Hopf ideal nothing is adjoined and the result is
-    exactly that ideal; an escape that several different ideals could repair
-    gets both of its legs, which may overshoot the minimum."""
+    Rounds: take the ideal the seeds span; while it is no Hopf ideal,
+    adjoin the escaping legs of delta(f) and S(f) if it escapes, for each
+    basis element f, and re-span from the ideal's generators and those.
+    When the seeds already generate a Hopf ideal nothing is adjoined and
+    the result is exactly that ideal; an escape that several different
+    ideals could repair gets both of its legs, which may overshoot the
+    minimum."""
     A = H.carrier
     for s in seeds:
         if H.counit_map(s) != 0:
             raise BadParams("closure seeds must lie in the augmentation ideal")
-    V = _ideal_span_coords(A, [s for s in seeds if s.d])
-    rounds = max_rounds or (A.dim + 1)
-    for _ in range(rounds):
-        add = []
-        for vec in V.basis():
-            add.extend(_escapes(H, V, A.from_vector(vec)))
-        if not add:
+    ideal = HopfIdeal(H, _ideal_span_coords(A, [s for s in seeds if s.d]))
+    for _ in range(A.dim + 1):
+        if ideal._is_hopf():
             break
-        old = V.dim
-        V = _ideal_span_coords(A, [A.from_vector(v) for v in V.basis()] + add)
-        if V.dim == old:
+        old, add = ideal.dim, list(ideal._quotient()[2])
+        for f in ideal.basis_polys():
+            add += ideal._escaping_legs(f)
+            sf = H.antipode_map(f)
+            if not ideal.contains(sf):
+                add.append(sf)
+        ideal = HopfIdeal(H, _ideal_span_coords(A, add))
+        if ideal.dim == old:
             break
-    return HopfIdeal(H, V, gens=seeds)
+    return ideal
 
 
 def is_central(H, ideal):
     """Whether the subgroup scheme the ideal cuts out is central: compare
     (pi ox id) delta with (pi ox id) swap delta on the generators."""
     A = H.carrier
-    Q = _requotient(A, ideal.basis_polys())
+    Q, pi, _, _ = ideal._quotient()
     T = Q.tensor(A)
-    pi = _mono_images(A, {}, Q)
     return all(map_leg(dx, 0, pi, T) == map_leg(_swap_legs(dx), 0, pi, T)
                for dx in H.delta.values())
 
 
 def is_normal(H, ideal):
-    """Adjoint stability of the ideal: sum pi(j_(2)) ox S(j_(1)) j_(3) must
-    reproduce pi(j) ox 1 ... i.e. vanish for j in the ideal since pi(j) = 0.
-    It is ``multiply_legs`` into Q ox A of (delta ox id) delta(j).
-    Returns (ok, witness)."""
-    return _is_normal(H, ideal, _requotient(H.carrier, ideal.basis_polys()))
-
-
-def _is_normal(H, ideal, Q):
-    """``is_normal`` given Q, the carrier modulo the ideal."""
+    """Whether the subgroup the ideal cuts out is normal, as (ok, witness):
+    whether the adjoint map j -> sum pi(j_(2)) ox S(j_(1)) j_(3) into
+    Q ox A, a ``multiply_legs`` of (delta ox id) delta(j), kills the
+    ideal.  For commutative A it is an algebra map, so it is tested on the
+    ideal's generators; the witness is the first it does not kill."""
     A = H.carrier
+    Q, pi, gens, _ = ideal._quotient()
     T = Q.tensor(A)
-    S, pi = _mono_images(A, H.antipode, A), _mono_images(A, {}, Q)
+    S = _mono_images(A, H.antipode, A)
     legs = (lambda m: T.embed(Poly(A, S(m)), 1).d,
             lambda m: T.embed(Poly(Q, pi(m)), 0).d,
             lambda m: T.embed(Poly(A, {m: 1}), 1).d)
-    for f in ideal.basis_polys():
-        d2, _ = _coassoc_sides(H, H.delta_map(f))
+    for g in gens:
+        d2, _ = _coassoc_sides(H, H.delta_map(g))
         if multiply_legs(d2, legs, T) != 0:
-            return False, f
+            return False, g
     return True, None
 
 
@@ -969,26 +967,21 @@ def quotient_group(H, ideal, name=None):
     of the right translation coaction, re-presented on fresh generators."""
     A = H.carrier
     F = H.field
-    Q = _requotient(A, ideal.basis_polys())
-    ok, witness = _is_normal(H, ideal, Q)
+    Q, pi, _, _ = ideal._quotient()
+    ok, witness = is_normal(H, ideal)
     if not ok:
         raise NotNormal(witness)
     T = A.tensor(Q)
-    posA, posQ = A._positions(), Q._positions()
-    tdim = A.dim * Q.dim
-    if tdim > DIM_LIMIT:
-        raise SizeGuard("quotient_group coinvariant equations", tdim, DIM_LIMIT)
-    pi = _mono_images(A, {}, Q)
+    if T.dim > DIM_LIMIT:
+        raise SizeGuard("quotient_group coinvariant equations", T.dim,
+                        DIM_LIMIT)
     columns = []
     for m in A.basis_monomials():
+        # f is a coinvariant when (id ox pi) delta(f) = f ox 1
         f = A.poly({m: 1})
-        img = map_leg(H.delta_map(f), 1, pi, T) - T.embed(f, 0)
-        vec = [0] * tdim
-        for mono, c in img.d.items():
-            m1, m2 = T.split_mono(mono)
-            vec[posA[m1] * Q.dim + posQ[m2]] = c
-        columns.append(vec)
-    span = _column_kernel(F, columns, tdim)
+        columns.append(T.to_vector(map_leg(H.delta_map(f), 1, pi, T)
+                                   - T.embed(f, 0)))
+    span = _column_kernel(F, columns, T.dim)
     chosen = []
     sub = subalgebra_generated(A, [])
     idx = 0
@@ -1218,9 +1211,9 @@ def enumerate_subgroups(H):
     The carrier is local, so every ideal J above an ideal I contains a
     cover I + k.v with v outside I and m.v inside I.  From each ideal
     met, one linear solve on the coordinates off its pivots gives every
-    such v, and each line of solutions is one step up; only the ideals
-    met are tested for antipode stability and the coideal property.
-    The result is ordered by pivot set, then by free entries.
+    such v, and each line of solutions is one step up; each ideal met is
+    tested on its generators (``HopfIdeal._is_hopf``).  The result is
+    ordered by pivot set, then by free entries.
 
     GF(2) and nil generators only.  Carriers of dimension above
     ENUM_SUBGROUP_DIM_LIMIT are refused (SizeGuard) before any search.
@@ -1249,11 +1242,10 @@ def enumerate_subgroups(H):
                     ideals[key] = J
                     up.append(J)
         level = up
-    aug = [i for i in range(A.dim) if i != one_pos]
-    found = [V for V in ideals.values()
-             if not any(_escapes(H, V, A.from_vector(v)) for v in V.basis())]
-    found.sort(key=lambda V: _echelon_order(V, aug))
-    return [HopfIdeal(H, V) for V in found]
+    found = [I for I in (HopfIdeal(H, V) for V in ideals.values())
+             if I._is_hopf()]
+    found.sort(key=lambda I: _echelon_order(I.subspace))
+    return found
 
 
 def _ideal_covers(I, muls, one_pos):
@@ -1288,16 +1280,14 @@ def _ideal_covers(I, muls, one_pos):
         yield J
 
 
-def _echelon_order(V, positions):
-    """Sort key of a subspace over the given coordinate positions: its
-    pivot set read as a binary number, then its free entries, the last
-    free entry of the last row first."""
+def _echelon_order(V):
+    """Sort key of a subspace: its pivot set read as a binary number, then
+    its free entries, the last free entry of the last row first."""
     piv = V.pivots()
     pset = set(piv)
-    pmask = sum(1 << t for t, p in enumerate(positions) if p in pset)
     free = [row[j] for row, l in zip(V.basis(), piv)
-            for j in positions if j < l and j not in pset]
-    return pmask, free[::-1]
+            for j in range(l) if j not in pset]
+    return sum(1 << p for p in piv), free[::-1]
 
 
 def _names_in(f, names):

@@ -48,12 +48,13 @@ wide as the monomial shell is laid out.  The Groebner basis comes from
 generators by Buchberger's algorithm (``quotient_algebra``), or, for the
 kernel of an algebra map out of a free algebra, from the staircase walk
 of ``_evaluation_quotient``, which reads the reduced basis off the
-images of the staircase and its border.  A TensorAlgebra glues several
-algebras side by side and reduces factor by factor, which never
-materialises the big tensor ideal.  ``apply_map`` substitutes through
-memoised monomial images, one product per new monomial, and ``map_leg``
-substitutes into legs of a tensor element with no product or reduction
-at all.
+images of the staircase and its border, or, for an ideal given in
+coordinates, off its echelon rows (``_echelon_quotient``).  A
+TensorAlgebra glues several algebras side by side and reduces factor by
+factor, which never materialises the big tensor ideal.  ``apply_map``
+substitutes through memoised monomial images, one product per new
+monomial, and ``map_leg`` substitutes into legs of a tensor element with
+no product or reduction at all.
 
 Every algebra lists its reduced basis once, on first use, and the one
 coordinate map, ``to_vector``/``from_vector``, reads a vector over that
@@ -1099,6 +1100,38 @@ def quotient_algebra(ambient, gens, eliminate=True, aliases=None):
             alias_acc[nm] = apply_map(f, dict(found), ambient)
         alias_acc.update(found)
     return QuotientAlgebra(ambient, _groebner(ambient, gens), gens, alias_acc)
+
+
+def _echelon_quotient(alg, S):
+    """alg modulo an ideal S given in coordinates: (Q, pi, gens).
+
+    S's rows pivot on their largest key and are fully reduced, so the row
+    with pivot t is t - nf(t), and the ideal's leading keys in the shell
+    are alg's own and the pivots.  So alg's Groebner basis and the rows
+    with divisor-minimal pivots (gens, which generate S) are a Groebner
+    basis: nothing is divided.  The projection pi is Q's memoised
+    residue, as alg's keys are keys of Q's shell.  S must be an ideal.
+    """
+    basis, guard, F = alg.basis_monomials(), alg._lay.guard, alg.field
+    gens, leads = [], []
+    # pivots ascend by key, and a divisor of a key is no larger
+    for l in S.pivots():
+        t = basis[l]
+        if not any(_divides(s, t, guard) for s in leads):
+            leads.append(t)
+            res = S.residue([int(i == l) for i in range(alg.dim)])
+            row = {basis[i]: F.neg(c) for i, c in enumerate(res) if c}
+            row[t] = 1
+            gens.append(Poly(alg, row))
+    own = list(alg.groebner) if isinstance(alg, QuotientAlgebra) else []
+    Q = QuotientAlgebra(alg.ambient,
+                        own + [Poly(alg.ambient, g.d) for g in gens])
+
+    def pi(m):
+        r = Q.reduce_term(m)
+        return {m: 1} if r is None else r
+
+    return Q, pi, gens
 
 
 def _evaluation_quotient(shell, coords, n):

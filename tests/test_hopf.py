@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
 from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       _column_kernel, _counit_sides, _generating_vars,
-                      _ideal_span_coords, _nil_order, _unit_order,
-                      closed_subgroup,
+                      _ideal_covers, _ideal_span_coords, _nil_order,
+                      _requotient, _unit_order, closed_subgroup,
                       enumerate_morphisms, enumerate_subgroups,
                       find_isomorphism, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
@@ -23,8 +24,8 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
 from gsl.action import extends_to_p1, standard_coaction
 from gsl.talg import (DIM_LIMIT, Algebra, Poly, _evaluation_quotient,
-                      _mono_images, apply_map, quotient_algebra,
-                      subalgebra_generated)
+                      _mono_images, apply_map, multiply_legs,
+                      quotient_algebra, subalgebra_generated)
 from gsl.zoo import (D, SL2_kerF, kerFV, mu2_invariants_D, pullback, witt2,
                      zoo_parse)
 from test_talg import naive_apply_map
@@ -516,8 +517,6 @@ def test_guards_name_what_a_large_carrier_would_materialise():
     checks = [
         ("tensor basis_monomials", lambda: G.t2().to_vector(G.delta["u11"])),
         ("primitive_elements pair rows", lambda: primitive_elements(G)),
-        ("coproduct matrix",
-         lambda: HopfIdeal(G, subspace_from(F2, G.dim, [1 << 5])).verify()),
         ("quotient_group coinvariant equations",
          lambda: quotient_group(G, HopfIdeal(G, Subspace(F2, G.dim)))),
     ]
@@ -525,8 +524,12 @@ def test_guards_name_what_a_large_carrier_would_materialise():
         with pytest.raises(SizeGuard) as exc:
             call()
         assert exc.value.what == what
-    # lie_algebra and subgroup_from_elements lay out nothing of size
-    # dim^2; u12 alone is not coproduct stable
+    # HopfIdeal.verify lays out nothing of size dim^2: the span of one
+    # basis monomial is no ideal, and the report says so
+    rep = HopfIdeal(G, subspace_from(F2, G.dim, [1 << 5])).verify()
+    assert rep["ok"] is False and "ideal" in _axioms(rep)
+    # nor do lie_algebra and subgroup_from_elements; u12 alone is not
+    # coproduct stable
     assert len(lie_algebra(G)[0]) == 3
     with pytest.raises(VerifyError, match=r"delta\(U\) escapes the span"):
         subgroup_from_elements(G, [("U", G.carrier.var("u12"))])
@@ -941,6 +944,21 @@ def test_ideal_spans_that_are_not_coideals():
     assert _triples(rep) == [("coideal", "T^3", "T^2"), ("coideal", "T^3", "T")]
 
 
+def test_a_span_that_is_no_ideal_is_read_through_its_ideal():
+    # span{T^3 + T} in k[T]/(T^4) is no ideal, and it generates (T), as
+    # T (T^3 + T) = T^2.  Read off that span alone, Q would have dimension
+    # 3 and delta(T^3 + T) two escaping legs; through (T) it has neither
+    H = alpha(2)
+    A = H.carrier
+    T = A.var("T")
+    f = T ** 3 + T
+    V = HopfIdeal(H, subspace_from(F2, A.dim, [A.to_vector(f)]))
+    I = _principal_ideal(H, T)
+    assert V._quotient()[0].dim == I._quotient()[0].dim == 1
+    assert V._escaping_legs(f) == I._escaping_legs(f) == []
+    assert not V._is_hopf() and "ideal" in _axioms(V.verify())
+
+
 def test_closure_grows_to_hopf_ideal():
     H = d2()
     A = H.carrier
@@ -950,6 +968,124 @@ def test_closure_grows_to_hopf_ideal():
     I = hopf_ideal_closure(H, [S * T])
     assert I.dim == 7 and I.is_augmentation()
     assert I.verify()["ok"]
+
+
+def _dense_escaping_legs(H, V, f):
+    """The legs of delta(f) escaping V ox A + A ox V, off the dense
+    coproduct matrix of f: its rows (one per first-leg basis monomial)
+    reduced by V, then the columns of what is left reduced by V; the
+    surviving columns' residues, then the reduced rows cut to those
+    columns."""
+    A, F = H.carrier, H.field
+    split, pos = H.t2().split_mono, A._positions()
+    rows = {}
+    for m, c in f.d.items():
+        for mono, c2 in H.delta_mono(m).items():
+            m1, m2 = split(mono)
+            row = rows.setdefault(pos[m1], [0] * A.dim)
+            row[pos[m2]] = F.add(row[pos[m2]], F.mul(c, c2))
+    reduced = {}
+    for i, row in rows.items():
+        r = V.residue(row)
+        if any(r):
+            reduced[i] = r
+    cols = {}
+    for i, row in reduced.items():
+        for j, c in enumerate(row):
+            if c:
+                cols.setdefault(j, [0] * A.dim)[i] = c
+    out, surviving = [], set()
+    for j, col in cols.items():
+        r = V.residue(col)
+        if any(r):
+            out.append(A.from_vector(r))
+            surviving.add(j)
+    for row in reduced.values():
+        keep = [c if j in surviving else 0 for j, c in enumerate(row)]
+        if any(keep):
+            out.append(A.from_vector(keep))
+    return out
+
+
+def _reference_closure(H, seeds):
+    """hopf_ideal_closure through the dense legs, re-spanned from the
+    whole basis each round; on the way, each basis element's legs from
+    HopfIdeal._escaping_legs are checked against the dense ones."""
+    A = H.carrier
+    V = _ideal_span_coords(A, [s for s in seeds if s.d])
+    for _ in range(A.dim + 1):
+        ideal = HopfIdeal(H, V)
+        add = []
+        for f in ideal.basis_polys():
+            legs = _dense_escaping_legs(H, V, f)
+            assert Counter(ideal._escaping_legs(f)) == Counter(legs)
+            add += legs
+            sf = H.antipode_map(f)
+            if not ideal.contains(sf):
+                add.append(sf)
+        if not add:
+            break
+        old = V.dim
+        V = _ideal_span_coords(A, ideal.basis_polys() + add)
+        if V.dim == old:
+            break
+    return V
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_group(k):
+    return (d2, lambda: alpha(3), lambda: zoo_parse("H(1,3)", F2),
+            lambda: SL2_kerF(1), lambda: zoo_parse("PGL2_kerF(1)", F2),
+            lambda: SL2_kerF(1, F3), lambda: zoo_parse("D(1)", F3),
+            lambda: alpha(2, F4),
+            lambda: zoo_parse("Hunip(s1=1,s2=1,n=2)", F3))[k]()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), k=st.integers(0, 8))
+def test_closure_matches_the_dense_coproduct_legs(data, k):
+    # free carriers and one quotient (Hunip over GF(3)), over GF(2),
+    # GF(3) and GF(4); one or two random seeds without counit
+    H = _closure_group(k)
+    A = H.carrier
+    seeds = [f - A.scalar(H.counit_map(f))
+             for f in (random_poly(data.draw, A, max_terms=3)
+                       for _ in range(data.draw(st.integers(1, 2))))]
+    want = _reference_closure(H, seeds)
+    got = hopf_ideal_closure(H, seeds)
+    assert got.subspace.basis() == want.basis()
+    assert got._is_hopf() and got.verify()["ok"]
+
+
+def _ideals_met(A):
+    """Every ideal that enumerate_subgroups' walk through _ideal_covers
+    meets in the carrier A, Hopf or not."""
+    one_pos = A.to_vector(A.one()).index(1)
+    muls = [[A.to_vector(x * A.poly({m: 1})) for m in A.basis_monomials()]
+            for x in A.gens()]
+    zero = Subspace(A.field, A.dim)
+    ideals, level = {(): zero}, [zero]
+    while level:
+        up = []
+        for I in level:
+            for J in _ideal_covers(I, muls, one_pos):
+                key = tuple(map(tuple, J.basis()))
+                if key not in ideals:
+                    ideals[key] = J
+                    up.append(J)
+        level = up
+    return list(ideals.values())
+
+
+@pytest.mark.parametrize("cid", ["D(2)", "alpha(3)", "H(1,3)", "SL2_kerF(1)",
+                                 "PGL2_kerF(1)"])
+def test_hopf_test_on_generators_matches_verify(cid):
+    # every ideal the subgroup walk meets over GF(2), Hopf or not
+    H = zoo_parse(cid, F2)
+    ideals = [HopfIdeal(H, V) for V in _ideals_met(H.carrier)]
+    oks = [I.verify()["ok"] for I in ideals]
+    assert [I._is_hopf() for I in ideals] == oks
+    assert any(oks) and not all(oks)
 
 
 def _reference_ideal_coords(A, polys):
@@ -1030,17 +1166,39 @@ def shell_kernel_quotient(shell, images, A):
                                     for r in kernel.basis()], eliminate=False)
 
 
+def _matches_shell_wide_kernel(G, named):
+    """subgroup_from_elements reads the same carrier off the named
+    elements as ``shell_kernel_quotient``, each unit u taken as
+    u eps(u)^-1; where they generate no sub-Hopf algebra, the walk that
+    it runs is checked on its own."""
+    A, F = G.carrier, G.field
+    eps = {nm: G.counit_map(x) for nm, x in named}
+    normed = {nm: x * F.inv(eps[nm]) if eps[nm] else x for nm, x in named}
+    shell = Algebra(F, list(normed),
+                    [_unit_order(x) if eps[nm] else _nil_order(x)
+                     for nm, x in normed.items()],
+                    ["unit" if eps[nm] else "nil" for nm in normed])
+    want = shell_kernel_quotient(shell, normed, A)
+    try:
+        got = subgroup_from_elements(G, named)[0].carrier
+    except VerifyError:
+        ev = _mono_images(shell, normed, A)
+        got, _ = _evaluation_quotient(
+            shell, lambda m: A.to_vector(Poly(A, ev(m))), A.dim)
+    assert [g.d for g in got.groebner] == [g.d for g in want.groebner]
+    assert got.basis_monomials() == want.basis_monomials()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), k=st.integers(0, len(EVAL_CARRIERS) - 1),
        F=st.sampled_from([F2, F3, F5, F4, F9]))
 def test_subgroup_carrier_matches_the_shell_wide_kernel(data, k, F):
     # 1-3 elements, nil (counit 0) or unit (counit 1), on a shell of at
     # most 256 monomials; random elements mostly generate no sub-Hopf
-    # algebra, and then the walk that subgroup_from_elements runs is
-    # checked on its own
+    # algebra
     G = EVAL_CARRIERS[k](F)
     A = G.carrier
-    named, orders, kinds = [], [], []
+    named, orders = [], []
     for i in range(data.draw(st.integers(1, 3))):
         x = random_poly(data.draw, A, max_terms=3)
         x -= A.scalar(G.counit_map(x))
@@ -1048,24 +1206,27 @@ def test_subgroup_carrier_matches_the_shell_wide_kernel(data, k, F):
             x = A.gens()[0] - A.scalar(G.counit_map(A.gens()[0]))
         if data.draw(st.booleans()):
             x += 1
-            order, kind = _unit_order(x), "unit"
+            order = _unit_order(x)
         else:
-            order, kind = _nil_order(x), "nil"
+            order = _nil_order(x)
         if named and order * math.prod(orders) > 256:
             break
         named.append(("Y%d" % i, x))
         orders.append(order)
-        kinds.append(kind)
-    shell = Algebra(F, [nm for nm, _ in named], orders, kinds)
-    want = shell_kernel_quotient(shell, dict(named), A)
-    try:
-        got = subgroup_from_elements(G, named)[0].carrier
-    except VerifyError:
-        ev = _mono_images(shell, dict(named), A)
-        got, _ = _evaluation_quotient(
-            shell, lambda m: A.to_vector(Poly(A, ev(m))), A.dim)
-    assert [g.d for g in got.groebner] == [g.d for g in want.groebner]
-    assert got.basis_monomials() == want.basis_monomials()
+    _matches_shell_wide_kernel(G, named)
+
+
+@pytest.mark.parametrize("F,c", [(F3, 2), (F4, F4.gen)],
+                         ids=["GF(3) T+2", "GF(4) T+g"])
+def test_subgroup_carrier_of_a_unit_with_counit_not_one(F, c):
+    # T + c has no p-power order, (T + c)/c has; the walk takes the
+    # latter, and the inclusion sends Y there
+    G = alpha(2, F)
+    named = [("Y", G.carrier.var("T") + c)]
+    _matches_shell_wide_kernel(G, named)
+    K, incl = subgroup_from_elements(G, named)
+    assert K.dim == G.dim and K.counit["Y"] == 1
+    assert morphism_check(incl)["ok"]
 
 
 def test_subgroup_carrier_at_scale():
@@ -1114,6 +1275,20 @@ def test_enumeration_guards():
 
 # -- normality, centrality, quotients ----------------------------------------
 
+def _normal_per_basis(H, ideal):
+    """is_normal's adjoint test on every basis element of the ideal, in
+    Q ox A for Q the carrier divided by that basis (``_requotient``)."""
+    A = H.carrier
+    Q = _requotient(A, ideal.basis_polys())
+    T = Q.tensor(A)
+    S, pi = _mono_images(A, H.antipode, A), _mono_images(A, {}, Q)
+    legs = (lambda m: T.embed(Poly(A, S(m)), 1).d,
+            lambda m: T.embed(Poly(Q, pi(m)), 0).d,
+            lambda m: T.embed(Poly(A, {m: 1}), 1).d)
+    return not any(multiply_legs(_coassoc_sides(H, H.delta_map(f))[0],
+                                 legs, T) for f in ideal.basis_polys())
+
+
 def test_normal_central_classification():
     H = d2()
     A = H.carrier
@@ -1131,8 +1306,29 @@ def test_normal_central_classification():
     for gens, normal, central in cases:
         I = hopf_ideal_closure(H, gens)
         assert is_normal(H, I)[0] is normal, gens
+        assert _normal_per_basis(H, I) is normal, gens
         assert is_central(H, I) is central, gens
     assert is_normal(H, aug)[0] and is_central(H, aug)
+    assert _normal_per_basis(H, aug)
+
+
+def test_normality_on_generators_matches_the_basis():
+    # GF(2) SL2_kerF(2): ker F and (u12^2) are normal, (u12) is not
+    G = SL2_kerF(2)
+    u12 = G.carrier.var("u12")
+    for seeds, dim, normal in (([x ** 2 for x in G.gens()], 56, True),
+                               ([u12 ** 2], 32, True), ([u12], 48, False)):
+        I = hopf_ideal_closure(G, seeds)
+        assert I.dim == dim
+        ok, witness = is_normal(G, I)
+        assert ok is normal and _normal_per_basis(G, I) is normal
+        assert (witness is None) is normal
+    # every subgroup of GF(2) PGL2_kerF(1), among them one whose first
+    # generator the adjoint map kills and a later one it does not
+    P = zoo_parse("PGL2_kerF(1)", F2)
+    oks = [is_normal(P, I)[0] for I in enumerate_subgroups(P)]
+    assert oks == [_normal_per_basis(P, I) for I in enumerate_subgroups(P)]
+    assert any(oks) and not all(oks)
 
 
 def test_quotient_groups_of_d2():

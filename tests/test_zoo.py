@@ -9,10 +9,11 @@ from gsl import (Algebra, BadParams, Field, NotAnAction, ParseError,
 from gsl.hopf import (closed_subgroup, enumerate_morphisms,
                       enumerate_subgroups, find_isomorphism, frobenius,
                       frobenius_image, frobenius_kernel, hopf_ideal_closure,
-                      hopf_product, hopf_verify,
+                      hopf_product, hopf_verify, image_subgroup,
                       is_central, is_cocommutative, kernel_subgroup,
                       lie_algebra, morphism_check, presentations_equal,
                       quotient_group)
+from gsl.action import MobiusMatrix, pgl2_morphism
 from gsl.linalg import Subspace
 from gsl.talg import DIM_LIMIT, invert_unit
 from gsl.zoo import (D, E_trunc, H, H_unip, PGL2_kerF, SL2_kerF, alpha,
@@ -153,19 +154,23 @@ def test_pgl2_kernels_verify(F, n, dim):
     assert len(lie_algebra(G)[0]) == 3
 
 
-@pytest.mark.parametrize("F,kdim", [(F2, 2), (F4, 2), (F3, 1)],
-                         ids=lambda x: x.name if isinstance(x, Field) else "")
-def test_sl2_maps_onto_pgl2_with_central_kernel(F, kdim):
-    # pi: SL2 -> PGL2, x -> x / x22, as the algebra map
-    # A(PGL2_kerF(1)) -> A(SL2_kerF(1)); its kernel is mu2 in
-    # characteristic 2 and trivial otherwise
-    P, G = PGL2_kerF(1, F), SL2_kerF(1, F)
-    A = G.carrier
-    w = invert_unit(A.one() + A.var("u22"))
-    pi = Morphism(P, G, {"a": (A.one() + A.var("u11")) * w - A.one(),
-                         "b": A.var("u12") * w, "c": A.var("u21") * w})
-    assert morphism_check(pi)["ok"]
-    assert kernel_subgroup(pi).dim == kdim
+@pytest.mark.parametrize("F,dims", [
+    (F2, {1: (2, 4), 2: (2, 32)}), (F4, {1: (2, 4)}), (F3, {1: (1, 27)}),
+    (Field(5), {1: (1, 125)})],
+    ids=lambda x: x.name if isinstance(x, Field) else "")
+def test_sl2_maps_onto_pgl2_with_central_kernel(F, dims):
+    # pi_n: SL2_kerF(n) -> PGL2_kerF(n), a matrix to its class, is the
+    # Morphism that pgl2_morphism reads off the SL2 matrix; its kernel is
+    # mu2 in characteristic 2 and trivial otherwise.  dims maps n to
+    # (dim ker pi_n, dim im pi_n)
+    for n, want in dims.items():
+        G = SL2_kerF(n, F)
+        u = G.carrier.var
+        M = MobiusMatrix(G, ((u("u11") + 1, u("u12")),
+                             (u("u21"), u("u22") + 1)))
+        pi = pgl2_morphism(M, n)
+        assert morphism_check(pi)["ok"]
+        assert (kernel_subgroup(pi).dim, image_subgroup(pi).dim) == want
 
 
 def test_H_unip_dims_and_axioms():
