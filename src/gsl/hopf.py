@@ -31,12 +31,11 @@ from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra,
                    _scalar_leg, _sum_images, apply_map, map_leg,
                    multiply_legs, quotient_algebra, subalgebra_generated)
 
-POINTS_DIM_LIMIT = 64
 POINTS_CANDIDATE_LIMIT = 1 << 20
 TABLE_LIMIT = 256
 ASSOC_FULL_LIMIT = 64
-ENUM_SUBGROUP_DIM_LIMIT = 8
-ENUM_MORPHISM_LIMIT = 1 << 24
+ENUM_SUBGROUP_LIMIT = 1 << 12
+SEARCH_LIMIT = 1 << 24
 
 
 # a verifier's report lists these; the residual is a nonzero Poly
@@ -964,7 +963,12 @@ def is_normal(H, ideal):
 
 def quotient_group(H, ideal, name=None):
     """Quotient by the normal subgroup the ideal cuts out: the coinvariants
-    of the right translation coaction, re-presented on fresh generators."""
+    of the right translation coaction, re-presented on fresh generators.
+
+    f is a coinvariant when rho(f) = f ox 1 for rho = (id ox pi) delta,
+    one memo on monomials into A ox Q (H's delta memo is not filled).
+    The columns rho(m) - m ox 1 over the basis monomials m are dense
+    vectors of A ox Q, so its ``to_vector`` guard applies."""
     A = H.carrier
     F = H.field
     Q, pi, _, _ = ideal._quotient()
@@ -972,15 +976,10 @@ def quotient_group(H, ideal, name=None):
     if not ok:
         raise NotNormal(witness)
     T = A.tensor(Q)
-    if T.dim > DIM_LIMIT:
-        raise SizeGuard("quotient_group coinvariant equations", T.dim,
-                        DIM_LIMIT)
-    columns = []
-    for m in A.basis_monomials():
-        # f is a coinvariant when (id ox pi) delta(f) = f ox 1
-        f = A.poly({m: 1})
-        columns.append(T.to_vector(map_leg(H.delta_map(f), 1, pi, T)
-                                   - T.embed(f, 0)))
+    rho = _mono_images(A, {nm: map_leg(dx, 1, pi, T)
+                           for nm, dx in H.delta.items()}, T)
+    columns = [T.to_vector(Poly(T, rho(m)) - T.embed(A.poly({m: 1}), 0))
+               for m in A.basis_monomials()]
     span = _column_kernel(F, columns, T.dim)
     chosen = []
     sub = subalgebra_generated(A, [])
@@ -1145,15 +1144,17 @@ def points_group(H, R):
     """R-valued points of the group scheme with the convolution group law.
 
     R is a local test algebra over the same field with nilpotent generators;
-    a point is a tuple of generator images, each an R-coordinate tuple."""
+    a point is a tuple of generator images, each an R-coordinate tuple.
+    Every element of R is listed, then each tuple of candidate images,
+    so more than POINTS_CANDIDATE_LIMIT of either is refused (SizeGuard)
+    before it is listed; the carrier's dimension plays no part."""
     A = H.carrier
     F = H.field
-    if A.dim > POINTS_DIM_LIMIT:
-        raise SizeGuard("points_group carrier", A.dim, POINTS_DIM_LIMIT)
-    if R.dim > POINTS_DIM_LIMIT:
-        raise SizeGuard("points_group test algebra", R.dim, POINTS_DIM_LIMIT)
     if R.field != F:
         raise BadParams("test algebra must share the coefficient field")
+    if F.q ** R.dim > POINTS_CANDIDATE_LIMIT:
+        raise SizeGuard("points_group test algebra", F.q ** R.dim,
+                        POINTS_CANDIDATE_LIMIT)
     shell = A.ambient
     r_elems = _all_elements(R)
     names = list(A.vars)
@@ -1215,16 +1216,12 @@ def enumerate_subgroups(H):
     tested on its generators (``HopfIdeal._is_hopf``).  The result is
     ordered by pivot set, then by free entries.
 
-    GF(2) and nil generators only.  Carriers of dimension above
-    ENUM_SUBGROUP_DIM_LIMIT are refused (SizeGuard) before any search.
+    Any field; nil generators only (BadParams otherwise).  The walk is
+    refused (SizeGuard) as soon as it holds more than
+    ENUM_SUBGROUP_LIMIT ideals, before any of them is tested.
     """
     A = H.carrier
     F = H.field
-    if F.q != 2:
-        raise SizeGuard("enumerate_subgroups field size", F.q, 2)
-    if A.dim > ENUM_SUBGROUP_DIM_LIMIT:
-        raise SizeGuard("enumerate_subgroups carrier", A.dim,
-                        ENUM_SUBGROUP_DIM_LIMIT)
     if any(k != "nil" for k in A.ambient.kinds):
         raise BadParams("enumerate_subgroups expects nil generators")
     one_pos = A.to_vector(A.one()).index(1)
@@ -1241,6 +1238,9 @@ def enumerate_subgroups(H):
                 if key not in ideals:
                     ideals[key] = J
                     up.append(J)
+                    if len(ideals) > ENUM_SUBGROUP_LIMIT:
+                        raise SizeGuard("enumerate_subgroups ideals",
+                                        len(ideals), ENUM_SUBGROUP_LIMIT)
         level = up
     found = [I for I in (HopfIdeal(H, V) for V in ideals.values())
              if I._is_hopf()]
@@ -1369,9 +1369,8 @@ def _morphisms(H1, H2, shape, iso_only):
     count = 1
     for nm in names:
         count *= F.q ** len(shape[nm])
-    if count > ENUM_MORPHISM_LIMIT:
-        raise SizeGuard("enumerate_morphisms candidates", count,
-                        ENUM_MORPHISM_LIMIT)
+    if count > SEARCH_LIMIT:
+        raise SizeGuard("enumerate_morphisms candidates", count, SEARCH_LIMIT)
     # each equation waits for the last generator it reads; one that reads
     # that generator alone filters its candidates once, up front
     depth = {nm: k for k, nm in enumerate(names)}
@@ -1452,7 +1451,7 @@ def enumerate_morphisms(H1, H2, shape=None, iso_only=False):
     the map on monomials, and binding a generator drops only the entries
     that read it (``talg._mono_images``).  A shape must be given on
     exactly the generators of A(H1), over the field of A(H2) (BadParams
-    otherwise), and more than ENUM_MORPHISM_LIMIT candidate assignments
+    otherwise), and more than SEARCH_LIMIT candidate assignments
     are refused (SizeGuard), all before any search.
     """
     return list(_morphisms(H1, H2, shape, iso_only))

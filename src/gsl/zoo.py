@@ -31,13 +31,12 @@ from .gf import Field
 from .talg import (Algebra, Poly, _mono_images, _sum_images, apply_map,
                    invert_unit, map_leg, multiply_legs, quotient_algebra,
                    weight_decomposition)
-from .hopf import (Failure, HopfAlgebra, Morphism, _relation_polys, _report,
-                   _require_ok, _require_on_gens, closed_subgroup,
-                   enumerate_morphisms, hopf_product, hopf_verify,
-                   kernel_subgroup, morphism_check, presentations_equal,
-                   primitive_elements, subgroup_from_elements)
-
-ENUM_COACTION_LIMIT = 1 << 24
+from .hopf import (SEARCH_LIMIT, Failure, HopfAlgebra, Morphism, _combos,
+                   _relation_polys, _report, _require_ok, _require_on_gens,
+                   closed_subgroup, enumerate_morphisms, hopf_product,
+                   hopf_verify, kernel_subgroup, morphism_check,
+                   presentations_equal, primitive_elements,
+                   subgroup_from_elements)
 
 
 def _field(field):
@@ -342,8 +341,9 @@ def semidirect(Hu, Hm, weights, name=None):
     weights maps each generator x of Hu to the exponent w(x) with which
     the unit W = 1 + U rescales it.  On the product carrier the
     comultiplication twists the right leg: every second-leg monomial m
-    of delta_Hu(x) picks up a W^w(m) in the first leg, and
-    delta(U) = U x 1 + 1 x U + U x U as in mu.  The antipode is
+    of delta_Hu(x) picks up a W^w(m) in the first leg (one
+    ``multiply_legs`` with the legs m1 -> m1 x 1, m2 -> W^w(m2) x m2),
+    and delta(U) = U x 1 + 1 x U + U x U as in mu.  The antipode is
     S(x) = W^(-w(x)) S_Hu(x), which the axiom check re-verifies.
     """
     Au, Am = Hu.carrier, Hm.carrier
@@ -378,16 +378,13 @@ def semidirect(Hu, Hm, weights, name=None):
 
     # the monomials of A(Hu) as monomials of the shell
     lift = _mono_images(Au, {}, shell)
-    tu = Hu.t2()
-    delta = {}
-    for v in Au.vars:
-        acc = t2.zero()
-        for m, c in Hu.delta[v].d.items():
-            m1, m2 = tu.split_mono(m)
-            wt = sum(e * weights[x] for x, e in zip(Au.vars, Au.exponents(m2)))
-            left = _sum_images(Poly(Au, {m1: c}), lift, shell) * wpow(wt)
-            acc = acc + t2.elem(left, Poly(shell, lift(m2)))
-        delta[v] = acc
+
+    def twisted(m2):
+        wt = sum(e * weights[x] for x, e in zip(Au.vars, Au.exponents(m2)))
+        return t2.elem(wpow(wt), Poly(shell, lift(m2))).d
+
+    legs = (lambda m1: t2.embed(Poly(shell, lift(m1)), 0).d, twisted)
+    delta = {v: multiply_legs(Hu.delta[v], legs, t2) for v in Au.vars}
     Uu, Uu_ = t2.embed(U, 0), t2.embed(U, 1)
     delta[mvar] = Uu + Uu_ + Uu * Uu_
 
@@ -714,12 +711,15 @@ def mu_action_normalize(i, coeffs, n, field=None):
 
 def enumerate_coactions(G, M):
     """All coactions of M on a one-generator G, by exhausting the image
-    space of the generator, in the order of the candidates' codes.
+    space of the generator.
 
     A counit-compatible candidate is x + (terms in aug(G) x aug(M)), so
-    the search space is the product of the two augmentation ideals.  The
-    axioms' frame is built once, and a candidate is dropped at the first
-    failure ``group_coaction_verify`` would list, so it keeps exactly the
+    the search space is the product of the two augmentation ideals, run
+    through by ``hopf._combos`` over the products of their basis
+    monomials, the first coefficient fastest.  More than SEARCH_LIMIT
+    candidates are refused (SizeGuard) before any is made.  The axioms'
+    frame is built once, and a candidate is dropped at the first failure
+    ``group_coaction_verify`` would list, so it keeps exactly the
     candidates that verify.
     """
     AG, AM = G.carrier, M.carrier
@@ -733,18 +733,11 @@ def enumerate_coactions(G, M):
              for mg in AG.basis_monomials() if AG.degree(mg)
              for mm in AM.basis_monomials() if AM.degree(mm)]
     total = F.q ** len(cells)
-    if total > ENUM_COACTION_LIMIT:
-        raise SizeGuard("coaction search space", total, ENUM_COACTION_LIMIT)
-    scalars = list(F.elements())
+    if total > SEARCH_LIMIT:
+        raise SizeGuard("coaction search space", total, SEARCH_LIMIT)
     found = []
-    for code in range(total):
-        rho = base
-        c = code
-        for cell in cells:
-            s = scalars[c % F.q]
-            c //= F.q
-            if s:
-                rho = rho + cell * t2.scalar(s)
+    for el in _combos(t2, cells):
+        rho = base + el
         if next(failures({nm: rho}), None) is None:
             found.append(rho)
     return found

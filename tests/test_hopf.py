@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError
+from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError, hopf
 from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       _column_kernel, _counit_sides, _generating_vars,
                       _ideal_covers, _ideal_span_coords, _nil_order,
@@ -517,7 +517,8 @@ def test_guards_name_what_a_large_carrier_would_materialise():
     checks = [
         ("tensor basis_monomials", lambda: G.t2().to_vector(G.delta["u11"])),
         ("primitive_elements pair rows", lambda: primitive_elements(G)),
-        ("quotient_group coinvariant equations",
+        # its columns are vectors over A ox Q, Q = A here
+        ("tensor basis_monomials",
          lambda: quotient_group(G, HopfIdeal(G, Subspace(F2, G.dim)))),
     ]
     for what, call in checks:
@@ -1264,13 +1265,44 @@ def test_requotient_keeps_the_carriers_aliases():
     assert T.carrier.var("u22") * (1 + u11) == -u11
 
 
+def _orders(H):
+    """The subgroups of H counted by order, the dimension of A/V."""
+    return sorted(Counter(H.dim - I.dim for I in enumerate_subgroups(H))
+                  .items())
+
+
 def test_enumeration_guards():
-    with pytest.raises(SizeGuard):
-        enumerate_subgroups(alpha(1, F4))
-    with pytest.raises(SizeGuard):
-        enumerate_subgroups(hopf_product(alpha(2), alpha(2)))
+    # the walk takes any field and any carrier; it counts the ideals it holds
+    assert _orders(alpha(1, F4)) == [(1, 1), (2, 1)]
+    assert _orders(hopf_product(alpha(2), alpha(2))) == [
+        (1, 1), (2, 3), (4, 7), (8, 3), (16, 1)]
+    with pytest.raises(SizeGuard) as exc:
+        enumerate_subgroups(SL2_kerF(1, F3))
+    assert exc.value.what == "enumerate_subgroups ideals"
     with pytest.raises(BadParams):
         enumerate_subgroups(mu(1))
+
+
+@pytest.mark.parametrize("F,cid,want", [
+    (F2, "alpha(6)", [1] * 7), (F2, "D(3,A)", [1, 3, 3, 3, 1]),
+    (F2, "witt2", [1, 1, 3, 1, 1]), (F2, "H(1,4)", [1] * 5),
+    (F2, "cocycle_ext(a=1,n=2)", [1, 3, 3, 3, 1]),
+    (F4, "alpha(1)", [1, 1]), (F4, "D(1)", [1, 5, 1]),
+    (F4, "D(2)", [1, 5, 5, 1]), (F4, "D(3,A)", [1, 5, 5, 5, 1]),
+    (F4, "alpha(3)", [1] * 4), (F3, "alpha(2)", [1] * 3),
+    (F3, "D(1)", [1, 4, 1]), (F5, "alpha(1)", [1, 1])],
+    ids=lambda x: x.name if isinstance(x, Field) else
+    x if isinstance(x, str) else "")
+def test_subgroup_lattices_past_gf2_and_dim_8(F, cid, want):
+    # the subgroups counted by order p^0, p^1, ...; D(1) is
+    # alpha_p x alpha_p, whose q + 1 subgroups of order p are its lines
+    H = zoo_parse(cid, F)
+    found = enumerate_subgroups(H)
+    orders = Counter(H.dim - I.dim for I in found)
+    assert [orders[F.p ** e] for e in range(len(want))] == want
+    assert sum(want) == len(found)
+    for I in found:
+        assert I.verify()["ok"] and H.dim % (H.dim - I.dim) == 0
 
 
 # -- normality, centrality, quotients ----------------------------------------
@@ -1425,6 +1457,24 @@ def test_points_of_mu():
 def test_points_field_mismatch():
     with pytest.raises(BadParams):
         points_group(alpha(1), Algebra(F4, ["t"], [2]))
+
+
+def test_points_guard_counts_the_listed_elements(monkeypatch):
+    # GF(2)[t]/(t^32) has 2^32 elements: refused before any is listed
+    def refuse(R):
+        raise AssertionError("the elements were listed")
+
+    monkeypatch.setattr(hopf, "_all_elements", refuse)
+    with pytest.raises(SizeGuard) as exc:
+        points_group(alpha(1), Algebra(F2, ["t"], [32]))
+    assert exc.value.what == "points_group test algebra"
+
+
+def test_points_of_a_large_carrier():
+    # the carrier's dimension (512) costs nothing: over GF(2)[t]/(t^2)
+    # a point is I + tX with X in sl2
+    pts = points_group(SL2_kerF(3), Algebra(F2, ["t"], [2]))
+    assert pts.order == 8 and pts.check_axioms()
 
 
 # -- presentations -----------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +172,89 @@ def test_sl2_maps_onto_pgl2_with_central_kernel(F, dims):
         pi = pgl2_morphism(M, n)
         assert morphism_check(pi)["ok"]
         assert (kernel_subgroup(pi).dim, image_subgroup(pi).dim) == want
+
+
+def _dot(F, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def _restricted_subalgebras(H):
+    """Every restricted subalgebra of Lie(H), as a Subspace of tangent
+    vectors: each subspace of the span of ``lie_algebra``'s basis once,
+    by its reduced echelon form over that basis (a pivot set, then the
+    free entries), kept when its rows close under bracket and p-map."""
+    F = H.field
+    basis, bracket, ppower = lie_algebra(H)
+    n, r = len(basis), len(H.carrier.vars)
+    out = []
+    for k in range(n + 1):
+        for piv in itertools.combinations(range(n), k):
+            slots = [(i, j) for i, l in enumerate(piv)
+                     for j in range(l + 1, n) if j not in piv]
+            for vals in itertools.product(F.elements(), repeat=len(slots)):
+                coeffs = [[int(j == l) for j in range(n)] for l in piv]
+                for (i, j), c in zip(slots, vals):
+                    coeffs[i][j] = c
+                rows = [[_dot(F, row, [b[t] for b in basis])
+                         for t in range(r)] for row in coeffs]
+                h = Subspace(F, r)
+                for row in rows:
+                    h.insert(row)
+                if (all(h.contains(bracket(u, v)) for u in rows for v in rows)
+                        and all(h.contains(ppower(u)) for u in rows)):
+                    out.append(h)
+    return out
+
+
+def _tangent_map(f):
+    """df on tangent vectors of f.target to those of f.source, for a map
+    with eps = 0 on every generator of both: the coefficient of each
+    target variable in the images of the source's."""
+    A, B = f.source.carrier, f.target.carrier
+    keys = [next(iter(B.var(nm).d)) for nm in B.vars]
+    rows = [[f.images[nm].d.get(key, 0) for key in keys] for nm in A.vars]
+    return lambda u: [_dot(f.source.field, row, u) for row in rows]
+
+
+@pytest.mark.parametrize("F,pgl2,lifts,sl2", [
+    (F2, [1, 7, 7, 1], [1, 3, 0, 0], [1, 4, 3, 1]),
+    (F4, [1, 21, 21, 1], [1, 5, 0, 0], [1, 6, 5, 1]),
+    (F3, [1, 13, 4, 1], [1, 13, 4, 1], [1, 13, 4, 1]),
+    (Field(5), [1, 31, 6, 1], [1, 31, 6, 1], [1, 31, 6, 1])],
+    ids=lambda x: x.name if isinstance(x, Field) else "")
+def test_height_one_lift_table(F, pgl2, lifts, sl2):
+    # restricted subalgebras of pgl2 and sl2 by dimension, and those of
+    # pgl2 that d pi_1 maps some subalgebra of sl2 isomorphically onto:
+    # all of them in odd characteristic, no plane in characteristic 2
+    G = SL2_kerF(1, F)
+    u = G.carrier.var
+    pi = pgl2_morphism(MobiusMatrix(G, ((u("u11") + 1, u("u12")),
+                                        (u("u21"), u("u22") + 1))), 1)
+    assert all(pi.source.counit[nm] == 0 for nm in pi.source.carrier.vars)
+    assert all(G.counit[nm] == 0 for nm in G.carrier.vars)
+    dpi = _tangent_map(pi)
+    downs, ups = (_restricted_subalgebras(H) for H in (pi.source, G))
+    images = []
+    for h in ups:
+        img = Subspace(F, len(pi.source.carrier.vars))
+        for row in h.basis():
+            img.insert(dpi(row))
+        if img.dim == h.dim:
+            images.append(img.basis())
+
+    def by_dim(spaces):
+        return [sum(1 for h in spaces if h.dim == d) for d in range(4)]
+
+    assert by_dim(downs) == pgl2 and by_dim(ups) == sl2
+    assert by_dim([h for h in downs if h.basis() in images]) == lifts
+    if F.q in (2, 4):
+        # a height-one subgroup of order p^d is one subalgebra of dim d
+        for H, want in ((G, sl2), (pi.source, pgl2)):
+            got = Counter(H.dim - I.dim for I in enumerate_subgroups(H))
+            assert [got[2 ** d] for d in range(4)] == want
 
 
 def test_H_unip_dims_and_axioms():
