@@ -1217,13 +1217,18 @@ def enumerate_subgroups(H):
     ordered by pivot set, then by free entries.
 
     Any field; nil generators only (BadParams otherwise).  The walk is
-    refused (SizeGuard) as soon as it holds more than
-    ENUM_SUBGROUP_LIMIT ideals, before any of them is tested.
+    refused (SizeGuard) before it starts when its table of generator
+    times basis monomial, dim^2 coordinates per generator, passes
+    DIM_LIMIT, and as soon as it holds more than ENUM_SUBGROUP_LIMIT
+    ideals, before any of them is tested.
     """
     A = H.carrier
     F = H.field
     if any(k != "nil" for k in A.ambient.kinds):
         raise BadParams("enumerate_subgroups expects nil generators")
+    rows = len(H.gens()) * A.dim * A.dim
+    if rows > DIM_LIMIT:
+        raise SizeGuard("enumerate_subgroups cover rows", rows, DIM_LIMIT)
     one_pos = A.to_vector(A.one()).index(1)
     muls = [[A.to_vector(x * A.poly({m: 1})) for m in A.basis_monomials()]
             for x in H.gens()]
