@@ -277,7 +277,9 @@ class Field(object):
 
     def frob(self, a, r=1):
         """The Frobenius power a -> a^(p^r); r may be any integer mod m."""
-        return self.pow(a, self.p ** (r % self.m))
+        r %= self.m
+        # the identity when r is a multiple of m, as on every prime field
+        return self.pow(a, self.p ** r) if r else a
 
     # -- enumeration and diagnostics -------------------------------------
 

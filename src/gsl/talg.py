@@ -39,6 +39,13 @@ exponent tuples and pack them, and ``exponents``, ``exponent``,
 ``degree``, ``split_mono`` and ``join_mono`` read keys for everyone
 else.
 
+Over GF(2) every nonzero code is 1, so the inner loops (``mul_dicts``,
+``reduce_dict``, ``_sum_terms``, ``map_leg``) add a term by toggling its
+key: deleted if present, else inserted at the end.  That is what the
+generic path does with a sum that cancels or a key that is new, so the
+terms come out in the same insertion order, which is the order in which
+reports list failures.
+
 A QuotientAlgebra divides a free finite Algebra by an ideal held as its
 Groebner basis: the reduced basis is the staircase of monomials that no
 leading monomial divides, listed from the leading keys alone, and the
@@ -238,22 +245,9 @@ class Poly(object):
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            return invert_unit(self) ** (-e)
         if e == 0:
             return self.alg.one()
-        p = self.alg.field.p
-        if e < p:
-            out = self
-            for _ in range(e - 1):
-                out = out * self
-            return out
-        # f^e = (f^(e//p))^p * f^(e%p); the p-th power is termwise in
-        # characteristic p, coefficients included.
-        out = (self ** (e // p))._frobenius_power()
-        if e % p:
-            out = out * self ** (e % p)
-        return out
+        return Poly(self.alg, _power({1: self.d}, e, self.alg))
 
     def _frobenius_power(self):
         alg = self.alg
@@ -459,6 +453,19 @@ class Algebra(object):
             return {m: c for m, c in d.items() if c}
         out = {}
         F = self.field
+        if F.q == 2:
+            # every nonzero code is 1: toggle the key (see the module
+            # docstring); a zero code adds nothing
+            for m, c in d.items():
+                if not c:
+                    continue
+                red = self.reduce_term(m)
+                for m2 in (m,) if red is None else red:
+                    if m2 in out:
+                        del out[m2]
+                    else:
+                        out[m2] = 1
+            return out
         for m, c in d.items():
             red = self.reduce_term(m)
             if red is None:
@@ -477,13 +484,31 @@ class Algebra(object):
         return out
 
     def mul_dicts(self, d1, d2):
-        add, mul = self.field.add, self.field.mul
         lay = self._lay
         zero, bias, guard, fix, dies = (lay.zero, lay.bias, lay.guard, lay.fix,
                                         lay.all_nil)
         acc = {}
         if len(d1) > len(d2):
             d1, d2 = d2, d1
+        if self.field.q == 2:
+            # every code is 1: toggle the key (see the module docstring)
+            for m1 in d1:
+                b = m1 - zero
+                for m2 in d2:
+                    m = b + m2
+                    o = (m + bias) & guard
+                    if o:
+                        if dies:
+                            continue
+                        m = fix(m, o)
+                        if m is None:
+                            continue
+                    if m in acc:
+                        del acc[m]
+                    else:
+                        acc[m] = 1
+            return acc if self._plain else self.reduce_dict(acc)
+        add, mul = self.field.add, self.field.mul
         for m1, c1 in d1.items():
             b = m1 - zero
             for m2, c2 in d2.items():
@@ -876,6 +901,8 @@ class TensorAlgebra(Algebra):
         self._plain = all(fac._plain for fac in factors)
         # (slots, target width) -> ``_leg_plan``, filled on first use
         self._leg_plans = {}
+        # key -> its residue (``reduce_term``), filled on first use
+        self._memo = {}
 
     def _leg_plan(self, slots, width):
         """Where ``map_leg`` puts the legs of a key in a target ``width``
@@ -904,28 +931,29 @@ class TensorAlgebra(Algebra):
         return plan
 
     def reduce_term(self, m):
+        """The residue of the key m, memoised like a quotient's: the
+        product of its legs' residues, or None when every leg is reduced."""
         if self._plain:
             return None
-        F = self.field
-        acc = {0: 1}
+        hit = self._memo.get(m, _UNSEEN)
+        if hit is _UNSEEN:
+            hit = self._memo[m] = self._join_residues(m)
+        return hit
+
+    def _join_residues(self, m):
+        mul = self.field.mul
+        acc = None
         for fac, (a, b) in zip(self.factors, self._spans):
-            part = (m >> a) & ((1 << (b - a)) - 1)
-            red = fac.reduce_term(part)
+            mask = (1 << (b - a)) - 1
+            red = fac.reduce_term((m >> a) & mask)
             if red is None:
-                red = {part: 1}
-            nxt = {}
-            for head, c in acc.items():
-                for sub, c2 in red.items():
-                    cc = F.mul(c, c2)
-                    key = head | (sub << a)
-                    s = F.add(nxt.get(key, 0), cc)
-                    if s:
-                        nxt[key] = s
-                    else:
-                        nxt.pop(key, None)
-            acc = nxt
-        if len(acc) == 1 and m in acc and acc[m] == 1:
-            return None
+                continue
+            if acc is None:
+                acc = {m: 1}
+            hole = ~(mask << a)
+            # the legs sit in disjoint bit spans, so no two keys meet
+            acc = {(h & hole) | (sub << a): mul(c, c2)
+                   for h, c in acc.items() for sub, c2 in red.items()}
         return acc
 
     def embed(self, f, slot):
@@ -1230,13 +1258,13 @@ def _mono_images(src, images, target, allow_missing=()):
     reduced keys that must never be mutated.
 
     The image of m is the image of m with its last nonzero exponent e
-    cleared, times img_k ** e; each such power is computed once (and
-    reduced), so a new monomial costs at most one product and none is
-    repeated.  The last nonzero exponent is the field of the top bit in
-    which m differs from the zero key.  A lookup walks down those
-    prefixes to the longest one in the memo and multiplies back up in a
-    loop, so the function never calls itself and forms no reference
-    cycle.
+    cleared, times img_k ** e; each such power is built once, by at most
+    one product from the lower ones (``_power``), so a new monomial costs
+    at most two products and none is repeated.  The last nonzero exponent
+    is the field of the top bit in which m differs from the zero key.  A
+    lookup walks down those prefixes to the longest one in the memo and
+    multiplies back up in a loop, so the function never calls itself and
+    forms no reference cycle.
 
     ``image.rebind(k, img)`` sends variable k to img from then on (None
     drops it, as ``allow_missing`` does).  Only the monomials whose last
@@ -1286,9 +1314,10 @@ def _mono_images(src, images, target, allow_missing=()):
                     raise BadParams("nonzero exponent on a dropped variable")
                 if img.alg is not target:
                     raise BadParams("operands live in different algebras")
-                # a power e > 1 comes out of products, hence reduced
-                pw = powers[k][e] = (target.reduce_dict(img.d) if e == 1
-                                     else (img ** e).d)
+                if not powers[k]:
+                    # a power e > 1 comes out of products, hence reduced
+                    powers[k][1] = target.reduce_dict(img.d)
+                pw = _power(powers[k], e, target)
             hit = memo[m] = pw if hit is one else target.mul_dicts(hit, pw)
             layers[k].append(m)
         return hit
@@ -1305,6 +1334,35 @@ def _mono_images(src, images, target, allow_missing=()):
     return image
 
 
+def _power(powers, e, target):
+    """x^e (e != 0) as a dict, from and into ``powers``, a memo
+    {exponent: dict} of the powers of an element x of target that holds
+    x^1, such as one variable's image in ``_mono_images``.  x^e is
+    (x^(e//p))^p * x^(e%p), the p-th power being termwise in
+    characteristic p, coefficients included, and x^(e-1) * x below p;
+    for e < 0 the same in x^-1.  So each exponent costs at most one
+    product and is built once.  The recursion is at most log_p|e| + p
+    deep."""
+    pw = powers.get(e)
+    if pw is not None:
+        return pw
+    if e == -1:
+        pw = invert_unit(Poly(target, powers[1])).d
+    else:
+        p = target.field.p
+        s, a = (1, e) if e > 0 else (-1, -e)
+        if a < p:
+            pw = target.mul_dicts(_power(powers, e - s, target),
+                                  _power(powers, s, target))
+        else:
+            pw = Poly(target, _power(powers, s * (a // p), target)
+                      )._frobenius_power().d
+            if a % p:
+                pw = target.mul_dicts(pw, _power(powers, s * (a % p), target))
+    powers[e] = pw
+    return pw
+
+
 def _sum_images(f, image, target, coeff_map=None):
     """Sum c * image(m) over the terms c * m of f, in one dict."""
     return Poly(target, _sum_terms(_codes(f, target, coeff_map), image,
@@ -1313,8 +1371,17 @@ def _sum_images(f, image, target, coeff_map=None):
 
 def _sum_terms(terms, image, F):
     """Sum c * image(m) over the pairs (m, c), as a new dict."""
-    add, mul = F.add, F.mul
     out = {}
+    if F.q == 2:
+        # every code is 1: toggle the key (see the module docstring)
+        for m, _ in terms:
+            for m2 in image(m):
+                if m2 in out:
+                    del out[m2]
+                else:
+                    out[m2] = 1
+        return out
+    add, mul = F.add, F.mul
     for m, c in terms:
         for m2, c2 in image(m).items():
             s = add(out.get(m2, 0), c2 if c == 1 else mul(c, c2))
@@ -1365,6 +1432,7 @@ def map_leg(f, slot, fn, target):
     spans = f.alg._spans
     runs, at = f.alg._leg_plan(slots, target._lay.width)
     add, mul = target.field.add, target.field.mul
+    gf2 = target.field.q == 2
     out = {}
     for rest, acc in _leg_groups(f, spans[slots[-1]], fn, target.field):
         base = 0
@@ -1380,6 +1448,16 @@ def map_leg(f, slot, fn, target):
                      for h, c in heads for sub, c2 in img]
         # two groups meet only through those images
         p = at[slots[-1]]
+        if gf2:
+            # every code is 1: toggle the key (see the module docstring)
+            for h, _ in heads:
+                for sub in acc:
+                    key = h | (sub << p)
+                    if key in out:
+                        del out[key]
+                    else:
+                        out[key] = 1
+            continue
         for h, hc in heads:
             for sub, c in acc.items():
                 key = h | (sub << p)

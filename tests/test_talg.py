@@ -1128,3 +1128,162 @@ def test_packed_keys_follow_the_exponent_tuple_rules(A, data):
             assert fac.exponents(leg) == e1[at:at + n]
             at += n
         assert A.join_mono(legs) == k1
+
+
+# -- GF(2) toggles, and the memos of tensor residues and of powers -------------
+
+F9 = Field(3, 2)
+
+
+def _zero_one_maps(F):
+    """Algebras over F whose every code is 0 or 1: a free A with nil and
+    unit variables, a quotient Q of it, a free B, and two leg maps, one
+    B -> B ox B shaped like a coproduct and one Q -> Q."""
+    A = Algebra(F, ["x", "y", "u"], [4, 2, 4], ["nil", "nil", "unit"])
+    x, y, u = A.gens()
+    Q = quotient_algebra(A, [x * x + x * y * u, y * u + y + x ** 3],
+                         eliminate=False)
+    B = Algebra(F, ["v", "w"], [2, 4], ["unit", "nil"])
+    BB = B.tensor(B)
+    v, w, v_, w_ = BB.gens()
+    delta = _mono_images(B, {"v": v * v_, "w": w + w_ + w * w_}, BB)
+    qx, qy, qu = Q.gens()
+    endo = _mono_images(Q, {"x": qx + qx * qu, "y": qy * qu, "u": 1 + qx},
+                        Q)
+    return A, Q, B, delta, endo
+
+
+def _zero_one_results(F, keys, coded):
+    """mul_dicts, reduce_dict, map_leg and multiply_legs over F on the
+    drawn keys (all codes 1) and coded terms (codes 0 or 1), each result
+    as its list of items, in insertion order."""
+    A, Q, B, delta, endo = _zero_one_maps(F)
+    QB, QQ = Q.tensor(B), Q.tensor(Q)
+    out = []
+    for alg in (A, Q, A.tensor(A), QB):
+        d1, d2 = ({m: 1 for m in ks} for ks in keys[alg.vars])
+        out.append(alg.mul_dicts(d1, d2))
+    for alg in (Q, QB):
+        out.append(alg.reduce_dict(dict(coded[alg.vars])))
+    f = Poly(QB, {m: 1 for m in keys[QB.vars][0]})
+    out.append(map_leg(f, 1, delta, TensorAlgebra((Q, B, B))).d)
+    g = Poly(QQ, {m: 1 for m in keys[QQ.vars][0]})
+    out.append(map_leg(g, (0, 1), endo, QQ).d)
+    out.append(multiply_legs(g, (endo, lambda m: {m: 1}), Q).d)
+    return [list(d.items()) for d in out]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gf2_toggles_match_the_generic_path_in_order(data):
+    # codes 0 and 1 add over GF(4) as over GF(2), 1 + 1 = 0, but GF(4)
+    # runs the generic add/mul path: the GF(2) key toggles must give the
+    # same dicts in the same insertion order, which is the order reports
+    # list failures in
+    A, Q, B, _, _ = _zero_one_maps(F2)
+    pools = {alg.vars: alg.basis_monomials()
+             for alg in (A, Q, A.tensor(A), Q.tensor(B), Q.tensor(Q))}
+    keys = {vs: [data.draw(st.lists(st.sampled_from(pool), max_size=10,
+                                    unique=True)) for _ in range(2)]
+            for vs, pool in pools.items()}
+    # reduce_dict reads shell keys, and skips a zero code
+    shells = {Q.vars: A.monomials(),
+              Q.tensor(B).vars: A.tensor(B).basis_monomials()}
+    coded = {vs: data.draw(st.lists(
+        st.tuples(st.sampled_from(pool), st.integers(0, 1)), max_size=12,
+        unique_by=lambda t: t[0])) for vs, pool in shells.items()}
+    assert _zero_one_results(F2, keys, coded) == _zero_one_results(
+        F4, keys, coded)
+
+
+def _leg_residue_product(T, m):
+    """The residue of the key m of T, joined by hand from its legs'
+    residues: one product of codes per choice of a term in each leg."""
+    F, want, legs = T.field, {}, []
+    for fac, leg in zip(T.factors, T.split_mono(m)):
+        red = fac.reduce_term(leg)
+        legs.append({leg: 1} if red is None else red)
+    for terms in itertools.product(*(red.items() for red in legs)):
+        c = 1
+        for _, c2 in terms:
+            c = F.mul(c, c2)
+        k = T.join_mono([leg for leg, _ in terms])
+        want[k] = F.add(want.get(k, 0), c)
+    return {k: c for k, c in want.items() if c}
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=lambda F: F.name)
+def test_tensor_residues_are_memoised_leg_products(F):
+    # Q ox C ox Q2 over every key of its shell, each leg reduced or not
+    p = F.p
+    A = Algebra(F, ["x", "y"], [p + 1, p], ["nil", "unit"])
+    x, y = A.gens()
+    Q = quotient_algebra(A, [x * y - x + x * x], eliminate=False)
+    C = Algebra(F, ["z"], [3])
+    D = Algebra(F, ["t", "s"], [p + 1, 2])
+    t, s = D.gens()
+    Q2 = quotient_algebra(D, [s * t - t * t * D.scalar(F.q - 1)],
+                          eliminate=False)
+    T = TensorAlgebra((Q, C, Q2))
+    assert Q.groebner and Q2.groebner and not T._plain
+    shell = TensorAlgebra((A, C, D)).basis_monomials()
+    for m in shell:
+        got = T.reduce_term(m)
+        if all(fac.reduce_term(leg) is None
+               for fac, leg in zip(T.factors, T.split_mono(m))):
+            assert got is None
+        else:
+            assert got == _leg_residue_product(T, m)
+        assert T.reduce_term(m) is got and T._memo[m] is got
+    assert len(T._memo) == len(shell)
+    # a plain tensor never fills its memo
+    P = TensorAlgebra((A, C))
+    assert all(P.reduce_term(m) is None for m in P.basis_monomials())
+    assert P._memo == {}
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=lambda F: F.name)
+def test_mono_image_powers_are_repeated_products(F):
+    # every power of every variable's image, asked for from the top down
+    # so that the low ones come out of the memo, against a loop of
+    # products; a laurent variable's negative powers against x^-1's
+    p = F.p
+    amb = Algebra(F, ["x", "y"], [p * p + 2, p * p], ["nil", "unit"])
+    x, y = amb.gens()
+    Q = quotient_algebra(amb, [x ** (p + 2) * y - x ** (p + 2)],
+                         eliminate=False)
+    qx, qy = Q.gens()
+    src = Algebra(F, ["a", "b", "c"], [p * p + 1, p * p, p],
+                  ["nil", "unit", "nil"])
+    images = {"a": qx + qy, "b": qy + qx * qy * Q.scalar(F.q - 1),
+              "c": qx * qx + qy}
+    image = _mono_images(src, images, Q)
+    for nm, d in zip(src.vars, src.orders):
+        img = images[nm]
+        for e in range(d - 1, 0, -1):
+            want = img
+            for _ in range(e - 1):
+                want = want * img
+            assert Poly(Q, image(key(src, {nm: e}))) == want, (nm, e)
+    L = Algebra(F, ["X"], [0], ["laurent"])
+    unit = 1 + qx + qx * qy
+    image = _mono_images(L, {"X": unit}, Q)
+    inv = invert_unit(unit)
+    for e in (-p * p - 1, p * p + 1, -p, p, -1, 1, -2, 2):
+        want = Q.one()
+        for _ in range(abs(e)):
+            want = want * (unit if e > 0 else inv)
+        assert Poly(Q, image(key(L, {"X": e}))) == want, e
+    assert Poly(Q, image(key(L, {"X": p}))) * Poly(
+        Q, image(key(L, {"X": -p}))) == Q.one()
+
+
+@pytest.mark.parametrize("F,cid,plain", [
+    (F2, "SL2_kerF(2)", True), (F3, "SL2_kerF(1)", True),
+    (F2, "pullback(1,1,2)", False)], ids=lambda x: getattr(x, "name", x))
+def test_verify_fills_the_residue_memo_of_a_quotient_square_only(F, cid,
+                                                                  plain):
+    H = zoo_parse(cid, F)
+    t2 = H.t2()
+    assert gsl.hopf_verify(H)["ok"] and t2._plain is plain
+    assert bool(t2._memo) is not plain
