@@ -13,7 +13,7 @@ given and read back.
 from .errors import BadParams, NonUnit, NotFractionalLinear, NotInvertible
 from .gf import Field
 from .hopf import Failure, Morphism, _report, _require_ok, hopf_ideal_closure
-from .talg import Poly, invert_unit, map_leg
+from .talg import Poly, _power, invert_unit, map_leg
 from .zoo import D, PGL2_kerF, alpha, mu, semidirect
 
 
@@ -114,24 +114,17 @@ def coaction_verify(c):
     # keys sort as their degrees do
     failures = [Failure("counit", _degree(line, m), line.scalar(code))
                 for m, code in sorted(miss.d.items())]
-    rinv = None
+    # the powers of s, and of its inverse if it has negative degrees
+    powers = {1: s.d}
     if any(_degree(s.alg, m) < 0 for m in s.d):
         try:
-            rinv = _inverse(s)
+            powers[-1] = _inverse(s).d
         except NotInvertible:
             failures.append(Failure("well_defined", None, s))
             return _report(failures)
-    powers = {}
-
-    def power(leg):
-        hit = powers.get(leg)
-        if hit is None:
-            i = _degree(line, leg)
-            hit = powers[leg] = (s ** i if i >= 0 else rinv ** -i).d
-        return hit
-
     target = H._line(2)
-    lhs = map_leg(s, 1, power, target)
+    lhs = map_leg(s, 1, lambda leg: _power(powers, _degree(line, leg), s.alg),
+                  target)
     rhs = map_leg(s, 0, H.delta_mono, target)
     t2 = H.t2()
     by_degree = {}

@@ -22,7 +22,7 @@ tested on V's generators, and nothing of size dim A^2 is laid out.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
@@ -905,8 +905,9 @@ def hopf_ideal_closure(H, seeds):
     """Hopf ideal containing the seeds, grown by forced leg adjunction.
 
     Rounds: take the ideal the seeds span; while it is no Hopf ideal,
-    adjoin the escaping legs of delta(f) and S(f) if it escapes, for each
-    basis element f, and re-span from the ideal's generators and those.
+    adjoin the escaping legs of delta(f), each less its counit, and S(f)
+    if it escapes, for each basis element f, and re-span from the ideal's
+    generators and those.  So the ideal stays in the augmentation ideal.
     When the seeds already generate a Hopf ideal nothing is adjoined and
     the result is exactly that ideal; an escape that several different
     ideals could repair gets both of its legs, which may overshoot the
@@ -921,7 +922,9 @@ def hopf_ideal_closure(H, seeds):
             break
         old, add = ideal.dim, list(ideal._quotient()[2])
         for f in ideal.basis_polys():
-            add += ideal._escaping_legs(f)
+            # a leg off the augmentation ideal is a unit, so its part in
+            # it, leg - eps(leg), goes in: the ideal stays in ker eps
+            add += [g - H.counit_map(g) for g in ideal._escaping_legs(f)]
             sf = H.antipode_map(f)
             if not ideal.contains(sf):
                 add.append(sf)
@@ -1260,17 +1263,10 @@ def _ideal_covers(I, muls, one_pos):
     of x times basis monomial c)."""
     F, n = I.field, I.n
     free = [c for c in I.complement_indices() if c != one_pos]
-    k = len(free)
-    # rows (e_c | x.e_c mod I, for each x); the echelon rows that pivot in
-    # the first k coordinates are the combinations every x sends into I
-    S = Subspace(F, k + len(muls) * n)
-    for t, c in enumerate(free):
-        row = [0] * k
-        row[t] = 1
-        for mul in muls:
-            row.extend(I.residue(mul[c]))
-        S.insert(row)
-    sols = [row[:k] for row in S.basis() if not any(row[k:])]
+    # the combinations of the e_c that every x sends into I
+    columns = [list(chain.from_iterable(I.residue(mul[c]) for mul in muls))
+               for c in free]
+    sols = _column_kernel(F, columns, len(muls) * n).basis()
     for coeffs in product(range(F.q), repeat=len(sols)):
         # one vector per line: the last nonzero coefficient is 1
         if next((a for a in reversed(coeffs) if a), 0) != 1:

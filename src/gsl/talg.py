@@ -39,12 +39,15 @@ exponent tuples and pack them, and ``exponents``, ``exponent``,
 ``degree``, ``split_mono`` and ``join_mono`` read keys for everyone
 else.
 
-Over GF(2) every nonzero code is 1, so the inner loops (``mul_dicts``,
-``reduce_dict``, ``_sum_terms``, ``map_leg``) add a term by toggling its
-key: deleted if present, else inserted at the end.  That is what the
-generic path does with a sum that cancels or a key that is new, so the
-terms come out in the same insertion order, which is the order in which
-reports list failures.
+Every sum of terms, c * m or c times the image of m, goes through
+``_sum_terms``, except four loops where the call would cost more than
+the loop: the term products of ``mul_dicts``, the last slot of
+``map_leg``, ``Poly.__add__`` and the Groebner side's ``add_times``.
+Over GF(2) every nonzero code is 1, so ``_sum_terms``, ``mul_dicts`` and
+``map_leg`` add a term by toggling its key: deleted if present, else
+inserted at the end.  That is what the generic path does with a sum
+that cancels or a key that is new, so the terms come out in the same
+insertion order, which is the order in which reports list failures.
 
 A QuotientAlgebra divides a free finite Algebra by an ideal held as its
 Groebner basis: the reduced basis is the staircase of monomials that no
@@ -245,25 +248,20 @@ class Poly(object):
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        if e == 0:
-            return self.alg.one()
         return Poly(self.alg, _power({1: self.d}, e, self.alg))
 
     def _frobenius_power(self):
+        """self^p, taken termwise: the p-th power is additive in
+        characteristic p."""
         alg = self.alg
         F = alg.field
-        d = {}
+        terms = []
         for m, c in self.d.items():
             mp = alg._mono_pow(m, F.p)
-            if mp is None:
-                continue
-            cp = F.frob(c)
-            s = F.add(d.get(mp, 0), cp)
-            if s:
-                d[mp] = s
-            else:
-                d.pop(mp, None)
-        return Poly(alg, alg.reduce_dict(d))
+            if mp is not None:
+                terms.append((mp, F.frob(c)))
+        d = _sum_terms(terms, None, F)
+        return Poly(alg, d if alg._plain else alg.reduce_dict(d))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -451,37 +449,7 @@ class Algebra(object):
         if self._plain:
             # every key is its own residue, and a dict repeats none
             return {m: c for m, c in d.items() if c}
-        out = {}
-        F = self.field
-        if F.q == 2:
-            # every nonzero code is 1: toggle the key (see the module
-            # docstring); a zero code adds nothing
-            for m, c in d.items():
-                if not c:
-                    continue
-                red = self.reduce_term(m)
-                for m2 in (m,) if red is None else red:
-                    if m2 in out:
-                        del out[m2]
-                    else:
-                        out[m2] = 1
-            return out
-        for m, c in d.items():
-            red = self.reduce_term(m)
-            if red is None:
-                s = F.add(out.get(m, 0), c)
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-                continue
-            for m2, c2 in red.items():
-                s = F.add(out.get(m2, 0), F.mul(c, c2))
-                if s:
-                    out[m2] = s
-                else:
-                    out.pop(m2, None)
-        return out
+        return _sum_terms(d.items(), self.reduce_term, self.field)
 
     def mul_dicts(self, d1, d2):
         lay = self._lay
@@ -581,14 +549,11 @@ class Algebra(object):
         """Wrap a dict over reduced keys or exponent tuples (packed under
         the exponent rules); reduces mod the ideal."""
         if any(type(m) is tuple for m in d):
-            add, keyed = self.field.add, {}
-            for m, c in d.items():
-                if type(m) is tuple:
-                    m = self._pack(m)
-                    if m is None:
-                        continue
-                keyed[m] = add(keyed.get(m, 0), c)
-            d = keyed
+            # a tuple packs to its key, or to None when a nil power dies
+            keys = ((self._pack(m) if type(m) is tuple else m, c)
+                    for m, c in d.items())
+            d = _sum_terms(((m, c) for m, c in keys if m is not None), None,
+                           self.field)
         return Poly(self, self.reduce_dict(d))
 
     # -- vectors -------------------------------------------------------------
@@ -749,7 +714,7 @@ class QuotientAlgebra(Algebra):
     def _normal_form(self, m):
         """Fill the memo for m by division, depth first on an explicit
         stack: a division chain may be as long as the shell is wide."""
-        F, memo = self.field, self._memo
+        memo = self._memo
         steps = {}
         stack = [m]
         while stack:
@@ -772,16 +737,8 @@ class QuotientAlgebra(Algebra):
                 stack.extend(todo)
                 continue
             stack.pop()
-            out = {}
-            for s, c in step.items():
-                nf = memo[s]
-                for s2, c2 in ({s: 1} if nf is None else nf).items():
-                    v = F.add(out.get(s2, 0), F.mul(c, c2))
-                    if v:
-                        out[s2] = v
-                    else:
-                        del out[s2]
-            memo[top] = out
+            memo[top] = _sum_terms(step.items(), memo.__getitem__,
+                                   self.field)
         return memo[m]
 
     def lift(self, f):
@@ -1335,10 +1292,10 @@ def _mono_images(src, images, target, allow_missing=()):
 
 
 def _power(powers, e, target):
-    """x^e (e != 0) as a dict, from and into ``powers``, a memo
-    {exponent: dict} of the powers of an element x of target that holds
-    x^1, such as one variable's image in ``_mono_images``.  x^e is
-    (x^(e//p))^p * x^(e%p), the p-th power being termwise in
+    """x^e as a dict, from and into ``powers``, a memo {exponent: dict}
+    of the powers of an element x of target that holds x^1, and may hold
+    x^-1, such as one variable's image in ``_mono_images``.  x^0 is 1.
+    x^e is (x^(e//p))^p * x^(e%p), the p-th power being termwise in
     characteristic p, coefficients included, and x^(e-1) * x below p;
     for e < 0 the same in x^-1.  So each exponent costs at most one
     product and is built once.  The recursion is at most log_p|e| + p
@@ -1346,6 +1303,8 @@ def _power(powers, e, target):
     pw = powers.get(e)
     if pw is not None:
         return pw
+    if e == 0:
+        return target.one().d
     if e == -1:
         pw = invert_unit(Poly(target, powers[1])).d
     else:
@@ -1369,21 +1328,56 @@ def _sum_images(f, image, target, coeff_map=None):
                                    target.field))
 
 
-def _sum_terms(terms, image, F):
-    """Sum c * image(m) over the pairs (m, c), as a new dict."""
-    out = {}
-    if F.q == 2:
-        # every code is 1: toggle the key (see the module docstring)
-        for m, _ in terms:
-            for m2 in image(m):
-                if m2 in out:
-                    del out[m2]
+def _sum_terms(terms, image, F, out=None):
+    """Add c * image(m) over the pairs (m, c) into ``out`` (a new dict
+    by default) and return it.  A zero code adds nothing.  Where
+    ``image`` is None, or returns None as ``reduce_term`` does for a
+    reduced key, the term is c * m itself."""
+    if out is None:
+        out = {}
+    gf2 = F.q == 2
+    if image is None:
+        add = F.add
+        for m, c in terms:
+            if not c:
+                continue
+            if gf2:
+                # every nonzero code is 1: toggle the key (see the module
+                # docstring)
+                if m in out:
+                    del out[m]
                 else:
-                    out[m2] = 1
+                    out[m] = 1
+                continue
+            s = add(out.get(m, 0), c)
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return out
+    if gf2:
+        for m, c in terms:
+            if c:
+                img = image(m)
+                for m2 in (m,) if img is None else img:
+                    if m2 in out:
+                        del out[m2]
+                    else:
+                        out[m2] = 1
         return out
     add, mul = F.add, F.mul
     for m, c in terms:
-        for m2, c2 in image(m).items():
+        if not c:
+            continue
+        img = image(m)
+        if img is None:
+            s = add(out.get(m, 0), c)
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+            continue
+        for m2, c2 in img.items():
             s = add(out.get(m2, 0), c2 if c == 1 else mul(c, c2))
             if s:
                 out[m2] = s
@@ -1510,17 +1504,9 @@ def invert_unit(f):
     alg = f.alg
     F = alg.field
     lay = alg._lay
-    lam = {}
-    for m, c in f.d.items():
-        if m & lay.nil_bits:
-            continue
-        # the unit exponents go to 0, the laurent ones stay
-        key = m & lay.laurent_bits
-        s = F.add(lam.get(key, 0), c)
-        if s:
-            lam[key] = s
-        else:
-            lam.pop(key, None)
+    # the unit exponents go to 0, the laurent ones stay
+    lam = _sum_terms(((m & lay.laurent_bits, c) for m, c in f.d.items()
+                      if not m & lay.nil_bits), None, F)
     if len(lam) != 1:
         raise NonUnit(f"local part has {len(lam)} monomials, need exactly 1")
     (key, c), = lam.items()

@@ -28,9 +28,9 @@ from math import comb
 from .errors import (BadParams, IdentityFailed, NotAnAction, ParseError,
                      SizeGuard, VerifyError)
 from .gf import Field
-from .talg import (Algebra, Poly, _mono_images, _sum_images, apply_map,
-                   invert_unit, map_leg, multiply_legs, quotient_algebra,
-                   weight_decomposition)
+from .talg import (Algebra, Poly, _mono_images, _power, _sum_images,
+                   apply_map, invert_unit, map_leg, multiply_legs,
+                   quotient_algebra, weight_decomposition)
 from .hopf import (SEARCH_LIMIT, Failure, HopfAlgebra, Morphism, _combos,
                    _relation_polys, _report, _require_ok, _require_on_gens,
                    closed_subgroup, enumerate_morphisms, hopf_product,
@@ -362,16 +362,8 @@ def semidirect(Hu, Hm, weights, name=None):
     U = shell.var(mvar)
     W = shell.one() + U
     Winv = invert_unit(W)
-    wcache = {0: shell.one(), 1: W, -1: Winv}
-
-    def wpow(k):
-        if k not in wcache:
-            base, step = (1, W) if k > 0 else (-1, Winv)
-            f = wcache[base]
-            for _ in range(abs(k) - 1):
-                f = f * step
-            wcache[k] = f
-        return wcache[k]
+    # the powers of W, one memo for delta and S
+    wpowers = {1: W.d, -1: Winv.d}
 
     def push(f):
         return apply_map(f, {}, shell)
@@ -381,7 +373,8 @@ def semidirect(Hu, Hm, weights, name=None):
 
     def twisted(m2):
         wt = sum(e * weights[x] for x, e in zip(Au.vars, Au.exponents(m2)))
-        return t2.elem(wpow(wt), Poly(shell, lift(m2))).d
+        return t2.elem(Poly(shell, _power(wpowers, wt, shell)),
+                       Poly(shell, lift(m2))).d
 
     legs = (lambda m1: t2.embed(Poly(shell, lift(m1)), 0).d, twisted)
     delta = {v: multiply_legs(Hu.delta[v], legs, t2) for v in Au.vars}
@@ -390,7 +383,8 @@ def semidirect(Hu, Hm, weights, name=None):
 
     counit = {v: Hu.counit[v] for v in Au.vars}
     counit[mvar] = 0
-    anti = {v: wpow(-weights[v]) * push(Hu.antipode[v]) for v in Au.vars}
+    anti = {v: Poly(shell, _power(wpowers, -weights[v], shell))
+            * push(Hu.antipode[v]) for v in Au.vars}
     anti[mvar] = Winv - shell.one()
 
     out = HopfAlgebra(shell, delta, counit, anti,
@@ -994,7 +988,8 @@ def cocycle_check(a, n, field=None):
     target = H(a, n, F)
     prims = primitive_elements(target)
     AH = target.carrier
-    shape = {"T": prims, "T2": _aug_basis(AH)}
+    shape = {"T": prims, "T2": [AH.from_vector(v)
+                                for v in target.aug_subspace().basis()]}
     embeddings = []
     for f in enumerate_morphisms(E, target, shape=shape):
         if kernel_subgroup(f).carrier.dim == 1:
@@ -1013,11 +1008,3 @@ def cocycle_check(a, n, field=None):
         report["corrected_ok"] = rep["ok"]
         report["corrected_kernel_trivial"] = ker.carrier.dim == 1
     return report
-
-
-def _aug_basis(A):
-    out = []
-    for m in A.basis_monomials():
-        if A.degree(m):
-            out.append(A.poly({m: 1}))
-    return out

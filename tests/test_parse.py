@@ -1,4 +1,5 @@
 import functools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from gsl import Field, GslError
 from gsl.action import (Coaction, extends_to_p1, laurent_invert,
                         standard_coaction)
 from gsl.errors import NotInvertible, ParseError, VerifyError
-from gsl.hopf import presentations_equal
+from gsl.hopf import HopfAlgebra, presentations_equal
 from gsl.parse import (parse_coaction_expr, parse_presentation,
                        print_presentation, rho_str)
 from gsl.zoo import alpha, zoo_parse
@@ -128,14 +129,17 @@ def test_negative_power_of_a_non_unit_is_not_invertible():
         parse_coaction_expr(alpha(1), "(1 + X)^-1")
 
 
-_FUZZ_SEEDS = (("D(2)", F2), ("SL2_kerF(1)", F3), ("mu(2)", F2),
-               ("H(1,2)", F3))
+# groups, and a coaction whose file ends in an action block
+_FUZZ_SEEDS = (functools.partial(zoo_parse, "D(2)", F2),
+               functools.partial(zoo_parse, "SL2_kerF(1)", F3),
+               functools.partial(zoo_parse, "mu(2)", F2),
+               functools.partial(zoo_parse, "H(1,2)", F3),
+               functools.partial(standard_coaction, 1, 1, True, F2))
 
 
 @functools.lru_cache(maxsize=None)
 def _fuzz_text(k):
-    cid, F = _FUZZ_SEEDS[k]
-    return print_presentation(zoo_parse(cid, F))
+    return print_presentation(_FUZZ_SEEDS[k]())
 
 
 def _mutate(text, edits):
@@ -172,5 +176,37 @@ def test_a_mutated_presentation_parses_or_names_its_place(k, edits):
         parse_presentation(text)
     except ParseError as e:
         assert e.line is not None and e.col is not None, (text, e)
+    except GslError:
+        pass
+
+
+# the catalogue ids the benchmark builds, over its fields
+_BENCH_IDS = ([(cid, F2) for cid in (
+    "SL2_kerF(2)", "SL2_kerF(3)", "pullback(1,1,3)", "Hunip(s1=1,s2=1,n=2)",
+    "kerFV", "pullback(0,1,2)", "D(3,A)", "D(3,B)", "H(1,3)", "witt2",
+    "cocycle_ext(a=1,n=3)", "semidirect(D(2),mu(1),w=[-1,1])", "alpha(6)",
+    "mu(6)")]
+    + [(cid, F3) for cid in ("SL2_kerF(1)", "D(2)", "alpha(3)", "H(2,2)",
+                             "mu(2)")]
+    + [("Hunip(s1=1,s2=3,n=1)", Field(5)), ("pullback(1,1,1)", F4)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, len(_BENCH_IDS) - 1),
+       edits=st.lists(st.tuples(st.sampled_from(["delete", "insert"]),
+                                st.integers(0, 10 ** 4),
+                                st.sampled_from("()[],=-_ .aAHTnsw")),
+                      min_size=1, max_size=4))
+def test_a_mutated_id_builds_or_names_its_fault(k, edits):
+    # a damaged catalogue id still builds a group, or raises a GslError;
+    # a ParseError quotes the part of the id it could not read.  No digit
+    # is inserted: a height could grow past what builds quickly
+    cid, F = _BENCH_IDS[k]
+    text = _mutate(cid, [(kind, i, 0, ch) for kind, i, ch in edits])
+    try:
+        assert isinstance(zoo_parse(text, F), HopfAlgebra)
+    except ParseError as e:
+        quoted = re.search(r"'(.*)'", str(e))
+        assert quoted and quoted.group(1) in text, (text, e)
     except GslError:
         pass

@@ -3,7 +3,10 @@ p = 2, 3, 5 and m = 1, 2 (Jantzen, Representations of Algebraic Groups,
 I.9; Demazure & Gabriel, Groupes algebriques, II sec. 7), and of the
 quotient by a normal subgroup on the catalogue groups."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gsl import Field, frobenius_image, frobenius_kernel, lie_algebra
 from gsl.hopf import closed_subgroup, hopf_ideal_closure, quotient_group
@@ -79,3 +82,32 @@ def test_hopf_ideal_closure_is_idempotent(F, cid):
     again = hopf_ideal_closure(G, ideal.basis_polys())
     assert again.subspace.basis() == ideal.subspace.basis()
     assert ideal.verify()["ok"]
+
+
+@functools.lru_cache(maxsize=None)
+def _carrier_and_aug(F, cid):
+    G = zoo_parse(cid, F)
+    return G, [G.carrier.from_vector(v) for v in G.aug_subspace().basis()]
+
+
+@pytest.mark.parametrize("F,cid", NORMAL_CASES,
+                         ids=lambda x: x.name if isinstance(x, Field) else x)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_closed_subgroups_satisfy_lagrange(F, cid, data):
+    # the Hopf ideal closure of a few augmentation elements stays in the
+    # augmentation ideal and cuts out a closed subgroup K, and |K|
+    # divides |G| (Nichols & Zoeller 1989); the ideal's generators cut
+    # out the same K through closed_subgroup
+    G, aug = _carrier_and_aug(F, cid)
+    A = G.carrier
+    seeds = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        terms = data.draw(st.lists(st.tuples(
+            st.sampled_from(aug), st.integers(1, F.q - 1)), min_size=1,
+            max_size=3))
+        seeds.append(sum((f * A.scalar(c) for f, c in terms), A.zero()))
+    ideal = hopf_ideal_closure(G, seeds)
+    k_dim = G.dim - ideal.dim
+    assert k_dim >= 1 and G.dim % k_dim == 0
+    assert closed_subgroup(G, ideal._quotient()[2]).dim == k_dim

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 import gsl
 
 from gsl import BadParams, Field, NonUnit, NotHomogeneous, SizeGuard
-from gsl.talg import (DIM_LIMIT, Algebra, Poly, TensorAlgebra, apply_map,
-                      _divides, _groebner, _mono_images, eliminate_linear,
+from gsl.action import Coaction
+from gsl.talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra,
+                      TensorAlgebra, apply_map, _divides, _groebner,
+                      _mono_images, _power, eliminate_linear,
                       invert_unit, map_leg, multiply_legs, quotient_algebra,
                       subalgebra_generated, weight_decomposition)
 from gsl.linalg import Subspace, subspace_from
@@ -1153,10 +1155,12 @@ def _zero_one_maps(F):
     return A, Q, B, delta, endo
 
 
-def _zero_one_results(F, keys, coded):
+def _zero_one_results(F, keys, coded, tuples):
     """mul_dicts, reduce_dict, map_leg and multiply_legs over F on the
-    drawn keys (all codes 1) and coded terms (codes 0 or 1), each result
-    as its list of items, in insertion order."""
+    drawn keys (all codes 1) and coded terms (codes 0 or 1), and the
+    sums that go through ``_sum_terms``: a fresh quotient's reduce_term,
+    poly on coded exponent tuples, the Frobenius power and invert_unit;
+    each result as its list of items, in insertion order."""
     A, Q, B, delta, endo = _zero_one_maps(F)
     QB, QQ = Q.tensor(B), Q.tensor(Q)
     out = []
@@ -1165,6 +1169,17 @@ def _zero_one_results(F, keys, coded):
         out.append(alg.mul_dicts(d1, d2))
     for alg in (Q, QB):
         out.append(alg.reduce_dict(dict(coded[alg.vars])))
+    fresh = QuotientAlgebra(A, Q.groebner)
+    for m, _ in coded[Q.vars]:
+        red = fresh.reduce_term(m)
+        out.append({m: 1} if red is None else red)
+    for alg in (A, Q):
+        out.append(alg.poly(dict(tuples)).d)
+        f = Poly(alg, {m: 1 for m in keys[alg.vars][0]})
+        out.append(f._frobenius_power().d)
+        # f is a unit when an odd number of its terms miss x and y
+        local = sum(1 for m in f.d if not alg.degree(m, (0, 1)))
+        out.append(invert_unit(f if local % 2 else f + 1).d)
     f = Poly(QB, {m: 1 for m in keys[QB.vars][0]})
     out.append(map_leg(f, 1, delta, TensorAlgebra((Q, B, B))).d)
     g = Poly(QQ, {m: 1 for m in keys[QQ.vars][0]})
@@ -1192,8 +1207,13 @@ def test_gf2_toggles_match_the_generic_path_in_order(data):
     coded = {vs: data.draw(st.lists(
         st.tuples(st.sampled_from(pool), st.integers(0, 1)), max_size=12,
         unique_by=lambda t: t[0])) for vs, pool in shells.items()}
-    assert _zero_one_results(F2, keys, coded) == _zero_one_results(
-        F4, keys, coded)
+    # exponent tuples of A: u's exponents wrap onto one key mod 4, and a
+    # power of x or y past its order dies
+    tuples = data.draw(st.lists(st.tuples(
+        st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 11)),
+        st.integers(0, 1)), max_size=12, unique_by=lambda t: t[0]))
+    assert _zero_one_results(F2, keys, coded, tuples) == _zero_one_results(
+        F4, keys, coded, tuples)
 
 
 def _leg_residue_product(T, m):
@@ -1276,6 +1296,27 @@ def test_mono_image_powers_are_repeated_products(F):
         assert Poly(Q, image(key(L, {"X": e}))) == want, e
     assert Poly(Q, image(key(L, {"X": p}))) * Poly(
         Q, image(key(L, {"X": -p}))) == Q.one()
+
+
+@pytest.mark.parametrize("F", [F2, F3, F4, F9], ids=lambda F: F.name)
+def test_powers_seeded_with_an_inverse_are_repeated_products(F):
+    # semidirect's powers of W = 1 + U, and coaction_verify's powers of
+    # a line coaction's series s with negative degrees: one _power memo
+    # seeded with x and x^-1, asked for from the top down in both
+    # directions, against loops of products of x or of x^-1
+    p = F.p
+    shell = Algebra(F, ["T", "U"], [p, p * p])
+    W = 1 + shell.var("U")
+    G = zoo_parse("alpha(1)", F)
+    s = Coaction(G, {1: G.carrier.one(), -1: G.carrier.var("T")}).series
+    for x in (W, s):
+        inv = invert_unit(x)
+        powers = {1: x.d, -1: inv.d}
+        for e in sorted(range(-p * p - 2, p * p + 3), key=abs, reverse=True):
+            want = x.alg.one()
+            for _ in range(abs(e)):
+                want = want * (x if e > 0 else inv)
+            assert Poly(x.alg, _power(powers, e, x.alg)) == want, e
 
 
 @pytest.mark.parametrize("F,cid,plain", [
