@@ -22,7 +22,7 @@ tested on V's generators, and nothing of size dim A^2 is laid out.
 """
 
 from collections import namedtuple
-from itertools import chain, product
+from itertools import product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
@@ -480,9 +480,11 @@ def kernel_subgroup(f, name=None):
 
 
 def _column_kernel(F, columns, n):
-    """The kernel of the columns, {c : sum c_j columns[j] = 0} in k
-    unknowns for k columns of length n: echelonise the rows
-    e_j | columns[j] and keep those whose high block is zero.
+    """A basis of the kernel of the columns, {c : sum c_j columns[j] = 0}
+    in k unknowns for k columns of length n: echelonise the rows
+    e_j | columns[j] and keep those whose high block is zero.  The rows
+    come out reduced, normalised and in pivot order, as a Subspace's
+    ``basis()`` would list them.
     """
     k = len(columns)
     aug = Subspace(F, k + n)
@@ -490,8 +492,7 @@ def _column_kernel(F, columns, n):
         unit = [0] * k
         unit[j] = 1
         aug.insert(unit + col)
-    return subspace_from(F, k, [row[:k] for row in aug.basis()
-                                if not any(row[k:])])
+    return [row[:k] for row in aug.basis() if not any(row[k:])]
 
 
 def subgroup_from_elements(G, named_elems, name=None):
@@ -987,15 +988,15 @@ def quotient_group(H, ideal, name=None):
     chosen = []
     sub = subalgebra_generated(A, [])
     idx = 0
-    for vec in span.basis():
+    for vec in span:
         f = A.from_vector(vec)
         if not sub.contains(vec):
             idx += 1
             chosen.append(("Z%d" % idx, f - A.scalar(f.constant_term())))
             sub = subalgebra_generated(A, [el for _, el in chosen])
-            if sub.dim == span.dim:
+            if sub.dim == len(span):
                 break
-    if sub.dim != span.dim:
+    if sub.dim != len(span):
         raise VerifyError("quotient group",
                           "coinvariants did not close into a subalgebra")
     K, _ = subgroup_from_elements(H, chosen, name=name or (H.name + "/N"))
@@ -1264,9 +1265,13 @@ def _ideal_covers(I, muls, one_pos):
     F, n = I.field, I.n
     free = [c for c in I.complement_indices() if c != one_pos]
     # the combinations of the e_c that every x sends into I
-    columns = [list(chain.from_iterable(I.residue(mul[c]) for mul in muls))
-               for c in free]
-    sols = _column_kernel(F, columns, len(muls) * n).basis()
+    columns = []
+    for c in free:
+        col = []
+        for mul in muls:
+            col.extend(I.residue(mul[c]))
+        columns.append(col)
+    sols = _column_kernel(F, columns, len(muls) * n)
     for coeffs in product(range(F.q), repeat=len(sols)):
         # one vector per line: the last nonzero coefficient is 1
         if next((a for a in reversed(coeffs) if a), 0) != 1:

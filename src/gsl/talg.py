@@ -39,15 +39,19 @@ exponent tuples and pack them, and ``exponents``, ``exponent``,
 ``degree``, ``split_mono`` and ``join_mono`` read keys for everyone
 else.
 
-Every sum of terms, c * m or c times the image of m, goes through
-``_sum_terms``, except four loops where the call would cost more than
-the loop: the term products of ``mul_dicts``, the last slot of
-``map_leg``, ``Poly.__add__`` and the Groebner side's ``add_times``.
-Over GF(2) every nonzero code is 1, so ``_sum_terms``, ``mul_dicts`` and
-``map_leg`` add a term by toggling its key: deleted if present, else
-inserted at the end.  That is what the generic path does with a sum
-that cancels or a key that is new, so the terms come out in the same
-insertion order, which is the order in which reports list failures.
+``_sum_terms`` sums c * m, or c times the image of m, over a stream of
+terms: ``poly``, ``invert_unit``, ``_sum_images``, ``multiply_legs`` and
+the leg groups of ``map_leg`` use it.  The hot sums keep loops of their
+own, because the call and its checks cost more than the loop: the term
+products of ``mul_dicts``, ``reduce_dict``, ``QuotientAlgebra``'s
+``_normal_form``, the last slot of ``map_leg``, ``Poly.__add__``,
+``Poly._frobenius_power`` and the Groebner side's ``add_times``.
+Over GF(2) every nonzero code is 1, so ``_sum_terms``, ``mul_dicts``,
+``reduce_dict`` and ``map_leg`` add a term by toggling its key: deleted
+if present, else inserted at the end.  That is what the generic path
+does with a sum that cancels or a key that is new, so the terms come
+out in the same insertion order, which is the order in which reports
+list failures.
 
 A QuotientAlgebra divides a free finite Algebra by an ideal held as its
 Groebner basis: the reduced basis is the staircase of monomials that no
@@ -252,15 +256,21 @@ class Poly(object):
 
     def _frobenius_power(self):
         """self^p, taken termwise: the p-th power is additive in
-        characteristic p."""
+        characteristic p.  The sum stays inline: through ``_sum_terms``
+        each term was built as a pair first, which cost more than the
+        loop."""
         alg = self.alg
         F = alg.field
-        terms = []
+        d = {}
         for m, c in self.d.items():
             mp = alg._mono_pow(m, F.p)
-            if mp is not None:
-                terms.append((mp, F.frob(c)))
-        d = _sum_terms(terms, None, F)
+            if mp is None:
+                continue
+            s = F.add(d.get(mp, 0), F.frob(c))
+            if s:
+                d[mp] = s
+            else:
+                del d[mp]
         return Poly(alg, d if alg._plain else alg.reduce_dict(d))
 
     def __eq__(self, other):
@@ -449,7 +459,37 @@ class Algebra(object):
         if self._plain:
             # every key is its own residue, and a dict repeats none
             return {m: c for m, c in d.items() if c}
-        return _sum_terms(d.items(), self.reduce_term, self.field)
+        out = {}
+        F = self.field
+        if F.q == 2:
+            # every nonzero code is 1: toggle the key (see the module
+            # docstring); a zero code adds nothing
+            for m, c in d.items():
+                if not c:
+                    continue
+                red = self.reduce_term(m)
+                for m2 in (m,) if red is None else red:
+                    if m2 in out:
+                        del out[m2]
+                    else:
+                        out[m2] = 1
+            return out
+        for m, c in d.items():
+            red = self.reduce_term(m)
+            if red is None:
+                s = F.add(out.get(m, 0), c)
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+                continue
+            for m2, c2 in red.items():
+                s = F.add(out.get(m2, 0), F.mul(c, c2))
+                if s:
+                    out[m2] = s
+                else:
+                    out.pop(m2, None)
+        return out
 
     def mul_dicts(self, d1, d2):
         lay = self._lay
@@ -714,7 +754,7 @@ class QuotientAlgebra(Algebra):
     def _normal_form(self, m):
         """Fill the memo for m by division, depth first on an explicit
         stack: a division chain may be as long as the shell is wide."""
-        memo = self._memo
+        F, memo = self.field, self._memo
         steps = {}
         stack = [m]
         while stack:
@@ -737,8 +777,16 @@ class QuotientAlgebra(Algebra):
                 stack.extend(todo)
                 continue
             stack.pop()
-            memo[top] = _sum_terms(step.items(), memo.__getitem__,
-                                   self.field)
+            out = {}
+            for s, c in step.items():
+                nf = memo[s]
+                for s2, c2 in ({s: 1} if nf is None else nf).items():
+                    v = F.add(out.get(s2, 0), F.mul(c, c2))
+                    if v:
+                        out[s2] = v
+                    else:
+                        del out[s2]
+            memo[top] = out
         return memo[m]
 
     def lift(self, f):
@@ -1304,8 +1352,8 @@ def _power(powers, e, target):
     if pw is not None:
         return pw
     if e == 0:
-        return target.one().d
-    if e == -1:
+        pw = target.one().d
+    elif e == -1:
         pw = invert_unit(Poly(target, powers[1])).d
     else:
         p = target.field.p
@@ -1328,56 +1376,40 @@ def _sum_images(f, image, target, coeff_map=None):
                                    target.field))
 
 
-def _sum_terms(terms, image, F, out=None):
-    """Add c * image(m) over the pairs (m, c) into ``out`` (a new dict
-    by default) and return it.  A zero code adds nothing.  Where
-    ``image`` is None, or returns None as ``reduce_term`` does for a
-    reduced key, the term is c * m itself."""
-    if out is None:
-        out = {}
-    gf2 = F.q == 2
-    if image is None:
-        add = F.add
-        for m, c in terms:
-            if not c:
-                continue
-            if gf2:
-                # every nonzero code is 1: toggle the key (see the module
-                # docstring)
-                if m in out:
-                    del out[m]
-                else:
-                    out[m] = 1
-                continue
-            s = add(out.get(m, 0), c)
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        return out
-    if gf2:
-        for m, c in terms:
-            if c:
-                img = image(m)
-                for m2 in (m,) if img is None else img:
-                    if m2 in out:
-                        del out[m2]
+def _sum_terms(terms, image, F):
+    """Sum c * image(m) over the pairs (m, c), as a new dict; with
+    ``image`` None, sum c * m, a zero code adding nothing."""
+    out = {}
+    if F.q == 2:
+        # every nonzero code is 1: toggle the key (see the module
+        # docstring)
+        if image is None:
+            for m, c in terms:
+                if c:
+                    if m in out:
+                        del out[m]
                     else:
-                        out[m2] = 1
+                        out[m] = 1
+            return out
+        for m, _ in terms:
+            for m2 in image(m):
+                if m2 in out:
+                    del out[m2]
+                else:
+                    out[m2] = 1
         return out
     add, mul = F.add, F.mul
+    if image is None:
+        for m, c in terms:
+            if c:
+                s = add(out.get(m, 0), c)
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return out
     for m, c in terms:
-        if not c:
-            continue
-        img = image(m)
-        if img is None:
-            s = add(out.get(m, 0), c)
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-            continue
-        for m2, c2 in img.items():
+        for m2, c2 in image(m).items():
             s = add(out.get(m2, 0), c2 if c == 1 else mul(c, c2))
             if s:
                 out[m2] = s

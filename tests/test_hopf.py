@@ -973,6 +973,17 @@ def test_closure_grows_to_hopf_ideal():
     assert I.verify()["ok"]
 
 
+def test_closure_of_an_augmentation_seed_stays_a_proper_ideal():
+    # (X11 - 1) + X12 lies in ker eps, but delta of it has legs with
+    # counit 1, units of the local carrier: adjoined whole they closed the
+    # ideal to all of A, a subgroup of order 0; less their counit they
+    # stay in ker eps
+    G = zoo_parse("pullback(1,1,1)", F4)
+    x = dict(zip(G.carrier.vars, G.carrier.gens()))
+    I = hopf_ideal_closure(G, [x["X11"] - 1 + x["X12"]])
+    assert I.dim < G.dim and I.verify()["ok"]
+
+
 def _dense_escaping_legs(H, V, f):
     """The legs of delta(f) escaping V ox A + A ox V, off the dense
     coproduct matrix of f: its rows (one per first-leg basis monomial)
@@ -1165,8 +1176,8 @@ def shell_kernel_quotient(shell, images, A):
     ev = _mono_images(shell, images, A)
     kernel = _column_kernel(A.field, [A.to_vector(Poly(A, ev(m)))
                                       for m in shell.basis_monomials()], A.dim)
-    return quotient_algebra(shell, [shell.from_vector(r)
-                                    for r in kernel.basis()], eliminate=False)
+    return quotient_algebra(shell, [shell.from_vector(r) for r in kernel],
+                            eliminate=False)
 
 
 def _matches_shell_wide_kernel(G, named):

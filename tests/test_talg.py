@@ -1157,10 +1157,10 @@ def _zero_one_maps(F):
 
 def _zero_one_results(F, keys, coded, tuples):
     """mul_dicts, reduce_dict, map_leg and multiply_legs over F on the
-    drawn keys (all codes 1) and coded terms (codes 0 or 1), and the
-    sums that go through ``_sum_terms``: a fresh quotient's reduce_term,
-    poly on coded exponent tuples, the Frobenius power and invert_unit;
-    each result as its list of items, in insertion order."""
+    drawn keys (all codes 1) and coded terms (codes 0 or 1), the sums
+    that go through ``_sum_terms`` (poly on coded exponent tuples and
+    invert_unit), a fresh quotient's reduce_term and the Frobenius
+    power; each result as its list of items, in insertion order."""
     A, Q, B, delta, endo = _zero_one_maps(F)
     QB, QQ = Q.tensor(B), Q.tensor(Q)
     out = []
