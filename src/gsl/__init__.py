@@ -76,7 +76,6 @@ from .zoo import (
     alpha,
     cocycle_check,
     cocycle_ext,
-    construct,
     d_presentation_iso,
     enumerate_coactions,
     group_coaction_verify,

@@ -5,25 +5,25 @@ base-p encoding of its coefficient vector with respect to the power basis
 1, g, g^2, ... of the residue class g of x.  Code 0 is zero, code 1 is one,
 and for m >= 2 code p is the generator g itself.
 
-All arithmetic is exact.  Fields with q <= TABLE_LIMIT (3^8), all but
-GF(5^6) to GF(5^8), are tabled at construction time by the exp/log
-tables of the smallest primitive element (g need not be primitive: in
-GF(2^8) it has order 51): a product is a sum of logs, an odd-p sum a Zech
-logarithm log(1 + a^i), and negation has a table.  Addition in
-characteristic 2 is xor.  The untabled fields fall back to polynomial and
-digit arithmetic per operation.  `Field.axpy`, the one row kernel the
-echelon code uses, reads the same tables.
+All arithmetic is exact and read from tables that every field builds at
+construction time: the exp/log tables of the smallest primitive element
+(g need not be primitive: in GF(2^8) it has order 51).  A product or a
+power is a sum or a multiple of logs, an odd-p sum a Zech logarithm
+log(1 + a^i), and negation has a table.  Addition in characteristic 2 is
+xor.  `Field.axpy`, the one row kernel the echelon code uses, reads the
+same tables.  They cost time and memory in q: GF(3^8) and GF(5^6)
+build in under 0.1 s, GF(5^7) in about 0.4 s and 10 MB, GF(5^8) in
+about 2 s and 50 MB.
 
 Polynomials over the prime field appear only internally (moduli, the
-irreducibility test and the powers of the primitive element) and are
-stored as little-endian coefficient tuples.
+irreducibility test and the bootstrap of the tables) and are stored as
+little-endian coefficient tuples.
 """
 
 from .errors import DivideByZero, ParseError, ReducibleModulus, UnsupportedSize
 
 SUPPORTED_PRIMES = (2, 3, 5)
 MAX_DEGREE = 8
-TABLE_LIMIT = 3 ** 8
 
 # Conventional moduli, pinned so that scalar codes stay stable across
 # versions.  Everything else is found by the deterministic search below,
@@ -134,28 +134,39 @@ class Field(object):
             raise ReducibleModulus(modulus, factor)
         self.modulus = modulus
         self.gen = _encode(_poly_rem((0, 1), modulus, p), p)
-        self._log = None
-        self._neg_table = None
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
     def _primitive_powers(self):
         """Powers 1, a, ..., a^(q-2) of the smallest primitive element a.
 
-        a is the first code with a^(n/r) != 1 for each prime r | n = q - 1.
-        Its powers are stepped on digit vectors by the matrix of
-        multiplication by a: row i holds c * g^i * a for each digit c, one
-        byte per digit, so a step sums m rows with no carry (no byte
-        reaches m * (p - 1) < 256) and makes no polynomial product.
+        a is the first code with a^(n/r) != 1 for each prime r | n = q - 1,
+        tested by polynomial powers.  Its powers are stepped on digit
+        vectors by the matrix of multiplication by a: row i holds
+        c * g^i * a for each digit c, one byte per digit, so a step sums
+        m rows with no carry (no byte reaches m * (p - 1) < 256) and makes
+        no polynomial product.
         """
         p, m, n = self.p, self.m, self.q - 1
+
+        def times(u, v):
+            return _poly_rem(_poly_mul(u, v, p), self.modulus, p)
+
+        def power(u, e):
+            out = (1,)
+            for bit in bin(e)[2:]:
+                out = times(out, out)
+                if bit == "1":
+                    out = times(out, u)
+            return out
+
         primes = [r for r in range(2, n + 1)
                   if n % r == 0 and all(r % s for s in range(2, r))]
-        a = next(a for a in range(1, self.q)
-                 if all(self.pow(a, n // r) != 1 for r in primes))
+        a = next(va for va in (_digits(code, p, m) for code in range(1, self.q))
+                 if all(power(va, n // r) != (1,) for r in primes))
         shifts = range(0, 8 * m, 8)
+        # a product's trimmed digits zip with the shifts of their bytes
         rows = [[sum((c * d % p) << s for d, s in zip(
-                     _digits(self.mul(p ** i, a), p, m), shifts))
+                     times((0,) * i + (1,), a), shifts))
                  for c in range(p)] for i in range(m)]
         powers, x = [], (1,) + (0,) * (m - 1)
         for _ in range(n):
@@ -185,56 +196,33 @@ class Field(object):
     # -- basic arithmetic ------------------------------------------------
 
     def add(self, a, b):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
         log = self._log
-        if log is not None:
-            if not a:
-                return b
-            if not b:
-                return a
-            la = log[a]
-            # a + b = a(1 + b/a); a negative index wraps mod q - 1
-            return self._exp[la + self._zech[log[b] - la]]
-        code, shift = 0, 1
-        while a or b:
-            code += ((a + b) % p) * shift
-            a //= p
-            b //= p
-            shift *= p
-        return code
+        la = log[a]
+        # a + b = a(1 + b/a); a negative index wraps mod q - 1
+        return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a):
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        code, shift = 0, 1
-        while a:
-            code += (-a % p) * shift
-            a //= p
-            shift *= p
-        return code
+        return self._neg_table[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         log = self._log
-        if log is not None:
-            return self._exp[log[a] + log[b]]
-        p, m = self.p, self.m
-        prod = _poly_mul(_digits(a, p, m), _digits(b, p, m), p)
-        return _encode(_poly_rem(prod, self.modulus, p), p)
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a):
         if a == 0:
             raise DivideByZero("inverse of zero")
-        if self._log is not None:
-            return self._exp[self.q - 1 - self._log[a]]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
     def axpy(self, dst, c, src, support):
         """dst[i] += c * src[i] for every i in support, in place.
@@ -242,12 +230,8 @@ class Field(object):
         support must cover the nonzero entries of src that should be
         read; entries outside it are left alone.
         """
-        log = self._log
-        if log is None:
-            for i in support:
-                dst[i] = self.add(dst[i], self.mul(c, src[i]))
-            return
-        exp, lc = self._exp, log[c]
+        exp, log = self._exp, self._log
+        lc = log[c]
         if self.p == 2:
             for i in support:
                 dst[i] ^= exp[lc + log[src[i]]]
@@ -266,14 +250,7 @@ class Field(object):
             if e == 0:
                 return 1
             raise DivideByZero("zero to a negative power")
-        e %= self.q - 1
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def frob(self, a, r=1):
         """The Frobenius power a -> a^(p^r); r may be any integer mod m."""

@@ -106,7 +106,8 @@ class HopfAlgebra(object):
     ``delta_mono`` is the coproduct on monomials, a ``talg._mono_images``
     memo filled on demand (a plain dict over A ox A per monomial);
     ``delta_map``, ``lie_algebra``'s p-map and the coassociativity check
-    read it.
+    read it.  ``antipode_mono`` is the antipode's memo on A, read by
+    ``antipode_map``, ``hopf_verify`` and ``is_normal``.
     The counit of a monomial is a scalar, read off its exponents and
     memoised per key.
 
@@ -138,6 +139,7 @@ class HopfAlgebra(object):
         _require_on_gens("antipode", antipode, carrier.vars)
         self.antipode = {k: apply_map(v, {}, carrier)
                          for k, v in antipode.items()}
+        self.antipode_mono = _mono_images(carrier, self.antipode, carrier)
 
     @property
     def dim(self):
@@ -197,13 +199,12 @@ class HopfAlgebra(object):
         return out
 
     def antipode_map(self, f):
-        return apply_map(f, self.antipode, self.carrier)
+        if f.alg.vars != self.carrier.vars:
+            f = apply_map(f, {}, self.carrier)
+        return _sum_images(f, self.antipode_mono, self.carrier)
 
     def gens(self):
         return [self.carrier.var(nm) for nm in self.carrier.vars]
-
-    def is_trivial(self):
-        return self.carrier.dim == 1
 
     def aug_subspace(self):
         """The augmentation ideal as a coordinate subspace, spanned by
@@ -331,10 +332,10 @@ def hopf_verify(H):
     for g in _relation_polys(A):
         for tag, val in (("delta", H.delta_map(g)),
                          ("counit", A.scalar(H.counit_map(g))),
-                         ("antipode", apply_map(g, H.antipode, A))):
+                         ("antipode", H.antipode_map(g))):
             check(val, 0, "well_defined", "%s(ideal gen %s)", tag, g)
 
-    S = _mono_images(A, H.antipode, A)
+    S = H.antipode_mono
     for nm in _generating_vars(A):
         dx = H.delta[nm]
         check(*_coassoc_sides(H, dx), "coassociative", "%s", nm)
@@ -954,7 +955,7 @@ def is_normal(H, ideal):
     A = H.carrier
     Q, pi, gens, _ = ideal._quotient()
     T = Q.tensor(A)
-    S = _mono_images(A, H.antipode, A)
+    S = H.antipode_mono
     legs = (lambda m: T.embed(Poly(A, S(m)), 1).d,
             lambda m: T.embed(Poly(Q, pi(m)), 0).d,
             lambda m: T.embed(Poly(A, {m: 1}), 1).d)

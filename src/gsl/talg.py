@@ -793,10 +793,6 @@ class QuotientAlgebra(Algebra):
         """The canonical representative of f in the ambient free ring."""
         return Poly(self._ambient, dict(f.d))
 
-    @property
-    def is_zero_ring(self):
-        return self.dim == 0
-
     def describe(self):
         base = Algebra.describe(self)
         return f"{base} / ideal(dim {self.ambient_dim() - self.dim})"

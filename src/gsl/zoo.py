@@ -528,8 +528,6 @@ def _catalogue_call(head, parts, F):
     raise ParseError("unknown catalogue id %r" % head)
 
 
-construct = zoo_parse
-
 _BY_HEIGHT = {"alpha": alpha, "mu": mu, "E_trunc": E_trunc,
               "SL2_kerF": SL2_kerF, "PGL2_kerF": PGL2_kerF}
 

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gsl import DivideByZero, Field, ParseError, ReducibleModulus, UnsupportedSize, field_from_name
-from gsl.gf import (DEFAULT_MODULI, TABLE_LIMIT, _digits, _encode,
-                    _poly_irreducible_factor, _poly_mul, _poly_rem,
-                    _search_modulus)
+from gsl.gf import (DEFAULT_MODULI, _digits, _encode, _poly_irreducible_factor,
+                    _poly_mul, _poly_rem, _search_modulus)
 
 
 SMALL_FIELDS = [Field(2, 1), Field(2, 2), Field(2, 3), Field(2, 4),
@@ -13,6 +12,7 @@ F256 = Field(2, 8)
 F625 = Field(5, 4)
 F729 = Field(3, 6)
 F15625 = Field(5, 6)
+F390625 = Field(5, 8)
 
 
 @pytest.mark.parametrize("F", SMALL_FIELDS, ids=lambda F: F.name)
@@ -45,10 +45,9 @@ def test_field_axioms_sampled_gf256(a, b, c):
 
 @given(a=st.integers(0, 5 ** 6 - 1), b=st.integers(0, 5 ** 6 - 1))
 def test_untabled_field_matches_axioms(a, b):
-    # 5^6 = 15625 is above the table limit, so this exercises the
-    # polynomial fallback path.
+    # GF(5^6) lies above GF(3^8), the largest field of characteristic 3,
+    # and is tabled like every other field
     F = F15625
-    assert F._log is None
     assert F.mul(a, b) == F.mul(b, a)
     assert F.sub(F.add(a, b), b) == a
     if a != 0:
@@ -73,29 +72,29 @@ TABLED = [(p, m) for p, top in ((2, 8), (3, 5), (5, 3)) for m in range(1, top + 
 def test_tables_equal_polynomial_arithmetic(pm):
     # the exp/log-built tables against one polynomial product per pair
     F = Field(*pm)
-    assert F.q <= TABLE_LIMIT and F._log is not None
+    assert F._log is not None
     for a in range(F.q):
         for b in range(F.q):
             _assert_tables_match_polynomials(F, a, b)
 
 
-@pytest.mark.parametrize("F", [F729, F625], ids=lambda F: F.name)
+@pytest.mark.parametrize("F", [F729, F625, F15625, F390625],
+                         ids=lambda F: F.name)
 @given(data=st.data())
 def test_tables_equal_polynomial_arithmetic_sampled(F, data):
-    assert F.q <= TABLE_LIMIT and F._log is not None
+    assert F._log is not None
     els = st.integers(0, F.q - 1)
     _assert_tables_match_polynomials(F, data.draw(els), data.draw(els))
 
 
 def test_largest_tabled_fields():
-    # the table limit is 3^8; GF(5^5) lies below it, GF(5^6) above
-    for F in (Field(3, 8), Field(5, 5)):
+    # every field is tabled, up to GF(3^8) and GF(5^8)
+    for F in (Field(3, 8), Field(5, 5), F390625):
         assert F._log is not None
         for a in (1, F.p, F.q - 1, F.q // 2):
             assert F.mul(a, F.inv(a)) == 1
             assert F.add(a, F.neg(a)) == 0
             assert F.pow(a, F.q - 1) == 1
-    assert F15625._log is None
 
 
 @pytest.mark.parametrize("F", [Field(2, 2), Field(3), Field(3, 2), Field(5),

@@ -472,10 +472,12 @@ def test_counit_and_delta_of_elements_on_other_names():
     C = Algebra(F3, ["u12"], [9])  # the carrier's names, but not the carrier
     g = C.var("u12") ** 2 + 2
     assert H.delta_map(g) == H.delta_map(apply_map(g, {}, A))
+    assert H.antipode_map(g) == apply_map(g, H.antipode, A)
     K = SL2_kerF(1, F3)
     D = Algebra(F3, ["u12", "u11"], [3, 3])  # a subset of the names
     h = D.var("u11") * D.var("u12") + D.var("u12") ** 2
     assert K.delta_map(h) == K.delta_map(apply_map(h, {}, K.carrier))
+    assert K.antipode_map(h) == apply_map(h, K.antipode, K.carrier)
     # a name that is an alias of the chart reads the alias
     E = Algebra(F3, ["u22"], [3])
     assert K.delta_map(E.var("u22")) == K.delta_map(K.carrier.var("u22"))

@@ -10,7 +10,7 @@ F3 = Field(3)
 F4 = Field(2, 2)
 F5 = Field(5)
 F9 = Field(3, 2)
-F625 = Field(5, 4)  # untabled
+F625 = Field(5, 4)  # the largest field here, with m > 1 over p = 5
 
 
 def vectors(field, n):

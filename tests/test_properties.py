@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import Field, frobenius_image, frobenius_kernel, lie_algebra
-from gsl.hopf import closed_subgroup, hopf_ideal_closure, quotient_group
+from gsl.hopf import (ASSOC_FULL_LIMIT, closed_subgroup, hopf_ideal_closure,
+                      points_group, quotient_group)
+from gsl.talg import Algebra
 from gsl.zoo import zoo_parse
 
 CASES = [(F, n) for F, top in ((Field(2), 3), (Field(2, 2), 2), (Field(3), 2),
@@ -111,3 +113,28 @@ def test_closed_subgroups_satisfy_lagrange(F, cid, data):
     k_dim = G.dim - ideal.dim
     assert k_dim >= 1 and G.dim % k_dim == 0
     assert closed_subgroup(G, ideal._quotient()[2]).dim == k_dim
+
+
+# the points over k[t]/(t^d) of order at most ASSOC_FULL_LIMIT, so that
+# check_axioms tests associativity on every triple: the rest, by
+# (q, catalogue id, d), have 81 to 6561 points
+_LARGE_POINTS = {(3, "D(1)", 3), (5, "D(1)", 3), (9, "alpha(1)", 3),
+                 (9, "mu(1)", 3), (9, "D(1)", 2), (9, "D(1)", 3),
+                 (9, "alpha(2)", 3)}
+POINTS_CASES = [(F, cid, d)
+                for F in (Field(3), Field(2, 2), Field(5), Field(3, 2))
+                for cid in ("alpha(1)", "mu(1)", "D(1)", "alpha(2)")
+                for d in (2, 3) if (F.q, cid, d) not in _LARGE_POINTS]
+
+
+@pytest.mark.parametrize("F,cid,d", POINTS_CASES,
+                         ids=lambda x: x.name if isinstance(x, Field) else str(x))
+def test_points_form_a_p_group(F, cid, d):
+    # G(R) for a local R with nilpotent t is a group under the
+    # convolution law, and for an infinitesimal G its order is a power of p
+    pts = points_group(zoo_parse(cid, F), Algebra(F, ["t"], [d]))
+    assert pts.order <= ASSOC_FULL_LIMIT and pts.check_axioms()
+    order = pts.order
+    while order % F.p == 0:
+        order //= F.p
+    assert order == 1
