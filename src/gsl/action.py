@@ -12,9 +12,11 @@ given and read back.
 
 from .errors import BadParams, NonUnit, NotFractionalLinear, NotInvertible
 from .gf import Field
-from .hopf import Failure, Morphism, _report, _require_ok, hopf_ideal_closure
+from .hopf import (Failure, Morphism, _report, _require_ok, hopf_ideal_closure,
+                   restricted_subalgebras, tangent_map)
+from .linalg import subspace_from
 from .talg import Poly, _power, invert_unit, map_leg
-from .zoo import D, PGL2_kerF, alpha, mu, semidirect
+from .zoo import D, PGL2_kerF, SL2_kerF, alpha, mu, semidirect
 
 
 def _field(field):
@@ -303,3 +305,46 @@ def pgl2_morphism(M, n):
     dinv = invert_unit(d)
     return Morphism(PGL2_kerF(n, M.group.field), M.group,
                     {"a": a * dinv - 1, "b": b * dinv, "c": c * dinv})
+
+
+def sl2_to_pgl2(n, field=None):
+    """pi_n: SL2_kerF(n) -> PGL2_kerF(n), a matrix to its class: the
+    ``pgl2_morphism`` of ((1 + u11, u12), (u21, 1 + u22)).  Its kernel
+    is mu2 in characteristic 2 and trivial otherwise."""
+    G = SL2_kerF(n, _field(field))
+    u = G.carrier.var
+    return pgl2_morphism(MobiusMatrix(G, ((u("u11") + 1, u("u12")),
+                                          (u("u21"), u("u22") + 1))), n)
+
+
+def lifts_to_sl2(n, field=None):
+    """Which restricted subalgebras of pgl2 lift along pi_n
+    (``sl2_to_pgl2``), at height one.
+
+    Returns {"entries", "sl2"}: one {"subalgebra", "lift"} entry per
+    restricted subalgebra of Lie(PGL2_kerF(n)), "lift" being the first
+    restricted subalgebra of Lie(SL2_kerF(n)) that d pi_n
+    (``tangent_map``) maps isomorphically onto it, or None; "sl2" is the
+    walk of Lie(SL2_kerF(n)) searched.  Both are Subspaces of tangent
+    vectors from ``restricted_subalgebras``.  For odd p the report also
+    holds "pi_bijective", whether pi_n is an isomorphism, so that every
+    subgroup of PGL2_kerF(n) lifts.
+    """
+    pi = sl2_to_pgl2(n, field)
+    F, dpi = pi.source.field, tangent_map(pi)
+
+    def key(h):
+        return tuple(map(tuple, h.basis()))
+
+    ups, lifts = restricted_subalgebras(pi.target), {}
+    for h in ups:
+        image = subspace_from(F, len(pi.source.carrier.vars),
+                              [dpi(v) for v in h.basis()])
+        if image.dim == h.dim:
+            lifts.setdefault(key(image), h)
+    rep = {"entries": [{"subalgebra": g, "lift": lifts.get(key(g))}
+                       for g in restricted_subalgebras(pi.source)],
+           "sl2": ups}
+    if F.p != 2:
+        rep["pi_bijective"] = pi.is_bijective()
+    return rep

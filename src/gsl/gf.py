@@ -273,13 +273,6 @@ class Field(object):
         """Sorted list of the distinct values a^n, a nonzero."""
         return sorted({self.pow(a, n) for a in self.nonzero()})
 
-    def nth_root(self, b, n):
-        """Smallest nonzero a with a^n == b, or None."""
-        for a in self.nonzero():
-            if self.pow(a, n) == b:
-                return a
-        return None
-
     def scalar_str(self, a):
         """Render a scalar as a polynomial in the generator g."""
         if self.m == 1:

@@ -5,7 +5,9 @@ three structure maps given on generators.  Everything downstream is exact
 linear algebra over the coefficient field: verification of the axioms,
 morphism checks, kernels and images, Hopf ideals and quotients, point groups
 over small test algebras, complete searches for subgroups and morphisms that
-prune by equation, and the restricted Lie algebra on the tangent space.
+prune by equation, and the restricted Lie algebra on the tangent space,
+with the tangent maps of morphisms (``tangent_map``) and the walk of its
+restricted subalgebras (``restricted_subalgebras``).
 
 Group morphisms are stored in the algebra direction throughout: a Morphism
 with source H and target G is the algebra map A(H) -> A(G) and represents the
@@ -22,7 +24,7 @@ tested on V's generators, and nothing of size dim A^2 is laid out.
 """
 
 from collections import namedtuple
-from itertools import product
+from itertools import combinations, product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, subspace_from
@@ -614,10 +616,12 @@ def image_subgroup(f, name=None):
 def closed_subgroup(H, equations, name=None):
     """Subgroup scheme cut out by augmentation-ideal equations.
 
-    The carrier is divided by the ideal the equations generate and the
-    structure maps are pushed through; if that ideal is not a Hopf ideal
-    the induced maps fail the axioms and VerifyError propagates.
+    Equations on another algebra are moved onto the carrier by name.  The
+    carrier is divided by the ideal they generate and the structure maps
+    are pushed through; if that ideal is not a Hopf ideal the induced
+    maps fail the axioms and VerifyError propagates.
     """
+    equations = [apply_map(e, {}, H.carrier) for e in equations]
     for e in equations:
         if H.counit_map(e) != 0:
             raise BadParams("subgroup equations must lie in the "
@@ -651,6 +655,37 @@ def primitive_elements(H):
     return [A.from_vector(vec) for vec in eqs.right_kernel_basis()]
 
 
+def _leibniz(H):
+    """The Leibniz rule of ``lie_algebra`` on H's carrier, for generators
+    of any counit: (grad, value), grad(m) the nonzero partial derivatives
+    (i, m_i eps(m / x_i)) of the monomial m at eps, memoised, and
+    value(u, m) = u(m) for a tangent vector u."""
+    A, F = H.carrier, H.field
+    grads = {}
+
+    def grad(m):
+        out = grads.get(m)
+        if out is None:
+            out = grads[m] = []
+            exps = A.exponents(m)
+            for i, e in enumerate(exps):
+                c = F.scalar_from_int(e)
+                if c:
+                    c = F.mul(c, H._eps_exponents(
+                        exps[:i] + (e - 1,) + exps[i + 1:]))
+                if c:
+                    out.append((i, c))
+        return out
+
+    def value(u, m):
+        acc = 0
+        for i, c in grad(m):
+            acc = F.add(acc, F.mul(c, u[i]))
+        return acc
+
+    return grad, value
+
+
 def lie_algebra(H):
     """The restricted Lie algebra of H on its tangent space at eps.
 
@@ -673,28 +708,7 @@ def lie_algebra(H):
     r = len(A.vars)
     split = H.t2().split_mono
     aug = [i for i, c in enumerate(H._eps_codes) if not c]
-    grads = {}
-
-    def grad(m):
-        """The nonzero partial derivatives of the monomial m at eps."""
-        out = grads.get(m)
-        if out is None:
-            out = grads[m] = []
-            exps = A.exponents(m)
-            for i, e in enumerate(exps):
-                c = F.scalar_from_int(e)
-                if c:
-                    c = F.mul(c, H._eps_exponents(
-                        exps[:i] + (e - 1,) + exps[i + 1:]))
-                if c:
-                    out.append((i, c))
-        return out
-
-    def value(u, m):
-        acc = 0
-        for i, c in grad(m):
-            acc = F.add(acc, F.mul(c, u[i]))
-        return acc
+    grad, value = _leibniz(H)
 
     eqs = Subspace(F, r)
     for g in _relation_polys(A):
@@ -740,6 +754,63 @@ def lie_algebra(H):
                 for nm in A.vars]
 
     return eqs.right_kernel_basis(), bracket, ppower
+
+
+def tangent_map(f):
+    """df on tangent vectors, as a function: a tangent vector u of
+    f.target (held as in ``lie_algebra``) goes to u o f, the tangent
+    vector of f.source with the values u(f(x)) on its ``carrier.vars``,
+    by the Leibniz rule of ``lie_algebra``."""
+    F = f.source.field
+    _, value = _leibniz(f.target)
+    images = [f.images[nm].d.items() for nm in f.source.carrier.vars]
+
+    def df(u):
+        out = []
+        for terms in images:
+            acc = 0
+            for m, c in terms:
+                acc = F.add(acc, F.mul(c, value(u, m)))
+            out.append(acc)
+        return out
+
+    return df
+
+
+def restricted_subalgebras(H):
+    """Every restricted subalgebra of Lie(H), as a Subspace of tangent
+    vectors (Demazure-Gabriel II 7: the subgroups of H when H has
+    height one).  Each subspace of the span of ``lie_algebra``'s basis
+    is met once, by its reduced echelon form over that basis (a pivot
+    set, then the free entries right of each pivot), and kept when its
+    rows close under bracket and p-map.  The subspaces, a sum of
+    Gaussian binomials, are counted first, and the walk is refused past
+    SEARCH_LIMIT (SizeGuard)."""
+    F = H.field
+    basis, bracket, ppower = lie_algebra(H)
+    n, r = len(basis), len(H.carrier.vars)
+    count = binomial = 1
+    for k in range(1, n + 1):
+        binomial = binomial * (F.q ** (n - k + 1) - 1) // (F.q ** k - 1)
+        count += binomial
+    if count > SEARCH_LIMIT:
+        raise SizeGuard("restricted_subalgebras subspaces", count,
+                        SEARCH_LIMIT)
+    out = []
+    for k in range(n + 1):
+        for piv in combinations(range(n), k):
+            slots = [(i, j) for i, l in enumerate(piv)
+                     for j in range(l + 1, n) if j not in piv]
+            for vals in product(F.elements(), repeat=len(slots)):
+                rows = [list(basis[l]) for l in piv]
+                for (i, j), c in zip(slots, vals):
+                    F.axpy(rows[i], c, basis[j], range(r))
+                h = subspace_from(F, r, rows)
+                if (all(h.contains(bracket(u, v))
+                        for u, v in combinations(rows, 2))
+                        and all(h.contains(ppower(u)) for u in rows)):
+                    out.append(h)
+    return out
 
 
 def _twist_carrier(carrier, r):
@@ -821,10 +892,6 @@ class HopfIdeal(object):
     def basis_polys(self):
         A = self.hopf.carrier
         return [A.from_vector(v) for v in self.subspace.basis()]
-
-    def is_augmentation(self):
-        return self.dim == self.hopf.dim - 1 and not any(
-            self.hopf.counit_map(f) for f in self.basis_polys())
 
     def _quotient(self):
         """(Q, pi, generators, whether V is an ideal)."""
@@ -913,8 +980,9 @@ def hopf_ideal_closure(H, seeds):
     When the seeds already generate a Hopf ideal nothing is adjoined and
     the result is exactly that ideal; an escape that several different
     ideals could repair gets both of its legs, which may overshoot the
-    minimum."""
+    minimum.  Seeds on another algebra are moved onto the carrier first."""
     A = H.carrier
+    seeds = [apply_map(s, {}, A) for s in seeds]
     for s in seeds:
         if H.counit_map(s) != 0:
             raise BadParams("closure seeds must lie in the augmentation ideal")

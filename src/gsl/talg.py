@@ -289,13 +289,6 @@ class Poly(object):
     def constant_term(self):
         return self.d.get(self.alg._zero_mono, 0)
 
-    def degree_in(self, name):
-        """Largest exponent of the named variable, or None for 0."""
-        i = self.alg._var_index(name)
-        if not self.d:
-            return None
-        return max(self.alg.exponent(m, i) for m in self.d)
-
     def __str__(self):
         return self.alg.poly_str(self)
 

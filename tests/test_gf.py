@@ -163,15 +163,6 @@ def test_power_counts_gf16():
     assert F.nth_powers(15) == [1]
 
 
-def test_nth_root():
-    F = Field(2, 4)
-    for b in F.nth_powers(3):
-        a = F.nth_root(b, 3)
-        assert a is not None and F.pow(a, 3) == b
-    non_cube = next(b for b in F.nonzero() if b not in set(F.nth_powers(3)))
-    assert F.nth_root(non_cube, 3) is None
-
-
 def test_pow_edge_cases():
     F = Field(3, 2)
     assert F.pow(0, 0) == 1

@@ -20,7 +20,7 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       is_cocommutative, is_normal, kernel_subgroup,
                       lie_algebra, morphism_check, points_group,
                       presentations_equal, primitive_elements, quotient_group,
-                      subgroup_from_elements)
+                      restricted_subalgebras, subgroup_from_elements)
 from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
 from gsl.action import extends_to_p1, standard_coaction
 from gsl.talg import (DIM_LIMIT, Algebra, Poly, _evaluation_quotient,
@@ -971,7 +971,7 @@ def test_closure_grows_to_hopf_ideal():
     # (S T) alone is an algebra ideal but not a coideal; the closure is
     # forced all the way up to the augmentation ideal
     I = hopf_ideal_closure(H, [S * T])
-    assert I.dim == 7 and I.is_augmentation()
+    assert I.dim == 7 == H.dim - 1
     assert I.verify()["ok"]
 
 
@@ -1164,6 +1164,21 @@ def test_closed_subgroup_keeps_the_ideal_of_a_subspace_carrier():
     assert S.dim == 2 and hopf_verify(S)["ok"]
 
 
+def test_equations_on_another_carrier_are_moved_onto_this_one():
+    # P eliminates u12, so u21 built on SL2_kerF(1)'s carrier has P's
+    # names under another key layout; read raw, it broke closed_subgroup
+    # (IndexError) and closed hopf_ideal_closure to the unit ideal
+    G = SL2_kerF(1, F2)
+    P = closed_subgroup(G, [G.carrier.var("u12")])
+    A, u21 = P.carrier, G.carrier.var("u21")
+    assert A.vars == ("u11", "u21") and P.dim == 4
+    S = closed_subgroup(P, [u21])
+    assert S.dim == 2 and presentations_equal(
+        S, closed_subgroup(P, [A.var("u21")]))
+    I = hopf_ideal_closure(P, [u21])
+    assert I.basis_polys() == [A.var("u21"), A.var("u11") * A.var("u21")]
+
+
 # small carriers, over every field, for the evaluation-kernel oracle
 EVAL_CARRIERS = (lambda F: alpha(2, F), lambda F: alpha(3, F),
                  lambda F: mu(2, F), lambda F: zoo_parse("D(1)", F),
@@ -1287,6 +1302,13 @@ def test_enumeration_guards():
     assert exc.value.what == "enumerate_subgroups ideals"
     with pytest.raises(BadParams):
         enumerate_subgroups(mu(1))
+    # the subalgebra walk counts its subspaces before it starts: those of
+    # GF(2^8)^4, the Lie algebra of D(1) x D(1)
+    D1 = zoo_parse("D(1)", Field(2, 8))
+    with pytest.raises(SizeGuard) as exc:
+        restricted_subalgebras(hopf_product(D1, D1))
+    assert (exc.value.what, exc.value.size) == (
+        "restricted_subalgebras subspaces", 4345561861)
 
 
 @pytest.mark.parametrize("F,cid,want", [

@@ -13,8 +13,9 @@ from gsl.hopf import (closed_subgroup, enumerate_morphisms,
                       hopf_product, hopf_verify, image_subgroup,
                       is_central, is_cocommutative, kernel_subgroup,
                       lie_algebra, morphism_check, presentations_equal,
-                      quotient_group)
-from gsl.action import MobiusMatrix, pgl2_morphism
+                      quotient_group, tangent_map)
+from gsl.action import (MobiusMatrix, lifts_to_sl2, pgl2_morphism,
+                        sl2_to_pgl2)
 from gsl.linalg import Subspace
 from gsl.talg import DIM_LIMIT, invert_unit
 from gsl.zoo import (D, E_trunc, H, H_unip, PGL2_kerF, SL2_kerF, alpha,
@@ -160,101 +161,44 @@ def test_pgl2_kernels_verify(F, n, dim):
     (Field(5), {1: (1, 125)}), (Field(3, 2), {1: (1, 27)})],
     ids=lambda x: x.name if isinstance(x, Field) else "")
 def test_sl2_maps_onto_pgl2_with_central_kernel(F, dims):
-    # pi_n: SL2_kerF(n) -> PGL2_kerF(n), a matrix to its class, is the
-    # Morphism that pgl2_morphism reads off the SL2 matrix; its kernel is
-    # mu2 in characteristic 2 and trivial otherwise.  dims maps n to
+    # pi_n: SL2_kerF(n) -> PGL2_kerF(n); its kernel is mu2 in
+    # characteristic 2 and trivial otherwise.  dims maps n to
     # (dim ker pi_n, dim im pi_n)
     for n, want in dims.items():
-        G = SL2_kerF(n, F)
-        u = G.carrier.var
-        M = MobiusMatrix(G, ((u("u11") + 1, u("u12")),
-                             (u("u21"), u("u22") + 1)))
-        pi = pgl2_morphism(M, n)
+        pi = sl2_to_pgl2(n, F)
         assert morphism_check(pi)["ok"]
         K, I = kernel_subgroup(pi), image_subgroup(pi)
         assert (K.dim, I.dim) == want
-        assert K.dim * I.dim == G.dim
-
-
-def _dot(F, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
-
-
-def _restricted_subalgebras(H):
-    """Every restricted subalgebra of Lie(H), as a Subspace of tangent
-    vectors: each subspace of the span of ``lie_algebra``'s basis once,
-    by its reduced echelon form over that basis (a pivot set, then the
-    free entries), kept when its rows close under bracket and p-map."""
-    F = H.field
-    basis, bracket, ppower = lie_algebra(H)
-    n, r = len(basis), len(H.carrier.vars)
-    out = []
-    for k in range(n + 1):
-        for piv in itertools.combinations(range(n), k):
-            slots = [(i, j) for i, l in enumerate(piv)
-                     for j in range(l + 1, n) if j not in piv]
-            for vals in itertools.product(F.elements(), repeat=len(slots)):
-                coeffs = [[int(j == l) for j in range(n)] for l in piv]
-                for (i, j), c in zip(slots, vals):
-                    coeffs[i][j] = c
-                rows = [[_dot(F, row, [b[t] for b in basis])
-                         for t in range(r)] for row in coeffs]
-                h = Subspace(F, r)
-                for row in rows:
-                    h.insert(row)
-                if (all(h.contains(bracket(u, v)) for u in rows for v in rows)
-                        and all(h.contains(ppower(u)) for u in rows)):
-                    out.append(h)
-    return out
-
-
-def _tangent_map(f):
-    """df on tangent vectors of f.target to those of f.source, for a map
-    with eps = 0 on every generator of both: the coefficient of each
-    target variable in the images of the source's."""
-    A, B = f.source.carrier, f.target.carrier
-    keys = [next(iter(B.var(nm).d)) for nm in B.vars]
-    rows = [[f.images[nm].d.get(key, 0) for key in keys] for nm in A.vars]
-    return lambda u: [_dot(f.source.field, row, u) for row in rows]
+        assert K.dim * I.dim == pi.target.dim
 
 
 @pytest.mark.parametrize("F,pgl2,lifts,sl2", [
     (F2, [1, 7, 7, 1], [1, 3, 0, 0], [1, 4, 3, 1]),
     (F4, [1, 21, 21, 1], [1, 5, 0, 0], [1, 6, 5, 1]),
     (F3, [1, 13, 4, 1], [1, 13, 4, 1], [1, 13, 4, 1]),
-    (Field(5), [1, 31, 6, 1], [1, 31, 6, 1], [1, 31, 6, 1])],
+    (Field(5), [1, 31, 6, 1], [1, 31, 6, 1], [1, 31, 6, 1]),
+    (Field(3, 2), [1, 91, 10, 1], [1, 91, 10, 1], [1, 91, 10, 1])],
     ids=lambda x: x.name if isinstance(x, Field) else "")
 def test_height_one_lift_table(F, pgl2, lifts, sl2):
     # restricted subalgebras of pgl2 and sl2 by dimension, and those of
-    # pgl2 that d pi_1 maps some subalgebra of sl2 isomorphically onto:
-    # all of them in odd characteristic, no plane in characteristic 2
-    G = SL2_kerF(1, F)
-    u = G.carrier.var
-    pi = pgl2_morphism(MobiusMatrix(G, ((u("u11") + 1, u("u12")),
-                                        (u("u21"), u("u22") + 1))), 1)
-    assert all(pi.source.counit[nm] == 0 for nm in pi.source.carrier.vars)
-    assert all(G.counit[nm] == 0 for nm in G.carrier.vars)
-    dpi = _tangent_map(pi)
-    downs, ups = (_restricted_subalgebras(H) for H in (pi.source, G))
-    images = []
-    for h in ups:
-        img = Subspace(F, len(pi.source.carrier.vars))
-        for row in h.basis():
-            img.insert(dpi(row))
-        if img.dim == h.dim:
-            images.append(img.basis())
-
+    # pgl2 that d pi_n maps some subalgebra of sl2 isomorphically onto:
+    # all of them in odd characteristic, where pi_n is an isomorphism,
+    # and no plane in characteristic 2.  Lie(PGL2_kerF(n)) is the same
+    # for every n, and so is the table
     def by_dim(spaces):
         return [sum(1 for h in spaces if h.dim == d) for d in range(4)]
 
-    assert by_dim(downs) == pgl2 and by_dim(ups) == sl2
-    assert by_dim([h for h in downs if h.basis() in images]) == lifts
+    for n in (1, 2) if F.q == 3 else (1,):
+        rep = lifts_to_sl2(n, F)
+        downs = [e["subalgebra"] for e in rep["entries"]]
+        assert by_dim(downs) == pgl2 and by_dim(rep["sl2"]) == sl2
+        assert by_dim([e["subalgebra"] for e in rep["entries"]
+                       if e["lift"] is not None]) == lifts
+        assert rep.get("pi_bijective") is (True if F.p > 2 else None)
     if F.q in (2, 4):
         # a height-one subgroup of order p^d is one subalgebra of dim d
-        for H, want in ((G, sl2), (pi.source, pgl2)):
+        G = SL2_kerF(1, F)
+        for H, want in ((G, sl2), (PGL2_kerF(1, F), pgl2)):
             got = Counter(H.dim - I.dim for I in enumerate_subgroups(H))
             assert [got[2 ** d] for d in range(4)] == want
 
@@ -275,6 +219,34 @@ def test_pullback_dims_and_axioms():
             G = pullback(s1, s2, n)
             assert G.carrier.dim == 2 ** (n + 3)
             assert hopf_verify(G)["ok"]
+
+
+def test_pi_on_pullback_is_mu2_invariants_and_obeys_the_chain_rule():
+    # P = pullback(s1, s2, n) lies in SL2_kerF(n + 1) by incl, and pi|P
+    # is the pgl2_morphism of its matrix.  The subalgebra of A(P) that
+    # pi|P's images generate is A(P)^mu2, generated by Y1 = X11 X12 and
+    # Y2 = X21 X22: equal spans, no search.  X11 and X22 have counit 1,
+    # and d(pi|P) = d pi_(n+1) o d incl on Lie(P)
+    for n in (1, 2):
+        dpi = tangent_map(sl2_to_pgl2(n + 1))
+        for s1, s2 in [(1, 0), (0, 1), (1, 1)]:
+            P = pullback(s1, s2, n)
+            A = P.carrier
+            X11, X12, X21, X22 = A.gens()
+            pi_P = pgl2_morphism(MobiusMatrix(P, ((X11, X12), (X21, X22))),
+                                 n + 1)
+            image = talg.subalgebra_generated(A, list(pi_P.images.values()))
+            fixed = talg.subalgebra_generated(A, [X11 * X12, X21 * X22])
+            assert image.dim == 2 ** (n + 2)
+            assert image.basis() == fixed.basis()
+            incl = Morphism(SL2_kerF(n + 1), P,
+                            {"u11": X11 - 1, "u12": X12, "u21": X21})
+            assert morphism_check(incl)["ok"]
+            dincl, dpi_P = tangent_map(incl), tangent_map(pi_P)
+            basis = lie_algebra(P)[0]
+            assert basis
+            for u in basis:
+                assert dpi_P(u) == dpi(dincl(u))
 
 
 def test_semidirect_pinned_coproducts():
@@ -547,7 +519,7 @@ def test_subgroup_table_of_D2():
         if idl.dim == 0:
             assert presentations_equal(closed_subgroup(d2, []), d2)
             seen.append("full")
-        elif idl.is_augmentation():
+        elif idl.dim == d2.dim - 1:
             sub = closed_subgroup(d2, idl.basis_polys())
             assert sub.carrier.dim == 1
             seen.append("trivial")
