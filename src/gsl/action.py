@@ -12,9 +12,8 @@ given and read back.
 
 from .errors import BadParams, NonUnit, NotFractionalLinear, NotInvertible
 from .gf import Field
-from .hopf import (Failure, Morphism, _report, _require_ok, hopf_ideal_closure,
-                   restricted_subalgebras, tangent_map)
-from .linalg import subspace_from
+from .hopf import (Failure, Morphism, _report, _require_ok, _tangent_image,
+                   hopf_ideal_closure, restricted_subalgebras)
 from .talg import Poly, _power, invert_unit, map_leg
 from .zoo import D, PGL2_kerF, SL2_kerF, alpha, mu, semidirect
 
@@ -327,24 +326,22 @@ def lifts_to_sl2(n, field=None):
     (``tangent_map``) maps isomorphically onto it, or None; "sl2" is the
     walk of Lie(SL2_kerF(n)) searched.  Both are Subspaces of tangent
     vectors from ``restricted_subalgebras``.  For odd p the report also
-    holds "pi_bijective", whether pi_n is an isomorphism, so that every
-    subgroup of PGL2_kerF(n) lifts.
+    holds "pi_bijective" (``Morphism.is_bijective``: the same rank of
+    d pi_n, on all of sl2), so that every subgroup of PGL2_kerF(n) lifts.
     """
     pi = sl2_to_pgl2(n, field)
-    F, dpi = pi.source.field, tangent_map(pi)
 
     def key(h):
         return tuple(map(tuple, h.basis()))
 
     ups, lifts = restricted_subalgebras(pi.target), {}
     for h in ups:
-        image = subspace_from(F, len(pi.source.carrier.vars),
-                              [dpi(v) for v in h.basis()])
+        image = _tangent_image(pi, h.basis())
         if image.dim == h.dim:
             lifts.setdefault(key(image), h)
     rep = {"entries": [{"subalgebra": g, "lift": lifts.get(key(g))}
                        for g in restricted_subalgebras(pi.source)],
            "sl2": ups}
-    if F.p != 2:
+    if pi.source.field.p != 2:
         rep["pi_bijective"] = pi.is_bijective()
     return rep

@@ -392,30 +392,22 @@ class Morphism(object):
         self.source = source
         self.target = target
         _require_on_gens("images", images, source.carrier.vars)
-        self.images = dict(images)
+        # an image on another algebra is moved onto the carrier by name
+        B = target.carrier
+        self.images = {nm: e if e.alg is B else apply_map(e, {}, B)
+                       for nm, e in images.items()}
         self.name = name or "f"
-        self._mat = None
 
     def map(self, f):
         return apply_map(f, self.images, self.target.carrier)
 
-    def matrix(self):
-        """Columns are the images of the source basis monomials."""
-        if self._mat is None:
-            A = self.source.carrier
-            B = self.target.carrier
-            image = _mono_images(A, self.images, B)
-            self._mat = [B.to_vector(Poly(B, image(m)))
-                         for m in A.basis_monomials()]
-        return self._mat
-
-    def rank(self):
-        return subspace_from(self.source.field, self.target.dim,
-                             self.matrix()).dim
-
     def is_bijective(self):
-        return (self.source.dim == self.target.dim
-                and self.rank() == self.source.dim)
+        """Whether this algebra map is an isomorphism: equal dimensions,
+        and df injective on Lie(target).  Every carrier is finite local
+        with residue field k, so by Nakayama's lemma a map into it is
+        onto exactly when it is onto m/m^2, dual to the tangent space
+        (Demazure-Gabriel II; Waterhouse, GTM 66)."""
+        return self.source.dim == self.target.dim and _is_onto(self)
 
     def __repr__(self):
         img = ", ".join("%s -> %s" % (nm, self.images[nm])
@@ -775,6 +767,21 @@ def tangent_map(f):
         return out
 
     return df
+
+
+def _tangent_image(f, vectors):
+    """The span of df(u) over tangent vectors u of f.target, as a
+    Subspace of f.source's tangent vectors (``tangent_map``)."""
+    df = tangent_map(f)
+    return subspace_from(f.source.field, len(f.source.carrier.vars),
+                         [df(u) for u in vectors])
+
+
+def _is_onto(f):
+    """Whether f is onto A(f.target), that is, the group map has trivial
+    kernel: df is injective on Lie(f.target) (``Morphism.is_bijective``)."""
+    basis = lie_algebra(f.target)[0]
+    return _tangent_image(f, basis).dim == len(basis)
 
 
 def restricted_subalgebras(H):

@@ -32,9 +32,9 @@ from .talg import (Algebra, Poly, _mono_images, _power, _sum_images,
                    apply_map, invert_unit, map_leg, multiply_legs,
                    quotient_algebra, weight_decomposition)
 from .hopf import (SEARCH_LIMIT, Failure, HopfAlgebra, Morphism, _combos,
-                   _relation_polys, _report, _require_ok, _require_on_gens,
-                   closed_subgroup, enumerate_morphisms, hopf_product,
-                   hopf_verify, kernel_subgroup, morphism_check,
+                   _is_onto, _relation_polys, _report, _require_ok,
+                   _require_on_gens, closed_subgroup, enumerate_morphisms,
+                   hopf_product, hopf_verify, kernel_subgroup, morphism_check,
                    presentations_equal, primitive_elements,
                    subgroup_from_elements)
 
@@ -988,21 +988,16 @@ def cocycle_check(a, n, field=None):
     AH = target.carrier
     shape = {"T": prims, "T2": [AH.from_vector(v)
                                 for v in target.aug_subspace().basis()]}
-    embeddings = []
-    for f in enumerate_morphisms(E, target, shape=shape):
-        if kernel_subgroup(f).carrier.dim == 1:
-            embeddings.append(f)
     report["pinned_exponents"] = (p, p ** (n - 1))
-    report["pinned_embeddings"] = len(embeddings)
+    report["pinned_embeddings"] = sum(
+        _is_onto(f) for f in enumerate_morphisms(E, target, shape=shape))
 
     if n >= 2:
         e_fix = (p ** (n - 2), 1)
         Efix = cocycle_ext(a, n, F, exponents=e_fix)
         t = AH.var("T")
         g = Morphism(Efix, target, {"T": t ** p, "T2": t})
-        rep = morphism_check(g)
-        ker = kernel_subgroup(g)
         report["corrected_exponents"] = e_fix
-        report["corrected_ok"] = rep["ok"]
-        report["corrected_kernel_trivial"] = ker.carrier.dim == 1
+        report["corrected_ok"] = morphism_check(g)["ok"]
+        report["corrected_kernel_trivial"] = _is_onto(g)
     return report

@@ -1179,6 +1179,18 @@ def test_equations_on_another_carrier_are_moved_onto_this_one():
     assert I.basis_polys() == [A.var("u21"), A.var("u11") * A.var("u21")]
 
 
+def test_images_on_another_carrier_are_moved_onto_the_target():
+    # the identity of D(1) written on (T, S) in place of (S, T): read raw,
+    # morphism_check raised BadParams and tangent_map read foreign keys
+    G = D(1)
+    B = Algebra(F2, ("T", "S"), (2, 2))
+    f = Morphism(G, G, {nm: B.var(nm) for nm in G.carrier.vars})
+    assert f.images == {nm: G.carrier.var(nm) for nm in G.carrier.vars}
+    assert morphism_check(f)["ok"] and f.is_bijective()
+    own = G.carrier.var("S")
+    assert Morphism(G, G, {"S": own, "T": B.var("T")}).images["S"] is own
+
+
 # small carriers, over every field, for the evaluation-kernel oracle
 EVAL_CARRIERS = (lambda F: alpha(2, F), lambda F: alpha(3, F),
                  lambda F: mu(2, F), lambda F: zoo_parse("D(1)", F),

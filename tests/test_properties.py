@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import Field, frobenius_image, frobenius_kernel, lie_algebra
-from gsl.hopf import (ASSOC_FULL_LIMIT, closed_subgroup, hopf_ideal_closure,
-                      points_group, quotient_group)
+from gsl.action import sl2_to_pgl2
+from gsl.hopf import (ASSOC_FULL_LIMIT, _is_onto, closed_subgroup, frobenius,
+                      hopf_ideal_closure, kernel_subgroup, points_group,
+                      quotient_group, subgroup_from_elements)
 from gsl.talg import Algebra
-from gsl.zoo import zoo_parse
+from gsl.zoo import pullback, zoo_parse
+from test_search import dense_bijective
 
 CASES = [(F, n) for F, top in ((Field(2), 3), (Field(2, 2), 2), (Field(3), 2),
                                (Field(3, 2), 1), (Field(5), 1))
@@ -138,3 +141,35 @@ def test_points_form_a_p_group(F, cid, d):
     while order % F.p == 0:
         order //= F.p
     assert order == 1
+
+
+def _pullback_incl(s1, s2):
+    P = pullback(s1, s2, 1, Field(2))
+    X = P.carrier.var
+    return subgroup_from_elements(
+        P, [("Y1", X("X11") * X("X12")), ("Y2", X("X21") * X("X22"))])[1]
+
+
+# maps the library builds, over p = 2, 3, 5 and m = 1, 2; the inclusions
+# land in a carrier with generators of counit 1
+ONTO_CASES = {}
+for F in (Field(2), Field(2, 2), Field(3), Field(3, 2), Field(5)):
+    ONTO_CASES["pi_1 " + F.name] = functools.partial(sl2_to_pgl2, 1, F)
+for F, cid in ((Field(2), "SL2_kerF(2)"), (Field(2, 2), "D(2)"),
+               (Field(3), "D(2)"), (Field(3, 2), "mu(2)"),
+               (Field(5), "alpha(2)")):
+    ONTO_CASES["frobenius %s %s" % (F.name, cid)] = (
+        lambda F=F, cid=cid: frobenius(zoo_parse(cid, F)))
+for s in ((1, 0), (0, 1), (1, 1)):
+    ONTO_CASES["incl pullback(%d,%d,1)" % s] = functools.partial(
+        _pullback_incl, *s)
+
+
+@pytest.mark.parametrize("case", sorted(ONTO_CASES))
+def test_bijective_and_onto_match_the_dense_rank_and_the_kernel(case):
+    # a map into a local carrier is onto exactly when df is injective on
+    # the target's tangent space (Nakayama), so that rank agrees with
+    # the dense rank of the map and with a trivial kernel
+    f = ONTO_CASES[case]()
+    assert f.is_bijective() == dense_bijective(f)
+    assert _is_onto(f) == (kernel_subgroup(f).dim == 1)

@@ -188,7 +188,7 @@ def test_height_one_lift_table(F, pgl2, lifts, sl2):
     def by_dim(spaces):
         return [sum(1 for h in spaces if h.dim == d) for d in range(4)]
 
-    for n in (1, 2) if F.q == 3 else (1,):
+    for n in (1, 2) if F.q in (3, 5) else (1,):
         rep = lifts_to_sl2(n, F)
         downs = [e["subalgebra"] for e in rep["entries"]]
         assert by_dim(downs) == pgl2 and by_dim(rep["sl2"]) == sl2
