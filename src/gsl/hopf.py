@@ -27,7 +27,7 @@ from collections import namedtuple
 from itertools import combinations, product
 
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
-from .linalg import Subspace, subspace_from
+from .linalg import Subspace, column_kernel, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra,
                    _echelon_quotient, _evaluation_quotient, _mono_images,
                    _scalar_leg, _sum_images, apply_map, map_leg,
@@ -451,43 +451,13 @@ def _requotient(carrier, extra):
     return quotient_algebra(carrier, list(extra), aliases=aliases)
 
 
-def _induced_hopf(H, Q, name):
-    """Push the structure maps of H through the projection pi onto Q,
-    the coproduct as (pi ox pi) delta, leg by leg."""
-    tQ = Q.tensor(Q)
-    pi = _mono_images(H.carrier, {}, Q)
-    delta = {nm: map_leg(H.delta[nm], (0, 1), pi, tQ) for nm in Q.vars}
-    counit = {nm: H.counit[nm] for nm in Q.vars}
-    anti = {nm: _sum_images(H.antipode[nm], pi, Q) for nm in Q.vars}
-    K = HopfAlgebra(Q, delta, counit, anti, name=name)
-    _require_ok(hopf_verify(K), "quotient Hopf structure")
-    return K
-
-
 def kernel_subgroup(f, name=None):
-    """Kernel of the group map given by f: the target modulo the image of
-    the source's augmentation ideal."""
+    """Kernel of the group map given by f: the closed subgroup of the
+    target cut out by the image of the source's augmentation ideal."""
     H, G = f.source, f.target
     gens = [f.images[nm] - G.carrier.scalar(H.counit[nm])
             for nm in H.carrier.vars]
-    Q = _requotient(G.carrier, gens)
-    return _induced_hopf(G, Q, name or ("ker " + f.name))
-
-
-def _column_kernel(F, columns, n):
-    """A basis of the kernel of the columns, {c : sum c_j columns[j] = 0}
-    in k unknowns for k columns of length n: echelonise the rows
-    e_j | columns[j] and keep those whose high block is zero.  The rows
-    come out reduced, normalised and in pivot order, as a Subspace's
-    ``basis()`` would list them.
-    """
-    k = len(columns)
-    aug = Subspace(F, k + n)
-    for j, col in enumerate(columns):
-        unit = [0] * k
-        unit[j] = 1
-        aug.insert(unit + col)
-    return [row[:k] for row in aug.basis() if not any(row[k:])]
+    return closed_subgroup(G, gens, name or ("ker " + f.name))
 
 
 def subgroup_from_elements(G, named_elems, name=None):
@@ -609,9 +579,10 @@ def closed_subgroup(H, equations, name=None):
     """Subgroup scheme cut out by augmentation-ideal equations.
 
     Equations on another algebra are moved onto the carrier by name.  The
-    carrier is divided by the ideal they generate and the structure maps
-    are pushed through; if that ideal is not a Hopf ideal the induced
-    maps fail the axioms and VerifyError propagates.
+    structure maps are pushed through the projection pi onto Q, the
+    carrier modulo the ideal they generate (delta as (pi ox pi) delta,
+    leg by leg); if that ideal is not a Hopf ideal the induced maps fail
+    the axioms and VerifyError propagates.
     """
     equations = [apply_map(e, {}, H.carrier) for e in equations]
     for e in equations:
@@ -619,32 +590,39 @@ def closed_subgroup(H, equations, name=None):
             raise BadParams("subgroup equations must lie in the "
                             "augmentation ideal")
     Q = _requotient(H.carrier, equations)
-    return _induced_hopf(H, Q, name or (H.name + " sub"))
+    tQ = Q.tensor(Q)
+    pi = _mono_images(H.carrier, {}, Q)
+    delta = {nm: map_leg(H.delta[nm], (0, 1), pi, tQ) for nm in Q.vars}
+    counit = {nm: H.counit[nm] for nm in Q.vars}
+    anti = {nm: _sum_images(H.antipode[nm], pi, Q) for nm in Q.vars}
+    K = HopfAlgebra(Q, delta, counit, anti, name=name or (H.name + " sub"))
+    _require_ok(hopf_verify(K), "quotient Hopf structure")
+    return K
 
 
 def primitive_elements(H):
     """Basis of the primitives of the carrier: x with
-    delta(x) = x ox 1 + 1 ox x.  These span the tangent space cut out
-    inside the augmentation ideal by linear conditions."""
+    delta(x) = x ox 1 + 1 ox x.  A primitive x is the Hopf map
+    k[T] -> A(G) with T -> x, so the primitives are the homomorphisms
+    G -> G_a (Demazure & Gabriel, II §1).  They do not span the tangent
+    space in general: mu(1) has none, and GF(2) alpha(2), whose tangent
+    space is a line, has T and T^2.
+
+    The basis is the ``column_kernel`` of the columns
+    delta(m) - m ox 1 - 1 ox m over the basis monomials m.  Refused
+    (SizeGuard) before any column is built when A ox A, the key space of
+    the columns, has more than DIM_LIMIT monomials."""
     A = H.carrier
-    F = H.field
     if A.dim * A.dim > DIM_LIMIT:
-        # the equations are rows over A ox A
-        raise SizeGuard("primitive_elements pair rows", A.dim * A.dim,
+        raise SizeGuard("primitive_elements column keys", A.dim * A.dim,
                         DIM_LIMIT)
     t2 = H.t2()
-    n = A.dim
-    seen = {}
-    for j, m in enumerate(A.basis_monomials()):
+    columns = []
+    for m in A.basis_monomials():
         f = A.poly({m: 1})
-        resid = (H.delta_map(f) - t2.elem(f, A.one())
-                 - t2.elem(A.one(), f))
-        for mono, c in resid.d.items():
-            seen.setdefault(mono, [0] * n)[j] = c
-    eqs = Subspace(F, n)
-    for row in seen.values():
-        eqs.insert(row)
-    return [A.from_vector(vec) for vec in eqs.right_kernel_basis()]
+        columns.append((H.delta_map(f) - t2.elem(f, A.one())
+                        - t2.elem(A.one(), f)).d)
+    return [A.from_vector(vec) for vec in column_kernel(H.field, columns)]
 
 
 def _leibniz(H):
@@ -683,9 +661,10 @@ def lie_algebra(H):
 
     A Lie element is an eps-derivation u: A -> k, held as its values on
     ``carrier.vars``.  By the Leibniz rule u(m) = sum_i m_i eps(m / x_i)
-    u(x_i) on a monomial m, so the basis is the right kernel of the
-    Jacobian at eps of the carrier's relations; a truncation x^d adds
-    nothing, as d x^(d-1) vanishes at eps.  The bracket [u, v] is
+    u(x_i) on a monomial m, so the basis is the ``column_kernel`` of the
+    Jacobian at eps of the carrier's relations, one column per variable,
+    keyed by relation; a truncation x^d adds nothing, as d x^(d-1)
+    vanishes at eps.  The bracket [u, v] is
     (u ox v - v ox u) read on delta of the generators, and the p-map
     is the convolution power u^(*p) there, by u^(*j)(m) =
     sum c u^(*(j-1))(m1) u(m2) over delta(m) = sum c m1 ox m2.  A
@@ -702,13 +681,11 @@ def lie_algebra(H):
     aug = [i for i, c in enumerate(H._eps_codes) if not c]
     grad, value = _leibniz(H)
 
-    eqs = Subspace(F, r)
-    for g in _relation_polys(A):
-        row = [0] * r
-        for m, c in g.d.items():
+    jacobian = [{} for _ in range(r)]
+    for g, rel in enumerate(_relation_polys(A)):
+        for m, c in rel.d.items():
             for i, d in grad(m):
-                row[i] = F.add(row[i], F.mul(c, d))
-        eqs.insert(row)
+                jacobian[i][g] = F.add(jacobian[i].get(g, 0), F.mul(c, d))
 
     def bracket(u, v):
         out = []
@@ -745,7 +722,7 @@ def lie_algebra(H):
         return [conv(F.p, next(iter(A.ambient.var(nm).d)))
                 for nm in A.vars]
 
-    return eqs.right_kernel_basis(), bracket, ppower
+    return column_kernel(F, jacobian), bracket, ppower
 
 
 def tangent_map(f):
@@ -1047,20 +1024,24 @@ def quotient_group(H, ideal, name=None):
 
     f is a coinvariant when rho(f) = f ox 1 for rho = (id ox pi) delta,
     one memo on monomials into A ox Q (H's delta memo is not filled).
-    The columns rho(m) - m ox 1 over the basis monomials m are dense
-    vectors of A ox Q, so its ``to_vector`` guard applies."""
+    The coinvariants are the ``column_kernel`` of the sparse columns
+    rho(m) - m ox 1 over the basis monomials m.  Refused (SizeGuard)
+    before normality is tested when A ox Q, the key space of the
+    columns, has more than DIM_LIMIT monomials."""
     A = H.carrier
-    F = H.field
     Q, pi, _, _ = ideal._quotient()
+    if A.dim * Q.dim > DIM_LIMIT:
+        raise SizeGuard("quotient_group column keys", A.dim * Q.dim,
+                        DIM_LIMIT)
     ok, witness = is_normal(H, ideal)
     if not ok:
         raise NotNormal(witness)
     T = A.tensor(Q)
     rho = _mono_images(A, {nm: map_leg(dx, 1, pi, T)
                            for nm, dx in H.delta.items()}, T)
-    columns = [T.to_vector(Poly(T, rho(m)) - T.embed(A.poly({m: 1}), 0))
+    columns = [(Poly(T, rho(m)) - T.embed(A.poly({m: 1}), 0)).d
                for m in A.basis_monomials()]
-    span = _column_kernel(F, columns, T.dim)
+    span = column_kernel(H.field, columns)
     chosen = []
     sub = subalgebra_generated(A, [])
     idx = 0
@@ -1340,14 +1321,12 @@ def _ideal_covers(I, muls, one_pos):
     of x times basis monomial c)."""
     F, n = I.field, I.n
     free = [c for c in I.complement_indices() if c != one_pos]
-    # the combinations of the e_c that every x sends into I
-    columns = []
-    for c in free:
-        col = []
-        for mul in muls:
-            col.extend(I.residue(mul[c]))
-        columns.append(col)
-    sols = _column_kernel(F, columns, len(muls) * n)
+    # the combinations of the e_c that every x sends into I: one column
+    # per e_c, its residues keyed by (generator, coordinate)
+    columns = [{(x, t): r for x, mul in enumerate(muls)
+                for t, r in enumerate(I.residue(mul[c])) if r}
+               for c in free]
+    sols = column_kernel(F, columns)
     for coeffs in product(range(F.q), repeat=len(sols)):
         # one vector per line: the last nonzero coefficient is 1
         if next((a for a in reversed(coeffs) if a), 0) != 1:

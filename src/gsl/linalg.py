@@ -1,10 +1,12 @@
 """Echelon-form subspaces of k^n over a small finite field.
 
-Subspace is the one echelon engine of the library.  Relations among
-vectors v_j and coordinates over them are read off one Subspace of the
-augmented rows e_j | v_j: its basis rows with a zero high block span the
-relations, and the residue of 0 | v is -c | 0 exactly when
-v = sum c_j v_j (a nonzero high block means v is not in their span).
+Subspace is the one echelon engine of the library.  Coordinates over
+vectors v_j are read off one Subspace of the augmented rows e_j | v_j:
+the residue of 0 | v is -c | 0 exactly when v = sum c_j v_j (a nonzero
+high block means v is not in their span).  The relations half of that
+pattern, the rows with a zero high block, is ``column_kernel``: it
+echelonises the equations on the k coefficients instead, one per
+coordinate met, so nothing wider than k is laid out.
 
 A Subspace keeps a reduced row echelon basis, pivoting on the *largest*
 nonzero coordinate of each row.  That convention matches the monomial
@@ -178,27 +180,6 @@ class Subspace(object):
                        else list(row))
         return out
 
-    def right_kernel_basis(self):
-        """Basis of the solution space of <row, x> = 0 over all stored rows.
-
-        Each stored row is read as one linear equation on n unknowns.
-        """
-        if self._binary:
-            self._inter_reduce()
-        rows = self._rows
-        out = []
-        for j in range(self.n):
-            if j in rows:
-                continue
-            vec = [0] * self.n
-            vec[j] = 1
-            for l, row in rows.items():
-                c = (row >> j) & 1 if self._binary else row[j]
-                if c:
-                    vec[l] = self.field.neg(c)
-            out.append(vec)
-        return out
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.n}, {self.field.name})"
 
@@ -208,6 +189,45 @@ def subspace_from(field, n, vectors):
     for v in vectors:
         S.insert(v)
     return S
+
+
+def column_kernel(field, columns):
+    """The relations {c : sum_j c_j columns[j] = 0} among k columns, each
+    a sparse {key: code} over any hashable keys: the right kernel of the
+    matrix with these columns, as the reduced echelon basis that
+    ``Subspace.basis()`` would list.
+
+    One equation is collected per key met and inserted into one Subspace
+    of width k, with unknown j at position k - 1 - j.  Its reduced rows
+    then pivot on their smallest unknown, so the solution of each free
+    unknown is already reduced and normalised for the largest-pivot
+    convention.
+    """
+    k = len(columns)
+    eqs = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c:
+                eqs.setdefault(key, {})[k - 1 - j] = c
+    S = Subspace(field, k)
+    for eq in eqs.values():
+        if S._binary:
+            S.insert(sum(1 << i for i in eq))
+            continue
+        row = [0] * k
+        for i, c in eq.items():
+            row[i] = c
+        S.insert(row)
+    rows = dict(zip(S.pivots(), S.basis()))
+    out = []
+    for i in reversed(S.complement_indices()):
+        vec = [0] * k
+        vec[k - 1 - i] = 1
+        for l, row in rows.items():
+            if row[i]:
+                vec[k - 1 - l] = field.neg(row[i])
+        out.append(vec)
+    return out
 
 
 def subspace_sum(A, B):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsl import BadParams, Field, NotNormal, SizeGuard, VerifyError, hopf
 from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
-                      _column_kernel, _counit_sides, _generating_vars,
+                      _counit_sides, _generating_vars,
                       _ideal_covers, _ideal_span_coords, _nil_order,
                       _requotient, _unit_order, closed_subgroup,
                       enumerate_morphisms, enumerate_subgroups,
@@ -21,7 +21,8 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
                       lie_algebra, morphism_check, points_group,
                       presentations_equal, primitive_elements, quotient_group,
                       restricted_subalgebras, subgroup_from_elements)
-from gsl.linalg import Subspace, subspace_from, subspace_intersect, subspace_sum
+from gsl.linalg import (Subspace, column_kernel, subspace_from,
+                        subspace_intersect, subspace_sum)
 from gsl.action import extends_to_p1, standard_coaction
 from gsl.talg import (DIM_LIMIT, Algebra, Poly, _evaluation_quotient,
                       _mono_images, apply_map, multiply_legs,
@@ -518,9 +519,10 @@ def test_guards_name_what_a_large_carrier_would_materialise():
     assert G.dim == 4096
     checks = [
         ("tensor basis_monomials", lambda: G.t2().to_vector(G.delta["u11"])),
-        ("primitive_elements pair rows", lambda: primitive_elements(G)),
-        # its columns are vectors over A ox Q, Q = A here
-        ("tensor basis_monomials",
+        # its columns are keyed by A ox A
+        ("primitive_elements column keys", lambda: primitive_elements(G)),
+        # its columns are keyed by A ox Q, Q = A here
+        ("quotient_group column keys",
          lambda: quotient_group(G, HopfIdeal(G, Subspace(F2, G.dim)))),
         # its table of generator times basis monomial is 3 * 4096^2 long
         ("enumerate_subgroups cover rows", lambda: enumerate_subgroups(G)),
@@ -538,6 +540,73 @@ def test_guards_name_what_a_large_carrier_would_materialise():
     assert len(lie_algebra(G)[0]) == 3
     with pytest.raises(VerifyError, match=r"delta\(U\) escapes the span"):
         subgroup_from_elements(G, [("U", G.carrier.var("u12"))])
+
+
+def transposed_primitives(H):
+    """The primitives as the right kernel of one dense dim-long row per
+    A ox A monomial of delta(m) - m ox 1 - 1 ox m, read in free-variable
+    form: the reference ``primitive_elements`` must span the same space
+    as."""
+    A, F = H.carrier, H.field
+    t2 = H.t2()
+    n = A.dim
+    seen = {}
+    for j, m in enumerate(A.basis_monomials()):
+        f = A.poly({m: 1})
+        resid = H.delta_map(f) - t2.elem(f, A.one()) - t2.elem(A.one(), f)
+        for mono, c in resid.d.items():
+            seen.setdefault(mono, [0] * n)[j] = c
+    eqs = subspace_from(F, n, seen.values())
+    rows = dict(zip(eqs.pivots(), eqs.basis()))
+    out = []
+    for j in range(n):
+        if j not in rows:
+            vec = [0] * n
+            vec[j] = 1
+            for l, row in rows.items():
+                if row[j]:
+                    vec[l] = F.neg(row[j])
+            out.append(vec)
+    return out
+
+
+PRIMITIVE_CARRIERS = {"alpha(2)": lambda F: alpha(2, F),
+                      "mu(1)": lambda F: mu(1, F),
+                      "D(2)": lambda F: zoo_parse("D(2)", F),
+                      "H(1,3)": lambda F: zoo_parse("H(1,3)", F),
+                      "witt2": witt2,
+                      "SL2_kerF(1)": lambda F: SL2_kerF(1, F)}
+
+
+# all but GF(5) witt2 (dim 625), whose reference rows would be 625^2 long
+@pytest.mark.parametrize("name,F", [
+    pytest.param(name, F, id="%s-%s" % (name, F.name))
+    for F in (F2, F4, F3, F9, F5) for name in PRIMITIVE_CARRIERS
+    if (name, F) != ("witt2", F5)])
+def test_primitives_match_the_transposed_rows(name, F):
+    G = PRIMITIVE_CARRIERS[name](F)
+    A, t2 = G.carrier, G.t2()
+    prims = primitive_elements(G)
+    for x in prims:
+        assert G.delta_map(x) == t2.elem(x, A.one()) + t2.elem(A.one(), x)
+    got = subspace_from(F, A.dim, [A.to_vector(x) for x in prims])
+    want = subspace_from(F, A.dim, transposed_primitives(G))
+    assert got.basis() == want.basis()
+    # primitives are the maps G -> G_a; they need not span the tangent
+    # space: mu(1) has none, alpha(2) has T and T^p on a line
+    counts = {"alpha(2)": (2, 1), "mu(1)": (0, 1), "D(2)": (2, 2),
+              "H(1,3)": (2, 1), "witt2": (2, 2),
+              "SL2_kerF(1)": (2 if F.p == 2 else 0, 3)}
+    assert (len(prims), len(lie_algebra(G)[0])) == counts[name]
+
+
+def test_kernel_subgroup_refuses_a_map_off_the_counit():
+    # T -> T + 1 is no group map: its image of the augmentation ideal
+    # leaves the augmentation ideal, which closed_subgroup refuses
+    a = alpha(1)
+    f = Morphism(a, a, {"T": a.carrier.var("T") + 1})
+    with pytest.raises(BadParams, match="augmentation ideal"):
+        kernel_subgroup(f)
 
 
 def test_verify_catches_bad_counit():
@@ -1200,11 +1269,10 @@ EVAL_CARRIERS = (lambda F: alpha(2, F), lambda F: alpha(3, F),
 
 def shell_kernel_quotient(shell, images, A):
     """The shell modulo the kernel of its evaluation at ``images``, by
-    Buchberger over the shell-wide kernel: one ``_column_kernel`` row per
-    shell monomial."""
+    Buchberger over the shell-wide kernel: the ``column_kernel`` of the
+    images of the shell monomials."""
     ev = _mono_images(shell, images, A)
-    kernel = _column_kernel(A.field, [A.to_vector(Poly(A, ev(m)))
-                                      for m in shell.basis_monomials()], A.dim)
+    kernel = column_kernel(A.field, [ev(m) for m in shell.basis_monomials()])
     return quotient_algebra(shell, [shell.from_vector(r) for r in kernel],
                             eliminate=False)
 

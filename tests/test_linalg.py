@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsl import Field
-from gsl.linalg import (Subspace, _pack, _unpack, subspace_from,
-                        subspace_intersect, subspace_sum)
+from gsl.linalg import (Subspace, _pack, _unpack, column_kernel,
+                        subspace_from, subspace_intersect, subspace_sum)
 
 F2 = Field(2)
 F3 = Field(3)
@@ -88,28 +88,63 @@ def test_intersection_example():
     assert W.contains([0, 1, 0])
 
 
+def _annihilates(F, columns, v):
+    """sum_j v_j columns[j] = 0, key by key."""
+    acc = {}
+    for c, col in zip(v, columns):
+        for key, a in col.items():
+            acc[key] = F.add(acc.get(key, 0), F.mul(c, a))
+    return not any(acc.values())
+
+
 def test_right_kernel():
-    # rows read as equations: x0 + x2 = 0, x1 + 2 x2 = 0 over GF(5)
-    S = subspace_from(F5, 3, [[1, 0, 1], [0, 1, 2]])
-    ker = S.right_kernel_basis()
-    assert len(ker) == 1
-    v = ker[0]
-    for row in S.basis():
-        acc = 0
-        for a, b in zip(row, v):
-            acc = F5.add(acc, F5.mul(a, b))
-        assert acc == 0
+    # the equations x0 + x2 = 0, x1 + 2 x2 = 0 over GF(5), keyed by
+    # equation: one column per unknown
+    columns = [{0: 1}, {1: 1}, {0: 1, 1: 2}]
+    ker = column_kernel(F5, columns)
+    assert ker == [[4, 3, 1]]
+    assert _annihilates(F5, columns, ker[0])
 
 
 @settings(max_examples=40)
 @given(data=st.data(), F=st.sampled_from([F2, F3, F4, F9, F625]))
 def test_right_kernel_dimension(data, F):
     n = 5
-    S = subspace_from(F, n, data.draw(vectors(F, n)))
-    ker = S.right_kernel_basis()
-    assert len(ker) == n - S.dim
-    K = subspace_from(F, n, ker)
-    assert K.dim == n - S.dim
+    rows = data.draw(vectors(F, n))
+    columns = [{i: row[j] for i, row in enumerate(rows)} for j in range(n)]
+    rank = subspace_from(F, n, rows).dim
+    ker = column_kernel(F, columns)
+    assert len(ker) == n - rank
+    assert subspace_from(F, n, ker).dim == n - rank
+    assert all(_annihilates(F, columns, v) for v in ker)
+
+
+def augmented_column_kernel(F, columns):
+    """The reference: echelonise e_j | columns[j] densely over every key
+    met and keep the rows whose high block is zero."""
+    keys = list({key: None for col in columns for key in col})
+    k = len(columns)
+    aug = Subspace(F, k + len(keys))
+    for j, col in enumerate(columns):
+        unit = [0] * k
+        unit[j] = 1
+        aug.insert(unit + [col.get(key, 0) for key in keys])
+    return [row[:k] for row in aug.basis() if not any(row[k:])]
+
+
+KEY_POOLS = ([(0, 0), (0, 1), (1, 0), (2, 1), (1, 1, 1)],
+             ["a", "b", "ab", "x1", "x2", ""])
+
+
+@settings(max_examples=150)
+@given(data=st.data(), F=st.sampled_from([F2, F3, F4, F5, F9]),
+       keys=st.sampled_from(KEY_POOLS))
+def test_column_kernel_matches_the_augmented_echelon(data, F, keys):
+    # empty columns, all-zero columns and codes 0 inside a column included
+    columns = data.draw(st.lists(
+        st.dictionaries(st.sampled_from(keys), st.integers(0, F.q - 1),
+                        max_size=len(keys)), max_size=7))
+    assert column_kernel(F, columns) == augmented_column_kernel(F, columns)
 
 
 def test_copy_is_independent():
