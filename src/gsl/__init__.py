@@ -70,7 +70,6 @@ from .hopf import (
 )
 from .zoo import (
     D,
-    E_trunc,
     H,
     H_unip,
     PGL2_kerF,

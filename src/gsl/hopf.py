@@ -107,8 +107,8 @@ class HopfAlgebra(object):
 
     ``delta_mono`` is the coproduct on monomials, a ``talg._mono_images``
     memo filled on demand (a plain dict over A ox A per monomial);
-    ``delta_map``, ``lie_algebra``'s p-map and the coassociativity check
-    read it.  ``antipode_mono`` is the antipode's memo on A, read by
+    ``delta_map`` and the coassociativity check read it.
+    ``antipode_mono`` is the antipode's memo on A, read by
     ``antipode_map``, ``hopf_verify`` and ``is_normal``.
     The counit of a monomial is a scalar, read off its exponents and
     memoised per key.
@@ -665,12 +665,13 @@ def lie_algebra(H):
     Jacobian at eps of the carrier's relations, one column per variable,
     keyed by relation; a truncation x^d adds nothing, as d x^(d-1)
     vanishes at eps.  The bracket [u, v] is
-    (u ox v - v ox u) read on delta of the generators, and the p-map
-    is the convolution power u^(*p) there, by u^(*j)(m) =
-    sum c u^(*(j-1))(m1) u(m2) over delta(m) = sum c m1 ox m2.  A
-    monomial of degree d in the counit-zero variables lies in I^d for
-    the augmentation ideal I, which u^(*j) kills for d > j; that cuts
-    the recursion.  Nothing of size dim A is laid out.
+    (u ox v - v ox u) read on delta of the generators.  The p-map is read
+    off points (Demazure & Gabriel, II §4): over
+    R = k[t_1, ..., t_p]/(t_k^2), each eps + t_k u is a point of G, and
+    u^[p] is the coefficient of t_1...t_p in the product of these p
+    points.  Each product is one ``multiply_legs`` of delta of the
+    generators, so neither operation reads delta of a monomial, and
+    nothing of size dim A is laid out.
 
     Returns (basis, bracket, ppower), bracket and ppower acting on
     tangent vectors.
@@ -678,7 +679,6 @@ def lie_algebra(H):
     A, F = H.carrier, H.field
     r = len(A.vars)
     split = H.t2().split_mono
-    aug = [i for i, c in enumerate(H._eps_codes) if not c]
     grad, value = _leibniz(H)
 
     jacobian = [{} for _ in range(r)]
@@ -700,27 +700,19 @@ def lie_algebra(H):
         return out
 
     def ppower(u):
-        memo = {}
-
-        def conv(j, m):
-            """u^(*j)(m)."""
-            if j == 1:
-                return value(u, m)
-            if A.degree(m, aug) > j:
-                return 0
-            if (j, m) not in memo:
-                acc = 0
-                for mono, c in H.delta_mono(m).items():
-                    m1, m2 = split(mono)
-                    b = value(u, m2)
-                    if b:
-                        acc = F.add(acc, F.mul(c, F.mul(conv(j - 1, m1), b)))
-                memo[(j, m)] = acc
-            return memo[(j, m)]
-
-        # x_i itself, unreduced: its key in the free ambient
-        return [conv(F.p, next(iter(A.ambient.var(nm).d)))
-                for nm in A.vars]
+        R = Algebra(F, tuple("t%d" % k for k in range(F.p)), (2,) * F.p)
+        one, = R.one().d
+        # eps + t_k u on the generators, one point per t_k
+        points = [{nm: Poly(R, {m: x for m, x in ((one, e), (t, c)) if x})
+                   for nm, e, c in zip(A.vars, H._eps_codes, u)}
+                  for t, in (g.d for g in R.gens())]
+        point = points[0]
+        for step in points[1:]:
+            legs = (_mono_images(A, point, R), _mono_images(A, step, R))
+            point = {nm: multiply_legs(H.delta[nm], legs, R)
+                     for nm in A.vars}
+        top, = R.monomial((1,) * F.p).d
+        return [point[nm].d.get(top, 0) for nm in A.vars]
 
     return column_kernel(F, jacobian), bracket, ppower
 

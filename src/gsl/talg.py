@@ -393,11 +393,9 @@ class Algebra(object):
         lay = self._lay
         return ((m >> lay.offs[i]) & lay.masks[i]) - lay.zeros[i]
 
-    def degree(self, m, indices=None):
-        """The exponent sum of the key m over the variables at ``indices``
-        (positions in ``vars``; all of them by default)."""
-        e = self._exponents(m)
-        return sum(e) if indices is None else sum(e[i] for i in indices)
+    def degree(self, m):
+        """The exponent sum of the key m."""
+        return sum(self._exponents(m))
 
     def _mono_mul(self, m1, m2):
         """Product of two keys, or None when a nil power dies."""

@@ -166,12 +166,6 @@ def kerFV(field=None):
     return sub
 
 
-def E_trunc(n, field=None):
-    """Height-n truncation of the extension of the additive line by its
-    first kernel; it carries the same pinned presentation as D(n,A)."""
-    return D(n, "A", field)
-
-
 def cocycle_ext(a, n, field=None, exponents=None):
     """Extension of one additive kernel by another, twisted by a single
     monomial two-cocycle a x^e1 y^e2 on the base coordinate.
@@ -463,7 +457,7 @@ def zoo_parse(text, field=None):
     """Build a catalogue group from its id string.
 
     Examples: alpha(4), mu(2), D(2,A), H(a=g^3,n=2), witt2, kerFV,
-    E_trunc(2), cocycle_ext(a=1,n=3), SL2_kerF(2), PGL2_kerF(2),
+    cocycle_ext(a=1,n=3), SL2_kerF(2), PGL2_kerF(2),
     Hunip(s1=1,s2=0,n=2), pullback(1,0,1),
     semidirect(D(2),mu(1),w=[-1,1]).
 
@@ -528,8 +522,8 @@ def _catalogue_call(head, parts, F):
     raise ParseError("unknown catalogue id %r" % head)
 
 
-_BY_HEIGHT = {"alpha": alpha, "mu": mu, "E_trunc": E_trunc,
-              "SL2_kerF": SL2_kerF, "PGL2_kerF": PGL2_kerF}
+_BY_HEIGHT = {"alpha": alpha, "mu": mu, "SL2_kerF": SL2_kerF,
+              "PGL2_kerF": PGL2_kerF}
 
 
 # ---------------------------------------------------------------------------

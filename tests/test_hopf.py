@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import math
+import random
 import weakref
 from collections import Counter
 
@@ -139,7 +140,7 @@ def test_solved_antipode_matches_given():
 # catalogue ids whose constructors write the antipode down; pullback is
 # built in characteristic 2 only, and has unit-kind generators (eps = 1)
 _GIVEN_ANTIPODE = ["alpha(2)", "mu(2)", "D(0)", "D(2,A)", "D(2,B)",
-                   "H(a=1,n=1)", "E_trunc(2)", "SL2_kerF(1)",
+                   "H(a=1,n=1)", "SL2_kerF(1)",
                    "semidirect(D(1),mu(1),w=[-1,1])",
                    "Hunip(s1=1,s2=1,n=1)"]
 
@@ -379,7 +380,7 @@ def _coassoc_sides_by_products(H, dx):
 
 
 _CATALOGUE = ["alpha(2)", "mu(2)", "D(2,A)", "D(2,B)", "H(a=1,n=2)",
-              "E_trunc(2)", "semidirect(D(1),mu(1),w=[-1,1])", "witt2",
+              "semidirect(D(1),mu(1),w=[-1,1])", "witt2",
               "kerFV", "cocycle_ext(a=1,n=2)", "SL2_kerF(1)",
               "Hunip(s1=1,s2=1,n=2)"]
 
@@ -1662,7 +1663,7 @@ def test_lie_data_is_pinned(F, cid, triple):
 
 
 _LIE_CATALOGUE = ["alpha(2)", "mu(2)", "D(1)", "D(2,B)", "H(a=1,n=1)",
-                  "E_trunc(2)", "witt2", "kerFV", "cocycle_ext(a=1,n=2)",
+                  "D(2,A)", "witt2", "kerFV", "cocycle_ext(a=1,n=2)",
                   "SL2_kerF(1)", "semidirect(D(1),mu(1),w=[-1,1])",
                   "Hunip(s1=1,s2=1,n=1)"]
 
@@ -1680,6 +1681,127 @@ def test_frobenius_kernel_has_the_lie_algebra_of_the_group(F, cid):
     K = frobenius_kernel(H)
     assert K.dim == F.p ** n
     assert len(lie_algebra(K)[0]) == n
+
+
+def _convolution_ppower(H, u):
+    """u^(*p) on the generators by the convolution recursion
+    u^(*j)(m) = sum c u^(*(j-1))(m1) u(m2) over delta(m) = sum c m1 ox m2,
+    on delta of monomials: an oracle for ``lie_algebra``'s p-map.  A
+    monomial of degree d in the counit-zero variables lies in I^d for the
+    augmentation ideal I, which u^(*j) kills for d > j."""
+    A, F = H.carrier, H.field
+    split = H.t2().split_mono
+    aug = [i for i, c in enumerate(H._eps_codes) if not c]
+    _, value = hopf._leibniz(H)
+    memo = {}
+
+    def conv(j, m):
+        if j == 1:
+            return value(u, m)
+        if sum(A.exponents(m)[i] for i in aug) > j:
+            return 0
+        if (j, m) not in memo:
+            acc = 0
+            for mono, c in H.delta_mono(m).items():
+                m1, m2 = split(mono)
+                b = value(u, m2)
+                if b:
+                    acc = F.add(acc, F.mul(c, F.mul(conv(j - 1, m1), b)))
+            memo[(j, m)] = acc
+        return memo[(j, m)]
+
+    # x_i itself, unreduced: its key in the free ambient
+    return [conv(F.p, next(iter(A.ambient.var(nm).d))) for nm in A.vars]
+
+
+def _combination(F, basis, coeffs):
+    out = [0] * len(basis[0])
+    for c, x in zip(coeffs, basis):
+        F.axpy(out, c, x, range(len(out)))
+    return out
+
+
+F25 = Field(5, 2)
+_PMAP_GROUPS = ["SL2_kerF(1)", "PGL2_kerF(1)", "D(1)", "mu(1)", "witt2",
+                "semidirect(D(1),mu(1),w=[-1,1])"]
+
+
+@pytest.mark.parametrize("F,cid", (
+    [(F, cid) for F in (F2, F4, F3, F9, F5, F25) for cid in _PMAP_GROUPS]
+    + [(F, cid) for F in (F2, F4)
+       for cid in ("pullback(1,0,1)", "pullback(1,1,2)", "H(a=1,n=3)",
+                   "kerFV", "mu(2)")]
+    + [(F2, "SL2_kerF(2)"), (F3, "SL2_kerF(2)"), (F5, "SL2_kerF(2)")]),
+    ids=lambda x: x.name if isinstance(x, Field) else x)
+def test_ppower_is_the_convolution_power(F, cid):
+    # the product of p points eps + t_k u agrees with u^(*p) by the
+    # convolution over delta of monomials, on the basis and on random
+    # combinations; pullback has unit-kind generators (eps = 1), and on
+    # pullback(1,1,2) the points read eps through the powers X11'^7
+    H = zoo_parse(cid, F)
+    basis, _, ppower = lie_algebra(H)
+    rng = random.Random(cid + F.name)
+    vectors = basis + [_combination(F, basis, [rng.randrange(F.q)
+                                               for _ in basis])
+                       for _ in range(8)]
+    for u in vectors:
+        assert ppower(u) == _convolution_ppower(H, u)
+
+
+@functools.lru_cache(maxsize=None)
+def _lie_of(cid, F):
+    return lie_algebra(zoo_parse(cid, F))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ppower_satisfies_jacobsons_formula(data):
+    # (u + v)^[p] = u^[p] + v^[p] + sum_i s_i(u, v), where i s_i(u, v) is
+    # the coefficient of t^(i-1) in ad(t u + v)^(p-1)(u); and
+    # (c u)^[p] = c^p u^[p]
+    F = data.draw(st.sampled_from([F2, F4, F3, F9, F5, F25]))
+    cid = data.draw(st.sampled_from(["SL2_kerF(1)", "PGL2_kerF(1)",
+                                     "semidirect(D(1),mu(1),w=[-1,1])"]))
+    basis, bracket, ppower = _lie_of(cid, F)
+    codes = st.lists(st.integers(0, F.q - 1), min_size=len(basis),
+                     max_size=len(basis))
+    u = _combination(F, basis, data.draw(codes))
+    v = _combination(F, basis, data.draw(codes))
+    c = data.draw(st.integers(0, F.q - 1))
+
+    def add(x, y):
+        return [F.add(a, b) for a, b in zip(x, y)]
+
+    zero = [0] * len(u)
+    # ad(t u + v)^(p-1)(u) as its coefficients of t^0, t^1, ...
+    coeffs = [u]
+    for _ in range(F.p - 1):
+        # [t u + v, sum_k w_k t^k]: t^k gets [v, w_k] + [u, w_(k-1)]
+        ups = [zero] + [bracket(u, w) for w in coeffs]
+        coeffs = [add(a, b) for a, b in
+                  zip([bracket(v, w) for w in coeffs] + [zero], ups)]
+    rhs = add(ppower(u), ppower(v))
+    for i in range(1, F.p):
+        inv = F.inv(F.scalar_from_int(i))
+        rhs = add(rhs, [F.mul(inv, a) for a in coeffs[i - 1]])
+    assert ppower(add(u, v)) == rhs
+    cp = F.pow(c, F.p)
+    assert ppower([F.mul(c, a) for a in u]) == [F.mul(cp, a)
+                                               for a in ppower(u)]
+
+
+def test_ppower_reads_no_delta_of_monomials():
+    # the p-map multiplies points through delta of the generators only:
+    # the monomial coproduct memo is never read
+    H = SL2_kerF(1, F3)
+    basis, _, ppower = lie_algebra(H)
+    expected = [_convolution_ppower(H, u) for u in basis]
+
+    def refuse(m):
+        raise AssertionError("ppower read delta of a monomial")
+
+    H.delta_mono = refuse
+    assert [ppower(u) for u in basis] == expected
 
 
 def test_delta_mono_keeps_the_legs_in_order():

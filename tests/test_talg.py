@@ -1175,7 +1175,7 @@ def _zero_one_results(F, keys, coded, tuples):
         f = Poly(alg, {m: 1 for m in keys[alg.vars][0]})
         out.append(f._frobenius_power().d)
         # f is a unit when an odd number of its terms miss x and y
-        local = sum(1 for m in f.d if not alg.degree(m, (0, 1)))
+        local = sum(1 for m in f.d if not any(alg.exponents(m)[:2]))
         out.append(invert_unit(f if local % 2 else f + 1).d)
     f = Poly(QB, {m: 1 for m in keys[QB.vars][0]})
     out.append(map_leg(f, 1, delta, TensorAlgebra((Q, B, B))).d)

@@ -18,7 +18,7 @@ from gsl.action import (MobiusMatrix, lifts_to_sl2, pgl2_morphism,
                         sl2_to_pgl2)
 from gsl.linalg import Subspace
 from gsl.talg import DIM_LIMIT, invert_unit
-from gsl.zoo import (D, E_trunc, H, H_unip, PGL2_kerF, SL2_kerF, alpha,
+from gsl.zoo import (D, H, H_unip, PGL2_kerF, SL2_kerF, alpha,
                      cocycle_check, cocycle_ext, d_presentation_iso,
                      enumerate_coactions, group_coaction_verify, h_iso_map,
                      kerFV, mu, mu2_invariants_D, mu_action_normalize,
@@ -111,10 +111,6 @@ def test_witt2_and_kerFV():
     W3 = witt2(F3)
     assert W3.carrier.dim == 81 and hopf_verify(W3)["ok"]
     assert kerFV(F3).carrier.dim == 9
-
-
-def test_E_trunc_is_the_A_presentation():
-    assert presentations_equal(E_trunc(2), D(2, "A"))
 
 
 def test_cocycle_ext_dims_and_axioms():
