@@ -125,13 +125,15 @@ class HopfAlgebra(object):
         self.name = name or "H"
         _require_on_gens("delta", delta, carrier.vars)
         _require_on_gens("counit", counit, carrier.vars)
-        self._t2 = carrier._square()
+        t2 = self._t2 = carrier._square()
         self._t3 = None
         self._lines = None
         # re-anchor the given elements on the carrier's tensor square, so
-        # that values built against a caller-side tensor still compare
-        self.delta = {k: apply_map(v, {}, self._t2) for k, v in delta.items()}
-        self.delta_mono = _mono_images(carrier, self.delta, self._t2)
+        # that values built against a caller-side tensor still compare;
+        # one already on it is kept as given
+        self.delta = {k: v if v.alg is t2 else apply_map(v, {}, t2)
+                      for k, v in delta.items()}
+        self.delta_mono = _mono_images(carrier, self.delta, t2)
         self.counit = {k: int(v) for k, v in counit.items()}
         self._eps_codes = [self.counit[nm] for nm in carrier.vars]
         # monomial key -> its counit, filled on first use
@@ -521,7 +523,7 @@ def subgroup_from_elements(G, named_elems, name=None):
             return None
         return {j: F.neg(c) for j, c in enumerate(res[:k]) if c}
 
-    tQ = Q.tensor(Q)
+    tQ = Q._square()
     t2 = G.t2()
 
     def express_slices(slices):
@@ -590,9 +592,10 @@ def closed_subgroup(H, equations, name=None):
             raise BadParams("subgroup equations must lie in the "
                             "augmentation ideal")
     Q = _requotient(H.carrier, equations)
-    tQ = Q.tensor(Q)
+    QA, tQ = Q.tensor(H.carrier), Q._square()
     pi = _mono_images(H.carrier, {}, Q)
-    delta = {nm: map_leg(H.delta[nm], (0, 1), pi, tQ) for nm in Q.vars}
+    delta = {nm: map_leg(map_leg(H.delta[nm], 0, pi, QA), 1, pi, tQ)
+             for nm in Q.vars}
     counit = {nm: H.counit[nm] for nm in Q.vars}
     anti = {nm: _sum_images(H.antipode[nm], pi, Q) for nm in Q.vars}
     K = HopfAlgebra(Q, delta, counit, anti, name=name or (H.name + " sub"))
@@ -820,7 +823,7 @@ def frobenius(H, r=1):
     F = H.field
     q = F.p ** r
     carrier_tw = _twist_carrier(H.carrier, r)
-    t2_tw = carrier_tw.tensor(carrier_tw)
+    t2_tw = carrier_tw._square()
 
     def tw(f, target):
         return apply_map(f, {}, target, coeff_map=lambda c: F.frob(c, r))
@@ -888,10 +891,10 @@ class HopfIdeal(object):
         of the commutative A, so they kill V when they kill its generators."""
         H = self.hopf
         Q, pi, gens, ideal = self._quotient()
-        tQ = Q.tensor(Q)
+        tAQ, tQ = H.carrier.tensor(Q), Q.tensor(Q)
         return ideal and all(
             not H.counit_map(g)
-            and not map_leg(H.delta_map(g), (0, 1), pi, tQ)
+            and not map_leg(map_leg(H.delta_map(g), 1, pi, tAQ), 0, pi, tQ)
             and not _sum_images(H.antipode_map(g), pi, Q) for g in gens)
 
     def _escaping_legs(self, f):
@@ -1074,8 +1077,10 @@ def hopf_product(H1, H2, name=None):
         # the inclusion of the factor's carrier into the shell
         embed = _mono_images(H.carrier, {nm: shell.var(to) for nm, to
                                          in rename.items()}, shell)
+        half = shell.tensor(H.carrier)
         for nm, to in rename.items():
-            delta[to] = map_leg(H.delta[nm], (0, 1), embed, t2)
+            delta[to] = map_leg(map_leg(H.delta[nm], 0, embed, half), 1,
+                                embed, t2)
             counit[to] = H.counit[nm]
             anti[to] = _sum_images(H.antipode[nm], embed, shell)
     return HopfAlgebra(shell, delta, counit, anti,
@@ -1363,13 +1368,14 @@ def _morphism_equations(H1, H2):
     generator x to f(x) in A(H2), ``image`` is a ``talg._mono_images``
     memo of f on the monomials of A(H1) with every bound generator bound,
     and ``deltas`` maps x to delta(f(x)).  Relations and antipodes sum
-    through ``image``, and (f ox f) delta(x) maps both legs through it
-    with ``map_leg``.
+    through ``image``, and (f ox f) delta(x) maps its legs through it one
+    at a time, two ``map_leg`` passes through A(H2) ox A(H1), a tensor
+    built once for the whole list.
     """
     A = H1.carrier
     B = H2.carrier
     names = A.vars
-    tG = H2.t2()
+    tG, half = H2.t2(), B.tensor(A)
     zero = B.zero()
 
     def power(nm, d, kind):
@@ -1385,7 +1391,8 @@ def _morphism_equations(H1, H2):
         dx = H1.delta[nm]
         return ("delta_compatible", nm, _names_in(dx, names) | {nm},
                 lambda imgs, image, deltas:
-                (map_leg(dx, (0, 1), image, tG), deltas[nm]))
+                (map_leg(map_leg(dx, 0, image, half), 1, image, tG),
+                 deltas[nm]))
 
     def counit(nm):
         c = B.scalar(H1.counit[nm])

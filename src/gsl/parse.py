@@ -304,7 +304,7 @@ def parse_presentation(text):
                     tuple("unit" if g[2] else "nil" for g in gens))
     except BadParams as e:
         raise ParseError(str(e), gens[0][3], gens[0][4])
-    t2 = A.tensor(A)
+    t2 = A._square()
     env2 = {nm: t2.var(nm) for nm in t2.vars}
     env1 = {nm: A.var(nm) for nm in A.vars}
     env0 = {}

@@ -40,12 +40,12 @@ exponent tuples and pack them, and ``exponents``, ``exponent``,
 else.
 
 ``_sum_terms`` sums c * m, or c times the image of m, over a stream of
-terms: ``poly``, ``invert_unit``, ``_sum_images``, ``multiply_legs`` and
-the leg groups of ``map_leg`` use it.  The hot sums keep loops of their
-own, because the call and its checks cost more than the loop: the term
-products of ``mul_dicts``, ``reduce_dict``, ``QuotientAlgebra``'s
-``_normal_form``, the last slot of ``map_leg``, ``Poly.__add__``,
-``Poly._frobenius_power`` and the Groebner side's ``add_times``.
+terms: ``poly``, ``invert_unit``, ``_sum_images`` and ``multiply_legs``
+use it.  The hot sums keep loops of their own, because the call and its
+checks cost more than the loop: the term products of ``mul_dicts``,
+``reduce_dict``, ``QuotientAlgebra``'s ``_normal_form``, ``map_leg``,
+``Poly.__add__``, ``Poly._frobenius_power`` and the Groebner side's
+``add_times``.
 Over GF(2) every nonzero code is 1, so ``_sum_terms``, ``mul_dicts``,
 ``reduce_dict`` and ``map_leg`` add a term by toggling its key: deleted
 if present, else inserted at the end.  That is what the generic path
@@ -67,8 +67,9 @@ coordinates, off its echelon rows (``_echelon_quotient``).  A
 TensorAlgebra glues several algebras side by side and reduces factor by
 factor, which never materialises the big tensor ideal.  ``apply_map``
 substitutes through memoised monomial images, one product per new
-monomial, and ``map_leg`` substitutes into legs of a tensor element with
-no product or reduction at all.
+monomial, and ``map_leg`` substitutes into one leg of a tensor element,
+term by term, with no product or reduction at all; two legs are two
+passes.
 
 Every algebra lists its reduced basis once, on first use, and the one
 coordinate map, ``to_vector``/``from_vector``, reads a vector over that
@@ -891,36 +892,8 @@ class TensorAlgebra(Algebra):
         dims = [fac.dim for fac in factors]
         self.dim = None if None in dims else math.prod(dims)
         self._plain = all(fac._plain for fac in factors)
-        # (slots, target width) -> ``_leg_plan``, filled on first use
-        self._leg_plans = {}
         # key -> its residue (``reduce_term``), filled on first use
         self._memo = {}
-
-    def _leg_plan(self, slots, width):
-        """Where ``map_leg`` puts the legs of a key in a target ``width``
-        bits wide whose legs at ``slots`` are replaced by runs of equal
-        width: (runs, at).  A run (a, mask, p) moves the kept bits
-        (m >> a) & mask to p; ``at[s]`` is where slot s's image goes."""
-        plan = self._leg_plans.get((slots, width))
-        if plan is None:
-            spans = self._spans
-            kept = self._lay.width - sum(spans[s][1] - spans[s][0]
-                                         for s in slots)
-            size = (width - kept) // len(slots)
-            runs, at, pos = [], {}, 0
-            for j, (a, b) in enumerate(spans):
-                if j in slots:
-                    at[j] = pos
-                    pos += size
-                    continue
-                if runs and runs[-1][0] + runs[-1][1] == a:
-                    runs[-1][1] += b - a  # the leg before stays too
-                else:
-                    runs.append([a, b - a, pos])
-                pos += b - a
-            runs = [(a, (1 << w) - 1, p) for a, w, p in runs]
-            plan = self._leg_plans[slots, width] = (runs, at)
-        return plan
 
     def reduce_term(self, m):
         """The residue of the key m, memoised like a quotient's: the
@@ -1405,26 +1378,8 @@ def _sum_terms(terms, image, F):
     return out
 
 
-def _leg_groups(f, span, fn, F):
-    """Group the terms c * m of a tensor element by the legs around the
-    bit ``span``; yields each group's key, m with that leg's bits clear,
-    and its sum of c * fn(leg in span), which is fn's own dict for a lone
-    term with c = 1."""
-    a, b = span
-    mask = (1 << (b - a)) - 1
-    groups = {}
-    for m, c in f.d.items():
-        leg = (m >> a) & mask
-        groups.setdefault(m ^ (leg << a), []).append((leg, c))
-    for rest, legs in groups.items():
-        if len(legs) == 1 and legs[0][1] == 1:
-            yield rest, fn(legs[0][0])
-        else:
-            yield rest, _sum_terms(legs, fn, F)
-
-
 def map_leg(f, slot, fn, target):
-    """Substitute into legs of a tensor element: each term c * m of f
+    """Substitute into one leg of a tensor element: each term c * m of f
     becomes c * (legs before) fn(leg ``slot`` of m) (legs after).
 
     ``fn`` maps a reduced key of factor ``slot`` to a dict over reduced
@@ -1432,53 +1387,45 @@ def map_leg(f, slot, fn, target):
     of their own tensor product (no factors: ``_scalar_leg``); usually a
     memoised algebra map, such as ``HopfAlgebra.delta_mono``.  A tensor
     reduces factor by factor, so every joined key is already reduced in
-    ``target``: nothing is multiplied or reduced here.  The legs that
-    stay move as bit runs to their place in ``target``.
+    ``target``: nothing is multiplied or reduced here.  The legs before
+    the slot keep their bits and the legs after it shift past the image,
+    so each term ORs them around each key of its image and adds the
+    result straight into the sum.
 
-    ``slot`` may also be a tuple of slots, each substituted by ``fn``,
-    such as (f ox f) with ``slot=(0, 1)``: (f ox f)(sum c a ox b) is
-    sum f(a) ox (sum c f(b)).  The terms are grouped by every leg but the
-    last slot, whose images are summed per group; the group's key then
-    takes the images of its other slots.
+    Two legs take two passes through the tensor in between, such as
+    (f ox f) delta(x) = ``map_leg(map_leg(dx, 0, f, B ox A), 1, f, B ox B)``.
     """
-    slots = (slot,) if isinstance(slot, int) else tuple(sorted(slot))
-    spans = f.alg._spans
-    runs, at = f.alg._leg_plan(slots, target._lay.width)
-    add, mul = target.field.add, target.field.mul
-    gf2 = target.field.q == 2
+    alg = f.alg
+    if (not isinstance(alg, TensorAlgebra) or not isinstance(slot, int)
+            or not 0 <= slot < len(alg._spans)):
+        raise BadParams("map_leg: slot %r is not a leg of a tensor algebra"
+                        % (slot,))
+    a, b = alg._spans[slot]
+    low, mask = (1 << a) - 1, (1 << (b - a)) - 1
+    # where the legs after the slot go
+    hi = b + target._lay.width - alg._lay.width
     out = {}
-    for rest, acc in _leg_groups(f, spans[slots[-1]], fn, target.field):
-        base = 0
-        for a, mask, p in runs:
-            base |= ((rest >> a) & mask) << p
-        # the group's own slots
-        heads = [(base, 1)]
-        for s in slots[-2::-1]:
-            x, y = spans[s]
-            img = fn((rest >> x) & ((1 << (y - x)) - 1)).items()
-            p = at[s]
-            heads = [(h | (sub << p), c2 if c == 1 else mul(c, c2))
-                     for h, c in heads for sub, c2 in img]
-        # two groups meet only through those images
-        p = at[slots[-1]]
-        if gf2:
-            # every code is 1: toggle the key (see the module docstring)
-            for h, _ in heads:
-                for sub in acc:
-                    key = h | (sub << p)
-                    if key in out:
-                        del out[key]
-                    else:
-                        out[key] = 1
-            continue
-        for h, hc in heads:
-            for sub, c in acc.items():
-                key = h | (sub << p)
-                v = add(out.get(key, 0), c if hc == 1 else mul(hc, c))
-                if v:
-                    out[key] = v
-                else:
+    if target.field.q == 2:
+        # every code is 1: toggle the key (see the module docstring)
+        for m in f.d:
+            base = (m & low) | (m >> b << hi)
+            for sub in fn((m >> a) & mask):
+                key = base | (sub << a)
+                if key in out:
                     del out[key]
+                else:
+                    out[key] = 1
+        return Poly(target, out)
+    add, mul = target.field.add, target.field.mul
+    for m, c in f.d.items():
+        base = (m & low) | (m >> b << hi)
+        for sub, c2 in fn((m >> a) & mask).items():
+            key = base | (sub << a)
+            v = add(out.get(key, 0), c2 if c == 1 else mul(c, c2))
+            if v:
+                out[key] = v
+            else:
+                del out[key]
     return Poly(target, out)
 
 
@@ -1497,18 +1444,28 @@ def multiply_legs(f, fns, target):
         raise BadParams(f"expected {len(spans)} leg maps, got {len(fns)}")
     legs = [(fn, a, (1 << (b - a)) - 1, fac._zero_mono)
             for fn, (a, b), fac in zip(fns, spans, f.alg.factors)][:-1]
+    # the terms by every leg but the last: m with that leg's bits clear
+    at, end = spans[-1]
+    top, last, F = (1 << (end - at)) - 1, fns[-1], target.field
+    groups = {}
+    for m, c in f.d.items():
+        leg = (m >> at) & top
+        groups.setdefault(m ^ (leg << at), []).append((leg, c))
 
-    def product(group):
-        rest, acc = group
+    def product(rest):
+        terms = groups[rest]
+        if len(terms) == 1 and terms[0][1] == 1:
+            acc = last(terms[0][0])
+        else:
+            acc = _sum_terms(terms, last, F)
         for fn, a, mask, one in legs:
             leg = (rest >> a) & mask
             if acc and leg != one:
                 acc = target.mul_dicts(acc, fn(leg))
         return acc
 
-    groups = _leg_groups(f, spans[-1], fns[-1], target.field)
-    return Poly(target, _sum_terms(((g, 1) for g in groups), product,
-                                   target.field))
+    return Poly(target, _sum_terms(((rest, 1) for rest in groups), product,
+                                   F))
 
 
 def invert_unit(f):

@@ -53,7 +53,7 @@ def alpha(n, field=None):
     if n < 1:
         raise BadParams("alpha needs n >= 1")
     A = Algebra(F, ("T",), (F.p ** n,))
-    t2 = A.tensor(A)
+    t2 = A._square()
     T, T_ = t2.embed(A.var("T"), 0), t2.embed(A.var("T"), 1)
     return HopfAlgebra(A, {"T": T + T_}, {"T": 0}, {"T": -A.var("T")},
                        name="alpha(%d)" % n)
@@ -66,7 +66,7 @@ def mu(l, field=None):
     if l < 1:
         raise BadParams("mu needs l >= 1")
     A = Algebra(F, ("U",), (F.p ** l,))
-    t2 = A.tensor(A)
+    t2 = A._square()
     U, U_ = t2.embed(A.var("U"), 0), t2.embed(A.var("U"), 1)
     anti = invert_unit(A.one() + A.var("U")) - A.one()
     return HopfAlgebra(A, {"U": U + U_ + U * U_}, {"U": 0}, {"U": anti},
@@ -89,12 +89,12 @@ def D(n, pres="A", field=None):
     p = F.p
     if n == 0:
         A = Algebra(F, ("S",), (p,))
-        t2 = A.tensor(A)
+        t2 = A._square()
         S, S_ = t2.embed(A.var("S"), 0), t2.embed(A.var("S"), 1)
         return HopfAlgebra(A, {"S": S + S_}, {"S": 0}, {"S": -A.var("S")},
                            name="D(0,pres%s)" % pres)
     A = Algebra(F, ("S", "T"), (p, p ** n))
-    t2 = A.tensor(A)
+    t2 = A._square()
     S, S_ = t2.embed(A.var("S"), 0), t2.embed(A.var("S"), 1)
     T, T_ = t2.embed(A.var("T"), 0), t2.embed(A.var("T"), 1)
     tail = S * T_ ** p if pres == "A" else T ** p * S_
@@ -117,7 +117,7 @@ def H(a, n, field=None):
         raise BadParams("scalar a out of range")
     p = F.p
     A = Algebra(F, ("T",), (p ** n,))
-    t2 = A.tensor(A)
+    t2 = A._square()
     T, T_ = t2.embed(A.var("T"), 0), t2.embed(A.var("T"), 1)
     tail = (T ** (p ** (n - 1)) * T_ ** p) * t2.scalar(a)
     # the plain sign flip is an antipode only while the tail power
@@ -137,7 +137,7 @@ def witt2(field=None):
     F = _field(field)
     p = F.p
     A = Algebra(F, ("T0", "T1"), (p ** 2, p ** 2))
-    t2 = A.tensor(A)
+    t2 = A._square()
     T0, T0_ = t2.embed(A.var("T0"), 0), t2.embed(A.var("T0"), 1)
     T1, T1_ = t2.embed(A.var("T1"), 0), t2.embed(A.var("T1"), 1)
     carry = t2.zero()
@@ -186,7 +186,7 @@ def cocycle_ext(a, n, field=None, exponents=None):
     if e1 < 1 or e2 < 1:
         raise BadParams("cocycle exponents must be positive")
     A = Algebra(F, ("T", "T2"), (p ** n, p ** n))
-    t2 = A.tensor(A)
+    t2 = A._square()
     T, T_ = t2.embed(A.var("T"), 0), t2.embed(A.var("T"), 1)
     T2, T2_ = t2.embed(A.var("T2"), 0), t2.embed(A.var("T2"), 1)
     delta = {"T": T + T_,
@@ -309,7 +309,7 @@ def pullback(s1, s2, n, field=None):
             (X11 ** 2 + one) * shell.scalar(s1) + X12 ** 2 * shell.scalar(s2),
             (X22 ** 2 + one) * shell.scalar(s2) + X21 ** 2 * shell.scalar(s1)]
     A = quotient_algebra(shell, gens, eliminate=False)
-    t2 = A.tensor(A)
+    t2 = A._square()
     x = {nm: t2.embed(A.var(nm), 0) for nm in names}
     x_ = {nm: t2.embed(A.var(nm), 1) for nm in names}
     delta = {}
@@ -352,7 +352,7 @@ def semidirect(Hu, Hm, weights, name=None):
     mvar = Am.vars[0]
     names = Au.vars + Am.vars
     shell = Algebra(F, names, Au.orders + Am.orders)
-    t2 = shell.tensor(shell)
+    t2 = shell._square()
     U = shell.var(mvar)
     W = shell.one() + U
     Winv = invert_unit(W)

@@ -584,6 +584,7 @@ def test_map_leg_is_the_leg_substitution(F):
 @pytest.mark.parametrize("F", [F2, F3, F4], ids=lambda F: F.name)
 def test_map_leg_on_several_slots_is_the_leg_substitution(F):
     # f ox id ox f on Q ox C ox Q into B ox C ox B, and f ox f on Q ox Q,
+    # each as two single-slot passes through the tensor in between,
     # against apply_map on renamed variables; f meets itself on B's keys
     A = ring_ST(F)
     S, T = A.gens()
@@ -600,13 +601,64 @@ def test_map_leg_on_several_slots_is_the_leg_substitution(F):
          + QCQ.elem(sQ + tQ, u, Q.one()) + QCQ.elem(tQ, C.one(), tQ))
     legs = {nm: BCB.embed(v, 0) for nm, v in f.items()}
     legs.update({nm + "''": BCB.embed(v, 2) for nm, v in f.items()})
-    assert map_leg(g, (0, 2), image, BCB) == apply_map(g, legs, BCB)
-    QQ, BB = Q.tensor(Q), B.tensor(B)
+    BCQ = B.tensor(C, Q)
+    assert map_leg(map_leg(g, 0, image, BCQ), 2, image, BCB) == apply_map(
+        g, legs, BCB)
+    QQ, BQ, BB = Q.tensor(Q), B.tensor(Q), B.tensor(B)
     dx = (QQ.elem(tQ, tQ) + QQ.elem(sQ, tQ) + QQ.elem(tQ, sQ)
           + QQ.elem(sQ, Q.one()))
     ff = {nm: BB.embed(v, 0) for nm, v in f.items()}
     ff.update({nm + "'": BB.embed(v, 1) for nm, v in f.items()})
-    assert map_leg(dx, (0, 1), image, BB) == apply_map(dx, ff, BB)
+    assert map_leg(map_leg(dx, 0, image, BQ), 1, image, BB) == apply_map(
+        dx, ff, BB)
+
+
+@settings(max_examples=60, deadline=None)
+@given(F=st.sampled_from([F2, F3, F4, F5]), k=st.integers(2, 3),
+       data=st.data())
+def test_map_leg_on_each_slot_is_the_leg_substitution(F, k, data):
+    # leg s of a tensor of A = D(2,A)'s carrier and C, split in two by
+    # delta, dropped by the counit (a _scalar_leg image) or sent to A by
+    # the antipode, against apply_map with every variable renamed to its
+    # leg in the target
+    H = zoo_parse("D(2,A)", F)
+    A, C = H.carrier, Algebra(F, ["u"], [F.p])
+    factors = [data.draw(st.sampled_from([A, C])) for _ in range(k)]
+    s = data.draw(st.integers(0, k - 1))
+    factors[s] = A
+    f = random_poly(data.draw, TensorAlgebra(factors), max_terms=6)
+    kind = data.draw(st.sampled_from(["delta", "counit", "antipode"]))
+    fn, width = {"delta": (H.delta_mono, 2), "counit": (H._eps_leg, 0),
+                 "antipode": (H.antipode_mono, 1)}[kind]
+    out = factors[:s] + [A] * width + factors[s + 1:]
+    target = out[0] if len(out) == 1 else TensorAlgebra(out)
+    images = {}
+    for j, fac in enumerate(factors):
+        if j != s:
+            at = j if j < s else j + width - 1
+            images.update({nm + "'" * j: target.var(nm + "'" * at)
+                           for nm in fac.vars})
+    for nm in A.vars:
+        if kind == "delta":
+            v = apply_map(H.delta[nm], {x + "'" * i: target.var(
+                x + "'" * (s + i)) for x in A.vars for i in (0, 1)}, target)
+        elif kind == "counit":
+            v = target.scalar(H.counit[nm])
+        else:
+            v = apply_map(H.antipode[nm], {x: target.var(x + "'" * s)
+                                           for x in A.vars}, target)
+        images[nm + "'" * s] = v
+    assert map_leg(f, s, fn, target) == apply_map(f, images, target)
+
+
+def test_map_leg_wants_a_leg_of_a_tensor():
+    A = ring_ST()
+    AA, one = A.tensor(A), (lambda m: {m: 1})
+    for slot in (2, -1, (0, 1)):
+        with pytest.raises(BadParams):
+            map_leg(AA.one(), slot, one, AA)
+    with pytest.raises(BadParams):
+        map_leg(A.one(), 0, one, A)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1044,8 +1096,10 @@ def key_algebras(draw):
         orders = [0 if kd == "laurent" else
                   p ** draw(st.integers(1, 3)) if kd == "unit" else
                   draw(st.integers(2, 30)) for kd in kinds]
+        # unguarded: three unit variables of order 125 pass DIM_LIMIT,
+        # and keys are packed the same either way
         return Algebra(F, ["x%d_%d" % (k, i) for i in range(len(kinds))],
-                       orders, kinds)
+                       orders, kinds, dim_guard=False)
 
     factors = [factor(k) for k in range(draw(st.integers(1, 3)))]
     return factors[0] if len(factors) == 1 else TensorAlgebra(factors)
@@ -1180,7 +1234,7 @@ def _zero_one_results(F, keys, coded, tuples):
     f = Poly(QB, {m: 1 for m in keys[QB.vars][0]})
     out.append(map_leg(f, 1, delta, TensorAlgebra((Q, B, B))).d)
     g = Poly(QQ, {m: 1 for m in keys[QQ.vars][0]})
-    out.append(map_leg(g, (0, 1), endo, QQ).d)
+    out.append(map_leg(map_leg(g, 0, endo, QQ), 1, endo, QQ).d)
     out.append(multiply_legs(g, (endo, lambda m: {m: 1}), Q).d)
     return [list(d.items()) for d in out]
 
