@@ -11,9 +11,9 @@ construction time: the exp/log tables of the smallest primitive element
 power is a sum or a multiple of logs, an odd-p sum a Zech logarithm
 log(1 + a^i), and negation has a table.  Addition in characteristic 2 is
 xor.  `Field.axpy`, the one row kernel the echelon code uses, reads the
-same tables.  They cost time and memory in q: GF(3^8) and GF(5^6)
-build in under 0.1 s, GF(5^7) in about 0.4 s and 10 MB, GF(5^8) in
-about 2 s and 50 MB.
+same tables.  They cost time and memory in q: GF(5^7) and smaller
+fields build in under 0.1 s, GF(5^8) in about 0.3 s and 45 MB (one
+2-vCPU VM, Python 3.11).
 
 Polynomials over the prime field appear only internally (moduli, the
 irreducibility test and the bootstrap of the tables) and are stored as
@@ -137,14 +137,17 @@ class Field(object):
         self._build_tables()
 
     def _primitive_powers(self):
-        """Powers 1, a, ..., a^(q-2) of the smallest primitive element a.
+        """Powers 1, a, ..., a^(q-2) of the smallest primitive element a,
+        and the log of each code, log 0 being 2(q - 1): (exp, log).
 
         a is the first code with a^(n/r) != 1 for each prime r | n = q - 1,
-        tested by polynomial powers.  Its powers are stepped on digit
-        vectors by the matrix of multiplication by a: row i holds
-        c * g^i * a for each digit c, one byte per digit, so a step sums
-        m rows with no carry (no byte reaches m * (p - 1) < 256) and makes
-        no polynomial product.
+        tested by polynomial powers.  Its powers are stepped on codes.  A
+        code splits into its low h digits and the rest; ``low`` and
+        ``high`` hold each part times a, written in base b = 2p - 1, so
+        that their sum carries no digit, and ``fold`` reads h such digits
+        back mod p.  A step is two lookups, a sum and two folds, and no
+        table holds more than (2p - 1)^h entries, h = ceil(m/2), which
+        grows slower than q.
         """
         p, m, n = self.p, self.m, self.q - 1
 
@@ -159,39 +162,50 @@ class Field(object):
                     out = times(out, u)
             return out
 
-        primes = [r for r in range(2, n + 1)
-                  if n % r == 0 and all(r % s for s in range(2, r))]
+        primes, k = [], n
+        for r in range(2, n + 1):
+            if k == 1:
+                break
+            if k % r == 0:
+                primes.append(r)
+                while k % r == 0:
+                    k //= r
         a = next(va for va in (_digits(code, p, m) for code in range(1, self.q))
                  if all(power(va, n // r) != (1,) for r in primes))
-        shifts = range(0, 8 * m, 8)
-        # a product's trimmed digits zip with the shifts of their bytes
-        rows = [[sum((c * d % p) << s for d, s in zip(
-                     times((0,) * i + (1,), a), shifts))
-                 for c in range(p)] for i in range(m)]
-        powers, x = [], (1,) + (0,) * (m - 1)
-        for _ in range(n):
-            powers.append(_encode(x, p))
-            acc = 0
-            for row, xi in zip(rows, x):
-                acc += row[xi]
-            x = [(acc >> s & 255) % p for s in shifts]
-        return powers
-
-    def _build_tables(self):
-        p, q, n = self.p, self.q, self.q - 1
-        exp = self._primitive_powers()
+        h, b = (m + 1) // 2, 2 * p - 1
+        P, B = p ** h, b ** h
+        low = [_encode(times(_digits(c, p, h), a), b) for c in range(P)]
+        high = [_encode(times((0,) * h + _digits(c, p, m - h), a), b)
+                for c in range(p ** (m - h))]
+        fold = [0]
+        for i in range(h):
+            fold = [r + d % p * p ** i for d in range(b) for r in fold]
         # log 0 is 2n: every sum of two logs that involves it lands in
         # the zero tail of exp, so mul needs no test for zero
-        log = [2 * n] * q
-        for i, x in enumerate(exp):
+        powers, log, x = [], [2 * n] * self.q, 1
+        for i in range(n):
+            powers.append(x)
             log[x] = i
+            s = low[x % P] + high[x // P]
+            x = fold[s % B] + P * fold[s // B]
+        return powers, log
+
+    def _build_tables(self):
+        p, n = self.p, self.q - 1
+        exp, log = self._primitive_powers()
         self._log = log
         self._exp = exp + exp + [0] * (2 * n + 1)
         if p != 2:
-            # 1 + a^i = a^zech[i] (adding 1 changes the low digit only),
-            # and -1 = a^(n/2)
-            self._zech = [log[x - x % p + (x + 1) % p] for x in exp]
-            self._neg_table = [self._exp[log[x] + n // 2] for x in range(q)]
+            # -1 = a^(n/2), and log 0 lands in the zero tail
+            h = n // 2
+            self._neg_table = list(map(self._exp[h:h + 2 * n + 1].__getitem__,
+                                       log))
+            # 1 + a^i = a^zech[i]: adding 1 changes the low digit only, so
+            # up[x] = log(1 + x) is log shifted by one, every p-th wrapped
+            up = log[1:]
+            up.append(log[0])
+            up[p - 1::p] = log[::p]
+            self._zech = list(map(up.__getitem__, exp))
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -329,7 +343,8 @@ def field_from_name(name):
     except ValueError:
         raise ParseError(f"bad field name {name!r}")
     for p in SUPPORTED_PRIMES:
-        if q % p == 0:
+        # 0 is divisible by every p, and no power of one
+        if q > 1 and q % p == 0:
             m = 0
             n = q
             while n % p == 0:

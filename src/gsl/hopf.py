@@ -18,9 +18,9 @@ unit-kind generators that are unipotent shifts of 1), so an element is a unit
 exactly when its counit is nonzero.  A map out of a carrier is fixed by its
 values on generators, so the antipode is solved and the axioms checked there.
 
-A Hopf ideal V of A is decided through Q = A/V (``HopfIdeal``): each of its
-conditions asks an algebra map out of the commutative A to kill V, so it is
-tested on V's generators, and nothing of size dim A^2 is laid out.
+A Hopf ideal V of A is decided through Q = A/V and V's generators, read off
+one Groebner basis (``HopfIdeal``): each of its conditions asks an algebra
+map out of the commutative A to kill V, so it is tested on the generators.
 """
 
 from collections import namedtuple
@@ -29,9 +29,9 @@ from itertools import combinations, product
 from .errors import BadParams, NotNormal, SizeGuard, VerifyError
 from .linalg import Subspace, column_kernel, subspace_from
 from .talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra,
-                   _echelon_quotient, _evaluation_quotient, _mono_images,
-                   _scalar_leg, _sum_images, apply_map, map_leg,
-                   multiply_legs, quotient_algebra, subalgebra_generated)
+                   _evaluation_quotient, _mono_images, _scalar_leg,
+                   _sum_images, apply_map, map_leg, multiply_legs,
+                   quotient_algebra, subalgebra_generated)
 
 POINTS_CANDIDATE_LIMIT = 1 << 20
 TABLE_LIMIT = 256
@@ -79,22 +79,37 @@ def _unit_order(f):
     return max(e, 2)
 
 
-def _ideal_span_coords(A, polys):
-    """Ideal of A generated by the given elements, in basis coordinates.
+def _divide(A, polys):
+    """A modulo the ideal J that the elements generate: (Q, pi, gens).
 
-    Divided out with A's relations from the ambient shell, the ideal J
-    they generate there has its staircase inside A's; the m - nf(m) over
-    the basis monomials m of A off J's staircase are supported on basis
-    monomials, and read at their positions (a monotone map) they are the
-    echelon form.
+    One Groebner basis of A's relations and the elements, in the ambient
+    shell, gives Q = A/J, and pi is Q's memoised residue on A's keys.
+    The t - nf(t) over Q's leading keys t on A's staircase, in key order,
+    are the rows of J's echelon form with divisor-minimal pivots: with
+    A's relations they are a Groebner basis, so they generate J in A.
     """
-    amb = A.ambient
-    J = quotient_algebra(
+    amb, stair = A.ambient, A._positions()
+    Q = quotient_algebra(
         amb, _relation_polys(A) + [Poly(amb, g.d) for g in polys],
         eliminate=False)
-    rows = [A.to_vector(Poly(A, {m: 1}) - Poly(A, J.reduce_term(m)))
-            for m in A.basis_monomials() if J.reduce_term(m) is not None]
-    return subspace_from(A.field, A.dim, rows)
+
+    def pi(m):
+        r = Q.reduce_term(m)
+        return {m: 1} if r is None else r
+
+    return Q, pi, [Poly(A, {t: 1}) - Poly(A, pi(t))
+                   for t, _ in Q._leads if t in stair]
+
+
+def _ideal_span_coords(A, polys):
+    """The ideal of A that the elements generate in basis coordinates,
+    and A modulo it: (V, ``_divide(A, polys)``).  The m - pi(m) over A's
+    basis monomials m off Q's staircase, read at their positions (a
+    monotone map), are V's echelon form."""
+    Q, pi, gens = _divide(A, polys)
+    rows = [A.to_vector(Poly(A, {m: 1}) - Poly(A, pi(m)))
+            for m in A.basis_monomials() if Q.reduce_term(m) is not None]
+    return subspace_from(A.field, A.dim, rows), (Q, pi, gens)
 
 
 class HopfAlgebra(object):
@@ -808,10 +823,7 @@ def _twist_carrier(carrier, r):
             # a twist fixing every generator (always so over GF(p)) fixes
             # the ideal too
             return carrier
-        out = quotient_algebra(amb, twisted, eliminate=False)
-        if out.vars != carrier.vars:
-            raise VerifyError("frobenius", "twist changed the presentation shape")
-        return out
+        return quotient_algebra(amb, twisted, eliminate=False)
     return carrier
 
 
@@ -850,10 +862,11 @@ class HopfIdeal(object):
     is to be a Hopf ideal: an ideal and a coideal, antipode-stable and
     killed by the counit.  It cuts out a closed subgroup.
 
-    Its one cache, ``_quotient()``, filled on first use, holds Q = A/V,
-    the projection pi and the ideal's generators, read off V's echelon
-    rows (``talg._echelon_quotient``).  A V that is no ideal is read
-    through the ideal it generates, and ``verify`` reports it.
+    Its one cache, ``_quotient()``, filled on first use, holds Q, the
+    projection pi and the generators of the ideal J that V generates, all
+    from one Groebner basis of A's relations and V's basis (``_divide``).
+    V is an ideal exactly when dim A - dim Q = dim V; a V that is no ideal
+    is read through J, and ``verify`` reports it.
     """
 
     def __init__(self, hopf, subspace):
@@ -875,13 +888,9 @@ class HopfIdeal(object):
     def _quotient(self):
         """(Q, pi, generators, whether V is an ideal)."""
         if self._cache is None:
-            H, V = self.hopf, self.subspace
-            A = H.carrier
-            polys, xs = self.basis_polys(), H.gens()
-            ideal = all(V.contains(A.to_vector(x * f))
-                        for f in polys for x in xs)
-            self._cache = _echelon_quotient(
-                A, V if ideal else _ideal_span_coords(A, polys)) + (ideal,)
+            A = self.hopf.carrier
+            Q, pi, gens = _divide(A, self.basis_polys())
+            self._cache = Q, pi, gens, A.dim - Q.dim == self.dim
         return self._cache
 
     def _is_hopf(self):
@@ -965,11 +974,15 @@ def hopf_ideal_closure(H, seeds):
     for s in seeds:
         if H.counit_map(s) != 0:
             raise BadParams("closure seeds must lie in the augmentation ideal")
-    ideal = HopfIdeal(H, _ideal_span_coords(A, [s for s in seeds if s.d]))
-    for _ in range(A.dim + 1):
-        if ideal._is_hopf():
+    add, old = [s for s in seeds if s.d], None
+    for _ in range(A.dim + 2):
+        # one division gives the ideal and fills its cache
+        V, quotient = _ideal_span_coords(A, add)
+        ideal = HopfIdeal(H, V)
+        ideal._cache = quotient + (True,)
+        if V.dim == old or ideal._is_hopf():
             break
-        old, add = ideal.dim, list(ideal._quotient()[2])
+        old, add = V.dim, list(quotient[2])
         for f in ideal.basis_polys():
             # a leg off the augmentation ideal is a unit, so its part in
             # it, leg - eps(leg), goes in: the ideal stays in ker eps
@@ -977,9 +990,6 @@ def hopf_ideal_closure(H, seeds):
             sf = H.antipode_map(f)
             if not ideal.contains(sf):
                 add.append(sf)
-        ideal = HopfIdeal(H, _ideal_span_coords(A, add))
-        if ideal.dim == old:
-            break
     return ideal
 
 
@@ -1210,6 +1220,8 @@ def points_group(H, R):
     F = H.field
     if R.field != F:
         raise BadParams("test algebra must share the coefficient field")
+    if R.dim is None:
+        raise BadParams("test algebra must be finite, not laurent")
     if F.q ** R.dim > POINTS_CANDIDATE_LIMIT:
         raise SizeGuard("points_group test algebra", F.q ** R.dim,
                         POINTS_CANDIDATE_LIMIT)

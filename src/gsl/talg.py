@@ -58,14 +58,13 @@ Groebner basis: the reduced basis is the staircase of monomials that no
 leading monomial divides, listed from the leading keys alone, and the
 residue of a monomial is its normal form by division, memoised, so
 reduced arithmetic costs little more than free arithmetic and nothing as
-wide as the monomial shell is laid out.  The Groebner basis comes from
-generators by Buchberger's algorithm (``quotient_algebra``), or, for the
-kernel of an algebra map out of a free algebra, from the staircase walk
-of ``_evaluation_quotient``, which reads the reduced basis off the
-images of the staircase and its border, or, for an ideal given in
-coordinates, off its echelon rows (``_echelon_quotient``).  A
-TensorAlgebra glues several algebras side by side and reduces factor by
-factor, which never materialises the big tensor ideal.  ``apply_map``
+wide as the monomial shell is laid out.  The Groebner basis comes one
+of two ways: by Buchberger's algorithm (``quotient_algebra``), for an
+ideal given by elements or by the basis of a span, or by the FGLM
+staircase walk of ``_evaluation_quotient``, for the kernel of an
+algebra map out of a free algebra.  A TensorAlgebra glues several
+algebras side by side and reduces factor by factor, which never
+materialises the big tensor ideal.  ``apply_map``
 substitutes through memoised monomial images, one product per new
 monomial, and ``map_leg`` substitutes into one leg of a tensor element,
 term by term, with no product or reduction at all; two legs are two
@@ -671,9 +670,11 @@ class QuotientAlgebra(Algebra):
     ``groebner`` lists monic Polys of the free ambient ring that, with the
     ambient's truncation relations, form a Groebner basis of the ideal
     under lex order with the last variable most significant, which is the
-    int order of the keys; ``quotient_algebra`` supplies a minimal one and
-    ``_evaluation_quotient`` the reduced one (Cox, Little & O'Shea, ch. 2
-    sec. 6 and ch. 5 sec. 3).
+    int order of the keys.  It comes one of two ways: ``quotient_algebra``
+    runs Buchberger's algorithm on generators and supplies a minimal one,
+    and ``_evaluation_quotient`` walks the staircase of the kernel of a
+    map and supplies the reduced one (Cox, Little & O'Shea, ch. 2 sec. 6
+    and ch. 5 sec. 3).
     The reduced basis is the staircase, the monomials that no leading
     monomial divides, counted at construction (SizeGuard "quotient basis"
     past DIM_LIMIT) and listed on demand.  ``reduce_term`` is the normal
@@ -1093,38 +1094,6 @@ def quotient_algebra(ambient, gens, eliminate=True, aliases=None):
             alias_acc[nm] = apply_map(f, dict(found), ambient)
         alias_acc.update(found)
     return QuotientAlgebra(ambient, _groebner(ambient, gens), gens, alias_acc)
-
-
-def _echelon_quotient(alg, S):
-    """alg modulo an ideal S given in coordinates: (Q, pi, gens).
-
-    S's rows pivot on their largest key and are fully reduced, so the row
-    with pivot t is t - nf(t), and the ideal's leading keys in the shell
-    are alg's own and the pivots.  So alg's Groebner basis and the rows
-    with divisor-minimal pivots (gens, which generate S) are a Groebner
-    basis: nothing is divided.  The projection pi is Q's memoised
-    residue, as alg's keys are keys of Q's shell.  S must be an ideal.
-    """
-    basis, guard, F = alg.basis_monomials(), alg._lay.guard, alg.field
-    gens, leads = [], []
-    # pivots ascend by key, and a divisor of a key is no larger
-    for l in S.pivots():
-        t = basis[l]
-        if not any(_divides(s, t, guard) for s in leads):
-            leads.append(t)
-            res = S.residue([int(i == l) for i in range(alg.dim)])
-            row = {basis[i]: F.neg(c) for i, c in enumerate(res) if c}
-            row[t] = 1
-            gens.append(Poly(alg, row))
-    own = list(alg.groebner) if isinstance(alg, QuotientAlgebra) else []
-    Q = QuotientAlgebra(alg.ambient,
-                        own + [Poly(alg.ambient, g.d) for g in gens])
-
-    def pi(m):
-        r = Q.reduce_term(m)
-        return {m: 1} if r is None else r
-
-    return Q, pi, gens
 
 
 def _evaluation_quotient(shell, coords, n):
@@ -1603,8 +1572,12 @@ def weight_decomposition(alg, weights, modulus):
     """
     if alg.dim is None:
         raise BadParams("weight decomposition needs a finite algebra")
+    if modulus < 1:
+        raise BadParams(f"weight modulus {modulus} is not positive")
     wts = []
     for nm, d, k in zip(alg.vars, alg.orders, alg.kinds):
+        if nm not in weights:
+            raise BadParams(f"variable {nm} has no weight")
         w = weights[nm]
         if k == "unit" and (w * d) % modulus != 0:
             raise NotHomogeneous(

@@ -805,13 +805,10 @@ def unipotent_line_hom(s1, s2, n, field=None):
         raise BadParams("the line (s1, s2) must be nonzero")
     G, A = SL2_kerF(n, F), alpha(n, F)
     T = A.carrier.var("T")
-
-    def sc(c):
-        return T * A.carrier.scalar(c)
-
+    # a code outside the field is refused here, as in H_unip
+    S1, S2 = A.carrier.scalar(s1), A.carrier.scalar(s2)
     # u22 goes to -s1 s2 T through its alias
-    images = {"u11": sc(F.mul(s1, s2)), "u12": sc(F.neg(F.mul(s1, s1))),
-              "u21": sc(F.mul(s2, s2))}
+    images = {"u11": T * S1 * S2, "u12": -(T * S1 * S1), "u21": T * S2 * S2}
     return Morphism(G, A, images)
 
 

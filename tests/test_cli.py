@@ -38,3 +38,10 @@ def test_bad_field_name_is_an_error(capsys):
     code, out = _run(capsys, ["verify", "alpha(1)", "--field", "GF(x)"])
     assert code == 2
     assert out == {"error": "ParseError", "message": "bad field name 'GF(x)'"}
+
+
+def test_field_of_size_zero_is_an_error(capsys):
+    code, out = _run(capsys, ["verify", "alpha(1)", "--field", "GF(0)"])
+    assert code == 2
+    assert out == {"error": "ParseError",
+                   "message": "field size 0 is not a power of 2, 3 or 5"}

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,6 +87,20 @@ def test_tables_equal_polynomial_arithmetic_sampled(F, data):
     assert F._log is not None
     els = st.integers(0, F.q - 1)
     _assert_tables_match_polynomials(F, data.draw(els), data.draw(els))
+
+
+@pytest.mark.parametrize("F", [F256, F729, F15625, F390625],
+                         ids=lambda F: F.name)
+@given(data=st.data())
+def test_exp_table_steps_the_smallest_primitive_element(F, data):
+    # exp[1] is the smallest code of order q - 1, and each exp[i + 1] is
+    # exp[i] times it by one polynomial product
+    p, m, n = F.p, F.m, F.q - 1
+    a = F._exp[1]
+    assert all(math.gcd(F._log[c], n) > 1 for c in range(1, a))
+    i = data.draw(st.integers(0, n - 1))
+    assert F._exp[i + 1] == _encode(_poly_rem(_poly_mul(
+        _digits(F._exp[i], p, m), _digits(a, p, m), p), F.modulus, p), p)
 
 
 def test_largest_tabled_fields():
@@ -228,6 +244,14 @@ def test_field_from_name():
         field_from_name("GF(12)")
     with pytest.raises(ParseError):
         field_from_name("GF(banana)")
+
+
+@pytest.mark.parametrize("name", ["GF(0)", "F_0", "0", "GF(1)"])
+def test_field_size_below_two_is_a_parse_error(name):
+    # 0 is divisible by every prime: the size has to be refused before
+    # its power of p is counted
+    with pytest.raises(ParseError, match="is not a power of 2, 3 or 5"):
+        field_from_name(name)
 
 
 def test_field_equality_and_hash():

@@ -25,9 +25,9 @@ from gsl.hopf import (HopfAlgebra, HopfIdeal, Morphism, _coassoc_sides,
 from gsl.linalg import (Subspace, column_kernel, subspace_from,
                         subspace_intersect, subspace_sum)
 from gsl.action import extends_to_p1, standard_coaction
-from gsl.talg import (DIM_LIMIT, Algebra, Poly, _evaluation_quotient,
-                      _mono_images, apply_map, multiply_legs,
-                      quotient_algebra, subalgebra_generated)
+from gsl.talg import (DIM_LIMIT, Algebra, Poly, QuotientAlgebra,
+                      _evaluation_quotient, _mono_images, apply_map,
+                      multiply_legs, quotient_algebra, subalgebra_generated)
 from gsl.zoo import (D, SL2_kerF, kerFV, mu2_invariants_D, pullback, witt2,
                      zoo_parse)
 from test_talg import naive_apply_map
@@ -1119,7 +1119,7 @@ def _reference_closure(H, seeds):
     whole basis each round; on the way, each basis element's legs from
     HopfIdeal._escaping_legs are checked against the dense ones."""
     A = H.carrier
-    V = _ideal_span_coords(A, [s for s in seeds if s.d])
+    V = _ideal_span_coords(A, [s for s in seeds if s.d])[0]
     for _ in range(A.dim + 1):
         ideal = HopfIdeal(H, V)
         add = []
@@ -1133,7 +1133,7 @@ def _reference_closure(H, seeds):
         if not add:
             break
         old = V.dim
-        V = _ideal_span_coords(A, ideal.basis_polys() + add)
+        V = _ideal_span_coords(A, ideal.basis_polys() + add)[0]
         if V.dim == old:
             break
     return V
@@ -1237,9 +1237,86 @@ def test_ideal_coords_match_the_poly_product_closure(data, k):
     polys = [f - A.scalar(f.constant_term())
              for f in (random_poly(data.draw, A, max_terms=3)
                        for _ in range(data.draw(st.integers(0, 2))))]
-    got, want = _ideal_span_coords(A, polys), _reference_ideal_coords(A, polys)
+    got = _ideal_span_coords(A, polys)[0]
+    want = _reference_ideal_coords(A, polys)
     assert got.pivots() == want.pivots()
     assert got.basis() == want.basis()
+
+
+def _echelon_quotient(A, S):
+    """A modulo an ideal S given in coordinates, (Q, pi, gens), read off
+    S's echelon rows with no division.
+
+    S's rows pivot on their largest key and are fully reduced, so the row
+    with pivot t is t - nf(t), and the ideal's leading keys in the shell
+    are A's own and the pivots.  So A's Groebner basis and the rows with
+    divisor-minimal pivots (gens, which generate S) are a Groebner basis.
+    """
+    basis, F = A.basis_monomials(), A.field
+
+    def divides(s, t):
+        return all(a <= b for a, b in zip(A.exponents(s), A.exponents(t)))
+
+    gens, leads = [], []
+    # pivots ascend by key, and a divisor of a key is no larger
+    for l in S.pivots():
+        t = basis[l]
+        if not any(divides(s, t) for s in leads):
+            leads.append(t)
+            res = S.residue([int(i == l) for i in range(A.dim)])
+            row = {basis[i]: F.neg(c) for i, c in enumerate(res) if c}
+            row[t] = 1
+            gens.append(Poly(A, row))
+    own = list(A.groebner) if isinstance(A, QuotientAlgebra) else []
+    Q = QuotientAlgebra(A.ambient,
+                        own + [Poly(A.ambient, g.d) for g in gens])
+
+    def pi(m):
+        r = Q.reduce_term(m)
+        return {m: 1} if r is None else r
+
+    return Q, pi, gens
+
+
+def _reference_quotient(H, V):
+    """HopfIdeal._quotient through x f in V for every basis element f and
+    variable x, and the echelon rows of the ideal V generates."""
+    A = H.carrier
+    polys = [A.from_vector(v) for v in V.basis()]
+    ideal = all(V.contains(A.to_vector(x * f)) for f in polys for x in A.gens())
+    S = V if ideal else _reference_ideal_coords(A, polys)
+    return _echelon_quotient(A, S) + (ideal,)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_group(k):
+    return (lambda: alpha(3), lambda: SL2_kerF(1),
+            lambda: pullback(1, 1, 1), lambda: SL2_kerF(1, F3),
+            lambda: alpha(2, F4), lambda: pullback(1, 2, 1, F4),
+            lambda: zoo_parse("D(1)", F5), lambda: zoo_parse("D(1)", F9))[k]()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(0, 7))
+def test_quotient_matches_the_echelon_rows(data, k):
+    # free carriers over GF(2), GF(3), GF(4), GF(5) and GF(9), and the
+    # pullback carriers (a quotient with unit generators) over GF(2) and
+    # GF(4); the span is the ideal of a few elements, or the bare span of
+    # them, which is mostly no ideal
+    H = _oracle_group(k)
+    A = H.carrier
+    polys = [random_poly(data.draw, A, max_terms=3)
+             for _ in range(data.draw(st.integers(0, 3)))]
+    if data.draw(st.booleans()):
+        V = _reference_ideal_coords(A, polys)
+    else:
+        V = subspace_from(A.field, A.dim, [A.to_vector(f) for f in polys])
+    Q, pi, gens, ideal = HopfIdeal(H, V)._quotient()
+    Q0, pi0, gens0, ideal0 = _reference_quotient(H, V)
+    assert Q.basis_monomials() == Q0.basis_monomials()
+    assert all(pi(m) == pi0(m) for m in A.basis_monomials())
+    assert gens == gens0
+    assert ideal == ideal0
 
 
 def test_closed_subgroup_keeps_the_ideal_of_a_subspace_carrier():
@@ -1590,6 +1667,11 @@ def test_points_of_mu():
 def test_points_field_mismatch():
     with pytest.raises(BadParams):
         points_group(alpha(1), Algebra(F4, ["t"], [2]))
+
+
+def test_points_refuse_a_laurent_test_algebra():
+    with pytest.raises(BadParams, match="laurent"):
+        points_group(alpha(1), Algebra(F2, ["t"], [0], ["laurent"]))
 
 
 def test_points_guard_counts_the_listed_elements(monkeypatch):

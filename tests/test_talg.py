@@ -1058,6 +1058,14 @@ def test_weight_decomposition_rejects_inhomogeneous():
     assert sum(len(v) for v in wd.values()) == Q.dim
 
 
+def test_weight_decomposition_refuses_a_missing_weight_and_modulus_zero():
+    A = ring_ST()
+    with pytest.raises(BadParams, match="variable T has no weight"):
+        weight_decomposition(A, {"S": 1}, 2)
+    with pytest.raises(BadParams, match="weight modulus 0 is not positive"):
+        weight_decomposition(A, {"S": 1, "T": 1}, 0)
+
+
 def test_weight_decomposition_unit_variable_guard():
     A = Algebra(F2, ["W"], [4], ["unit"])
     assert 0 in weight_decomposition(A, {"W": 2}, 2)

@@ -780,6 +780,16 @@ def test_unipotent_line_hom_all_lines():
             assert f.map(f.source.carrier.var("u22")) == -(T * s1 * s2)
 
 
+@pytest.mark.parametrize("line", [(3, 1), (-1, 1), (1, 2)])
+def test_unipotent_line_hom_refuses_codes_outside_the_field(line):
+    # the same refusal as H_unip, pullback and mu2_invariants_D give
+    code = next(c for c in line if not 0 <= c < 2)
+    for build in (unipotent_line_hom, H_unip, pullback, mu2_invariants_D):
+        with pytest.raises(BadParams,
+                           match=r"scalar code %d outside field GF\(2\)" % code):
+            build(*line, 1)
+
+
 # -- invariants of the diagonal torus action -------------------------------
 
 def test_mu2_invariants_grid():
